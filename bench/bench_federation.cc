@@ -109,8 +109,11 @@ std::unique_ptr<federation::FederatedMarket> SingleMarketOf(
   federation::EndpointConfig clean = config;
   clean.inject_faults = false;  // the counterfactual is a healthy market
   if (!single->AddEndpoint(clean).ok()) return nullptr;
-  for (const auto& [name, rows] : bundle.market_tables) {
-    if (!single->HostTable(name, rows).ok()) return nullptr;
+  for (const std::string& table : bundle.catalog.TableNames()) {
+    const std::vector<Row>* rows = bundle.market->HostedRows(table);
+    if (rows != nullptr && !single->HostTable(table, *rows).ok()) {
+      return nullptr;
+    }
   }
   return single;
 }

@@ -129,7 +129,7 @@ Status DurabilityManager::Recover(const HarvestApply& apply) {
     const catalog::TableDef* def = catalog_->FindTable(record.table);
     if (def == nullptr) continue;
     if (record.epoch > max_epoch) max_epoch = record.epoch;
-    apply(*def, record.region, std::move(record.rows), record.num_records,
+    apply(*def, record.region, record.rows, record.num_records,
           record.epoch);
     ++recovery_.replayed_records;
     ++records_since_snapshot_;

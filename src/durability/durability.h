@@ -95,8 +95,8 @@ class DurabilityManager {
   /// Replay/apply sink: the owner's listener body (store + feedback +
   /// accuracy tracking) — one code path for live harvests and recovery.
   using HarvestApply = std::function<void(
-      const catalog::TableDef& def, const Box& region, std::vector<Row> rows,
-      int64_t num_records, int64_t epoch)>;
+      const catalog::TableDef& def, const Box& region,
+      const std::vector<Row>& rows, int64_t num_records, int64_t epoch)>;
 
   DurabilityManager(DurabilityOptions options, const catalog::Catalog* catalog,
                     semstore::SemanticStore* store,

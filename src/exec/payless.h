@@ -342,7 +342,7 @@ class PayLess {
   /// Called by the connector listener for live calls and by the durability
   /// manager's recovery replay, so both paths rebuild identical state.
   void AbsorbHarvest(const catalog::TableDef& def, const Box& region,
-                     std::vector<Row> rows, int64_t num_records,
+                     const std::vector<Row>& rows, int64_t num_records,
                      int64_t epoch);
   /// The traced/governed body of QueryWithReport; `query_id` is already
   /// assigned and admission against the CURRENT spend already passed.

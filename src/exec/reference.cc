@@ -22,8 +22,7 @@ Result<storage::Table> ReferenceEvaluate(const catalog::Catalog& catalog,
   for (const sql::BoundRelation& rel : bound->relations) {
     storage::Table table(storage::SchemaFromTableDef(*rel.def));
     if (rel.is_market()) {
-      const std::vector<Row>* rows =
-          market.HostedRowsForTesting(rel.def->name);
+      const std::vector<Row>* rows = market.HostedRows(rel.def->name);
       if (rows == nullptr) {
         return Status::NotFound("table '" + rel.def->name + "' not hosted");
       }

@@ -54,22 +54,32 @@ std::string BillingMeter::Report() const {
   return os.str();
 }
 
+void DataMarket::HostedTable::Insert(Row row) {
+  rows.push_back(std::move(row));
+  if (!seen.insert(static_cast<uint32_t>(rows.size() - 1)).second) {
+    rows.pop_back();
+  }
+}
+
 void DataMarket::IndexRows(const catalog::TableDef& def, HostedTable* table,
                            size_t first_row) const {
   for (const size_t col : def.ConstrainableColumns()) {
     auto& postings = table->point_index[col];
     const bool numeric = def.columns[col].domain.is_numeric();
-    auto* sorted = numeric ? &table->range_index[col] : nullptr;
+    RangeIndex* sorted = numeric ? &table->range_index[col] : nullptr;
     for (size_t i = first_row; i < table->rows.size(); ++i) {
       const Value& v = table->rows[i][col];
       if (v.is_null()) continue;
       postings[v].push_back(static_cast<uint32_t>(i));
-      if (sorted != nullptr && v.is_int64()) {
-        sorted->emplace_back(v.AsInt64(), static_cast<uint32_t>(i));
+      if (sorted == nullptr) continue;
+      if (v.is_int64()) {
+        sorted->entries.emplace_back(v.AsInt64(), static_cast<uint32_t>(i));
+      } else {
+        sorted->complete = false;
       }
     }
     if (sorted != nullptr) {
-      std::sort(sorted->begin(), sorted->end());
+      std::sort(sorted->entries.begin(), sorted->entries.end());
     }
   }
 }
@@ -88,12 +98,12 @@ Status DataMarket::HostTable(const std::string& name, std::vector<Row> rows) {
       return Status::InvalidArgument("row arity mismatch for '" + name + "'");
     }
   }
-  HostedTable table;
-  table.rows.reserve(rows.size());
-  for (Row& row : rows) {
-    if (table.seen.insert(row).second) table.rows.push_back(std::move(row));
-  }
-  IndexRows(*def, &table, 0);
+  auto table = std::make_unique<HostedTable>();
+  table->rows.reserve(rows.size());
+  table->seen.reserve(rows.size());
+  for (Row& row : rows) table->Insert(std::move(row));
+  rows = {};  // free the moved-from husks before indexing
+  IndexRows(*def, table.get(), 0);
   std::unique_lock<std::shared_mutex> lock(mutex_);
   hosted_[name] = std::move(table);
   return Status::OK();
@@ -107,16 +117,17 @@ Status DataMarket::AppendRows(const std::string& name,
     return Status::NotFound("table '" + name + "' not hosted");
   }
   const catalog::TableDef* def = catalog_->FindTable(name);
-  const size_t first_new = it->second.rows.size();
+  HostedTable& table = *it->second;
+  const size_t first_new = table.rows.size();
   for (const Row& row : rows) {
     if (row.size() != def->columns.size()) {
       return Status::InvalidArgument("row arity mismatch for '" + name + "'");
     }
-    if (it->second.seen.insert(row).second) it->second.rows.push_back(row);
+    table.Insert(row);
   }
   // Rebuild range indexes incrementally is not worth it here: re-index the
   // appended suffix for postings and re-sort the range projections.
-  IndexRows(*def, &it->second, first_new);
+  IndexRows(*def, &table, first_new);
   return Status::OK();
 }
 
@@ -137,11 +148,11 @@ Result<CallResult> DataMarket::Execute(const RestCall& call) const {
                             "' has no dataset pricing");
   }
 
-  const HostedTable& hosted = it->second;
+  const HostedTable& hosted = *it->second;
 
-  // Pick the most selective index among the call's conditions: the smallest
-  // point-condition posting list, else the narrowest numeric range span,
-  // else a full scan. All other conditions verify per row.
+  // Candidate lists the call's conditions offer: the smallest point
+  // posting, and the narrowest numeric range span. The smaller of the two
+  // is scanned; every other condition verifies per row.
   CallResult result;
   const std::vector<uint32_t>* posting = nullptr;
   for (size_t col = 0; col < call.conditions.size(); ++col) {
@@ -160,49 +171,57 @@ Result<CallResult> DataMarket::Execute(const RestCall& call) const {
       posting = &post_it->second;
     }
   }
+  using SpanIt = std::vector<std::pair<int64_t, uint32_t>>::const_iterator;
+  SpanIt span_lo;
+  SpanIt span_hi;
+  bool have_span = false;
+  for (size_t col = 0; col < call.conditions.size(); ++col) {
+    const AttrCondition& cond = call.conditions[col];
+    if (cond.kind != AttrCondition::Kind::kRange) continue;
+    const auto idx_it = hosted.range_index.find(col);
+    if (idx_it == hosted.range_index.end()) continue;
+    // An incomplete projection still serves range-only calls, but never
+    // stands in for a posting.
+    if (posting != nullptr && !idx_it->second.complete) continue;
+    const auto& entries = idx_it->second.entries;
+    const SpanIt lo = std::lower_bound(
+        entries.begin(), entries.end(),
+        std::make_pair(cond.range.lo, static_cast<uint32_t>(0)));
+    const SpanIt hi = std::upper_bound(
+        entries.begin(), entries.end(),
+        std::make_pair(cond.range.hi, ~static_cast<uint32_t>(0)));
+    if (!have_span || hi - lo < span_hi - span_lo) {
+      span_lo = lo;
+      span_hi = hi;
+      have_span = true;
+    }
+  }
 
-  if (posting != nullptr) {
+  if (posting != nullptr &&
+      (!have_span ||
+       posting->size() <= static_cast<size_t>(span_hi - span_lo))) {
     for (const uint32_t i : *posting) {
       if (call.MatchesRow(hosted.rows[i])) result.rows.push_back(hosted.rows[i]);
     }
-  } else {
-    // Try a numeric range condition.
-    const std::vector<std::pair<int64_t, uint32_t>>* span = nullptr;
-    Interval span_range;
-    size_t span_width = hosted.rows.size() + 1;
-    for (size_t col = 0; col < call.conditions.size(); ++col) {
-      const AttrCondition& cond = call.conditions[col];
-      if (cond.kind != AttrCondition::Kind::kRange) continue;
-      const auto idx_it = hosted.range_index.find(col);
-      if (idx_it == hosted.range_index.end()) continue;
-      const auto lo = std::lower_bound(
-          idx_it->second.begin(), idx_it->second.end(),
-          std::make_pair(cond.range.lo, static_cast<uint32_t>(0)));
-      const auto hi = std::upper_bound(
-          idx_it->second.begin(), idx_it->second.end(),
-          std::make_pair(cond.range.hi, ~static_cast<uint32_t>(0)));
-      const size_t width = static_cast<size_t>(hi - lo);
-      if (width < span_width) {
-        span = &idx_it->second;
-        span_range = cond.range;
-        span_width = width;
+  } else if (posting != nullptr) {
+    // The span is narrower, but a point condition fixes ascending row order.
+    std::vector<uint32_t> matched;
+    for (SpanIt entry = span_lo; entry != span_hi; ++entry) {
+      if (call.MatchesRow(hosted.rows[entry->second])) {
+        matched.push_back(entry->second);
       }
     }
-    if (span != nullptr) {
-      const auto lo = std::lower_bound(
-          span->begin(), span->end(),
-          std::make_pair(span_range.lo, static_cast<uint32_t>(0)));
-      const auto hi = std::upper_bound(
-          span->begin(), span->end(),
-          std::make_pair(span_range.hi, ~static_cast<uint32_t>(0)));
-      for (auto entry = lo; entry != hi; ++entry) {
-        const Row& row = hosted.rows[entry->second];
-        if (call.MatchesRow(row)) result.rows.push_back(row);
-      }
-    } else {
-      for (const Row& row : hosted.rows) {
-        if (call.MatchesRow(row)) result.rows.push_back(row);
-      }
+    std::sort(matched.begin(), matched.end());
+    result.rows.reserve(matched.size());
+    for (const uint32_t i : matched) result.rows.push_back(hosted.rows[i]);
+  } else if (have_span) {
+    for (SpanIt entry = span_lo; entry != span_hi; ++entry) {
+      const Row& row = hosted.rows[entry->second];
+      if (call.MatchesRow(row)) result.rows.push_back(row);
+    }
+  } else {
+    for (const Row& row : hosted.rows) {
+      if (call.MatchesRow(row)) result.rows.push_back(row);
     }
   }
   result.num_records = static_cast<int64_t>(result.rows.size());
@@ -213,11 +232,10 @@ Result<CallResult> DataMarket::Execute(const RestCall& call) const {
   return result;
 }
 
-const std::vector<Row>* DataMarket::HostedRowsForTesting(
-    const std::string& name) const {
+const std::vector<Row>* DataMarket::HostedRows(const std::string& name) const {
   std::shared_lock<std::shared_mutex> lock(mutex_);
   const auto it = hosted_.find(name);
-  return it == hosted_.end() ? nullptr : &it->second.rows;
+  return it == hosted_.end() ? nullptr : &it->second->rows;
 }
 
 Result<int64_t> DataMarket::TableSize(const std::string& name) const {
@@ -226,7 +244,7 @@ Result<int64_t> DataMarket::TableSize(const std::string& name) const {
   if (it == hosted_.end()) {
     return Status::NotFound("table '" + name + "' not hosted");
   }
-  return static_cast<int64_t>(it->second.rows.size());
+  return static_cast<int64_t>(it->second->rows.size());
 }
 
 namespace {

@@ -103,10 +103,21 @@ class BillingMeter {
 /// tuple's content identifies it across the semantic store, the mirror
 /// tables and fresh call results.
 ///
+/// Each table is hosted exactly once: HostTable takes the rows by move, and
+/// set semantics are kept by a hash set of row indices (hashed by the rows
+/// they name), not by a second copy of every row. Federation replicas and
+/// test oracles read these same rows through HostedRows.
+///
 /// Hosted tables carry simple seller-side indexes (posting lists for point
 /// conditions, a sorted projection for numeric ranges) so that the many
-/// small calls a bind join issues do not scan whole tables; this changes
-/// nothing observable — it is how a real market serves keyed GETs.
+/// small calls a bind join issues do not scan whole tables. Execute scans
+/// the smallest candidate list the call's conditions offer — the smallest
+/// point posting or the narrowest range span, compared by count — and
+/// verifies every other condition per row. The result order never depends
+/// on that choice: ascending row index whenever a point condition has a
+/// posting, span order (value, then row index) for range-only calls, row
+/// order for unconstrained ones. This changes nothing observable — it is
+/// how a real market serves keyed GETs.
 ///
 /// Thread-safe: Execute/TableSize are read-only and take a shared lock, so
 /// concurrent GETs proceed in parallel; HostTable/AppendRows (the periodic
@@ -115,7 +126,8 @@ class DataMarket {
  public:
   explicit DataMarket(const catalog::Catalog* catalog) : catalog_(catalog) {}
 
-  /// Hosts `data` as the market-side contents of catalog table `name`.
+  /// Hosts `rows` (taken by move, duplicates collapsed) as the market-side
+  /// contents of catalog table `name`.
   Status HostTable(const std::string& name, std::vector<Row> rows);
 
   /// Periodic data release (append-only).
@@ -128,23 +140,54 @@ class DataMarket {
   /// Number of hosted records of one table (the seller-side truth).
   Result<int64_t> TableSize(const std::string& name) const;
 
-  /// Raw seller-side rows — test/oracle backdoor that bypasses billing and
-  /// binding patterns. Production paths must go through Execute().
-  const std::vector<Row>* HostedRowsForTesting(const std::string& name) const;
+  /// Raw seller-side rows, bypassing billing and binding patterns: the
+  /// backdoor for reference oracles and for replicating a market's data
+  /// into a federation at setup time. Query paths must go through
+  /// Execute(). nullptr when the table is not hosted.
+  const std::vector<Row>* HostedRows(const std::string& name) const;
+  /// Former name of HostedRows, still called by perfbench/.
+  const std::vector<Row>* HostedRowsForTesting(const std::string& name) const {
+    return HostedRows(name);
+  }
 
   const catalog::Catalog& catalog() const { return *catalog_; }
 
  private:
+  /// Hashes and compares row indices by the content of the rows they name.
+  struct RowAt {
+    const std::vector<Row>* rows;
+    size_t operator()(uint32_t i) const { return HashRow((*rows)[i]); }
+    bool operator()(uint32_t a, uint32_t b) const {
+      return (*rows)[a] == (*rows)[b];
+    }
+  };
+
+  /// Sorted (value, row index) projection of one numeric column.
+  struct RangeIndex {
+    std::vector<std::pair<int64_t, uint32_t>> entries;
+    /// False once a non-null value that is not an int64 is hosted: such a
+    /// row can match a range yet is missing from `entries`, so the span
+    /// may not stand in for a point posting.
+    bool complete = true;
+  };
+
+  /// Address-stable (held by unique_ptr): `seen` points at `rows`.
   struct HostedTable {
+    HostedTable() : seen(0, RowAt{&rows}, RowAt{&rows}) {}
+    HostedTable(const HostedTable&) = delete;
+    HostedTable& operator=(const HostedTable&) = delete;
+
+    /// Appends `row` unless an identical row is already hosted.
+    void Insert(Row row);
+
     std::vector<Row> rows;
-    std::unordered_set<Row, RowHasher> seen;  // set semantics
+    std::unordered_set<uint32_t, RowAt, RowAt> seen;  // set semantics
     /// column -> value -> row indices, for every constrainable column.
     std::map<size_t, std::unordered_map<Value, std::vector<uint32_t>,
                                         ValueHasher>>
         point_index;
-    /// column -> (value, row index) sorted by value, for numeric
-    /// constrainable columns.
-    std::map<size_t, std::vector<std::pair<int64_t, uint32_t>>> range_index;
+    /// Numeric constrainable columns only.
+    std::map<size_t, RangeIndex> range_index;
   };
 
   void IndexRows(const catalog::TableDef& def, HostedTable* table,
@@ -152,7 +195,7 @@ class DataMarket {
 
   const catalog::Catalog* catalog_;
   mutable std::shared_mutex mutex_;  // read-mostly: shared for Execute
-  std::map<std::string, HostedTable> hosted_;
+  std::map<std::string, std::unique_ptr<HostedTable>> hosted_;
 };
 
 /// The REST boundary between PayLess and the market (step 5.1/5.2 of

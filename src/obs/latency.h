@@ -70,7 +70,8 @@ class LatencyHistogram {
 /// admission waits overlap with sibling fetches) and are excluded from the
 /// partition sum.
 enum QueryStage : int {
-  kStageParsePlan = 0,    // parse + bind + optimize (minus the cache probe)
+  kStageParsePlan = 0,    // parse + bind + optimize + admission + executor
+                          // set-up (minus the cache probe)
   kStagePlanCacheProbe,   // plan-template cache lookup
   kStageFetch,            // market fetch wall time (scheduler + RTT + merge
                           // of pages), per access, summed

@@ -5,13 +5,17 @@
 #include <limits>
 #include <mutex>
 #include <sstream>
+#include <unordered_set>
 
 namespace payless::semstore {
 
-std::optional<std::vector<int64_t>> RowPoint(const catalog::TableDef& def,
-                                             const Row& row) {
+namespace {
+
+/// RowPoint over precomputed constrainable columns `dims`.
+std::optional<std::vector<int64_t>> PointOf(const catalog::TableDef& def,
+                                            const std::vector<size_t>& dims,
+                                            const Row& row) {
   std::vector<int64_t> point;
-  const std::vector<size_t> dims = def.ConstrainableColumns();
   point.reserve(dims.size());
   for (size_t col : dims) {
     const std::optional<int64_t> code = def.columns[col].domain.Encode(row[col]);
@@ -20,8 +24,6 @@ std::optional<std::vector<int64_t>> RowPoint(const catalog::TableDef& def,
   }
   return point;
 }
-
-namespace {
 
 /// If `a` and `b` differ on at most one dimension and overlap or touch
 /// there, returns true and writes their exact union (the hull) to `merged`.
@@ -44,6 +46,15 @@ bool TryMergeBoxes(const Box& a, const Box& b, Box* merged) {
   merged->dim(diff_dim) =
       Interval(std::min(x.lo, y.lo), std::max(x.hi, y.hi));
   return true;
+}
+
+/// Hash of a lattice point, for the writer-side duplicate index.
+uint64_t PointHash(const std::vector<int64_t>& point) {
+  uint64_t hash = 0;
+  for (const int64_t code : point) {
+    hash = common::SplitMix64(hash ^ static_cast<uint64_t>(code));
+  }
+  return hash;
 }
 
 /// Rough retained size of one row: variant overhead plus string payloads.
@@ -73,6 +84,11 @@ int64_t DomainVolume(const catalog::TableDef& def) {
 
 }  // namespace
 
+std::optional<std::vector<int64_t>> RowPoint(const catalog::TableDef& def,
+                                             const Row& row) {
+  return PointOf(def, def.ConstrainableColumns(), row);
+}
+
 void SemanticStore::AddCoverage(std::vector<Box>* coverage, Box region) {
   std::vector<Box>& list = *coverage;
   for (const Box& box : list) {
@@ -97,14 +113,84 @@ void SemanticStore::AddCoverage(std::vector<Box>* coverage, Box region) {
   list.push_back(std::move(region));
 }
 
+const SemanticStore::PostingList* SemanticStore::PostingDim::Find(
+    int64_t code) const {
+  if (root == nullptr || code < lo) return nullptr;
+  const uint64_t offset =
+      static_cast<uint64_t>(code) - static_cast<uint64_t>(lo);
+  const int span_bits = levels * kPostingBits;
+  if (span_bits < 64 && (offset >> span_bits) != 0) return nullptr;
+  const PostingNode* node = root.get();
+  for (int level = levels - 1; level > 0; --level) {
+    node = node->children[(offset >> (level * kPostingBits)) &
+                          (kPostingFanout - 1)]
+               .get();
+    if (node == nullptr) return nullptr;
+  }
+  return node->lists[offset & (kPostingFanout - 1)].get();
+}
+
+std::shared_ptr<const SemanticStore::PostingNode> SemanticStore::WithPostings(
+    const PostingNode* node, int level, const PostingDim& dim,
+    FreshPostings::const_iterator first, FreshPostings::const_iterator last) {
+  auto copy = node != nullptr ? std::make_shared<PostingNode>(*node)
+                              : std::make_shared<PostingNode>();
+  const auto slot_of = [&](const FreshPosting& posting) {
+    const uint64_t offset =
+        static_cast<uint64_t>(posting.first) - static_cast<uint64_t>(dim.lo);
+    return (offset >> (level * kPostingBits)) & (kPostingFanout - 1);
+  };
+  // Postings arrive sorted by code, so each slot's share is one contiguous
+  // run: a child subtree below the bottom level, one code's list at it.
+  std::vector<std::shared_ptr<const PostingNode>>& children = copy->children;
+  std::vector<std::shared_ptr<const PostingList>>& lists = copy->lists;
+  if (level > 0) {
+    children.resize(kPostingFanout);
+  } else {
+    lists.resize(kPostingFanout);
+  }
+  while (first != last) {
+    const uint64_t slot = slot_of(*first);
+    auto run_end = first;
+    while (run_end != last && slot_of(*run_end) == slot) ++run_end;
+    if (level > 0) {
+      children[slot] =
+          WithPostings(children[slot].get(), level - 1, dim, first, run_end);
+      first = run_end;
+      continue;
+    }
+    auto list = lists[slot] != nullptr
+                    ? std::make_shared<PostingList>(*lists[slot])
+                    : std::make_shared<PostingList>();
+    // The open tail chunk may be shared with older snapshots: append to a
+    // private copy of it. Full chunks stay shared untouched.
+    std::shared_ptr<PostingChunk> open;
+    if (!list->chunks.empty() && list->chunks.back()->size() < kPostingChunk) {
+      open = std::make_shared<PostingChunk>(*list->chunks.back());
+      list->chunks.back() = open;
+    }
+    for (; first != run_end; ++first) {
+      if (open == nullptr || open->size() >= kPostingChunk) {
+        open = std::make_shared<PostingChunk>();
+        list->chunks.push_back(open);
+      }
+      open->push_back(first->second);
+      ++list->size;
+    }
+    lists[slot] = std::move(list);
+  }
+  return copy;
+}
+
 void SemanticStore::Store(const catalog::TableDef& def, Box region,
-                          std::vector<Row> rows, int64_t epoch) {
+                          const std::vector<Row>& rows, int64_t epoch) {
   if (region.empty()) return;
   const std::shared_ptr<TableCell> cell = cells_.GetOrCreate(def.name);
   std::lock_guard<std::mutex> lock(cell->write_mutex);
 
   const std::shared_ptr<const TableData> old = cell->data.Load();
-  auto next = std::make_shared<TableData>(*old);  // shares row chunks
+  // Copies the view, coverage and chunk lists; rows and postings are shared.
+  auto next = std::make_shared<TableData>(*old);
   AddCoverage(&next->coverage, region);
   if (next->domain_volume == 0) next->domain_volume = DomainVolume(def);
   for (const Row& row : rows) next->approx_bytes += ApproxRowBytes(row);
@@ -120,43 +206,20 @@ void SemanticStore::Store(const catalog::TableDef& def, Box region,
   const size_t num_dims = dims.size();
   if (next->postings.empty()) {
     next->postings.resize(num_dims);
-    next->dim_posted.resize(num_dims);
     for (size_t d = 0; d < num_dims; ++d) {
-      next->dim_posted[d] =
-          def.columns[dims[d]].domain.ToInterval().Width() > 1 ? 1 : 0;
+      const Interval domain = def.columns[dims[d]].domain.ToInterval();
+      PostingDim& dim = next->postings[d];
+      dim.posted = domain.Width() > 1;
+      dim.lo = domain.lo;
+      const uint64_t max_offset =
+          static_cast<uint64_t>(domain.hi) - static_cast<uint64_t>(domain.lo);
+      while (dim.levels * kPostingBits < 64 &&
+             (max_offset >> (dim.levels * kPostingBits)) != 0) {
+        ++dim.levels;
+      }
     }
   }
-  // Duplicate probe against the postings under construction: a pooled copy
-  // of `row` would be posted under every one of its coordinates, so the
-  // smallest bucket of its point decides (empty bucket on any posted dim
-  // means absent). In-batch duplicates are caught too — postings grow as
-  // the batch appends. No hashed seen-set, no second copy of the pool.
-  const auto pooled_duplicate = [&](const std::vector<int64_t>& point,
-                                    const Row& row) {
-    const std::vector<uint32_t>* bucket = nullptr;
-    for (size_t d = 0; d < num_dims; ++d) {
-      if (next->dim_posted[d] == 0) continue;
-      const auto it = next->postings[d].find(point[d]);
-      if (it == next->postings[d].end() || it->second.empty()) return false;
-      if (bucket == nullptr || it->second.size() < bucket->size()) {
-        bucket = &it->second;
-      }
-    }
-    if (bucket == nullptr) {  // no discriminating dimension: scan the pool
-      for (size_t i = 0; i < next->pooled_rows; ++i) {
-        if (next->PooledPoint(i) == point && next->PooledRow(i) == row) {
-          return true;
-        }
-      }
-      return false;
-    }
-    for (const uint32_t i : *bucket) {
-      if (next->PooledPoint(i) == point && next->PooledRow(i) == row) {
-        return true;
-      }
-    }
-    return false;
-  };
+  std::vector<FreshPostings> fresh(num_dims);
   // The open (non-full) tail chunk may be referenced by the previous
   // snapshot, so appends go to a private copy of it; full chunks are shared
   // between snapshots untouched.
@@ -165,28 +228,56 @@ void SemanticStore::Store(const catalog::TableDef& def, Box region,
     open = std::make_shared<RowChunk>(*next->chunks.back());
     next->chunks.back() = open;
   }
+  auto view = std::make_shared<View>();
+  view->epoch = epoch;
+  view->rows.reserve(rows.size());
   for (const Row& row : rows) {
-    std::optional<std::vector<int64_t>> point = RowPoint(def, row);
-    if (!point.has_value()) continue;  // outside domains: unreachable anyway
-    if (pooled_duplicate(*point, row)) continue;
-    const uint32_t index = static_cast<uint32_t>(next->pooled_rows);
-    if (open == nullptr || open->rows.size() >= kRowChunk) {
-      open = std::make_shared<RowChunk>();
-      open->rows.reserve(kRowChunk);
-      open->points.reserve(kRowChunk);
-      next->chunks.push_back(open);
+    std::optional<std::vector<int64_t>> point = PointOf(def, dims, row);
+    if (!point.has_value()) {  // outside domains: kept only for export
+      view->rows.push_back(kUnpooled |
+                           static_cast<uint32_t>(view->unpooled.size()));
+      view->unpooled.push_back(row);
+      continue;
     }
-    open->rows.push_back(row);
-    for (size_t d = 0; d < num_dims; ++d) {
-      if (next->dim_posted[d] == 0) continue;
-      next->postings[d][(*point)[d]].push_back(index);
+    // Identical rows share their point, so the point-hash index finds any
+    // pooled copy; in-batch duplicates are indexed as they pool.
+    const uint64_t hash = PointHash(*point);
+    uint32_t index = kUnpooled;
+    const auto [first, last] = cell->pooled_by_point.equal_range(hash);
+    for (auto it = first; it != last && index == kUnpooled; ++it) {
+      if (next->PooledPoint(it->second) == *point &&
+          next->PooledRow(it->second) == row) {
+        index = it->second;
+      }
     }
-    open->points.push_back(std::move(*point));
-    ++next->pooled_rows;
+    if (index == kUnpooled) {
+      index = static_cast<uint32_t>(next->pooled_rows);
+      cell->pooled_by_point.emplace(hash, index);
+      if (open == nullptr || open->rows.size() >= kRowChunk) {
+        open = std::make_shared<RowChunk>();
+        open->rows.reserve(kRowChunk);
+        open->points.reserve(kRowChunk);
+        next->chunks.push_back(open);
+      }
+      open->rows.push_back(row);  // the row's one copy
+      for (size_t d = 0; d < num_dims; ++d) {
+        if (next->postings[d].posted) fresh[d].emplace_back((*point)[d], index);
+      }
+      open->points.push_back(std::move(*point));
+      ++next->pooled_rows;
+    }
+    view->rows.push_back(index);
+  }
+  for (size_t d = 0; d < num_dims; ++d) {
+    if (fresh[d].empty()) continue;
+    std::sort(fresh[d].begin(), fresh[d].end());  // by code, then index
+    PostingDim& dim = next->postings[d];
+    dim.root = WithPostings(dim.root.get(), dim.levels - 1, dim,
+                            fresh[d].begin(), fresh[d].end());
   }
 
-  next->views.push_back(std::make_shared<const StoredView>(
-      StoredView{std::move(region), std::move(rows), epoch}));
+  view->region = std::move(region);
+  next->views.push_back(std::move(view));
   cell->data.Store(std::move(next));
   version_.fetch_add(1, std::memory_order_release);
 }
@@ -198,7 +289,14 @@ std::vector<StoredView> SemanticStore::ViewsOf(
   const std::shared_ptr<const TableData> data = cell->data.Load();
   std::vector<StoredView> out;
   out.reserve(data->views.size());
-  for (const auto& view : data->views) out.push_back(*view);
+  for (const auto& view : data->views) {
+    StoredView exported{view->region, {}, view->epoch};
+    exported.rows.reserve(view->rows.size());
+    for (const uint32_t ref : view->rows) {
+      exported.rows.push_back(data->ViewRow(*view, ref));
+    }
+    out.push_back(std::move(exported));
+  }
   return out;
 }
 
@@ -292,15 +390,13 @@ std::vector<Row> SemanticStore::RowsInRegionImpl(const catalog::TableDef& def,
     size_t best_candidates = std::numeric_limits<size_t>::max();
     for (size_t d = 0; d < region.num_dims() && d < data.postings.size();
          ++d) {
-      if (data.dim_posted[d] == 0) continue;  // single-point domain: no index
+      if (!data.postings[d].posted) continue;  // single-point domain
       if (region.dim(d).Width() > 64) continue;  // too wide to enumerate
       size_t candidates = 0;
       for (int64_t code = region.dim(d).lo; code <= region.dim(d).hi;
            ++code) {
-        const auto post_it = data.postings[d].find(code);
-        if (post_it != data.postings[d].end()) {
-          candidates += post_it->second.size();
-        }
+        const PostingList* list = data.postings[d].Find(code);
+        if (list != nullptr) candidates += list->size;
       }
       if (candidates < best_candidates) {
         best_candidates = candidates;
@@ -312,11 +408,13 @@ std::vector<Row> SemanticStore::RowsInRegionImpl(const catalog::TableDef& def,
       out.reserve(best_candidates);
       for (int64_t code = region.dim(best_dim).lo;
            code <= region.dim(best_dim).hi; ++code) {
-        const auto post_it = data.postings[best_dim].find(code);
-        if (post_it == data.postings[best_dim].end()) continue;
-        for (const uint32_t i : post_it->second) {
-          if (region.Contains(data.PooledPoint(i))) {
-            out.push_back(data.PooledRow(i));
+        const PostingList* list = data.postings[best_dim].Find(code);
+        if (list == nullptr) continue;
+        for (const auto& chunk : list->chunks) {
+          for (const uint32_t i : *chunk) {
+            if (region.Contains(data.PooledPoint(i))) {
+              out.push_back(data.PooledRow(i));
+            }
           }
         }
       }
@@ -332,8 +430,9 @@ std::vector<Row> SemanticStore::RowsInRegionImpl(const catalog::TableDef& def,
   }
 
   // Epoch-filtered (X-week consistency) path: scan usable views newest-
-  // first, deduplicating identical tuples.
-  std::vector<const StoredView*> usable;
+  // first, deduplicating identical tuples — identical tuples share one
+  // pool index, and unpooled rows have no point, so never qualify.
+  std::vector<const View*> usable;
   usable.reserve(data.views.size());
   size_t candidate_rows = 0;
   for (const auto& view : data.views) {
@@ -343,17 +442,17 @@ std::vector<Row> SemanticStore::RowsInRegionImpl(const catalog::TableDef& def,
     }
   }
   std::stable_sort(usable.begin(), usable.end(),
-                   [](const StoredView* a, const StoredView* b) {
+                   [](const View* a, const View* b) {
                      return a->epoch > b->epoch;
                    });
-  std::unordered_set<Row, RowHasher> seen;
+  std::unordered_set<uint32_t> seen;
   seen.reserve(candidate_rows);
   out.reserve(candidate_rows);
-  for (const StoredView* view : usable) {
-    for (const Row& row : view->rows) {
-      const std::optional<std::vector<int64_t>> point = RowPoint(def, row);
-      if (!point.has_value() || !region.Contains(*point)) continue;
-      if (seen.insert(row).second) out.push_back(row);
+  for (const View* view : usable) {
+    for (const uint32_t ref : view->rows) {
+      if ((ref & kUnpooled) != 0) continue;
+      if (!region.Contains(data.PooledPoint(ref))) continue;
+      if (seen.insert(ref).second) out.push_back(data.PooledRow(ref));
     }
   }
   return out;
@@ -401,6 +500,7 @@ void SemanticStore::DropTable(const std::string& table) {
     dropped = static_cast<int64_t>(old->views.size());
     if (dropped == 0 && old->pooled_rows == 0) return;
     cell->data.Store(std::make_shared<const TableData>());
+    cell->pooled_by_point.clear();
   }
   version_.fetch_add(1, std::memory_order_release);
   if (dropped > 0) {

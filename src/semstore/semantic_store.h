@@ -4,26 +4,30 @@
 // not re-buying data (§3). Stored views power semantic query rewriting
 // (§4.2) and the three consistency levels (§4.3).
 //
-// Two internal representations serve the two access patterns:
-//   - the raw VIEW LIST (region + rows + epoch per call) supports epoch-
-//     filtered reads for X-week consistency;
-//   - a normalized COVERAGE list (merged maximal boxes) plus a deduplicated
-//     per-table ROW POOL with per-dimension postings keep remainder
-//     generation and cached-row retrieval fast as thousands of calls
-//     accumulate.
+// Three internal structures serve the access patterns:
+//   - a deduplicated per-table ROW POOL holds every stored tuple exactly
+//     once, with per-dimension postings (pool indices by lattice code) for
+//     cached-row retrieval;
+//   - the raw VIEW LIST (region + epoch per call, and the call's rows as
+//     references into the pool) supports epoch-filtered reads for X-week
+//     consistency and is materialized back into rows only for export
+//     (ViewsOf, the durability snapshot);
+//   - a normalized COVERAGE list (merged maximal boxes) keeps remainder
+//     generation fast as thousands of calls accumulate.
 //
 // Thread-safety: tables live in a hash-sharded cell map and each table's
 // data is an immutable copy-on-write snapshot (common::SnapshotCell).
 // Readers — Covers / RowsInRegion / CoveredRegions, the query hot path —
 // take ZERO locks: one atomic snapshot load and they walk a structure that
 // can never change underneath them. Writers (Store, fed by market-call
-// results) serialize per table on a small writer mutex, rebuild the
-// affected parts of the snapshot, and publish with a release store. Row
-// chunks are shared between successive snapshots, so a Store copies O(views
-// + postings) bookkeeping but not the accumulated row payload. A monotonic
-// version counter ticks on every mutation; the plan-template cache keys on
-// it to invalidate cached plans whenever coverage — and hence SQR costs —
-// may have changed.
+// results) serialize per table on a small writer mutex, build the next
+// snapshot, and publish with a release store. Pooled rows and posting
+// lists are append-only chunks shared between successive snapshots, so a
+// Store copies only its new rows (each exactly once, into the pool), the
+// chunks it appends to and the trie nodes leading to them, and the view
+// and coverage lists. A monotonic version counter ticks on every mutation
+// and is reported in StatsJson; plan-cache keys do not use it — they embed
+// the drift epoch and the consistency horizon instead.
 #ifndef PAYLESS_SEMSTORE_SEMANTIC_STORE_H_
 #define PAYLESS_SEMSTORE_SEMANTIC_STORE_H_
 
@@ -34,7 +38,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -47,7 +51,8 @@ namespace payless::semstore {
 
 /// One remembered REST call: the region of the table's constrainable-
 /// attribute space the call covered, the tuples it returned, and the epoch
-/// (coarse timestamp, e.g. a week counter) it was retrieved at.
+/// (coarse timestamp, e.g. a week counter) it was retrieved at. The export
+/// form: inside the store a view references its rows in the pool.
 struct StoredView {
   Box region;
   std::vector<Row> rows;
@@ -85,14 +90,16 @@ class SemanticStore {
   SemanticStore(const SemanticStore&) = delete;
   SemanticStore& operator=(const SemanticStore&) = delete;
 
-  /// Remembers a call's region and result rows. Serializes on the table's
-  /// writer mutex, publishes a fresh snapshot; bumps version().
-  void Store(const catalog::TableDef& def, Box region, std::vector<Row> rows,
-             int64_t epoch);
+  /// Remembers a call's region and result rows. Rows not yet pooled are
+  /// copied into the pool; the view references them there. Serializes on
+  /// the table's writer mutex, publishes a fresh snapshot; bumps version().
+  void Store(const catalog::TableDef& def, Box region,
+             const std::vector<Row>& rows, int64_t epoch);
 
-  /// All views of a table (regardless of epoch), copied out of the current
-  /// snapshot. Safe under concurrent Store; introspection/tests only (the
-  /// copy is deep).
+  /// All views of a table (regardless of epoch) with their rows
+  /// materialized from the pool, in Store order. Safe under concurrent
+  /// Store; for export (the durability snapshot) and tests — the copy is
+  /// deep.
   std::vector<StoredView> ViewsOf(const std::string& table) const;
 
   /// Regions of views no older than `min_epoch` (the X-week consistency
@@ -126,7 +133,7 @@ class SemanticStore {
   /// publishing an empty snapshot in its place — the placement policy's
   /// lever for staying under a capacity budget. Dropped views count as
   /// evictions; the table's lifetime probe counters survive. Bumps
-  /// version() so cached plans re-optimize against the shrunk coverage.
+  /// version().
   void DropTable(const std::string& table);
 
   /// Mirror probe outcomes and evictions into registry counters (pass
@@ -165,6 +172,8 @@ class SemanticStore {
   }
 
  private:
+  friend struct SemanticStorePeer;  // white-box tests of chunk sharing
+
   /// Rows are pooled in fixed-capacity chunks so successive snapshots share
   /// all full chunks; only the open tail chunk is copied by a Store.
   static constexpr size_t kRowChunkShift = 8;
@@ -175,19 +184,60 @@ class SemanticStore {
     std::vector<std::vector<int64_t>> points;  // lattice point per row
   };
 
+  /// Ascending pool indices of the rows sharing one coordinate, as
+  /// fixed-capacity chunks: full chunks are shared by every later snapshot,
+  /// and an append copies only the open tail chunk and this header.
+  static constexpr size_t kPostingChunk = 256;
+  using PostingChunk = std::vector<uint32_t>;
+  struct PostingList {
+    std::vector<std::shared_ptr<const PostingChunk>> chunks;
+    size_t size = 0;
+  };
+
+  /// Persistent radix trie node over a dimension's lattice offsets (code
+  /// minus the domain's low end), kPostingFanout-way. Interior levels fill
+  /// `children`, the bottom level fills `lists`; a Store path-copies only
+  /// the nodes that lead to the codes it appends to.
+  static constexpr int kPostingBits = 4;
+  static constexpr size_t kPostingFanout = size_t{1} << kPostingBits;
+  struct PostingNode {
+    std::vector<std::shared_ptr<const PostingNode>> children;
+    std::vector<std::shared_ptr<const PostingList>> lists;
+  };
+
+  /// One dimension's postings. Dimensions whose whole domain is a single
+  /// lattice point are not posted: their one list would mirror the entire
+  /// pool, selective never.
+  struct PostingDim {
+    bool posted = false;
+    int64_t lo = 0;  // offset base: the domain's low end
+    int levels = 1;  // trie depth
+    std::shared_ptr<const PostingNode> root;
+
+    /// The posting list of `code`; nullptr when no pooled row has it.
+    const PostingList* Find(int64_t code) const;
+  };
+
+  /// One remembered call inside a snapshot: its region and epoch, and its
+  /// rows, in call order, as pool indices. A row without a lattice point (a
+  /// NULL or off-domain constrainable value) is never pooled; it is kept
+  /// verbatim in `unpooled` and referenced as kUnpooled | position.
+  static constexpr uint32_t kUnpooled = uint32_t{1} << 31;
+  struct View {
+    Box region;
+    int64_t epoch = 0;
+    std::vector<uint32_t> rows;
+    std::vector<Row> unpooled;
+  };
+
   /// Immutable per-table snapshot: everything a reader needs, reachable
   /// from one acquire load. Never mutated after publication.
   struct TableData {
-    std::vector<std::shared_ptr<const StoredView>> views;
+    std::vector<std::shared_ptr<const View>> views;
     std::vector<Box> coverage;  // normalized merged maximal boxes
     std::vector<std::shared_ptr<const RowChunk>> chunks;  // dedup row pool
     size_t pooled_rows = 0;
-    /// postings[dim][code] -> pool indices of rows with that coordinate.
-    /// Dimensions whose whole domain is a single lattice point are not
-    /// posted (dim_posted[d] == 0): their one bucket would mirror the
-    /// entire pool — copied on every snapshot, selective never.
-    std::vector<std::unordered_map<int64_t, std::vector<uint32_t>>> postings;
-    std::vector<uint8_t> dim_posted;
+    std::vector<PostingDim> postings;  // one per constrainable dimension
     int64_t approx_bytes = 0;   // accumulated at Store time
     int64_t domain_volume = 0;  // lattice size, learned from the TableDef
     int64_t min_epoch = 0;      // oldest / newest stored view epochs
@@ -199,17 +249,34 @@ class SemanticStore {
     const std::vector<int64_t>& PooledPoint(size_t i) const {
       return chunks[i >> kRowChunkShift]->points[i & (kRowChunk - 1)];
     }
+    const Row& ViewRow(const View& view, uint32_t ref) const {
+      return (ref & kUnpooled) != 0 ? view.unpooled[ref & ~kUnpooled]
+                                    : PooledRow(ref);
+    }
   };
 
-  /// One table's cell: the published snapshot and lifetime probe counters.
-  /// Writer-side dedup probes the postings index of the snapshot under
-  /// construction, so no separate seen-set (with its second copy of every
-  /// pooled row) is kept.
+  /// A Store's new postings of one dimension, (code, pool index) pairs.
+  using FreshPosting = std::pair<int64_t, uint32_t>;
+  using FreshPostings = std::vector<FreshPosting>;
+
+  /// The subtree `node` (nullptr = empty) at trie `level` of `dim`, with
+  /// the postings [first, last) appended: each node on a touched path is
+  /// copied once, everything else is shared.
+  static std::shared_ptr<const PostingNode> WithPostings(
+      const PostingNode* node, int level, const PostingDim& dim,
+      FreshPostings::const_iterator first, FreshPostings::const_iterator last);
+
+  /// One table's cell: the published snapshot, the writer-side duplicate
+  /// index and lifetime probe counters.
   struct TableCell {
     TableCell() { data.Store(std::make_shared<const TableData>()); }
 
     std::mutex write_mutex;  // serializes Store on this table
     common::SnapshotCell<TableData> data;
+    /// Point hash -> pool index of every pooled row of `data`: Store's
+    /// duplicate probe. Holds indices only — no second copy of the pool —
+    /// and readers never touch it. Guarded by write_mutex.
+    std::unordered_multimap<uint64_t, uint32_t> pooled_by_point;
     mutable std::atomic<int64_t> probes{0};
     mutable std::atomic<int64_t> hits{0};
     mutable std::atomic<int64_t> misses{0};

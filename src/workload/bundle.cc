@@ -15,11 +15,10 @@ std::unique_ptr<Bundle> HostBundle(
   auto bundle = std::make_unique<Bundle>();
   bundle->catalog = std::move(catalog);
   bundle->local_tables = std::move(local_tables);
-  bundle->market_tables = std::move(market_tables);
   bundle->queries = std::move(queries);
   bundle->market = std::make_unique<market::DataMarket>(&bundle->catalog);
-  for (const auto& [name, rows] : bundle->market_tables) {
-    const Status st = bundle->market->HostTable(name, rows);
+  for (auto& [name, rows] : market_tables) {
+    const Status st = bundle->market->HostTable(name, std::move(rows));
     assert(st.ok());
     (void)st;
   }
@@ -127,8 +126,10 @@ std::unique_ptr<federation::FederatedMarket> MakeFederatedMarket(
     assert(st.ok());
     (void)st;
   }
-  for (const auto& [name, rows] : bundle.market_tables) {
-    const Status st = federation->HostTable(name, rows);
+  for (const std::string& table : bundle.catalog.TableNames()) {
+    const std::vector<Row>* rows = bundle.market->HostedRows(table);
+    if (rows == nullptr) continue;  // local table
+    const Status st = federation->HostTable(table, *rows);
     assert(st.ok());
     (void)st;
   }

@@ -20,8 +20,8 @@ namespace payless::workload {
 struct Bundle {
   catalog::Catalog catalog;
   std::map<std::string, std::vector<Row>> local_tables;
-  // Seller-side rows, retained so federations can replicate the data.
-  std::map<std::string, std::vector<Row>> market_tables;
+  /// Hosts the seller-side rows — their only copy; federations replicate
+  /// from market->HostedRows.
   std::unique_ptr<market::DataMarket> market;
   std::vector<QueryInstance> queries;
 };

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+
 #include "common/rng.h"
 #include "market/rest_call.h"
 
@@ -168,7 +171,7 @@ TEST_F(MarketTest, IndexedExecutionMatchesFullScan) {
   // Property: every call answered via indexes returns exactly the rows a
   // brute-force scan of the hosted data returns.
   Rng rng(99);
-  const std::vector<Row>* hosted = market_->HostedRowsForTesting("Weather");
+  const std::vector<Row>* hosted = market_->HostedRows("Weather");
   ASSERT_NE(hosted, nullptr);
   for (int trial = 0; trial < 30; ++trial) {
     RestCall call = RestCall::Unconstrained(weather());
@@ -189,6 +192,195 @@ TEST_F(MarketTest, IndexedExecutionMatchesFullScan) {
       if (call.MatchesRow(row)) ++expected;
     }
     EXPECT_EQ(result->num_records, expected);
+  }
+}
+
+/// The real bundle's binding pattern (every constrainable attribute free)
+/// over skewed data: one dominant country, so a point posting can be far
+/// wider than a date span, and the other way round.
+class SellerScanTest : public ::testing::Test {
+ protected:
+  static constexpr int64_t kStations = 40;
+  static constexpr int64_t kDates = 200;
+
+  void SetUp() override {
+    ASSERT_TRUE(cat_.RegisterDataset(DatasetDef{"WHW", 1.0, 100}).ok());
+    TableDef weather;
+    weather.name = "Weather";
+    weather.dataset = "WHW";
+    weather.columns = {
+        ColumnDef::Free("Country", ValueType::kString,
+                        AttrDomain::Categorical({"Canada", "Chile", "US"})),
+        ColumnDef::Free("StationID", ValueType::kInt64,
+                        AttrDomain::Numeric(1, 1000)),
+        ColumnDef::Free("Date", ValueType::kInt64,
+                        AttrDomain::Numeric(1, kDates)),
+        ColumnDef::Output("Temperature", ValueType::kDouble)};
+    ASSERT_TRUE(cat_.RegisterTable(weather).ok());
+    market_ = std::make_unique<DataMarket>(&cat_);
+    // Station-major like the WHW generator, but with dates shuffled per
+    // station so span order and row order differ; every 7th row is sent
+    // twice and must collapse.
+    Rng rng(7);
+    std::vector<Row> rows;
+    for (int64_t s = 1; s <= kStations; ++s) {
+      const char* country = s % 4 == 0 ? "Canada" : "US";
+      std::vector<int64_t> dates;
+      for (int64_t d = 1; d <= kDates; ++d) dates.push_back(d);
+      rng.Shuffle(&dates);
+      for (const int64_t d : dates) {
+        rows.push_back(Row{Value(country), Value(s), Value(d),
+                           Value(rng.UniformReal(-10.0, 30.0))});
+        if (rows.size() % 7 == 0) rows.push_back(rows.back());
+      }
+    }
+    ASSERT_TRUE(market_->HostTable("Weather", std::move(rows)).ok());
+  }
+
+  const TableDef& weather() const { return *cat_.FindTable("Weather"); }
+
+  /// Brute-force answer under the order contract: ascending row index when
+  /// the call has a point condition, otherwise span order (value, then row
+  /// index) of the narrowest range column (first such column on ties), and
+  /// row order for unconstrained calls.
+  std::vector<Row> Reference(const RestCall& call) const {
+    const std::vector<Row>& hosted = *market_->HostedRows("Weather");
+    std::vector<size_t> order(hosted.size());
+    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+    bool has_point = false;
+    std::optional<size_t> span_col;
+    size_t span_width = 0;
+    for (size_t col = 0; col < call.conditions.size(); ++col) {
+      const AttrCondition& cond = call.conditions[col];
+      if (cond.kind == AttrCondition::Kind::kPoint) has_point = true;
+      if (cond.kind != AttrCondition::Kind::kRange) continue;
+      size_t width = 0;
+      for (const Row& row : hosted) {
+        width += row[col].is_int64() && cond.range.Contains(row[col].AsInt64());
+      }
+      if (!span_col.has_value() || width < span_width) {
+        span_col = col;
+        span_width = width;
+      }
+    }
+    if (!has_point && span_col.has_value()) {
+      const size_t col = *span_col;
+      std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+        return hosted[a][col].AsInt64() < hosted[b][col].AsInt64();
+      });
+    }
+    std::vector<Row> out;
+    for (const size_t i : order) {
+      if (call.MatchesRow(hosted[i])) out.push_back(hosted[i]);
+    }
+    return out;
+  }
+
+  void ExpectMatchesReference(const RestCall& call) const {
+    Result<CallResult> got = market_->Execute(call);
+    ASSERT_TRUE(got.ok()) << call.ToString();
+    const std::vector<Row> want = Reference(call);
+    const int64_t n = static_cast<int64_t>(want.size());
+    EXPECT_EQ(got->rows, want) << call.ToString();
+    EXPECT_EQ(got->num_records, n) << call.ToString();
+    EXPECT_EQ(got->transactions, TransactionsFor(n, 100)) << call.ToString();
+  }
+
+  RestCall Call(std::optional<std::string> country,
+                std::optional<int64_t> station,
+                std::optional<Interval> stations,
+                std::optional<Interval> dates) const {
+    RestCall call = RestCall::Unconstrained(weather());
+    if (country.has_value()) {
+      call.conditions[0] = AttrCondition::Point(Value(*country));
+    }
+    if (station.has_value()) {
+      call.conditions[1] = AttrCondition::Point(Value(*station));
+    }
+    if (stations.has_value()) {
+      call.conditions[1] = AttrCondition::Range(stations->lo, stations->hi);
+    }
+    if (dates.has_value()) {
+      call.conditions[2] = AttrCondition::Range(dates->lo, dates->hi);
+    }
+    return call;
+  }
+
+  catalog::Catalog cat_;
+  std::unique_ptr<DataMarket> market_;
+};
+
+TEST_F(SellerScanTest, HostingCollapsesDuplicateRows) {
+  ASSERT_EQ(*market_->TableSize("Weather"), kStations * kDates);
+  const std::vector<Row> hosted = *market_->HostedRows("Weather");
+  // An existing row, a new row twice: one row is added.
+  const Row fresh{Value("Chile"), Value(int64_t{500}), Value(int64_t{3}),
+                  Value(1.5)};
+  ASSERT_TRUE(market_->AppendRows("Weather", {hosted[5], fresh, fresh}).ok());
+  EXPECT_EQ(*market_->TableSize("Weather"), kStations * kDates + 1);
+  EXPECT_EQ(market_->HostedRows("Weather")->back(), fresh);
+  ExpectMatchesReference(Call("Chile", std::nullopt, std::nullopt, {}));
+}
+
+TEST_F(SellerScanTest, NonIntegerRangeValueKeepsThePostingScan) {
+  // A double in a numeric column can match a range but is missing from
+  // the sorted projection, so the narrow date span must not replace the
+  // country posting once such a row is hosted.
+  const Row odd{Value("Canada"), Value(int64_t{4}), Value(10.5), Value(0.0)};
+  ASSERT_TRUE(market_->AppendRows("Weather", {odd}).ok());
+  const RestCall call =
+      Call("Canada", std::nullopt, std::nullopt, Interval(10, 11));
+  ExpectMatchesReference(call);
+  const std::vector<Row> rows = market_->Execute(call)->rows;
+  EXPECT_NE(std::find(rows.begin(), rows.end(), odd), rows.end());
+}
+
+TEST_F(SellerScanTest, EveryCallShapeMatchesBruteForce) {
+  const std::vector<RestCall> calls = {
+      // Point only: a wide posting, a narrow one.
+      Call("US", std::nullopt, std::nullopt, std::nullopt),
+      Call(std::nullopt, 5, std::nullopt, std::nullopt),
+      // Range only: one range, two ranges with either side narrower.
+      Call(std::nullopt, std::nullopt, std::nullopt, Interval(10, 20)),
+      Call(std::nullopt, std::nullopt, Interval(3, 8), std::nullopt),
+      Call(std::nullopt, std::nullopt, Interval(3, 4), Interval(10, 150)),
+      Call(std::nullopt, std::nullopt, Interval(1, 30), Interval(10, 12)),
+      // Point plus range: the span narrower, then the posting narrower.
+      Call("US", std::nullopt, std::nullopt, Interval(10, 12)),
+      Call("US", std::nullopt, Interval(6, 6), std::nullopt),
+      Call(std::nullopt, 7, std::nullopt, Interval(1, 150)),
+      Call("Canada", std::nullopt, Interval(1, 40), Interval(50, 51)),
+      // Two points.
+      Call("US", 5, std::nullopt, std::nullopt),
+      Call("Canada", 5, std::nullopt, std::nullopt),  // 5 is US: empty
+      // A value with no posting, alone and beside a narrow span.
+      Call("Chile", std::nullopt, std::nullopt, std::nullopt),
+      Call(std::nullopt, 999, std::nullopt, Interval(10, 10)),
+      // Unconstrained.
+      Call(std::nullopt, std::nullopt, std::nullopt, std::nullopt),
+  };
+  for (const RestCall& call : calls) ExpectMatchesReference(call);
+}
+
+TEST_F(SellerScanTest, RandomCallsMatchBruteForce) {
+  Rng rng(2026);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::optional<std::string> country;
+    std::optional<int64_t> station;
+    std::optional<Interval> stations;
+    std::optional<Interval> dates;
+    if (rng.Chance(0.5)) country = rng.Chance(0.7) ? "US" : "Canada";
+    if (rng.Chance(0.3)) {
+      station = rng.Uniform(1, kStations + 5);  // may miss
+    } else if (rng.Chance(0.3)) {
+      const int64_t lo = rng.Uniform(1, kStations);
+      stations = Interval(lo, rng.Uniform(lo, kStations));
+    }
+    if (rng.Chance(0.7)) {
+      const int64_t lo = rng.Uniform(1, kDates);
+      dates = Interval(lo, std::min(kDates, lo + rng.Uniform(0, 60)));
+    }
+    ExpectMatchesReference(Call(country, station, stations, dates));
   }
 }
 
