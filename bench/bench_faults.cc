@@ -11,12 +11,11 @@
 // three fault kinds): queries per second, retries, total billed
 // transactions, and the wasted transactions/price of lost responses.
 // Each rate runs --trials times (fresh client and injector, same seed)
-// and reports the best-throughput trial — like bench_throughput, a
-// single trial on a busy box is dominated by scheduler noise. The
-// billing invariant is checked on EVERY trial, not just the reported
-// one: total - wasted == fault-free total (retries and rate limits cost
-// time, never money; every extra billed transaction is an accounted
-// post-evaluation loss).
+// and reports the best-throughput trial — a single trial on a busy box is
+// dominated by scheduler noise. The billing invariant is checked on EVERY
+// trial, not just the reported one: total - wasted == fault-free total
+// (retries and rate limits cost time, never money; every extra billed
+// transaction is an accounted post-evaluation loss).
 #include <algorithm>
 #include <atomic>
 #include <cassert>
@@ -83,7 +82,7 @@ int Main(int argc, char** argv) {
                       AttrDomain::Categorical({"US"})),
       // Bound point probes: disjoint streams stay disjoint at the call
       // level, so the fault-free bill is interleaving-independent and the
-      // waste accounting below is exact (see bench_throughput).
+      // waste accounting below is exact.
       ColumnDef::Bound("StationID", ValueType::kInt64,
                        AttrDomain::Numeric(1, kNumStations)),
       ColumnDef::Free("Date", ValueType::kInt64,
@@ -157,7 +156,9 @@ int Main(int argc, char** argv) {
   const auto run_trial = [&](double fault_rate, int64_t fault_free_tx,
                              TrialResult* out) -> bool {
     PayLessConfig config;
-    config.stats_kind = stats::StatsKind::kUniform;  // see bench_throughput
+    // Frozen stats: one stream's feedback cannot flip another stream's plan,
+    // so the fault-free bill is interleaving-independent.
+    config.stats_kind = stats::StatsKind::kUniform;
     config.max_parallel_calls = 1;
     config.retry.max_attempts = 12;
     config.retry.initial_backoff_micros = 50;

@@ -1,6 +1,6 @@
 // Observability overhead. Not a paper figure — this prices the spend
-// observability subsystem itself: the same multi-client bind-join workload
-// as bench_throughput, served in four configurations — bare (metrics and
+// observability subsystem itself: a multi-client workload of disjoint
+// bind-join query streams, served in four configurations — bare (metrics and
 // cost ledger only; they are always on, the cheap handle-based part), with
 // estimator-accuracy tracking (q-error recording at every feedback point),
 // with full tracing plus a JSONL trace sink on top, and finally with
@@ -161,7 +161,9 @@ int Main(int argc, char** argv) {
                             obs::TimeSeriesSampler* sampler,
                             obs::WorkloadJournal* journal) {
     PayLessConfig config;
-    config.stats_kind = stats::StatsKind::kUniform;  // see bench_throughput
+    // Frozen stats: one stream's feedback cannot flip another stream's plan,
+    // so every configuration buys exactly the same calls.
+    config.stats_kind = stats::StatsKind::kUniform;
     config.max_parallel_calls = 1;
     config.enable_accuracy_tracking = accuracy;
     config.enable_tracing = tracing;

@@ -48,9 +48,9 @@ void ThreadPool::WorkerLoop() {
 }
 
 ThreadPool* ThreadPool::Shared() {
-  // Sized for latency-bound work, not CPU-bound: the pool's job is to
-  // overlap REST round trips, so it must honor fan-outs well above the
-  // core count even on small machines. Leaked deliberately (process-long).
+  // Sized for latency-bound work, not CPU-bound: advisor cells replay
+  // against a simulated round trip, so fan-outs above the core count still
+  // pay off on small machines. Leaked deliberately (process-long).
   static ThreadPool* pool = new ThreadPool(
       std::max(16u, std::thread::hardware_concurrency()));
   return pool;

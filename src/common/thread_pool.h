@@ -1,10 +1,10 @@
-// Fixed-size thread pool for overlapping REST calls.
+// Fixed-size thread pool for running independent jobs side by side.
 //
-// A production middleware overlaps the per-binding-value calls of a bind
-// join instead of issuing them back-to-back; this pool is the substrate.
-// Deliberately minimal — no work stealing, no task futures: the executor
-// only needs bounded fan-out with deterministic result merging, which
+// Deliberately minimal — no work stealing, no task futures: callers only
+// need bounded fan-out with deterministic result merging, which
 // ParallelFor provides by indexing results, not by completion order.
+// (Market calls do not use it: the CallScheduler overlaps their round
+// trips on the calling thread.)
 #ifndef PAYLESS_COMMON_THREAD_POOL_H_
 #define PAYLESS_COMMON_THREAD_POOL_H_
 
@@ -35,9 +35,10 @@ class ThreadPool {
 
   size_t num_threads() const { return threads_.size(); }
 
-  /// Process-wide shared pool sized to the hardware concurrency, created on
-  /// first use and never destroyed (client threads may still be inside it
-  /// at static-destruction time).
+  /// Process-wide shared pool, created on first use and never destroyed
+  /// (client threads may still be inside it at static-destruction time).
+  /// Its one user is the deployment advisor, which replays its grid cells
+  /// on it in parallel.
   static ThreadPool* Shared();
 
  private:

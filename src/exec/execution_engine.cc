@@ -1,12 +1,10 @@
 #include "exec/execution_engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <chrono>
 #include <cmath>
 #include <optional>
-#include <thread>
 #include <unordered_set>
 
 #include "core/optimizer.h"
@@ -47,17 +45,23 @@ int64_t StageMicros(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-size_t ResolveFanOut(const ExecConfig& config) {
-  if (config.max_parallel_calls != 0) return config.max_parallel_calls;
-  // The event-loop scheduler makes in-flight calls cheap (a timer, not a
-  // thread), so the default window need not track the core count.
-  if (config.use_call_scheduler) return 16;
-  return std::max(1u, std::thread::hardware_concurrency());
+/// Runs `calls` as one scheduler batch, all under `deadline` and
+/// `call_obs`; a failed call cancels the unissued rest.
+std::vector<std::optional<Result<market::CallResult>>> RunBatch(
+    market::MarketConnector* connector, size_t window,
+    const std::vector<market::RestCall>& calls,
+    market::Clock::time_point deadline, const market::CallObs& call_obs) {
+  std::vector<market::CallScheduler::Item> items(calls.size());
+  for (size_t i = 0; i < calls.size(); ++i) {
+    items[i] = market::CallScheduler::Item{&calls[i], deadline, &call_obs};
+  }
+  return connector->scheduler()->ExecuteBatch(items, window,
+                                              /*cancel_on_error=*/true);
 }
 
-/// Issues every call — in parallel when a pool and fan-out allow — and
-/// merges results strictly in call order, so rows, row order, per-call
-/// billing and stats are byte-identical to the serial loop. Errors are
+/// Issues every call as one scheduler batch with up to `window` calls in
+/// flight, and merges results strictly in call order, so rows, row order,
+/// per-call billing and stats are byte-identical at any window. Errors are
 /// reported in call order too. Pricing depends only on seller-side data
 /// (never on buyer-side state), so issue order cannot change what any one
 /// call is billed.
@@ -67,39 +71,15 @@ size_t ResolveFanOut(const ExecConfig& config) {
 /// stops spending money. Calls already delivered stay billed AND counted in
 /// exec_stats — that is the query's spend-so-far, and their results reached
 /// the listeners, so a re-issued query reuses them via the semantic store.
-Status IssueCalls(market::MarketConnector* connector,
-                  common::ThreadPool* pool, size_t fan_out,
-                  bool use_scheduler,
+Status IssueCalls(market::MarketConnector* connector, size_t window,
                   const std::vector<market::RestCall>& calls,
                   market::Clock::time_point deadline,
                   const market::CallObs& call_obs, RowSet* rows,
                   ExecStats* exec_stats,
                   std::vector<bool>* delivered = nullptr) {
   if (delivered != nullptr) delivered->assign(calls.size(), false);
-  std::vector<std::optional<Result<market::CallResult>>> outcomes;
-  if (use_scheduler && fan_out > 1 && calls.size() > 1) {
-    // Event-loop dispatch: the whole batch rides the connector's timer
-    // loop with `fan_out` calls in flight; claim-time cancellation and
-    // index-aligned outcomes match the thread-per-call path exactly.
-    std::vector<market::CallScheduler::Item> items(calls.size());
-    for (size_t i = 0; i < calls.size(); ++i) {
-      items[i].call = &calls[i];
-      items[i].deadline = deadline;
-      items[i].call_obs = &call_obs;
-    }
-    outcomes = connector->scheduler()->ExecuteBatch(items, fan_out,
-                                                    /*cancel_on_error=*/true);
-  } else {
-    outcomes.resize(calls.size());
-    std::atomic<bool> cancelled{false};
-    common::ParallelFor(pool, calls.size(), fan_out, [&](size_t i) {
-      if (cancelled.load(std::memory_order_relaxed)) return;  // sibling failed
-      outcomes[i].emplace(connector->Get(calls[i], deadline, &call_obs));
-      if (!(*outcomes[i]).ok()) {
-        cancelled.store(true, std::memory_order_relaxed);
-      }
-    });
-  }
+  std::vector<std::optional<Result<market::CallResult>>> outcomes =
+      RunBatch(connector, window, calls, deadline, call_obs);
   // Accumulate EVERY delivered result before reporting the (call-order
   // first) error, so exec_stats is the true spend-so-far.
   Status first_error = Status::OK();
@@ -135,9 +115,7 @@ Status IssueCalls(market::MarketConnector* connector,
 /// totals. Without a router this is exactly IssueCalls.
 Status IssueWithFailover(market::MarketConnector* connector,
                          federation::EndpointRouter* router,
-                         const std::string& dataset,
-                         common::ThreadPool* pool, size_t fan_out,
-                         bool use_scheduler,
+                         const std::string& dataset, size_t window,
                          std::vector<market::RestCall> calls,
                          market::Clock::time_point deadline,
                          const market::CallObs& call_obs, RowSet* rows,
@@ -150,8 +128,8 @@ Status IssueWithFailover(market::MarketConnector* connector,
     }
     std::vector<bool> delivered;
     const Status status =
-        IssueCalls(connector, pool, fan_out, use_scheduler, calls, deadline,
-                   call_obs, rows, exec_stats, &delivered);
+        IssueCalls(connector, window, calls, deadline, call_obs, rows,
+                   exec_stats, &delivered);
     if (status.ok() || router == nullptr || !IsRetryable(status.code())) {
       return status;
     }
@@ -178,11 +156,11 @@ Result<storage::Table> ExecutionEngine::FetchRelation(
     ExecStats* exec_stats) {
   const sql::BoundRelation& rel = query.relations[access.rel];
   const catalog::TableDef& def = *rel.def;
-  const size_t fan_out = ResolveFanOut(config);
+  const size_t window =
+      config.max_parallel_calls != 0 ? config.max_parallel_calls : 16;
 
   // Per-operator span: every access of the plan gets one; the market-call
-  // spans the connector opens underneath are its children — including the
-  // ones issued from pool workers during parallel dispatch. The estimate
+  // spans the connector opens underneath are its children. The estimate
   // attrs mirror the AccessSpec so EXPLAIN ANALYZE can join estimated vs.
   // actual per access; the actual deltas are attached below, after the
   // access ran.
@@ -222,9 +200,8 @@ Result<storage::Table> ExecutionEngine::FetchRelation(
 
   const auto issue_all = [&](const std::vector<market::RestCall>& calls,
                              RowSet* rows) -> Status {
-    return IssueWithFailover(connector, router_, def.dataset, pool_, fan_out,
-                             config.use_call_scheduler, calls, config.deadline,
-                             call_obs, rows, exec_stats);
+    return IssueWithFailover(connector, router_, def.dataset, window, calls,
+                             config.deadline, call_obs, rows, exec_stats);
   };
 
   const ExecStats before = exec_stats != nullptr ? *exec_stats : ExecStats{};
@@ -427,9 +404,11 @@ Result<storage::Table> ExecutionEngine::FetchRelation(
           // covered combinations are served from the store. Distinct
           // combinations have pairwise-disjoint point regions, so neither the
           // coverage decision nor any call's price depends on the order the
-          // combinations complete in — they are dispatched with the
-          // configured fan-out and merged back in binding-value order,
-          // keeping rows, row order and billing identical to the serial loop.
+          // calls complete in. Store probes are lock-free snapshot reads, so
+          // every combination's coverage is resolved up front; the rest go
+          // out as one scheduler batch and merge back in binding-value
+          // order, keeping rows, row order and billing identical at any
+          // window.
           struct ComboOutcome {
             std::optional<Result<market::CallResult>> fetched;
             std::vector<Row> cached;
@@ -447,69 +426,31 @@ Result<storage::Table> ExecutionEngine::FetchRelation(
             }
             return call;
           };
-          if (config.use_call_scheduler && fan_out > 1 && combos.size() > 1) {
-            // Store probes are lock-free snapshot reads, so resolve every
-            // combination's coverage serially up front, then batch the
-            // combinations that actually need the market through the
-            // event-loop scheduler with `fan_out` calls in flight.
-            std::vector<market::RestCall> calls(combos.size());
-            std::vector<size_t> need;
-            for (size_t i = 0; i < combos.size(); ++i) {
-              calls[i] = combo_call(i);
-              if (config.use_sqr) {
-                const Box point_region = market::CallRegion(def, calls[i]);
-                if (point_region.empty()) continue;  // outside the domain
-                if (store_->Covers(def, point_region, config.min_epoch)) {
-                  outcomes[i].cached = store_->RowsInRegion(def, point_region,
-                                                            config.min_epoch);
-                  outcomes[i].from_cache = true;
-                  continue;
-                }
-              }
-              need.push_back(i);
-            }
-            std::vector<market::CallScheduler::Item> items(need.size());
-            for (size_t j = 0; j < need.size(); ++j) {
-              items[j].call = &calls[need[j]];
-              items[j].deadline = config.deadline;
-              items[j].call_obs = &call_obs;
-            }
-            std::vector<std::optional<Result<market::CallResult>>> fetched =
-                connector->scheduler()->ExecuteBatch(
-                    items, fan_out, /*cancel_on_error=*/true);
-            for (size_t j = 0; j < need.size(); ++j) {
-              if (fetched[j].has_value()) {
-                outcomes[need[j]].fetched = std::move(fetched[j]);
-              } else {
-                outcomes[need[j]].cancelled = true;
+          std::vector<size_t> need;  // combinations the market must serve
+          std::vector<market::RestCall> calls;
+          for (size_t i = 0; i < combos.size(); ++i) {
+            market::RestCall call = combo_call(i);
+            if (config.use_sqr) {
+              const Box point_region = market::CallRegion(def, call);
+              if (point_region.empty()) continue;  // outside the domain
+              if (store_->Covers(def, point_region, config.min_epoch)) {
+                outcomes[i].cached =
+                    store_->RowsInRegion(def, point_region, config.min_epoch);
+                outcomes[i].from_cache = true;
+                continue;
               }
             }
-          } else {
-            std::atomic<bool> cancelled{false};
-            common::ParallelFor(pool_, combos.size(), fan_out, [&](size_t i) {
-              if (cancelled.load(std::memory_order_relaxed)) {
-                // A sibling binding value exhausted its retries: stop
-                // spending on a bind join that can no longer deliver.
-                outcomes[i].cancelled = true;
-                return;
-              }
-              market::RestCall call = combo_call(i);
-              if (config.use_sqr) {
-                const Box point_region = market::CallRegion(def, call);
-                if (point_region.empty()) return;  // value outside the domain
-                if (store_->Covers(def, point_region, config.min_epoch)) {
-                  outcomes[i].cached = store_->RowsInRegion(def, point_region,
-                                                            config.min_epoch);
-                  outcomes[i].from_cache = true;
-                  return;
-                }
-              }
-              outcomes[i].fetched.emplace(
-                  connector->Get(call, config.deadline, &call_obs));
-              if (!(*outcomes[i].fetched).ok()) {
-                cancelled.store(true, std::memory_order_relaxed);
-              }
-            });
+            need.push_back(i);
+            calls.push_back(std::move(call));
+          }
+          std::vector<std::optional<Result<market::CallResult>>> fetched =
+              RunBatch(connector, window, calls, config.deadline, call_obs);
+          for (size_t j = 0; j < need.size(); ++j) {
+            if (fetched[j].has_value()) {
+              outcomes[need[j]].fetched = std::move(fetched[j]);
+            } else {
+              outcomes[need[j]].cancelled = true;
+            }
           }
           // Accumulate every delivered/cached outcome before surfacing the
           // first (binding-value-order) error: exec_stats must equal the
@@ -578,9 +519,9 @@ Result<storage::Table> ExecutionEngine::FetchRelation(
             if (!next.empty()) {
               router_->CountFailover();
               first_error = IssueWithFailover(
-                  router_->ConnectorFor(next), router_, def.dataset, pool_,
-                  fan_out, config.use_call_scheduler, std::move(rescue),
-                  config.deadline, call_obs, &rows, exec_stats);
+                  router_->ConnectorFor(next), router_, def.dataset, window,
+                  std::move(rescue), config.deadline, call_obs, &rows,
+                  exec_stats);
             }
           }
           PAYLESS_RETURN_IF_ERROR(first_error);

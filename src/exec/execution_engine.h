@@ -10,7 +10,6 @@
 #include <limits>
 
 #include "catalog/catalog.h"
-#include "common/thread_pool.h"
 #include "core/plan.h"
 #include "exec/block.h"
 #include "market/data_market.h"
@@ -32,18 +31,13 @@ struct ExecConfig {
   /// Consistency horizon for reusing stored views (§4.3).
   int64_t min_epoch = std::numeric_limits<int64_t>::min();
   semstore::RemainderOptions remainder;
-  /// Fan-out for one access's REST calls: a bind join's per-binding-value
-  /// calls and an access's remainder calls are dispatched up to this many
-  /// at a time (0 = default: 16 with the call scheduler, else hardware
-  /// concurrency; 1 = strictly serial). Results are merged in
+  /// In-flight window for one access's REST calls: a bind join's
+  /// per-binding-value calls and an access's remainder calls go through
+  /// the connector's CallScheduler as one batch, up to this many at a time
+  /// (0 = default window of 16; 1 = strictly serial). Results are merged in
   /// binding-value / remainder-box order, so rows, row order and billed
   /// transactions are identical to serial execution.
   size_t max_parallel_calls = 0;
-  /// Dispatch multi-call accesses through the connector's event-loop
-  /// CallScheduler instead of thread-per-call ParallelFor: the fan-out
-  /// becomes an in-flight window (cheap even in the hundreds) rather than
-  /// a thread count. Serial accesses (fan-out 1) always bypass it.
-  bool use_call_scheduler = true;
   /// Absolute per-query deadline forwarded to every market call. Calls
   /// past it fail with kDeadlineExceeded instead of retrying.
   market::Clock::time_point deadline = market::kNoDeadline;
@@ -59,26 +53,22 @@ struct ExecStats {
   int64_t transactions = 0;
   int64_t rows_from_market = 0;
   int64_t rows_from_cache = 0;
-  /// Parallel sibling calls skipped unissued because another call of the
-  /// same access exhausted its retries (fail-fast: no money is spent on a
+  /// Sibling calls skipped unissued because another call of the same
+  /// access exhausted its retries (fail-fast: no money is spent on a
   /// result that can no longer be delivered).
   int64_t calls_cancelled = 0;
 };
 
 class ExecutionEngine {
  public:
-  /// `pool` (optional) enables parallel call dispatch; nullptr keeps every
-  /// access strictly serial regardless of ExecConfig::max_parallel_calls.
   ExecutionEngine(const catalog::Catalog* catalog, storage::Database* local_db,
                   market::MarketConnector* connector,
-                  semstore::SemanticStore* store, stats::StatsRegistry* stats,
-                  common::ThreadPool* pool = nullptr)
+                  semstore::SemanticStore* store, stats::StatsRegistry* stats)
       : catalog_(catalog),
         local_db_(local_db),
         connector_(connector),
         store_(store),
-        stats_(stats),
-        pool_(pool) {}
+        stats_(stats) {}
 
   /// Attaches a multi-market router (nullable; nullptr = single-market).
   /// With a router, each access's calls start at the connector of its
@@ -113,7 +103,6 @@ class ExecutionEngine {
   market::MarketConnector* connector_;
   semstore::SemanticStore* store_;
   stats::StatsRegistry* stats_;
-  common::ThreadPool* pool_;
   federation::EndpointRouter* router_ = nullptr;  // nullable
 };
 

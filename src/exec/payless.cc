@@ -87,10 +87,6 @@ PayLess::PayLess(const catalog::Catalog* catalog,
   metric_.rows_from_cache = m.GetCounter("payless_rows_from_cache_total");
   metric_.plan_cache_hits = m.GetCounter("payless_plan_cache_hits_total");
   metric_.plan_cache_misses = m.GetCounter("payless_plan_cache_misses_total");
-  metric_.query_latency_micros = m.GetHistogram(
-      "payless_query_latency_micros",
-      {100, 250, 500, 1'000, 2'500, 5'000, 10'000, 25'000, 50'000, 100'000,
-       250'000, 1'000'000, 5'000'000});
   // HDR latency: exact-decodable log-scale buckets for the end-to-end tail
   // and its per-stage decomposition. Recorded at the span boundaries but
   // independent of tracing, so tracing-off deployments still see the tail.
@@ -127,7 +123,6 @@ PayLess::PayLess(const catalog::Catalog* catalog,
   market::SchedulerHooks sched_hooks;
   sched_hooks.queue_depth = m.GetGauge("payless_sched_queue_depth");
   sched_hooks.in_flight = m.GetGauge("payless_sched_in_flight");
-  sched_hooks.timer_heap = m.GetGauge("payless_sched_timer_heap");
   sched_hooks.admission_wait =
       m.GetLatencyHistogram("payless_sched_admission_wait_micros");
   sched_hooks.coalescable_calls =
@@ -339,7 +334,6 @@ Result<QueryReport> PayLess::QueryWithReport(const std::string& sql,
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - start)
           .count();
-  metric_.query_latency_micros->Observe(wall_us);
   if (!result.ok() || !result.value().error.ok()) {
     metric_.query_failures->Add(1);
   }
@@ -402,38 +396,17 @@ Result<QueryReport> PayLess::QueryWithReportImpl(
   }();
   PAYLESS_RETURN_IF_ERROR(bound.status());
 
-  core::OptimizerOptions opt_options = config_.optimizer;
-  opt_options.min_epoch = MinEpoch();
-  if (config_.consistency == ConsistencyLevel::kFull) {
-    opt_options.use_sqr = false;  // §4.3: full consistency disables SQR
-  }
-  // Federated: snapshot the buy-site menu (terms + breaker liveness) once,
-  // before optimization, so every access of this query is priced against
-  // one consistent view of the federation.
-  core::FederationPricing federation_pricing;
-  if (router_ != nullptr) {
-    federation_pricing = router_->BuildPricing();
-    opt_options.federation = &federation_pricing;
-  }
-
   // `EXPLAIN <query>`: optimize-only, exactly like the Explain() API —
   // nothing is billed, nothing is cached, and the result relation is the
   // rendered plan. (EXPLAIN ANALYZE falls through: it executes for real.)
   if (bound->explain == sql::ExplainMode::kPlain) {
-    const core::Optimizer optimizer(catalog_, &stats_, &store_, opt_options);
-    Result<core::OptimizeResult> optimized = optimizer.Optimize(*bound);
-    PAYLESS_RETURN_IF_ERROR(optimized.status());
-    QueryReport report;
-    report.plan = std::move(optimized->plan);
-    report.counters = optimized->counters;
-    report.query_id = query_id;
-    obs::ExplainContext context;
-    context.counters = &report.counters;
-    context.stats = &stats_;
-    report.plan_text = obs::RenderExplain(report.plan, *bound, context);
-    report.result = PlanTextTable(report.plan_text);
+    Result<QueryReport> report = ExplainBound(*bound);
+    if (report.ok()) report->query_id = query_id;
     return report;
   }
+  core::FederationPricing federation_pricing;
+  const core::OptimizerOptions opt_options =
+      QueryOptimizerOptions(&federation_pricing);
   // EXPLAIN ANALYZE joins the actuals from the trace spans, so the trace
   // must exist even when tracing is off; parse/bind spans were skipped in
   // that case, which the span join does not care about.
@@ -539,7 +512,6 @@ Result<QueryReport> PayLess::QueryWithReportImpl(
   exec_config.min_epoch = opt_options.min_epoch;
   exec_config.remainder = opt_options.remainder;
   exec_config.max_parallel_calls = config_.max_parallel_calls;
-  exec_config.use_call_scheduler = config_.enable_call_scheduler;
   if (config_.query_deadline_micros > 0) {
     exec_config.deadline =
         market::Clock::now() +
@@ -554,8 +526,7 @@ Result<QueryReport> PayLess::QueryWithReportImpl(
   if (trace != nullptr) exec_span = trace->StartSpan("execute", root);
   exec_config.obs.parent_span = exec_span;
 
-  ExecutionEngine engine(catalog_, &local_db_, &connector_, &store_, &stats_,
-                         common::ThreadPool::Shared());
+  ExecutionEngine engine(catalog_, &local_db_, &connector_, &store_, &stats_);
   engine.SetRouter(router_.get());
   // Everything since entry minus the probe is the plan side of the
   // wall-stage partition: parse + bind + optimize, and also gate-2
@@ -693,27 +664,39 @@ Result<QueryReport> PayLess::Explain(const std::string& sql,
   PAYLESS_RETURN_IF_ERROR(stmt.status());
   Result<sql::BoundQuery> bound = sql::Bind(*stmt, *catalog_, params);
   PAYLESS_RETURN_IF_ERROR(bound.status());
-  core::OptimizerOptions opt_options = config_.optimizer;
-  opt_options.min_epoch = MinEpoch();
+  return ExplainBound(*bound);
+}
+
+core::OptimizerOptions PayLess::QueryOptimizerOptions(
+    core::FederationPricing* federation_pricing) const {
+  core::OptimizerOptions options = config_.optimizer;
+  options.min_epoch = MinEpoch();
   if (config_.consistency == ConsistencyLevel::kFull) {
-    opt_options.use_sqr = false;
+    options.use_sqr = false;  // §4.3: full consistency disables SQR
   }
-  core::FederationPricing federation_pricing;
+  // Federated: snapshot the buy-site menu (terms + breaker liveness) once,
+  // before optimization, so every access of this query is priced against
+  // one consistent view of the federation.
   if (router_ != nullptr) {
-    federation_pricing = router_->BuildPricing();
-    opt_options.federation = &federation_pricing;
+    *federation_pricing = router_->BuildPricing();
+    options.federation = federation_pricing;
   }
-  const core::Optimizer optimizer(catalog_, &stats_, &store_, opt_options);
-  Result<core::OptimizeResult> optimized = optimizer.Optimize(*bound);
+  return options;
+}
+
+Result<QueryReport> PayLess::ExplainBound(const sql::BoundQuery& bound) {
+  core::FederationPricing federation_pricing;
+  const core::Optimizer optimizer(catalog_, &stats_, &store_,
+                                  QueryOptimizerOptions(&federation_pricing));
+  Result<core::OptimizeResult> optimized = optimizer.Optimize(bound);
   PAYLESS_RETURN_IF_ERROR(optimized.status());
   QueryReport report;
   report.plan = std::move(optimized->plan);
   report.counters = optimized->counters;
-  report.transactions_spent = 0;  // nothing executed
   obs::ExplainContext context;
   context.counters = &report.counters;
   context.stats = &stats_;
-  report.plan_text = obs::RenderExplain(report.plan, *bound, context);
+  report.plan_text = obs::RenderExplain(report.plan, bound, context);
   report.result = PlanTextTable(report.plan_text);
   return report;
 }

@@ -55,16 +55,12 @@ struct PayLessConfig {
   /// multidimensional feedback histogram (ISOMER role, default), the
   /// per-dimension independent histograms, or frozen uniform estimates.
   stats::StatsKind stats_kind = stats::StatsKind::kFeedbackHistogram;
-  /// Fan-out for one access's REST calls: a bind join's per-binding-value
-  /// calls (and remainder calls) go out up to this many at a time, merged
-  /// deterministically in binding-value order. 0 = hardware concurrency,
-  /// 1 = strictly serial. Rows and billing are identical either way.
+  /// In-flight window for one access's REST calls: a bind join's
+  /// per-binding-value calls (and remainder calls) go out up to this many
+  /// at a time on the querying thread, merged deterministically in
+  /// binding-value order. 0 = a window of 16, 1 = strictly serial. Rows
+  /// and billing are identical either way.
   size_t max_parallel_calls = 0;
-  /// Dispatch multi-call accesses through the connector's event-loop
-  /// CallScheduler (timers instead of parked threads); fan-out then caps
-  /// the in-flight window, not a thread count. Billing and row order are
-  /// identical either way.
-  bool enable_call_scheduler = true;
   /// Reuse plans of repeated identical parameterized queries (skips the DP
   /// entirely). Invalidation is drift-based: the accuracy tracker's epoch
   /// is part of the key, so templates only re-optimize when an estimate
@@ -344,6 +340,16 @@ class PayLess {
   void AbsorbHarvest(const catalog::TableDef& def, const Box& region,
                      const std::vector<Row>& rows, int64_t num_records,
                      int64_t epoch);
+  /// The optimizer options every plan of this client is made with: the
+  /// consistency horizon, kFull's SQR override and, when federated, a
+  /// buy-site menu snapshot stored in `*federation_pricing` (which must
+  /// outlive the options).
+  core::OptimizerOptions QueryOptimizerOptions(
+      core::FederationPricing* federation_pricing) const;
+  /// The one EXPLAIN implementation, behind Explain() and the `EXPLAIN`
+  /// statement: optimizes and renders the plan without executing, caching
+  /// or billing anything.
+  Result<QueryReport> ExplainBound(const sql::BoundQuery& bound);
   /// The traced/governed body of QueryWithReport; `query_id` is already
   /// assigned and admission against the CURRENT spend already passed.
   Result<QueryReport> QueryWithReportImpl(const std::string& sql,
@@ -363,7 +369,6 @@ class PayLess {
     obs::Counter* rows_from_cache = nullptr;
     obs::Counter* plan_cache_hits = nullptr;
     obs::Counter* plan_cache_misses = nullptr;
-    obs::Histogram* query_latency_micros = nullptr;
     /// HDR end-to-end latency + per-stage decomposition (tail-exact
     /// percentiles, recorded whether or not tracing is on).
     obs::LatencyHistogram* latency_e2e = nullptr;

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <mutex>
 #include <sstream>
-#include <thread>
 
 #include "common/snapshot.h"
 #include "market/call_scheduler.h"
@@ -266,16 +265,10 @@ std::string DescribeConditions(const catalog::TableDef& def,
 
 }  // namespace
 
-MarketConnector::MarketConnector(const DataMarket* market) : market_(market) {}
+MarketConnector::MarketConnector(const DataMarket* market)
+    : market_(market), scheduler_(std::make_unique<CallScheduler>(this)) {}
 
 MarketConnector::~MarketConnector() = default;
-
-CallScheduler* MarketConnector::scheduler() {
-  std::call_once(scheduler_once_, [this] {
-    scheduler_ = std::make_unique<CallScheduler>(this, scheduler_hooks_);
-  });
-  return scheduler_.get();
-}
 
 int64_t MarketConnector::NextDelayMicros(int64_t* backoff,
                                          int64_t retry_after_micros,
@@ -387,9 +380,8 @@ int64_t MarketConnector::BeginAttempt(CallTask* t) {
   }
 
   // The network round trip (plus any injected latency spike), paid outside
-  // every lock so concurrent calls overlap it — the whole point of the
-  // concurrency layer. The driver elapses it: the synchronous Get sleeps,
-  // the CallScheduler arms a timer and keeps the worker free.
+  // every lock so concurrent calls overlap it. The CallScheduler elapses it
+  // as a timer while it drives the batch's other calls.
   int64_t delay = simulated_latency_micros_.load(std::memory_order_relaxed);
   t->fault = FaultDecision{};
   if (FaultInjector* injector = injector_.load(std::memory_order_acquire)) {
@@ -556,24 +548,10 @@ int64_t MarketConnector::CompleteAttempt(CallTask* t) {
 Result<CallResult> MarketConnector::Get(const RestCall& call,
                                         Clock::time_point deadline,
                                         const CallObs* call_obs) {
-  CallTask task;
-  task.call = &call;
-  task.deadline = deadline;
-  task.call_obs = call_obs;
-  BeginCall(&task);
-  while (!task.done) {
-    const int64_t pre_delay = BeginAttempt(&task);
-    if (task.done) break;
-    if (pre_delay > 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(pre_delay));
-    }
-    const int64_t retry_delay = CompleteAttempt(&task);
-    if (task.done) break;
-    if (retry_delay > 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(retry_delay));
-    }
-  }
-  return std::move(task.outcome);
+  std::vector<std::optional<Result<CallResult>>> outcomes =
+      scheduler_->ExecuteBatch({CallScheduler::Item{&call, deadline, call_obs}},
+                               1, /*cancel_on_error=*/false);
+  return std::move(*outcomes[0]);
 }
 
 }  // namespace payless::market

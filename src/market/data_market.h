@@ -198,39 +198,14 @@ class DataMarket {
   std::map<std::string, std::unique_ptr<HostedTable>> hosted_;
 };
 
-/// The REST boundary between PayLess and the market (step 5.1/5.2 of
-/// Fig. 3): the ONLY place where transactions accrue. Listeners observe
-/// every DELIVERED call result — exactly once per result that actually
-/// reached the buyer (the semantic store and the statistics module
-/// subscribe here, steps 5.3/5.4), never for lost responses, so the
-/// learning loop cannot double-count across retries.
-///
-/// Get is resilient: it consults the attached FaultInjector (if any) to
-/// model a flaky marketplace, and recovers per RetryPolicy — capped
-/// exponential backoff with jitter, per-call/per-query deadlines, and a
-/// per-dataset circuit breaker. The billing contract under faults:
-///   - fault before evaluation (transient drop, rate limit, open breaker):
-///     nothing billed;
-///   - fault after evaluation (lost response): billed on the meter AND
-///     counted as wasted spend in RetryStats — the seller evaluated it;
-///   - delivered result: billed once, listeners notified once.
-///
-/// Thread-safe: Get may be called from any number of threads; the meter
-/// locks internally and listener dispatch holds a shared lock (listeners
-/// run concurrently with each other and must be thread-safe themselves —
-/// the store and stats modules are). AddListener takes the lock
-/// exclusively; registering listeners while calls are in flight is legal
-/// but the new listener only sees subsequent calls. SetRetryPolicy and
-/// SetFaultInjector are setup-time: call them before serving traffic.
 class CallScheduler;
 
-/// Observability handles for the event-loop CallScheduler. Every member is
-/// optional (nullptr = not recorded); all are pre-resolved registry handles
-/// so the scheduler's hot path never takes the registry mutex.
+/// Observability handles for the CallScheduler. Every member is optional
+/// (nullptr = not recorded); all are pre-resolved registry handles so the
+/// scheduler's hot path never takes the registry mutex.
 struct SchedulerHooks {
   obs::Gauge* queue_depth = nullptr;  // submitted items awaiting admission
-  obs::Gauge* in_flight = nullptr;    // items inside the in-flight window
-  obs::Gauge* timer_heap = nullptr;   // armed timers on the min-heap
+  obs::Gauge* in_flight = nullptr;    // items inside an in-flight window
   obs::LatencyHistogram* admission_wait = nullptr;
   /// Coalescing-opportunity meter: calls admitted while a byte-identical
   /// (table, conditions) call was already in flight, and the transactions
@@ -240,6 +215,30 @@ struct SchedulerHooks {
   obs::FlightRecorder* recorder = nullptr;  // batch-completion events
 };
 
+/// The REST boundary between PayLess and the market (step 5.1/5.2 of
+/// Fig. 3): the ONLY place where transactions accrue. Listeners observe
+/// every DELIVERED call result — exactly once per result that actually
+/// reached the buyer (the semantic store and the statistics module
+/// subscribe here, steps 5.3/5.4), never for lost responses, so the
+/// learning loop cannot double-count across retries.
+///
+/// Every call is resilient: it consults the attached FaultInjector (if
+/// any) to model a flaky marketplace, and recovers per RetryPolicy — capped
+/// exponential backoff with jitter, per-call/per-query deadlines, and a
+/// per-dataset circuit breaker. The billing contract under faults:
+///   - fault before evaluation (transient drop, rate limit, open breaker):
+///     nothing billed;
+///   - fault after evaluation (lost response): billed on the meter AND
+///     counted as wasted spend in RetryStats — the seller evaluated it;
+///   - delivered result: billed once, listeners notified once.
+///
+/// Thread-safe: calls may be issued from any number of threads; the meter
+/// locks internally and listener dispatch holds a shared lock (listeners
+/// run concurrently with each other and must be thread-safe themselves —
+/// the store and stats modules are). AddListener takes the lock
+/// exclusively; registering listeners while calls are in flight is legal
+/// but the new listener only sees subsequent calls. SetRetryPolicy and
+/// SetFaultInjector are setup-time: call them before serving traffic.
 class MarketConnector {
  public:
   using Listener = std::function<void(const RestCall&, const CallResult&)>;
@@ -247,62 +246,10 @@ class MarketConnector {
   explicit MarketConnector(const DataMarket* market);
   ~MarketConnector();
 
-  /// One in-flight GET's retry state machine, shared verbatim between the
-  /// synchronous Get (which sleeps the returned delays inline) and the
-  /// event-loop CallScheduler (which turns them into timers). Drive it as:
-  ///   BeginCall -> [BeginAttempt -> <delay> -> CompleteAttempt -> <delay>]*
-  /// until `done`; each phase may finish the call early (deadline, breaker,
-  /// terminal market error, delivery). Billing, listener dispatch, breaker
-  /// and retry-stats updates all happen inside the phases, so the two
-  /// drivers are bill-for-bill identical.
-  struct CallTask {
-    const RestCall* call = nullptr;  // not owned; must outlive the task
-    Clock::time_point deadline = kNoDeadline;  // caller's budget
-    const CallObs* call_obs = nullptr;
-
-    bool done = false;
-    Result<CallResult> outcome = Status::Internal("call not finished");
-
-   private:
-    friend class MarketConnector;
-    const catalog::TableDef* def = nullptr;
-    std::string dataset;
-    Clock::time_point effective = kNoDeadline;
-    int attempt = 0;
-    int max_attempts = 1;
-    Clock::time_point attempt_start = kNoDeadline;  // RTT measurement
-    int64_t backoff = 0;
-    uint64_t jitter_state = 0;  // per-call splitmix64 stream, lock-free
-    FaultDecision fault;
-    Status last_error = Status::OK();
-    // Span bookkeeping, flushed when the call finishes.
-    obs::Trace* trace = nullptr;
-    uint64_t span_id = 0;
-    int64_t span_attempts = 0;
-    int64_t span_retries = 0;
-    int64_t billed_transactions = 0;
-    int64_t wasted_transactions = 0;
-    const char* outcome_label = "ok";
-  };
-
-  /// Resolves the table, opens the span, applies the per-call timeout and
-  /// breaker admission. May finish the task (unknown table, open breaker).
-  void BeginCall(CallTask* task);
-
-  /// Starts the next attempt: accounting plus the fault decision. Returns
-  /// the simulated network delay (round trip + injected latency spike) the
-  /// driver must let elapse before CompleteAttempt. May finish the task
-  /// (deadline already elapsed).
-  int64_t BeginAttempt(CallTask* task);
-
-  /// Evaluates / bills / delivers the attempt, or arranges a retry:
-  /// returns the backoff delay to elapse before the next BeginAttempt.
-  /// Finishes the task on delivery and on every terminal failure.
-  int64_t CompleteAttempt(CallTask* task);
-
-  /// Issues a GET call: validates, evaluates, bills, notifies listeners,
-  /// retrying per the policy. `deadline` (absolute) is the caller's budget
-  /// — typically the enclosing query's; kNoDeadline means unbounded.
+  /// Issues one GET call, as a one-item scheduler batch: validates,
+  /// evaluates, bills, notifies listeners, retrying per the policy.
+  /// `deadline` (absolute) is the caller's budget — typically the
+  /// enclosing query's; kNoDeadline means unbounded.
   /// `call_obs` (optional) attributes every billed transaction of this call
   /// — delivered or lost in transit — to its (tenant, query_id) in the
   /// ledger, and records one span per Get (attempts, retries, waste,
@@ -337,10 +284,10 @@ class MarketConnector {
     return breakers_.StateOf(dataset);
   }
 
-  /// Sleeps this long inside every Get, modelling the network round trip a
-  /// real marketplace call pays. Off (0) by default; the throughput bench
-  /// turns it on to measure how well concurrent clients and parallel
-  /// bind-join dispatch overlap call latency.
+  /// Delays every attempt by this long, modelling the network round trip
+  /// a real marketplace call pays. Off (0) by default. The CallScheduler
+  /// lets it elapse as a timer, so the calls of one batch overlap their
+  /// round trips instead of paying them back to back.
   void SetSimulatedLatencyMicros(int64_t micros) {
     simulated_latency_micros_.store(micros, std::memory_order_relaxed);
   }
@@ -362,8 +309,8 @@ class MarketConnector {
   };
   void BindLatency(const LatencyHooks& hooks) { latency_ = hooks; }
 
-  /// Observability handles handed to the lazily-created CallScheduler.
-  /// Setup-time: must be called before the first scheduler() use.
+  /// Observability handles the CallScheduler records through. Setup-time:
+  /// bind before serving traffic.
   void SetSchedulerHooks(const SchedulerHooks& hooks) {
     scheduler_hooks_ = hooks;
   }
@@ -373,12 +320,62 @@ class MarketConnector {
 
   const DataMarket& market() const { return *market_; }
 
-  /// The connector's event-loop dispatcher, created lazily on first use
-  /// (worker threads only exist once someone batches calls through it).
-  /// Never null; owned by the connector and joined in its destructor.
-  CallScheduler* scheduler();
+  /// The connector's call scheduler: every call, Get included, runs
+  /// through it on the calling thread. Never null; owned by the connector.
+  CallScheduler* scheduler() { return scheduler_.get(); }
 
  private:
+  friend class CallScheduler;
+
+  /// One in-flight GET's retry state machine. The CallScheduler drives it
+  /// as BeginCall -> [BeginAttempt -> <delay> -> CompleteAttempt ->
+  /// <delay>]* until `done`; each phase may finish the call early
+  /// (deadline, breaker, terminal market error, delivery). Billing,
+  /// listener dispatch, breaker and retry-stats updates all happen inside
+  /// the phases.
+  struct CallTask {
+    const RestCall* call = nullptr;  // not owned; must outlive the task
+    Clock::time_point deadline = kNoDeadline;  // caller's budget
+    const CallObs* call_obs = nullptr;
+
+    bool done = false;
+    Result<CallResult> outcome = Status::Internal("call not finished");
+
+    const catalog::TableDef* def = nullptr;
+    std::string dataset;
+    Clock::time_point effective = kNoDeadline;
+    int attempt = 0;
+    int max_attempts = 1;
+    Clock::time_point attempt_start = kNoDeadline;  // RTT measurement
+    int64_t backoff = 0;
+    uint64_t jitter_state = 0;  // per-call splitmix64 stream, lock-free
+    FaultDecision fault;
+    Status last_error = Status::OK();
+    // Span bookkeeping, flushed when the call finishes.
+    obs::Trace* trace = nullptr;
+    uint64_t span_id = 0;
+    int64_t span_attempts = 0;
+    int64_t span_retries = 0;
+    int64_t billed_transactions = 0;
+    int64_t wasted_transactions = 0;
+    const char* outcome_label = "ok";
+  };
+
+  /// Resolves the table, opens the span, applies the per-call timeout and
+  /// breaker admission. May finish the task (unknown table, open breaker).
+  void BeginCall(CallTask* task);
+
+  /// Starts the next attempt: accounting plus the fault decision. Returns
+  /// the simulated network delay (round trip + injected latency spike) the
+  /// scheduler must let elapse before CompleteAttempt. May finish the task
+  /// (deadline already elapsed).
+  int64_t BeginAttempt(CallTask* task);
+
+  /// Evaluates / bills / delivers the attempt, or arranges a retry:
+  /// returns the backoff delay to elapse before the next BeginAttempt.
+  /// Finishes the task on delivery and on every terminal failure.
+  int64_t CompleteAttempt(CallTask* task);
+
   /// Jittered capped exponential backoff before the next attempt, honoring
   /// a rate-limit retry-after hint. `backoff` is the current unjittered
   /// step and is advanced in place; `jitter_state` is the call's private
@@ -405,7 +402,6 @@ class MarketConnector {
   std::atomic<uint64_t> jitter_sequence_{0};
   LatencyHooks latency_;
   SchedulerHooks scheduler_hooks_;
-  std::once_flag scheduler_once_;
   std::unique_ptr<CallScheduler> scheduler_;
 };
 

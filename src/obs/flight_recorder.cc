@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstring>
 #include <sstream>
 
@@ -52,7 +53,13 @@ void FlightRecorder::Record(const std::string& entry_json) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  std::memcpy(slot.buf.get(), entry_json.data(), entry_json.size());
+  // Byte-wise atomics: a reader may copy this slot while it is rewritten
+  // (its seq re-check then discards the copy). Release stores keep the odd
+  // seq ordered before every byte a reader can observe.
+  for (size_t k = 0; k < entry_json.size(); ++k) {
+    std::atomic_ref<char>(slot.buf[k]).store(entry_json[k],
+                                             std::memory_order_release);
+  }
   slot.len.store(entry_json.size(), std::memory_order_relaxed);
   slot.seq.store(seq + 2, std::memory_order_release);
   recorded_.fetch_add(1, std::memory_order_relaxed);
@@ -64,7 +71,11 @@ bool FlightRecorder::ReadSlot(size_t i, std::string* out) const {
   if (before == 0 || (before & 1) != 0) return false;  // empty or mid-write
   const size_t len = slot.len.load(std::memory_order_relaxed);
   if (len == 0 || len > options_.entry_bytes) return false;
-  out->assign(slot.buf.get(), len);
+  out->resize(len);
+  for (size_t k = 0; k < len; ++k) {
+    (*out)[k] =
+        std::atomic_ref<char>(slot.buf[k]).load(std::memory_order_acquire);
+  }
   return slot.seq.load(std::memory_order_acquire) == before;
 }
 

@@ -64,11 +64,11 @@ class LatencyHistogram {
 };
 
 /// Where a query's wall-clock goes. The first kNumWallStages entries
-/// partition the end-to-end wall time (their sum must land within a few
-/// percent of latency_us — bench_latency gates exactly that); the trailing
-/// entries are overlapping detail (per-attempt RTTs overlap under fan-out,
-/// admission waits overlap with sibling fetches) and are excluded from the
-/// partition sum.
+/// partition the end-to-end wall time (their sum never exceeds latency_us
+/// and leaves only a small residue — StageDecompositionTest checks both);
+/// the trailing entries are overlapping detail (per-attempt RTTs overlap
+/// under fan-out, admission waits overlap with sibling fetches) and are
+/// excluded from the partition sum.
 enum QueryStage : int {
   kStageParsePlan = 0,    // parse + bind + optimize + admission + executor
                           // set-up (minus the cache probe)
@@ -78,7 +78,8 @@ enum QueryStage : int {
   kStageLocalEval,        // residual predicate / projection evaluation
   kStageMerge,            // join maintenance between accesses
   // -- overlapping detail below; not part of the wall partition --
-  kStageAdmissionWait,    // scheduler queue wait before a call's first try
+  kStageAdmissionWait,    // scheduler queue wait: per batch, submission
+                          // until its last call left the queue
   kStageMarketRtt,        // per-attempt market round trip, all attempts
   kStageBackoffWait,      // retry backoff sleeps
   kNumQueryStages
@@ -91,8 +92,8 @@ const char* QueryStageName(int stage);
 
 /// Per-query stage accumulator. Lives on the querying thread's stack; a
 /// pointer rides in CallObs so the scheduler and connector can attribute
-/// waits and RTTs to the query that caused them. Atomic because fan-out
-/// executes a query's calls on many threads at once.
+/// waits and RTTs to the query that caused them. Atomic, so any thread may
+/// record into it.
 class QueryStageAccumulator {
  public:
   QueryStageAccumulator() {

@@ -3,9 +3,9 @@
 // A Trace collects the spans of ONE query: parse, bind, optimize (or plan
 // cache), execution, per-operator accesses and the individual market calls
 // underneath them. Spans nest via parent ids and may be started/ended from
-// any thread — a bind join's per-binding-value calls run on pool workers,
-// and their spans must land in the same trace as the access that spawned
-// them. The finished span list travels with the QueryReport (so callers can
+// any thread; the calls a scheduler batch keeps in flight at once land
+// their spans in the same trace as the access that issued them. The
+// finished span list travels with the QueryReport (so callers can
 // answer "where did this query's time and money go" programmatically) and
 // can optionally be mirrored to a JSONL sink for offline analysis.
 //

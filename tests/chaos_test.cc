@@ -507,7 +507,6 @@ TEST_F(ChaosTest, HalfOpenProbeUnderSchedulerWindowIsBillingCorrect) {
   // still missing and the TOTAL spend across every attempt equals the
   // fault-free bill.
   PayLessConfig base;
-  base.enable_call_scheduler = true;
   base.max_parallel_calls = 4;
   base.retry.max_attempts = 1;
   base.retry.breaker_failure_threshold = 2;

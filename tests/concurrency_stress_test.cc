@@ -103,17 +103,21 @@ class ConcurrencyStressTest : public ::testing::Test {
   std::vector<Row> city_rows_;
 };
 
-// Parallel per-binding-value dispatch must be bit-identical to serial:
-// same rows in the same order, same per-query spend, same meter totals,
-// same store contents.
+// Parallel per-binding-value dispatch must be bit-identical to serial at
+// any in-flight window: same rows in the same order, same per-query spend,
+// same meter totals, same store contents.
 TEST_F(ConcurrencyStressTest, ParallelBindJoinMatchesSerialExactly) {
   PayLessConfig serial_config;
   serial_config.max_parallel_calls = 1;
   PayLessConfig parallel_config;
   parallel_config.max_parallel_calls = 8;
+  // Wider than any access's call count: every call is in flight at once.
+  PayLessConfig wide_config;
+  wide_config.max_parallel_calls = 128;
 
   auto serial = NewClient(serial_config);
   auto parallel = NewClient(parallel_config);
+  auto wide = NewClient(wide_config);
 
   const std::vector<std::vector<Value>> param_sets = {
       {Value(int64_t{1}), Value(int64_t{12}), Value(int64_t{kNumDates})},
@@ -124,19 +128,30 @@ TEST_F(ConcurrencyStressTest, ParallelBindJoinMatchesSerialExactly) {
   for (const auto& params : param_sets) {
     Result<QueryReport> a = serial->QueryWithReport(kBindSql, params);
     Result<QueryReport> b = parallel->QueryWithReport(kBindSql, params);
+    Result<QueryReport> c = wide->QueryWithReport(kBindSql, params);
     ASSERT_TRUE(a.ok()) << a.status().ToString();
     ASSERT_TRUE(b.ok()) << b.status().ToString();
+    ASSERT_TRUE(c.ok()) << c.status().ToString();
     // Bit-identical: row order included, not just the multiset.
     EXPECT_EQ(a->result.rows(), b->result.rows());
     EXPECT_EQ(a->transactions_spent, b->transactions_spent);
     EXPECT_EQ(a->exec.calls, b->exec.calls);
     EXPECT_EQ(a->exec.rows_from_market, b->exec.rows_from_market);
     EXPECT_EQ(a->exec.rows_from_cache, b->exec.rows_from_cache);
+    EXPECT_EQ(a->result.rows(), c->result.rows());
+    EXPECT_EQ(a->transactions_spent, c->transactions_spent);
+    EXPECT_EQ(a->exec.calls, c->exec.calls);
+    EXPECT_EQ(a->exec.rows_from_market, c->exec.rows_from_market);
+    EXPECT_EQ(a->exec.rows_from_cache, c->exec.rows_from_cache);
   }
   EXPECT_EQ(serial->meter().total_transactions(),
             parallel->meter().total_transactions());
   EXPECT_EQ(serial->store().TotalStoredRows(),
             parallel->store().TotalStoredRows());
+  EXPECT_EQ(serial->meter().total_transactions(),
+            wide->meter().total_transactions());
+  EXPECT_EQ(serial->store().TotalStoredRows(),
+            wide->store().TotalStoredRows());
 }
 
 // N threads x M queries with pairwise-disjoint footprints against ONE

@@ -304,6 +304,11 @@ TEST_F(ExplainAnalyzeTest, ExplainTextNeverExecutes) {
   EXPECT_NE(text->find("bind-join Hosted"), std::string::npos);
   EXPECT_EQ(client->meter().total_transactions(), 0);
   EXPECT_FALSE(client->ExplainText("SELECT nothing FROM nowhere").ok());
+  // The API and the statement form render the same plan text.
+  Result<QueryReport> statement =
+      client->QueryWithReport(std::string("EXPLAIN ") + kJoinSql);
+  ASSERT_TRUE(statement.ok()) << statement.status().ToString();
+  EXPECT_EQ(*text, statement->plan_text);
 }
 
 // ---------------------------------------------------------------------------

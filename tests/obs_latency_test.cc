@@ -414,6 +414,28 @@ TEST_F(StageDecompositionTest, WallStagesSumToEndToEndWithinSlack) {
   EXPECT_GT(report->stage_micros[kStageMarketRtt], 0);
 }
 
+TEST_F(StageDecompositionTest, AdmissionStageNeverExceedsFetch) {
+  // 16 binding values through a window of 4: most calls queue behind
+  // earlier ones. The admission stage is the wall-clock union of the
+  // query's waits, so it fits inside the fetch stage that contains them.
+  PayLessConfig config;
+  config.optimizer.use_sqr = false;  // one point call per binding value
+  config.stats_kind = stats::StatsKind::kUniform;
+  config.enable_plan_cache = false;
+  config.max_parallel_calls = 4;
+  PayLess client(&cat_, market_.get(), config);
+  ASSERT_TRUE(client.LoadLocalTable("CityMap", city_rows_).ok());
+  client.connector()->SetSimulatedLatencyMicros(2000);
+
+  const std::vector<Value> params = {Value(int64_t{1}), Value(kNumStations)};
+  const Result<QueryReport> report = client.QueryWithReport(kBindSql, params);
+  ASSERT_TRUE(report.ok());
+  ASSERT_TRUE(report->ok());
+  EXPECT_EQ(report->exec.calls, kNumStations);
+  EXPECT_LE(report->stage_micros[kStageAdmissionWait],
+            report->stage_micros[kStageFetch]);
+}
+
 TEST_F(StageDecompositionTest, ExplainAnalyzeRendersLatencyFooter) {
   PayLess client(&cat_, market_.get(), PayLessConfig{});
   ASSERT_TRUE(client.LoadLocalTable("CityMap", city_rows_).ok());
@@ -577,6 +599,32 @@ TEST_F(StageDecompositionTest, ConcurrentIdenticalQueriesMeterCoalescing) {
   }
   EXPECT_GT(coalescable_calls, 0);
   EXPECT_GT(coalescable_transactions, 0);
+
+  // Single-call shape: each query is one plain call, a one-item batch.
+  // The meter sees those too.
+  PayLess single(&cat_, market_.get(), config);
+  single.connector()->SetSimulatedLatencyMicros(50'000);
+  constexpr const char* kPointSql =
+      "SELECT Temperature FROM Weather "
+      "WHERE StationID = 3 AND Date >= 1 AND Date <= 5";
+  std::vector<std::thread> racers;
+  std::atomic<int> one_call_queries{0};
+  for (int t = 0; t < kThreads; ++t) {
+    racers.emplace_back([&] {
+      const Result<QueryReport> r = single.QueryWithReport(kPointSql);
+      if (r.ok() && r->ok() && r->exec.calls == 1) one_call_queries++;
+    });
+  }
+  for (std::thread& r : racers) r.join();
+  EXPECT_EQ(one_call_queries.load(), kThreads);
+  int64_t single_coalescable_calls = 0;
+  for (const auto& [name, value] :
+       single.observability()->metrics.SnapshotScalars()) {
+    if (name == "payless_coalescable_calls_total") {
+      single_coalescable_calls = value;
+    }
+  }
+  EXPECT_GE(single_coalescable_calls, 1);
 }
 
 }  // namespace
