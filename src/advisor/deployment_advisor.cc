@@ -1,12 +1,11 @@
 #include "advisor/deployment_advisor.h"
 
 #include <algorithm>
+#include <atomic>
 #include <iomanip>
 #include <map>
 #include <sstream>
 #include <thread>
-
-#include "common/thread_pool.h"
 
 namespace payless::advisor {
 
@@ -100,22 +99,33 @@ Result<AdvisorReport> Advise(const workload::Bundle& bundle,
     cell.simulated_latency_us = options.simulated_latency_us;
   }
 
+  // Up to max_parallel_cells threads, the caller included, claim cell
+  // indices from one counter; each writes only its own outcome slot, so the
+  // result is independent of which thread replayed which cell.
   std::vector<CellOutcome> outcomes(grid.size());
-  size_t parallel = options.max_parallel_cells != 0
-                        ? options.max_parallel_cells
-                        : std::max(1u, std::thread::hardware_concurrency());
-  common::ParallelFor(
-      common::ThreadPool::Shared(), grid.size(), parallel, [&](size_t i) {
-        CellOutcome& outcome = outcomes[i];
-        outcome.config = grid[i];
-        outcome.replay = ReplayJournal(bundle, records, grid[i]);
-        outcome.fingerprint = BillFingerprint(outcome.replay);
-        if (options.twin_check) {
-          const ReplayResult twin = ReplayJournal(bundle, records, grid[i]);
-          outcome.twin_identical =
-              BillFingerprint(twin) == outcome.fingerprint;
-        }
-      });
+  std::atomic<size_t> next_cell{0};
+  const auto replay_cells = [&] {
+    for (size_t i = next_cell.fetch_add(1); i < grid.size();
+         i = next_cell.fetch_add(1)) {
+      CellOutcome& outcome = outcomes[i];
+      outcome.config = grid[i];
+      outcome.replay = ReplayJournal(bundle, records, grid[i]);
+      outcome.fingerprint = BillFingerprint(outcome.replay);
+      if (options.twin_check) {
+        const ReplayResult twin = ReplayJournal(bundle, records, grid[i]);
+        outcome.twin_identical = BillFingerprint(twin) == outcome.fingerprint;
+      }
+    }
+  };
+  const size_t parallel = std::min<size_t>(
+      grid.size(), options.max_parallel_cells != 0
+                       ? options.max_parallel_cells
+                       : std::max(1u, std::thread::hardware_concurrency()));
+  {
+    std::vector<std::jthread> helpers;
+    for (size_t t = 1; t < parallel; ++t) helpers.emplace_back(replay_cells);
+    replay_cells();
+  }  // joins the helpers
 
   for (CellOutcome& outcome : outcomes) {
     const ReplayResult& r = outcome.replay;

@@ -14,10 +14,13 @@
 //
 // Cached plans can never be result-wrong, only cost-suboptimal: the
 // execution engine re-runs the SQR rewrite against the live semantic store,
-// and store coverage under a fixed consistency horizon only grows. When the
-// epoch does tick, older keys become unreachable, which IS the invalidation
-// — no explicit flush, stale entries just age out of the bounded map, and
-// the forced re-optimization picks up the refined histogram (the paper's
+// and store coverage under a fixed consistency horizon only grows between
+// placement evictions. Eviction (PayLessConfig::placement_capacity_bytes)
+// is the one thing that shrinks it, so a placement pass that evicts clears
+// the cache before any query can probe it again. When the epoch ticks,
+// older keys become unreachable, which IS the invalidation — no explicit
+// flush, stale entries just age out of the bounded map, and the forced
+// re-optimization picks up the refined histogram (the paper's
 // uniform-to-learned plan switch, Fig. 3 step 5.4).
 //
 // Thread-safe and lock-free on the hit path: entries live in hash-sharded

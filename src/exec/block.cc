@@ -77,7 +77,7 @@ ColumnTable BlockHashJoin(const ColumnTable& left, const ColumnTable& right,
                           const std::vector<std::pair<size_t, size_t>>& keys) {
   if (keys.empty()) return BlockCartesian(left, right);
 
-  // Build on the smaller side; probe with the larger (as the row engine).
+  // Build on the smaller side; probe with the larger.
   const bool build_left = left.num_rows() <= right.num_rows();
   const ColumnTable& build = build_left ? left : right;
   const ColumnTable& probe = build_left ? right : left;
@@ -131,8 +131,8 @@ ColumnTable BlockHashJoin(const ColumnTable& left, const ColumnTable& right,
     hash_table[std::move(key)].push_back(static_cast<uint32_t>(i));
   }
 
-  // Probe in row order, emit matches in build-insertion order: exactly the
-  // row engine's output order.
+  // Probe in row order, emit matches in build-insertion order (the same
+  // order as the single-key path above).
   for (size_t p = 0; p < probe.num_rows(); ++p) {
     Row key = key_of(probe, p, !build_left);
     if (has_null(key)) continue;

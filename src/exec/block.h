@@ -1,12 +1,9 @@
-// Block-vectorized columnar kernel for buyer-side local evaluation.
+// Block-vectorized columnar kernel for buyer-side local evaluation: the one
+// join implementation behind the execution engine, EvaluateLocally and the
+// reference oracle.
 //
-// The row-at-a-time pipeline materialized every intermediate tuple as its
-// own heap-allocated Row — one vector allocation (plus per-Value copies
-// scattered across the heap) per joined row, per filtered row, per
-// projected row. At high client counts that allocation traffic, not the
-// market calls, dominated the local share of query latency.
-//
-// This kernel instead threads fixed-capacity blocks of column vectors
+// Rather than materializing every intermediate tuple as its own heap-
+// allocated Row, the kernel threads fixed-capacity blocks of column vectors
 // through filter -> join -> project:
 //
 //   - a ColumnTable is a sequence of Blocks; each Block holds one
@@ -18,11 +15,10 @@
 //     gather the output column by column — no per-output-row allocation;
 //   - projection is a column gather.
 //
-// Everything is order-preserving and reproduces the row engine's results
-// byte-for-byte: BlockHashJoin emits probe-order x build-insertion-order
-// exactly like storage::HashJoin (including its build-on-smaller-side
-// choice and NULL-key skipping), so result rows, row order, and every
-// downstream aggregate are identical to the row-at-a-time path.
+// Everything is order-preserving and deterministic: BlockHashJoin builds on
+// the smaller side, skips NULL keys (SQL semantics) and emits matches in
+// probe order x build-insertion order, so result rows, row order and every
+// downstream aggregate are a pure function of the inputs.
 #ifndef PAYLESS_EXEC_BLOCK_H_
 #define PAYLESS_EXEC_BLOCK_H_
 
@@ -85,14 +81,14 @@ ColumnTable ColumnsFromRows(const std::vector<Row>& rows, size_t num_columns);
 /// Columnar -> row-major, preserving order.
 std::vector<Row> RowsFromColumns(const ColumnTable& table);
 
-/// Hash join on `keys` (left column, right column) pairs. Build side,
-/// NULL-key handling, and output order are byte-identical to
-/// storage::HashJoin; with empty keys it degenerates to BlockCartesian.
-/// Output width = left width + right width.
+/// Hash equi-join on `keys` (left column, right column) pairs: builds on
+/// the smaller side, NULL keys never match, output in probe order x
+/// build-insertion order; with empty keys it degenerates to BlockCartesian.
+/// Output width = left width + right width, left columns first.
 ColumnTable BlockHashJoin(const ColumnTable& left, const ColumnTable& right,
                           const std::vector<std::pair<size_t, size_t>>& keys);
 
-/// Cross product, left-major order (matches storage::Cartesian).
+/// Cross product, left-major order.
 ColumnTable BlockCartesian(const ColumnTable& left, const ColumnTable& right);
 
 /// Column gather: output column j is input column `columns[j]`.

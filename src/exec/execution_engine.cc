@@ -240,12 +240,13 @@ Result<storage::Table> ExecutionEngine::FetchRelation(
           // since planning (earlier accesses of this very query included).
           //
           // The coverage snapshot MUST be taken before the row harvest: the
-          // store only grows, so any view a concurrent query slips in between
-          // the two reads is missing from this snapshot and gets re-fetched
-          // by the remainder (RowSet dedupes the overlap). Snapshotting
-          // coverage after the harvest loses those rows instead — the
-          // remainder would treat the region as served even though the
-          // harvest never saw it.
+          // store only grows while this query runs (placement eviction waits
+          // for it, see PayLess::TickPlacement), so any view a concurrent
+          // query slips in between the two reads is missing from this
+          // snapshot and gets re-fetched by the remainder (RowSet dedupes
+          // the overlap). Snapshotting coverage after the harvest loses
+          // those rows instead — the remainder would treat the region as
+          // served even though the harvest never saw it.
           const std::vector<Box> covered =
               store_->CoveredRegions(def.name, config.min_epoch);
           const std::vector<Row> cached =

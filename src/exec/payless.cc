@@ -247,16 +247,9 @@ PayLess::PayLess(const catalog::Catalog* catalog,
   // Federated mode: the same learning loop closes behind EVERY endpoint —
   // a slab is a slab no matter which market sold it.
   if (router_ != nullptr) router_->AddListener(harvest_listener);
-  if (config_.placement_capacity_bytes > 0 ||
-      config_.placement_tick_interval_micros > 0) {
-    federation::PlacementOptions placement_options;
-    placement_options.capacity_bytes = config_.placement_capacity_bytes;
-    placement_options.tick_interval_micros =
-        config_.placement_tick_interval_micros;
+  if (config_.placement_capacity_bytes > 0) {
     placement_ = std::make_unique<federation::PlacementPolicy>(
-        placement_options, &store_, catalog_, router_.get(),
-        durability_.get());
-    placement_->Start();
+        config_.placement_capacity_bytes, &store_, catalog_, router_.get());
   }
 }
 
@@ -296,6 +289,12 @@ int64_t PayLess::MinEpoch() const {
 
 Result<QueryReport> PayLess::QueryWithReport(const std::string& sql,
                                              const std::vector<Value>& params) {
+  return AdmitAndRun(sql, params, /*tick_placement=*/true);
+}
+
+Result<QueryReport> PayLess::AdmitAndRun(const std::string& sql,
+                                         const std::vector<Value>& params,
+                                         bool tick_placement) {
   const auto start = std::chrono::steady_clock::now();
   const uint64_t query_id =
       next_query_id_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -362,7 +361,21 @@ Result<QueryReport> PayLess::QueryWithReport(const std::string& sql,
         config_.workload_journal->Append(std::move(record));
     (void)journaled;
   }
+  if (tick_placement && placement_ != nullptr && admission.status.ok()) {
+    TickPlacement();
+  }
   return result;
+}
+
+void PayLess::TickPlacement() {
+  std::unique_lock<std::shared_mutex> lock(placement_mutex_);
+  if (placement_->Tick() == 0) return;
+  plan_cache_.Clear();
+  // SnapshotNow compacts from the live store, so a restart recovers the
+  // placement decision. A failed snapshot leaves the log authoritative: the
+  // restart then holds slabs over budget until its first pass, never
+  // unpaid ones.
+  if (durability_ != nullptr) (void)durability_->SnapshotNow();
 }
 
 Result<QueryReport> PayLess::QueryWithReportImpl(
@@ -427,6 +440,10 @@ Result<QueryReport> PayLess::QueryWithReportImpl(
   bool cache_hit = false;
   obs::Counterfactual cf;
   int64_t probe_micros = 0;
+  std::shared_lock<std::shared_mutex> placement_lock;
+  if (placement_ != nullptr) {
+    placement_lock = std::shared_lock<std::shared_mutex>(placement_mutex_);
+  }
   {
     obs::ScopedSpan plan_span(trace, "plan", root);
     std::string cache_key;
@@ -536,6 +553,7 @@ Result<QueryReport> PayLess::QueryWithReportImpl(
   stages.Add(obs::kStageParsePlan, MicrosSince(impl_start) - probe_micros);
   Result<storage::Table> result =
       engine.Execute(*bound, report.plan, exec_config, &report.exec);
+  if (placement_lock.owns_lock()) placement_lock.unlock();
   // Counted from this query's own calls, not a meter delta, so the number is
   // exact even when other client threads are spending concurrently. Filled
   // before the error check: on a mid-flight failure it is the spend-so-far.
@@ -854,13 +872,19 @@ Result<BatchReport> PayLess::QueryBatch(const std::vector<BatchQuery>& batch) {
   }
 
   // ---- Phase 3: execute the queries normally; prefetched data is served
-  // from the semantic store.
+  // from the semantic store. The placement pass runs once after the whole
+  // batch, so a budget cannot evict a prefetched hull before the batch's
+  // later queries read it.
+  Status status;
   for (const BatchQuery& q : batch) {
-    Result<QueryReport> one = QueryWithReport(q.sql, q.params);
-    PAYLESS_RETURN_IF_ERROR(one.status());
-    PAYLESS_RETURN_IF_ERROR(one->error);
+    Result<QueryReport> one =
+        AdmitAndRun(q.sql, q.params, /*tick_placement=*/false);
+    status = one.ok() ? one->error : one.status();
+    if (!status.ok()) break;
     report.results.push_back(std::move(one->result));
   }
+  if (placement_ != nullptr) TickPlacement();
+  PAYLESS_RETURN_IF_ERROR(status);
   report.transactions_spent = total_transactions() - before;
   return report;
 }

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -123,10 +124,14 @@ struct PayLessConfig {
   /// connectors.
   federation::FederatedMarket* federation = nullptr;
   /// Retained-slab budget for the semantic store (approx payload bytes);
-  /// 0 = unbounded, the placement policy observes but never evicts.
+  /// 0 = unbounded and no placement policy. With a budget, the policy runs
+  /// once after every admitted query (once after a whole QueryBatch) and
+  /// evicts the cheapest-to-re-buy tables until the store fits. Queries
+  /// hold a shared lock from their plan-cache probe through execution and
+  /// the pass holds it exclusively; a pass that evicts clears the plan
+  /// cache (cached plans may read evicted coverage) and then snapshots
+  /// when durability is on.
   int64_t placement_capacity_bytes = 0;
-  /// Background placement cadence; 0 = manual (placement()->Tick()).
-  int64_t placement_tick_interval_micros = 0;
   /// Keep the always-on flight recorder fed: every completed query writes a
   /// compact trace entry (status, latency, stage decomposition, span
   /// summary) into the observability context's fixed ring, and the
@@ -309,8 +314,7 @@ class PayLess {
   /// Multi-market router; nullptr when no federation was configured.
   federation::EndpointRouter* router() { return router_.get(); }
   const federation::EndpointRouter* router() const { return router_.get(); }
-  /// Slab placement policy; nullptr when neither a capacity budget nor a
-  /// tick interval was configured.
+  /// Slab placement policy; nullptr without a capacity budget.
   federation::PlacementPolicy* placement() { return placement_.get(); }
   storage::Database* local_db() { return &local_db_; }
   const catalog::Catalog& catalog() const { return *catalog_; }
@@ -350,11 +354,20 @@ class PayLess {
   /// statement: optimizes and renders the plan without executing, caching
   /// or billing anything.
   Result<QueryReport> ExplainBound(const sql::BoundQuery& bound);
-  /// The traced/governed body of QueryWithReport; `query_id` is already
+  /// QueryWithReport's body: gate-1 admission, execution and journaling,
+  /// then, when `tick_placement`, a placement pass after an admitted
+  /// query. QueryBatch passes false and runs one pass after its batch.
+  Result<QueryReport> AdmitAndRun(const std::string& sql,
+                                  const std::vector<Value>& params,
+                                  bool tick_placement);
+  /// The traced/governed body of AdmitAndRun; `query_id` is already
   /// assigned and admission against the CURRENT spend already passed.
   Result<QueryReport> QueryWithReportImpl(const std::string& sql,
                                           const std::vector<Value>& params,
                                           uint64_t query_id);
+  /// One placement pass under placement_mutex_; after an eviction it
+  /// clears the plan cache, then snapshots.
+  void TickPlacement();
 
   /// Handles into the metrics registry, resolved once at construction so
   /// the per-query path is pure atomic arithmetic.
@@ -403,10 +416,13 @@ class PayLess {
   /// the router), or a single entry in single-market mode. Owned here —
   /// the registry owns histograms, SLO policy objects live with the client.
   std::vector<std::unique_ptr<obs::LatencySlo>> latency_slos_;
-  /// Capacity-budget slab placement; null when not configured. Declared
-  /// after store_/durability_/router_ so its background thread is joined
-  /// before anything it reads is torn down.
+  /// Capacity-budget slab placement; null without a budget.
   std::unique_ptr<federation::PlacementPolicy> placement_;
+  /// Held shared by each query from plan-cache probe through execution and
+  /// exclusively by TickPlacement: eviction shrinks the coverage that
+  /// cached plans and the executor's remainder rely on. Untouched without
+  /// a budget.
+  std::shared_mutex placement_mutex_;
   storage::Database local_db_;
   std::atomic<int64_t> current_week_{0};
   std::atomic<uint64_t> next_query_id_{0};

@@ -1,57 +1,19 @@
 #include "federation/placement.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <sstream>
 
 namespace payless::federation {
 
-PlacementPolicy::PlacementPolicy(PlacementOptions options,
+PlacementPolicy::PlacementPolicy(int64_t capacity_bytes,
                                  semstore::SemanticStore* store,
                                  const catalog::Catalog* catalog,
-                                 EndpointRouter* router,
-                                 durability::DurabilityManager* durability)
-    : options_(options),
+                                 EndpointRouter* router)
+    : capacity_bytes_(capacity_bytes),
       store_(store),
       catalog_(catalog),
-      router_(router),
-      durability_(durability) {}
-
-PlacementPolicy::~PlacementPolicy() { Stop(); }
-
-void PlacementPolicy::Start() {
-  if (options_.tick_interval_micros <= 0) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (running_) return;
-  stop_ = false;
-  running_ = true;
-  thread_ = std::thread([this] { Loop(); });
-}
-
-void PlacementPolicy::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!running_) return;
-    stop_ = true;
-  }
-  stop_cv_.notify_all();
-  thread_.join();
-  std::lock_guard<std::mutex> lock(mutex_);
-  running_ = false;
-}
-
-void PlacementPolicy::Loop() {
-  const auto interval =
-      std::chrono::microseconds(options_.tick_interval_micros);
-  std::unique_lock<std::mutex> lock(mutex_);
-  while (!stop_) {
-    if (stop_cv_.wait_for(lock, interval, [this] { return stop_; })) break;
-    lock.unlock();
-    Tick();
-    lock.lock();
-  }
-}
+      router_(router) {}
 
 size_t PlacementPolicy::Tick() {
   // Rank every stored table by re-buy value density: what the cheapest
@@ -96,7 +58,7 @@ size_t PlacementPolicy::Tick() {
   }
 
   size_t evicted = 0;
-  if (options_.capacity_bytes > 0 && total_bytes > options_.capacity_bytes) {
+  if (total_bytes > capacity_bytes_) {
     // Local tables (empty dataset) are not purchased data — never evicted
     // here — so sort priced tables by value density, cheapest-to-rebuy
     // first, and drop until the budget holds.
@@ -117,17 +79,11 @@ size_t PlacementPolicy::Tick() {
                 return ranking[a].table < ranking[b].table;  // determinism
               });
     for (const size_t i : candidates) {
-      if (total_bytes <= options_.capacity_bytes) break;
+      if (total_bytes <= capacity_bytes_) break;
       store_->DropTable(ranking[i].table);
       ranking[i].retained = false;
       total_bytes -= ranking[i].bytes;
       ++evicted;
-    }
-    if (evicted > 0 && durability_ != nullptr && durability_->enabled()) {
-      // SnapshotNow compacts from the LIVE store, so the snapshot that
-      // survives a restart reflects the placement decision, not the
-      // pre-eviction state.
-      durability_->SnapshotNow();
     }
   }
 
@@ -145,11 +101,6 @@ std::vector<PlacementPolicy::TableValue> PlacementPolicy::LastDecision()
   return last_decision_;
 }
 
-int64_t PlacementPolicy::ticks() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return ticks_;
-}
-
 int64_t PlacementPolicy::evicted_tables() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return evicted_tables_;
@@ -158,7 +109,7 @@ int64_t PlacementPolicy::evicted_tables() const {
 std::string PlacementPolicy::StatsJson() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::ostringstream os;
-  os << "{\"capacity_bytes\":" << options_.capacity_bytes
+  os << "{\"capacity_bytes\":" << capacity_bytes_
      << ",\"retained_bytes\":" << retained_bytes_ << ",\"ticks\":" << ticks_
      << ",\"evicted_tables\":" << evicted_tables_ << ",\"tables\":[";
   bool first = true;

@@ -10,37 +10,30 @@
 // rows, divided by the table's approximate footprint) and evicts the
 // lowest-value tables until the store fits the budget.
 //
-// Persistence: each pass that evicts anything forces a durability snapshot
-// (DurabilityManager::SnapshotNow compacts from LIVE store state), so the
-// placement decision — not the pre-eviction state — is what a restart
-// recovers. No durability format change is needed.
-//
-// Runs either manually (Tick(), tests and benches) or on a background
-// thread (Start/Stop) when a tick interval is configured.
+// PayLess owns the only caller: it ticks the policy once after every
+// admitted query (once after a whole QueryBatch), under an exclusive lock
+// that no query holds between its plan-cache probe and the end of its
+// execution, since eviction shrinks coverage that cached plans and
+// in-flight remainders rely on. A tick that evicts clears the plan cache
+// and then snapshots, so a restart recovers the placement decision, not
+// the pre-eviction state.
 #ifndef PAYLESS_FEDERATION_PLACEMENT_H_
 #define PAYLESS_FEDERATION_PLACEMENT_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "catalog/catalog.h"
-#include "durability/durability.h"
 #include "federation/endpoint_router.h"
 #include "semstore/semantic_store.h"
 
-namespace payless::federation {
+namespace payless::exec {
+class PayLess;
+}  // namespace payless::exec
 
-struct PlacementOptions {
-  /// Retained-payload budget (approx_bytes across tables). 0 = unbounded:
-  /// the policy observes but never evicts.
-  int64_t capacity_bytes = 0;
-  /// Background cadence; 0 = manual Tick() only.
-  int64_t tick_interval_micros = 0;
-};
+namespace payless::federation {
 
 class PlacementPolicy {
  public:
@@ -55,33 +48,19 @@ class PlacementPolicy {
     bool retained = true;
   };
 
-  /// `store` and `catalog` must outlive the policy. `router` (nullable)
-  /// supplies per-endpoint menus and liveness — without it re-buy cost is
-  /// priced against the base catalog. `durability` (nullable) persists
-  /// each eviction pass.
-  PlacementPolicy(PlacementOptions options, semstore::SemanticStore* store,
-                  const catalog::Catalog* catalog, EndpointRouter* router,
-                  durability::DurabilityManager* durability);
-  ~PlacementPolicy();
+  /// `store` and `catalog` must outlive the policy. `capacity_bytes` (> 0)
+  /// is the retained-payload budget (approx_bytes across tables). `router`
+  /// (nullable) supplies per-endpoint menus and liveness — without it
+  /// re-buy cost is priced against the base catalog.
+  PlacementPolicy(int64_t capacity_bytes, semstore::SemanticStore* store,
+                  const catalog::Catalog* catalog, EndpointRouter* router);
 
   PlacementPolicy(const PlacementPolicy&) = delete;
   PlacementPolicy& operator=(const PlacementPolicy&) = delete;
 
-  /// Launches the background thread (no-op without a tick interval).
-  void Start();
-  /// Stops and joins the background thread (idempotent; ~ calls it).
-  void Stop();
-
-  /// One placement pass: rank tables, evict lowest-value until the store
-  /// fits the budget, snapshot if anything was evicted. Returns the number
-  /// of tables evicted. Safe to call concurrently with queries (DropTable
-  /// publishes an empty snapshot; readers keep their pinned one).
-  size_t Tick();
-
-  /// The latest pass's ranking (copy; empty before the first Tick).
+  /// The latest pass's ranking (copy; empty before the first pass).
   std::vector<TableValue> LastDecision() const;
 
-  int64_t ticks() const;
   int64_t evicted_tables() const;
 
   /// {"capacity_bytes":...,"retained_bytes":...,"ticks":...,
@@ -89,19 +68,20 @@ class PlacementPolicy {
   std::string StatsJson() const;
 
  private:
-  void Loop();
+  friend class exec::PayLess;
 
-  PlacementOptions options_;
+  /// One placement pass: rank tables and evict lowest-value until the
+  /// store fits the budget. Returns the number of tables evicted. The
+  /// caller must exclude queries and clear the plan cache after an
+  /// eviction (see the file comment).
+  size_t Tick();
+
+  const int64_t capacity_bytes_;
   semstore::SemanticStore* store_;
   const catalog::Catalog* catalog_;
   EndpointRouter* router_;  // nullable
-  durability::DurabilityManager* durability_;  // nullable
 
-  mutable std::mutex mutex_;
-  std::condition_variable stop_cv_;
-  bool stop_ = false;
-  bool running_ = false;
-  std::thread thread_;
+  mutable std::mutex mutex_;  // guards the decision fields below
   std::vector<TableValue> last_decision_;
   int64_t retained_bytes_ = 0;
   int64_t ticks_ = 0;

@@ -48,65 +48,6 @@ Table Project(const Table& input, const std::vector<size_t>& columns) {
   return out;
 }
 
-Table HashJoin(const Table& left, const Table& right,
-               const std::vector<std::pair<size_t, size_t>>& keys) {
-  Table out(Schema::Concat(left.schema(), right.schema()));
-  if (keys.empty()) return Cartesian(left, right);
-
-  // Build on the smaller side; probe with the larger.
-  const bool build_left = left.num_rows() <= right.num_rows();
-  const Table& build = build_left ? left : right;
-  const Table& probe = build_left ? right : left;
-
-  auto key_of = [&](const Row& row, bool from_left) {
-    Row key;
-    key.reserve(keys.size());
-    for (const auto& [lc, rc] : keys) key.push_back(row[from_left ? lc : rc]);
-    return key;
-  };
-  auto has_null = [](const Row& key) {
-    for (const Value& v : key) {
-      if (v.is_null()) return true;
-    }
-    return false;
-  };
-
-  std::unordered_map<Row, std::vector<size_t>, RowHasher> hash_table;
-  for (size_t i = 0; i < build.num_rows(); ++i) {
-    Row key = key_of(build.rows()[i], build_left);
-    if (has_null(key)) continue;
-    hash_table[std::move(key)].push_back(i);
-  }
-
-  for (const Row& probe_row : probe.rows()) {
-    Row key = key_of(probe_row, !build_left);
-    if (has_null(key)) continue;
-    const auto it = hash_table.find(key);
-    if (it == hash_table.end()) continue;
-    for (size_t bi : it->second) {
-      const Row& build_row = build.rows()[bi];
-      const Row& lrow = build_left ? build_row : probe_row;
-      const Row& rrow = build_left ? probe_row : build_row;
-      Row joined = lrow;
-      joined.insert(joined.end(), rrow.begin(), rrow.end());
-      out.Append(std::move(joined));
-    }
-  }
-  return out;
-}
-
-Table Cartesian(const Table& left, const Table& right) {
-  Table out(Schema::Concat(left.schema(), right.schema()));
-  for (const Row& l : left.rows()) {
-    for (const Row& r : right.rows()) {
-      Row joined = l;
-      joined.insert(joined.end(), r.begin(), r.end());
-      out.Append(std::move(joined));
-    }
-  }
-  return out;
-}
-
 Table ThetaJoin(const Table& left, const Table& right,
                 const std::function<bool(const Row&)>& pred) {
   Table out(Schema::Concat(left.schema(), right.schema()));

@@ -8,7 +8,6 @@
 
 #include <functional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/compare.h"
@@ -37,14 +36,6 @@ Table FilterFn(const Table& input,
 
 /// Keeps the given columns, in the given order.
 Table Project(const Table& input, const std::vector<size_t>& columns);
-
-/// Hash equi-join on key column pairs (left index, right index). Output
-/// schema is Concat(left, right). NULL keys never match (SQL semantics).
-Table HashJoin(const Table& left, const Table& right,
-               const std::vector<std::pair<size_t, size_t>>& keys);
-
-/// Cross product; output schema is Concat(left, right).
-Table Cartesian(const Table& left, const Table& right);
 
 /// Nested-loop join with an arbitrary ON predicate over the concatenated row.
 Table ThetaJoin(const Table& left, const Table& right,

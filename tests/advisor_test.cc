@@ -1,8 +1,11 @@
 // Deployment advisor tests: deterministic shadow replay (twin replays are
 // byte-identical, ledger reconciles with the shadow meters), the grid
 // knobs actually move the bill (federation is cheaper, a tight cap
-// rejects), ranking and recommendation over a custom grid, report
-// serialization determinism, and the /advisor HTTP route.
+// rejects, a store budget re-buys), ranking and recommendation over a
+// custom grid, report serialization determinism, the /advisor HTTP route,
+// and the record -> advise loop end to end: served traffic journaled,
+// read back, replayed to the bill it was charged, and advised on by the
+// payless_advisor CLI.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -10,7 +13,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <sys/wait.h>
+
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -18,6 +27,7 @@
 #include "advisor/shadow_replay.h"
 #include "obs/http_exposition.h"
 #include "obs/metrics.h"
+#include "obs/observability.h"
 #include "obs/workload_journal.h"
 #include "workload/bundle.h"
 
@@ -153,6 +163,29 @@ TEST_F(AdvisorTest, TightCapRejectsQueries) {
   EXPECT_EQ(result.queries, static_cast<int64_t>(records_->size()));
 }
 
+TEST_F(AdvisorTest, StoreBudgetRebuysEvictedSlabs) {
+  // The journal twice over: an unbounded store serves the second pass from
+  // what the first bought, a one-byte budget evicts it after every query.
+  std::vector<obs::WorkloadRecord> twice = *records_;
+  for (const obs::WorkloadRecord& record : *records_) {
+    twice.push_back(record);
+    twice.back().seq += records_->size();
+  }
+  ShadowConfig unbounded;
+  unbounded.name = "unbounded";
+  ShadowConfig budget;
+  budget.name = "budget";
+  budget.store_budget_bytes = 1;
+  const ReplayResult kept = ReplayJournal(*bundle_, twice, unbounded);
+  const ReplayResult evicted = ReplayJournal(*bundle_, twice, budget);
+  ASSERT_TRUE(kept.error.ok()) << kept.error.ToString();
+  ASSERT_TRUE(evicted.error.ok()) << evicted.error.ToString();
+  EXPECT_EQ(evicted.failed, 0);
+  EXPECT_TRUE(evicted.ledger_matches_meter);
+  EXPECT_GT(evicted.total_transactions, kept.total_transactions);
+  EXPECT_GT(evicted.total_price, kept.total_price);
+}
+
 TEST_F(AdvisorTest, AdviseRanksFeasibleFirstAndRecommendsCheapest) {
   ShadowConfig base;
   base.name = "base";
@@ -216,6 +249,102 @@ TEST_F(AdvisorTest, AdvisorRouteServesTheReportJson) {
   EXPECT_EQ(body, report->ToJson());
   server.Stop();
 }
+
+#ifdef ADVISOR_CLI_BINARY
+TEST_F(AdvisorTest, RecordedTrafficReplaysToTheRecordedBill) {
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::path(::testing::TempDir()) /
+      ("advisor_recorded_traffic_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  const fs::path journal_dir = dir / "journal";
+  // The fixture's query mix on a quarter of its data: the default grid's
+  // federated cells host one copy of the market per endpoint, and two
+  // cells replay at a time, here and in the CLI.
+  workload::RealDataOptions data_options;
+  data_options.scale = 0.01;
+  data_options.seed = 42;
+  const auto bundle = workload::MakeRealBundle(data_options,
+                                               /*per_template=*/2,
+                                               /*query_seed=*/1);
+  AdvisorOptions options;
+  options.max_parallel_cells = 2;
+
+  // Record: the seed deployment (the config the seed cell replays: full
+  // system, serial calls, savings accounting on) serves the queries for
+  // two alternating tenants with the journal on.
+  int64_t recorded_tx = 0;
+  double recorded_price = 0.0;
+  {
+    obs::WorkloadJournalOptions journal_options;
+    journal_options.dir = journal_dir.string();
+    auto journal = obs::WorkloadJournal::Open(journal_options);
+    ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+    obs::Observability record_obs;
+    std::vector<std::unique_ptr<exec::PayLess>> clients;
+    for (const char* tenant : {"tenant-a", "tenant-b"}) {
+      exec::PayLessConfig config = workload::PayLessFullConfig();
+      config.tenant = tenant;
+      config.observability = &record_obs;
+      config.max_parallel_calls = 1;
+      config.enable_tracing = false;
+      config.enable_flight_recorder = false;
+      config.workload_journal = journal->get();
+      clients.push_back(workload::NewPayLessClient(*bundle, config));
+    }
+    for (size_t i = 0; i < bundle->queries.size(); ++i) {
+      const workload::QueryInstance& query = bundle->queries[i];
+      ASSERT_TRUE(clients[i % clients.size()]
+                      ->Query(query.sql, query.params)
+                      .ok())
+          << query.sql;
+    }
+    recorded_tx = record_obs.ledger.total_transactions();
+    recorded_price = record_obs.ledger.total_price();
+  }
+
+  // The journal holds exactly what was served.
+  const obs::JournalReadResult read = obs::ReadJournal(journal_dir.string());
+  EXPECT_FALSE(read.torn_tail);
+  EXPECT_EQ(read.decode_failures, 0u);
+  ASSERT_EQ(read.records.size(), bundle->queries.size());
+
+  // The operator's CLI over the journal and the same seeded data. It runs
+  // before the in-process advice so the two grid replays never hold their
+  // shadow markets at the same time.
+  const fs::path json_path = dir / "report.json";
+  const std::string command =
+      std::string(ADVISOR_CLI_BINARY) + " --journal_dir=" +
+      journal_dir.string() + " --scale=0.01 --threads=2 --gate_beats_seed" +
+      " --json=" + json_path.string() + " > " + (dir / "cli.log").string() +
+      " 2>&1";
+  const int status = std::system(command.c_str());
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  std::stringstream written;
+  written << std::ifstream(json_path).rdbuf();
+
+  // Every default-grid cell is reproducible and reconciles, the seed cell
+  // reproduces the recorded bill, the advice beats the seed, and the CLI
+  // wrote exactly this report.
+  const Result<AdvisorReport> report =
+      Advise(*bundle, read.records, options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const CellOutcome* seed = nullptr;
+  for (const CellOutcome& cell : report->ranked) {
+    EXPECT_TRUE(cell.twin_identical) << cell.config.name;
+    EXPECT_TRUE(cell.replay.ledger_matches_meter) << cell.config.name;
+    if (cell.config.name == kSeedConfigName) seed = &cell;
+  }
+  ASSERT_NE(seed, nullptr);
+  EXPECT_EQ(seed->replay.total_transactions, recorded_tx);
+  EXPECT_NEAR(seed->replay.total_price, recorded_price, 1e-9);
+  ASSERT_FALSE(report->recommended.empty());
+  EXPECT_LT(report->recommended_price, report->seed_price);
+  EXPECT_EQ(written.str(), report->ToJson() + "\n");
+  fs::remove_all(dir);
+}
+#endif  // ADVISOR_CLI_BINARY
 
 }  // namespace
 }  // namespace payless::advisor

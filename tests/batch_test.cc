@@ -165,6 +165,27 @@ TEST_F(BatchTest, InexpressibleMergedHullIsCountedNotSilentlySkipped) {
             sequential.meter().total_transactions());
 }
 
+TEST_F(BatchTest, BudgetEvictsOnlyAfterTheWholeBatch) {
+  // A one-byte budget still lets every query read the prefetched hull: the
+  // placement pass runs once after the batch, not between its queries.
+  PayLess unbounded(&cat_, market_.get(), PayLessConfig{});
+  PayLessConfig config;
+  config.placement_capacity_bytes = 1;
+  PayLess budget(&cat_, market_.get(), config);
+  Result<BatchReport> kept = unbounded.QueryBatch(OverlappingBatch());
+  Result<BatchReport> evicted = budget.QueryBatch(OverlappingBatch());
+  ASSERT_TRUE(kept.ok()) << kept.status().ToString();
+  ASSERT_TRUE(evicted.ok()) << evicted.status().ToString();
+  EXPECT_GE(evicted->merged_groups, 1u);
+  EXPECT_EQ(evicted->transactions_spent, kept->transactions_spent);
+  for (size_t i = 0; i < kept->results.size(); ++i) {
+    EXPECT_TRUE(SameResult(evicted->results[i], kept->results[i]));
+  }
+  for (const auto& t : budget.store().SnapshotStats()) {
+    EXPECT_EQ(t.pooled_rows, 0u) << t.table;
+  }
+}
+
 TEST_F(BatchTest, EmptyBatch) {
   PayLess client(&cat_, market_.get(), PayLessConfig{});
   Result<BatchReport> report = client.QueryBatch({});

@@ -315,11 +315,13 @@ TEST_F(ConcurrencyStressTest, OverlappingThreadsStayCorrect) {
   EXPECT_LE(shared->meter().total_transactions(), kRounds * no_reuse_total);
 }
 
-// Disjoint threads under a seeded fault storm (transient drops, lost
+// Disjoint threads under seeded fault storms (transient drops, lost
 // responses, rate limits, latency spikes): every query must still succeed
 // after retries, rows and store contents must equal the fault-free serial
 // baseline, and billing must equal the baseline PLUS exactly the
-// post-evaluation losses the injector charged (surfaced as waste).
+// post-evaluation losses the injector charged (surfaced as waste). Three
+// storms: a mixed one with latency spikes, and 5% and 20% fault rates split
+// evenly across transient, lost-response and rate-limit faults.
 TEST_F(ConcurrencyStressTest, SeededChaosMatchesFaultFreeBaseline) {
   constexpr int kThreads = 8;
   constexpr int kQueriesPerThread = 4;
@@ -349,58 +351,73 @@ TEST_F(ConcurrencyStressTest, SeededChaosMatchesFaultFreeBaseline) {
     }
   }
 
-  PayLessConfig config;
-  config.retry.max_attempts = 12;
-  config.retry.initial_backoff_micros = 10;
-  config.retry.max_backoff_micros = 100;
-  auto chaos = NewClient(config);
-  market::FaultProfile profile;
-  profile.transient_rate = 0.05;
-  profile.rate_limit_rate = 0.03;
-  profile.lost_response_rate = 0.04;
-  profile.latency_spike_rate = 0.02;
-  profile.latency_spike_micros = 300;
-  profile.retry_after_micros = 50;
-  profile.seed = 20'260'806;
-  market::FaultInjector injector(profile);
-  chaos->connector()->SetFaultInjector(&injector);
+  std::vector<market::FaultProfile> storms(3);
+  storms[0].transient_rate = 0.05;
+  storms[0].rate_limit_rate = 0.03;
+  storms[0].lost_response_rate = 0.04;
+  storms[0].latency_spike_rate = 0.02;
+  storms[0].latency_spike_micros = 300;
+  storms[0].retry_after_micros = 50;
+  storms[0].seed = 20'260'806;
+  for (const size_t i : {size_t{1}, size_t{2}}) {
+    const double rate = i == 1 ? 0.05 : 0.20;
+    storms[i].transient_rate = rate / 3;
+    storms[i].lost_response_rate = rate / 3;
+    storms[i].rate_limit_rate = rate / 3;
+    storms[i].retry_after_micros = 50;
+    storms[i].seed = 1234;
+  }
 
-  std::atomic<int> failures{0};
-  std::vector<std::vector<Row>> got(kThreads * kQueriesPerThread);
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&, t] {
-      for (int q = 0; q < kQueriesPerThread; ++q) {
-        Result<QueryReport> r =
-            chaos->QueryWithReport(kBindSql, params_for(t, q));
-        if (!r.ok() || !r->error.ok()) {
-          failures.fetch_add(1);
-          return;
+  for (const market::FaultProfile& profile : storms) {
+    SCOPED_TRACE("fault rate " +
+                 std::to_string(profile.transient_rate +
+                                profile.lost_response_rate +
+                                profile.rate_limit_rate));
+    PayLessConfig config;
+    config.retry.max_attempts = 12;
+    config.retry.initial_backoff_micros = 10;
+    config.retry.max_backoff_micros = 100;
+    auto chaos = NewClient(config);
+    market::FaultInjector injector(profile);
+    chaos->connector()->SetFaultInjector(&injector);
+
+    std::atomic<int> failures{0};
+    std::vector<std::vector<Row>> got(kThreads * kQueriesPerThread);
+    std::vector<std::thread> workers;
+    workers.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&, t] {
+        for (int q = 0; q < kQueriesPerThread; ++q) {
+          Result<QueryReport> r =
+              chaos->QueryWithReport(kBindSql, params_for(t, q));
+          if (!r.ok() || !r->error.ok()) {
+            failures.fetch_add(1);
+            return;
+          }
+          got[t * kQueriesPerThread + q] = SortedRows(r->result);
         }
-        got[t * kQueriesPerThread + q] = SortedRows(r->result);
-      }
-    });
-  }
-  for (std::thread& w : workers) w.join();
-  chaos->connector()->SetFaultInjector(nullptr);
+      });
+    }
+    for (std::thread& w : workers) w.join();
+    chaos->connector()->SetFaultInjector(nullptr);
 
-  ASSERT_EQ(failures.load(), 0);
-  for (int i = 0; i < kThreads * kQueriesPerThread; ++i) {
-    EXPECT_EQ(got[i], expected[i]) << "query " << i;
+    ASSERT_EQ(failures.load(), 0);
+    for (int i = 0; i < kThreads * kQueriesPerThread; ++i) {
+      EXPECT_EQ(got[i], expected[i]) << "query " << i;
+    }
+    const market::RetryStats stats = chaos->connector()->retry_stats();
+    EXPECT_GT(stats.retries, 0) << "fault storm never fired — raise the rates";
+    // Non-wasted spend is exactly the fault-free total: retries and rate
+    // limits cost nothing, and every extra billed transaction is accounted
+    // for as a post-evaluation loss.
+    EXPECT_EQ(chaos->meter().total_transactions() - stats.wasted_transactions,
+              baseline->meter().total_transactions());
+    EXPECT_EQ(chaos->store().TotalStoredRows(),
+              baseline->store().TotalStoredRows());
+    // No view-count check: which cover the remainder generator keeps depends
+    // on statistics that concurrent feedback moves, so the chaos client may
+    // buy the same rows in fewer, wider calls than the serial baseline.
   }
-  const market::RetryStats stats = chaos->connector()->retry_stats();
-  EXPECT_GT(stats.retries, 0) << "fault storm never fired — raise the rates";
-  // Non-wasted spend is exactly the fault-free total: retries and rate
-  // limits cost nothing, and every extra billed transaction is accounted
-  // for as a post-evaluation loss.
-  EXPECT_EQ(chaos->meter().total_transactions() - stats.wasted_transactions,
-            baseline->meter().total_transactions());
-  EXPECT_EQ(chaos->store().TotalStoredRows(),
-            baseline->store().TotalStoredRows());
-  // No view-count check: which cover the remainder generator keeps depends
-  // on statistics that concurrent feedback moves, so the chaos client may
-  // buy the same rows in fewer, wider calls than the serial baseline.
 }
 
 }  // namespace

@@ -13,6 +13,8 @@
 //      snapshot rename and log reset) apply-once;
 //   5. the ledgers reconcile after recovery: cost-ledger spend equals the
 //      billing meter, and the savings ledger's arithmetic holds.
+// The fixture is a small bind-join mix; RealWorkloadRestartsBillLikeTheTwin
+// checks invariants 1 and 2 on the real Fig. 10a workload.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -29,6 +31,7 @@
 #include "durability/wal.h"
 #include "durability_fixture.h"
 #include "market/fault_injector.h"
+#include "workload/bundle.h"
 
 namespace payless::exec {
 namespace {
@@ -392,6 +395,83 @@ TEST_F(DurabilityRecoveryTest, RepeatedCrashesConvergeToTheTwinBill) {
       DurabilityFixture::RunMix(client.get());
   EXPECT_EQ(warm, twin_round2_results_);
   EXPECT_EQ(client->meter().total_transactions() - before_warm, round2_spend_);
+}
+
+TEST_F(DurabilityRecoveryTest, RealWorkloadRestartsBillLikeTheTwin) {
+  // The same contract at workload scale: the Fig. 10a mix (scale 0.10, ten
+  // instances per template) against an uncrashed twin of its own. Serial
+  // calls make every client's harvest sequence the twin's, so "the last
+  // round-1 harvest" is the same call for every client.
+  workload::RealDataOptions options;
+  options.scale = 0.10;
+  options.seed = 42;
+  const auto bundle = workload::MakeRealBundle(options, /*per_template=*/10,
+                                               /*query_seed=*/1);
+  PayLessConfig base = workload::PayLessFullConfig();
+  base.max_parallel_calls = 1;
+  const auto run_round = [&bundle](PayLess* client) {
+    const int64_t before = client->meter().total_transactions();
+    for (const workload::QueryInstance& query : bundle->queries) {
+      EXPECT_TRUE(client->Query(query.sql, query.params).ok()) << query.sql;
+    }
+    return client->meter().total_transactions() - before;
+  };
+
+  auto twin = workload::NewPayLessClient(*bundle, base);
+  std::vector<int64_t> harvest_tx;
+  twin->connector()->AddListener(
+      [&harvest_tx](const market::RestCall&, const market::CallResult& r) {
+        harvest_tx.push_back(r.transactions);
+      });
+  const int64_t round1_spend = run_round(twin.get());
+  const size_t num_harvests = harvest_tx.size();
+  ASSERT_GE(num_harvests, 2u);
+  // The slab a crash before the last round-1 harvest's log append forfeits.
+  const int64_t lost_slab_tx = harvest_tx.back();
+  const int64_t round2_spend = run_round(twin.get());
+
+  // Runs round 1 durably into `name`, dying at `point` on the last harvest
+  // unless `point` is null; returns the restarted client.
+  const auto restart_after_round1 = [&](const char* name,
+                                        const CrashPoint* point) {
+    PayLessConfig config = base;
+    config.durability.dir = (dir_ / name).string();
+    FaultInjector injector(FaultProfile{});
+    if (point != nullptr) {
+      CrashPlan plan;
+      plan.point = *point;
+      plan.after_hits = static_cast<int>(num_harvests) - 1;
+      injector.ArmCrash(plan);
+      config.durability.crash_injector = &injector;
+    }
+    auto cold = workload::NewPayLessClient(*bundle, config);
+    EXPECT_EQ(run_round(cold.get()), round1_spend) << name;
+    EXPECT_EQ(injector.stats().crashes, point != nullptr ? 1 : 0) << name;
+    cold.reset();
+    config.durability.crash_injector = nullptr;
+    return workload::NewPayLessClient(*bundle, config);
+  };
+
+  // Clean restart: every harvest replays from the log, none from a
+  // snapshot, and round 2 bills exactly the twin's round 2.
+  auto clean = restart_after_round1("clean", nullptr);
+  const durability::RecoveryInfo& info = clean->durability()->recovery();
+  EXPECT_EQ(info.replayed_records, num_harvests);
+  EXPECT_EQ(info.recovered_rows, 0u);
+  EXPECT_EQ(run_round(clean.get()), round2_spend);
+
+  // Died after the last harvest's log append: nothing lost.
+  const CrashPoint after_log = CrashPoint::kAfterHarvestLog;
+  auto crashed = restart_after_round1("crash", &after_log);
+  EXPECT_EQ(run_round(crashed.get()), round2_spend);
+
+  // Died before it: the restart may re-buy at most that one slab (less
+  // when round 2 never reads its region again), never a durable one.
+  const CrashPoint before_log = CrashPoint::kBeforeHarvestLog;
+  auto rebuyer = restart_after_round1("lost", &before_log);
+  const int64_t rebuy = run_round(rebuyer.get()) - round2_spend;
+  EXPECT_GE(rebuy, 0);
+  EXPECT_LE(rebuy, lost_slab_tx);
 }
 
 #ifdef CRASH_CHILD_BINARY

@@ -12,11 +12,14 @@
 //      to the federation_routing savings cause and the savings ledger
 //      still reconciles, with per-market actuals matching the cost
 //      ledger and every endpoint's own billing meter;
-//   4. the placement policy evicts the cheapest-to-re-buy slabs first
-//      under a capacity budget, and the decision (not the pre-eviction
-//      state) is what a durable restart recovers — re-reading evicted
-//      data re-buys it, re-reading retained data stays free;
-//   5. /markets serves the live federation state over HTTP.
+//   4. the placement policy, run after every query, evicts the
+//      cheapest-to-re-buy slabs first under a capacity budget; the
+//      decision (not the pre-eviction state) is what a durable restart
+//      recovers, re-reading evicted data re-buys it, and a budget-bound
+//      client (serial or concurrent) still returns the oracle's rows;
+//   5. /markets serves the live federation state over HTTP;
+//   6. on the real workload, buy-site routing beats every single market,
+//      and failover under faults re-delivers no call region twice.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -27,9 +30,11 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exec/payless.h"
+#include "exec/reference.h"
 #include "federation/market_endpoint.h"
 #include "federation/placement.h"
 #include "obs/http_exposition.h"
@@ -247,9 +252,9 @@ TEST_F(FederationTest, PlacementEvictsCheapestRebuyDensityFirst) {
                   ->Query(kJoinSql, {Value(int64_t{1}), Value(kKeys),
                                      Value(int64_t{1}), Value(kKeys)})
                   .ok());
+  // The query's own placement pass already evicted.
   auto* placement = client->placement();
   ASSERT_NE(placement, nullptr);
-  placement->Tick();
   EXPECT_EQ(placement->evicted_tables(), 1);
 
   // The dropped table's cell survives but holds nothing reusable.
@@ -287,7 +292,6 @@ TEST_F(FederationTest, PlacementDecisionSurvivesRestartBillingCorrect) {
                     ->Query(kJoinSql, {Value(int64_t{1}), Value(kKeys),
                                        Value(int64_t{1}), Value(kKeys)})
                     .ok());
-    client->placement()->Tick();
     EXPECT_EQ(client->placement()->evicted_tables(), 2);
     for (const auto& t : client->store().SnapshotStats()) {
       EXPECT_EQ(t.pooled_rows, 0u) << t.table;
@@ -310,12 +314,16 @@ TEST_F(FederationTest, PlacementDecisionSurvivesRestartBillingCorrect) {
   EXPECT_EQ(restarted->router()->TotalMeteredTransactions(),
             r->transactions_spent);
 
-  // Re-reading the (now re-bought and retained-in-memory) slabs is free.
+  // The re-read's own placement pass evicted what it bought, so reading
+  // again buys again, and the endpoint meters hold exactly both bills.
   const auto again = restarted->QueryWithReport(
       kJoinSql, {Value(int64_t{1}), Value(int64_t{500}), Value(int64_t{1}),
                  Value(int64_t{500})});
   ASSERT_TRUE(again.ok());
-  EXPECT_EQ(again->transactions_spent, 0);
+  ASSERT_TRUE(again->error.ok()) << again->error.message();
+  EXPECT_GT(again->transactions_spent, 0);
+  EXPECT_EQ(restarted->router()->TotalMeteredTransactions(),
+            r->transactions_spent + again->transactions_spent);
   std::remove((dir + "/harvest.wal").c_str());
   std::remove((dir + "/store.snap").c_str());
   ::rmdir(dir.c_str());
@@ -395,6 +403,209 @@ TEST(FederatedBundleTest, WorkloadHelperBuildsARunnableFederation) {
   EXPECT_EQ(obs.savings.total_actual(), obs.ledger.total_transactions());
   EXPECT_EQ(obs.ledger.total_transactions(),
             client->router()->TotalMeteredTransactions());
+}
+
+/// One pass of the real workload through a fresh federated client. Checks
+/// that every query succeeds, the savings ledger reconciles and the cost
+/// ledger equals the endpoint meters; collects the delivered call regions.
+struct FederatedRun {
+  double money = 0.0;
+  int64_t rows = 0;
+  int64_t routing_savings = 0;
+  int64_t failovers = 0;
+  std::vector<std::string> delivered_calls;  // sorted
+};
+
+void RunFederated(const workload::Bundle& bundle, FederatedMarket* market,
+                  const market::RetryPolicy& retry, FederatedRun* out) {
+  obs::Observability obs;
+  PayLessConfig config = workload::PayLessFullConfig();
+  config.observability = &obs;
+  config.retry = retry;
+  auto client =
+      workload::NewFederatedPayLessClient(bundle, market, std::move(config));
+  client->router()->AddListener(
+      [out](const market::RestCall& call, const market::CallResult&) {
+        out->delivered_calls.push_back(call.ToString());
+      });
+  for (const workload::QueryInstance& query : bundle.queries) {
+    const auto r = client->QueryWithReport(query.sql, query.params);
+    ASSERT_TRUE(r.ok()) << r.status().message();
+    ASSERT_TRUE(r->error.ok()) << r->error.message();
+    out->rows += static_cast<int64_t>(r->result.num_rows());
+  }
+  EXPECT_TRUE(obs.savings.Reconciles());
+  EXPECT_EQ(obs.ledger.total_transactions(),
+            client->router()->TotalMeteredTransactions());
+  out->money = obs.ledger.total_price();
+  out->routing_savings =
+      obs.savings.total_by_cause(obs::SavingsCause::kFederationRouting);
+  out->failovers = client->router()->failovers();
+  std::sort(out->delivered_calls.begin(), out->delivered_calls.end());
+}
+
+TEST(FederatedBundleTest, RealWorkloadFederationBeatsEverySingleMarket) {
+  // Five-tuple pages, so the workload's scans span several pages and the
+  // double-page discounts show in transactions as well as money.
+  workload::RealDataOptions options;
+  options.scale = 0.04;
+  options.seed = 42;
+  options.tuples_per_transaction = 5;
+  const auto bundle = workload::MakeRealBundle(options, /*per_template=*/8,
+                                               /*query_seed=*/1);
+  std::vector<workload::FederatedEndpointSpec> specs(2);
+  for (size_t e = 0; e < specs.size(); ++e) {
+    specs[e].id = "m" + std::to_string(e);
+    specs[e].discount_scale = 0.5;
+  }
+  // One federation's hosted copies at a time: each holds the whole market
+  // once per endpoint.
+  std::vector<EndpointConfig> menus;
+  FederatedRun federated;
+  {
+    auto federation = workload::MakeFederatedMarket(*bundle, specs, 42);
+    RunFederated(*bundle, federation.get(), market::RetryPolicy{}, &federated);
+    for (size_t e = 0; e < specs.size(); ++e) {
+      menus.push_back(federation->endpoint(e)->config());
+    }
+  }
+  EXPECT_GT(federated.routing_savings, 0);
+
+  // Each endpoint alone, with its menu and the same rows: the federation
+  // must beat every one of them on money with the same answers, and a
+  // single market leaves no routing to attribute savings to.
+  for (const EndpointConfig& menu : menus) {
+    SCOPED_TRACE(menu.id);
+    FederatedMarket single(&bundle->catalog, /*base_seed=*/42);
+    ASSERT_TRUE(single.AddEndpoint(menu).ok());
+    for (const std::string& table : bundle->catalog.TableNames()) {
+      const std::vector<Row>* rows = bundle->market->HostedRows(table);
+      if (rows != nullptr) {
+        ASSERT_TRUE(single.HostTable(table, *rows).ok());
+      }
+    }
+    FederatedRun alone;
+    RunFederated(*bundle, &single, market::RetryPolicy{}, &alone);
+    EXPECT_LT(federated.money, alone.money);
+    EXPECT_EQ(alone.rows, federated.rows);
+    EXPECT_EQ(alone.routing_savings, 0);
+  }
+
+  // 20% transient faults on both endpoints, each on its own seeded stream.
+  // A short retry budget makes calls fail over to the other endpoint; the
+  // breaker threshold sits above the run's failure count so the wall-clock
+  // cooldown never changes a buy-site choice.
+  for (auto& spec : specs) {
+    spec.inject_faults = true;
+    spec.fault_profile.transient_rate = 0.2;
+  }
+  auto faulty_federation = workload::MakeFederatedMarket(*bundle, specs, 42);
+  market::RetryPolicy retry;
+  retry.max_attempts = 3;
+  retry.initial_backoff_micros = 20;
+  retry.max_backoff_micros = 200;
+  retry.breaker_failure_threshold = 1'000'000;
+  FederatedRun faulty;
+  RunFederated(*bundle, faulty_federation.get(), retry, &faulty);
+  EXPECT_GT(faulty.failovers, 0);
+  EXPECT_EQ(faulty.rows, federated.rows);
+  // Failover re-buys only undelivered calls: no region arrives twice, and
+  // the run delivers exactly the fault-free run's regions.
+  EXPECT_EQ(std::adjacent_find(faulty.delivered_calls.begin(),
+                               faulty.delivered_calls.end()),
+            faulty.delivered_calls.end());
+  EXPECT_EQ(faulty.delivered_calls, federated.delivered_calls);
+}
+
+/// A one-byte store budget on the real workload (scale 0.04, four instances
+/// per template, one market): every query's placement pass evicts every
+/// market slab, so each re-run meets a store that lost what its cached plan
+/// was made against.
+class PlacementBudgetTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    workload::RealDataOptions options;
+    options.scale = 0.04;
+    options.seed = 42;
+    bundle_ = workload::MakeRealBundle(options, /*per_template=*/4,
+                                       /*query_seed=*/1)
+                  .release();
+    storage::Database db;
+    for (const auto& [name, rows] : bundle_->local_tables) {
+      ASSERT_TRUE(db.CreateTable(*bundle_->catalog.FindTable(name)).ok());
+      ASSERT_TRUE(db.InsertRows(name, rows).ok());
+    }
+    expected_ = new std::vector<storage::Table>();
+    for (const workload::QueryInstance& query : bundle_->queries) {
+      Result<storage::Table> want = exec::ReferenceEvaluate(
+          bundle_->catalog, *bundle_->market, db, query.sql, query.params);
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      expected_->push_back(std::move(*want));
+    }
+  }
+
+  static void TearDownTestSuite() {
+    delete expected_;
+    expected_ = nullptr;
+    delete bundle_;
+    bundle_ = nullptr;
+  }
+
+  static std::unique_ptr<PayLess> NewBudgetClient() {
+    PayLessConfig config = workload::PayLessFullConfig();
+    config.placement_capacity_bytes = 1;
+    return workload::NewPayLessClient(*bundle_, std::move(config));
+  }
+
+  /// Runs query `i` and compares its rows with the oracle's.
+  static void ExpectOracleRows(PayLess* client, size_t i) {
+    const workload::QueryInstance& query = bundle_->queries[i];
+    Result<storage::Table> got = client->Query(query.sql, query.params);
+    ASSERT_TRUE(got.ok()) << got.status().ToString() << "\n  " << query.sql;
+    EXPECT_TRUE(exec::SameResult(*got, (*expected_)[i]))
+        << "query " << i << ": " << got->num_rows() << " rows, oracle "
+        << (*expected_)[i].num_rows() << "\n  " << query.sql;
+  }
+
+  static void ExpectNoPooledRows(const PayLess& client) {
+    for (const auto& t : client.store().SnapshotStats()) {
+      EXPECT_EQ(t.pooled_rows, 0u) << t.table;
+    }
+  }
+
+  static workload::Bundle* bundle_;
+  static std::vector<storage::Table>* expected_;
+};
+
+workload::Bundle* PlacementBudgetTest::bundle_ = nullptr;
+std::vector<storage::Table>* PlacementBudgetTest::expected_ = nullptr;
+
+TEST_F(PlacementBudgetTest, BudgetBoundClientMatchesTheOracle) {
+  auto client = NewBudgetClient();
+  for (size_t i = 0; i < bundle_->queries.size(); ++i) {
+    for (int run = 0; run < 2; ++run) {
+      ExpectOracleRows(client.get(), i);
+      ExpectNoPooledRows(*client);
+    }
+  }
+  EXPECT_GT(client->placement()->evicted_tables(), 0);
+}
+
+TEST_F(PlacementBudgetTest, FourThreadsMatchTheOracle) {
+  // Passes run between other threads' queries: each must wait out every
+  // query between its plan-cache probe and the end of its execution.
+  constexpr size_t kThreads = 4;
+  auto client = NewBudgetClient();
+  std::vector<std::thread> workers;
+  for (size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&client, t] {
+      for (size_t i = t; i < bundle_->queries.size(); i += kThreads) {
+        for (int run = 0; run < 2; ++run) ExpectOracleRows(client.get(), i);
+      }
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  ExpectNoPooledRows(*client);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/block.h"
 #include "storage/database.h"
 #include "storage/table.h"
 
@@ -109,18 +110,26 @@ Table KeyedTable(const std::string& name,
   return t;
 }
 
+// Joins run on the block kernel (exec/block.h); these cases pin its
+// contract on row-major tables converted through ColumnsFromRows.
+exec::ColumnTable Columns(const Table& table) {
+  return exec::ColumnsFromRows(table.rows(), table.schema().num_columns());
+}
+
 TEST(HashJoinTest, BasicEquiJoin) {
   const Table l = KeyedTable("L", {{1, "a"}, {2, "b"}, {3, "c"}});
   const Table r = KeyedTable("R", {{2, "x"}, {3, "y"}, {4, "z"}});
-  const Table out = HashJoin(l, r, {{0, 0}});
+  const exec::ColumnTable out =
+      exec::BlockHashJoin(Columns(l), Columns(r), {{0, 0}});
   EXPECT_EQ(out.num_rows(), 2u);
-  EXPECT_EQ(out.schema().num_columns(), 4u);
+  EXPECT_EQ(out.num_columns(), 4u);
 }
 
 TEST(HashJoinTest, DuplicateKeysMultiply) {
   const Table l = KeyedTable("L", {{1, "a"}, {1, "b"}});
   const Table r = KeyedTable("R", {{1, "x"}, {1, "y"}, {1, "z"}});
-  EXPECT_EQ(HashJoin(l, r, {{0, 0}}).num_rows(), 6u);
+  EXPECT_EQ(exec::BlockHashJoin(Columns(l), Columns(r), {{0, 0}}).num_rows(),
+            6u);
 }
 
 TEST(HashJoinTest, NullKeysNeverMatch) {
@@ -128,37 +137,44 @@ TEST(HashJoinTest, NullKeysNeverMatch) {
   l.Append({Value::Null(), Value("a")});
   Table r(TwoColSchema());
   r.Append({Value::Null(), Value("b")});
-  EXPECT_EQ(HashJoin(l, r, {{0, 0}}).num_rows(), 0u);
+  EXPECT_EQ(exec::BlockHashJoin(Columns(l), Columns(r), {{0, 0}}).num_rows(),
+            0u);
 }
 
 TEST(HashJoinTest, MultiKeyJoin) {
   const Table l = KeyedTable("L", {{1, "a"}, {1, "b"}});
   const Table r = KeyedTable("R", {{1, "a"}, {1, "z"}});
   // Join on (k, v): only the (1, "a") rows pair up.
-  EXPECT_EQ(HashJoin(l, r, {{0, 0}, {1, 1}}).num_rows(), 1u);
+  EXPECT_EQ(exec::BlockHashJoin(Columns(l), Columns(r), {{0, 0}, {1, 1}})
+                .num_rows(),
+            1u);
 }
 
 TEST(HashJoinTest, LeftColumnsAlwaysComeFirst) {
   // Build side selection must not leak into the output layout.
   const Table small = KeyedTable("S", {{1, "s"}});
   const Table big = KeyedTable("B", {{1, "b1"}, {1, "b2"}, {2, "b3"}});
-  const Table out = HashJoin(big, small, {{0, 0}});
-  ASSERT_EQ(out.num_rows(), 2u);
-  EXPECT_EQ(out.schema().column(0).table, "B");
-  EXPECT_EQ(out.rows()[0][3], Value("s"));
+  const std::vector<Row> out = exec::RowsFromColumns(
+      exec::BlockHashJoin(Columns(big), Columns(small), {{0, 0}}));
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0][1], Value("b1"));
+  EXPECT_EQ(out[0][3], Value("s"));
 }
 
 TEST(HashJoinTest, EmptyKeyListIsCartesian) {
   const Table l = KeyedTable("L", {{1, "a"}, {2, "b"}});
   const Table r = KeyedTable("R", {{9, "x"}});
-  EXPECT_EQ(HashJoin(l, r, {}).num_rows(), 2u);
+  EXPECT_EQ(exec::BlockHashJoin(Columns(l), Columns(r), {}).num_rows(), 2u);
 }
 
 TEST(CartesianTest, Sizes) {
   const Table l = KeyedTable("L", {{1, "a"}, {2, "b"}});
   const Table r = KeyedTable("R", {{3, "x"}, {4, "y"}, {5, "z"}});
-  EXPECT_EQ(Cartesian(l, r).num_rows(), 6u);
-  EXPECT_EQ(Cartesian(l, Table(TwoColSchema())).num_rows(), 0u);
+  EXPECT_EQ(exec::BlockCartesian(Columns(l), Columns(r)).num_rows(), 6u);
+  EXPECT_EQ(
+      exec::BlockCartesian(Columns(l), Columns(Table(TwoColSchema())))
+          .num_rows(),
+      0u);
 }
 
 TEST(ThetaJoinTest, InequalityJoin) {
