@@ -4,7 +4,6 @@
 // through PayLess, prints how each plan mixes local tables, cached data,
 // range calls and bind joins, and compares the total bill against
 // Download All and the call-minimizing optimizer of [27].
-#include <cassert>
 #include <cstdio>
 
 #include "workload/bundle.h"
@@ -29,7 +28,10 @@ int main() {
   for (const auto& query : bundle->queries) {
     Result<exec::QueryReport> report =
         payless->QueryWithReport(query.sql, query.params);
-    assert(report.ok());
+    if (!report.ok()) {
+      std::printf("PayLess failed: %s\n", report.status().ToString().c_str());
+      return 1;
+    }
     std::string sketch;
     for (const auto& access : report->plan.accesses) {
       if (!sketch.empty()) sketch += " -> ";
@@ -40,8 +42,20 @@ int main() {
                 static_cast<long long>(report->transactions_spent),
                 static_cast<long long>(report->exec.calls), sketch.c_str());
 
-    assert(min_calls->Query(query.sql, query.params).ok());
-    assert(download_all->Query(query.sql, query.params).ok());
+    const Result<storage::Table> by_calls =
+        min_calls->Query(query.sql, query.params);
+    if (!by_calls.ok()) {
+      std::printf("Minimizing Calls failed: %s\n",
+                  by_calls.status().ToString().c_str());
+      return 1;
+    }
+    const Result<storage::Table> by_download =
+        download_all->Query(query.sql, query.params);
+    if (!by_download.ok()) {
+      std::printf("Download All failed: %s\n",
+                  by_download.status().ToString().c_str());
+      return 1;
+    }
   }
 
   std::printf("\nTotals over %zu queries:\n", bundle->queries.size());

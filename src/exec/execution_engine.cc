@@ -45,26 +45,12 @@ int64_t StageMicros(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Runs `calls` as one scheduler batch, all under `deadline` and
-/// `call_obs`; a failed call cancels the unissued rest.
-std::vector<std::optional<Result<market::CallResult>>> RunBatch(
-    market::MarketConnector* connector, size_t window,
-    const std::vector<market::RestCall>& calls,
-    market::Clock::time_point deadline, const market::CallObs& call_obs) {
-  std::vector<market::CallScheduler::Item> items(calls.size());
-  for (size_t i = 0; i < calls.size(); ++i) {
-    items[i] = market::CallScheduler::Item{&calls[i], deadline, &call_obs};
-  }
-  return connector->scheduler()->ExecuteBatch(items, window,
-                                              /*cancel_on_error=*/true);
-}
-
 /// Issues every call as one scheduler batch with up to `window` calls in
 /// flight, and merges results strictly in call order, so rows, row order,
 /// per-call billing and stats are byte-identical at any window. Errors are
 /// reported in call order too. Pricing depends only on seller-side data
 /// (never on buyer-side state), so issue order cannot change what any one
-/// call is billed.
+/// call is billed. `delivered[i]` tells whether call i delivered.
 ///
 /// Fail-fast under faults: the first call whose retries exhaust (or whose
 /// deadline blows) cancels the not-yet-issued siblings, so a doomed access
@@ -75,11 +61,15 @@ Status IssueCalls(market::MarketConnector* connector, size_t window,
                   const std::vector<market::RestCall>& calls,
                   market::Clock::time_point deadline,
                   const market::CallObs& call_obs, RowSet* rows,
-                  ExecStats* exec_stats,
-                  std::vector<bool>* delivered = nullptr) {
-  if (delivered != nullptr) delivered->assign(calls.size(), false);
+                  ExecStats* exec_stats, std::vector<bool>* delivered) {
+  std::vector<market::CallScheduler::Item> items(calls.size());
+  for (size_t i = 0; i < calls.size(); ++i) {
+    items[i] = market::CallScheduler::Item{&calls[i], deadline, &call_obs};
+  }
   std::vector<std::optional<Result<market::CallResult>>> outcomes =
-      RunBatch(connector, window, calls, deadline, call_obs);
+      connector->scheduler()->ExecuteBatch(items, window,
+                                           /*cancel_on_error=*/true);
+  delivered->assign(calls.size(), false);
   // Accumulate EVERY delivered result before reporting the (call-order
   // first) error, so exec_stats is the true spend-so-far.
   Status first_error = Status::OK();
@@ -94,7 +84,7 @@ Status IssueCalls(market::MarketConnector* connector, size_t window,
       if (first_error.ok()) first_error = result.status();
       continue;
     }
-    if (delivered != nullptr) (*delivered)[i] = true;
+    (*delivered)[i] = true;
     rows->AddAll(result->rows);
     if (exec_stats != nullptr) {
       ++exec_stats->calls;
@@ -186,27 +176,68 @@ Result<storage::Table> ExecutionEngine::FetchRelation(
   if (router_ != nullptr && !access.buy_site.empty()) {
     access_span.AddAttr("buy_site", access.buy_site);
   }
-  // The buy-site's page size: remainder chunking must match the terms the
-  // chosen endpoint actually bills under, not the base catalog's.
-  const auto buy_site_tuples_per_txn = [&](int64_t base) -> int64_t {
-    if (router_ == nullptr || access.buy_site.empty()) return base;
-    federation::MarketEndpoint* endpoint =
-        router_->federation()->endpoint(access.buy_site);
-    if (endpoint == nullptr) return base;
-    const catalog::DatasetDef* terms =
-        endpoint->catalog().FindDataset(def.dataset);
-    return terms != nullptr ? terms->tuples_per_transaction : base;
-  };
-
-  const auto issue_all = [&](const std::vector<market::RestCall>& calls,
-                             RowSet* rows) -> Status {
-    return IssueWithFailover(connector, router_, def.dataset, window, calls,
-                             config.deadline, call_obs, rows, exec_stats);
-  };
 
   const ExecStats before = exec_stats != nullptr ? *exec_stats : ExecStats{};
   const auto fetch = [&]() -> Result<storage::Table> {
     storage::Table table(storage::SchemaFromTableDef(def));
+
+    // A priced access (kPlain, kBind) is two things: `rows`, the rows the
+    // semantic store already holds, and `calls`, the REST calls that buy
+    // the rest. The switch fills both; one IssueWithFailover buys the calls.
+    RowSet rows;
+    std::vector<market::RestCall> calls;
+    const auto hold = [&](const Box& box) {
+      const std::vector<Row> held =
+          store_->RowsInRegion(def, box, config.min_epoch);
+      if (exec_stats != nullptr) {
+        exec_stats->rows_from_cache += static_cast<int64_t>(held.size());
+      }
+      rows.AddAll(held);
+    };
+    // Holds the stored rows on `slabs` and adds the calls that buy the rest
+    // of `region`: the remainder Algorithm 1 picks against the live store
+    // (views may have grown since planning, earlier accesses of this very
+    // query included), chunked by the buy-site's page size — the terms the
+    // chosen endpoint actually bills under, not the base catalog's.
+    //
+    // The coverage snapshot MUST be taken before the row harvest: the store
+    // only grows while this query runs (placement eviction waits for it,
+    // see PayLess::TickPlacement), so any view a concurrent query slips in
+    // between the two reads is missing from this snapshot and gets
+    // re-fetched by the remainder (RowSet dedupes the overlap).
+    // Snapshotting coverage after the harvest loses those rows instead —
+    // the remainder would treat the region as served even though the
+    // harvest never saw it.
+    const auto hold_and_buy_remainder =
+        [&](const Box& region, const std::vector<semstore::DimSpec>& dims,
+            const std::vector<Box>& slabs) -> Status {
+      const std::vector<Box> covered =
+          store_->CoveredRegions(def.name, config.min_epoch);
+      for (const Box& slab : slabs) hold(slab);
+      semstore::RemainderOptions rem_options = config.remainder;
+      rem_options.tuples_per_transaction =
+          catalog_->DatasetOf(def)->tuples_per_transaction;
+      if (router_ != nullptr && !access.buy_site.empty()) {
+        const federation::MarketEndpoint* endpoint =
+            router_->federation()->endpoint(access.buy_site);
+        const catalog::DatasetDef* terms =
+            endpoint != nullptr ? endpoint->catalog().FindDataset(def.dataset)
+                                : nullptr;
+        if (terms != nullptr) {
+          rem_options.tuples_per_transaction = terms->tuples_per_transaction;
+        }
+      }
+      const semstore::RemainderResult rem = semstore::GenerateRemainder(
+          region, covered, dims,
+          [&](const Box& box) { return stats_->EstimateRows(def.name, box); },
+          rem_options);
+      for (const Box& box : rem.remainder_boxes) {
+        Result<market::RestCall> call = market::CallFromRegion(def, box);
+        PAYLESS_RETURN_IF_ERROR(call.status());
+        calls.push_back(std::move(*call));
+      }
+      return Status::OK();
+    };
 
     switch (access.kind) {
       case core::AccessSpec::Kind::kEmpty:
@@ -222,70 +253,29 @@ Result<storage::Table> ExecutionEngine::FetchRelation(
       }
 
       case core::AccessSpec::Kind::kCached: {
-        const std::vector<Row> rows =
+        const std::vector<Row> cached =
             store_->RowsInRegion(def, rel.QueryRegion(), config.min_epoch);
         if (exec_stats != nullptr) {
-          exec_stats->rows_from_cache += static_cast<int64_t>(rows.size());
+          exec_stats->rows_from_cache += static_cast<int64_t>(cached.size());
         }
-        access_span.AddAttr("rows_cached", static_cast<int64_t>(rows.size()));
-        for (const Row& row : rows) table.Append(row);
+        access_span.AddAttr("rows_cached",
+                            static_cast<int64_t>(cached.size()));
+        for (const Row& row : cached) table.Append(row);
         return table;
       }
 
-      case core::AccessSpec::Kind::kPlain: {
-        const Box region = rel.QueryRegion();
-        RowSet rows;
+      case core::AccessSpec::Kind::kPlain:
         if (config.use_sqr) {
-          // Re-run the rewrite against the live store: views may have grown
-          // since planning (earlier accesses of this very query included).
-          //
-          // The coverage snapshot MUST be taken before the row harvest: the
-          // store only grows while this query runs (placement eviction waits
-          // for it, see PayLess::TickPlacement), so any view a concurrent
-          // query slips in between the two reads is missing from this
-          // snapshot and gets re-fetched by the remainder (RowSet dedupes
-          // the overlap). Snapshotting coverage after the harvest loses
-          // those rows instead — the remainder would treat the region as
-          // served even though the harvest never saw it.
-          const std::vector<Box> covered =
-              store_->CoveredRegions(def.name, config.min_epoch);
-          const std::vector<Row> cached =
-              store_->RowsInRegion(def, region, config.min_epoch);
-          if (exec_stats != nullptr) {
-            exec_stats->rows_from_cache += static_cast<int64_t>(cached.size());
-          }
-          rows.AddAll(cached);
-          const catalog::DatasetDef* dataset = catalog_->DatasetOf(def);
-          semstore::RemainderOptions rem_options = config.remainder;
-          rem_options.tuples_per_transaction =
-              buy_site_tuples_per_txn(dataset->tuples_per_transaction);
-          const semstore::RemainderResult rem = semstore::GenerateRemainder(
-              region, covered, core::Optimizer::DimSpecsFor(def),
-              [&](const Box& box) {
-                return stats_->EstimateRows(def.name, box);
-              },
-              rem_options);
-          std::vector<market::RestCall> calls;
-          calls.reserve(rem.remainder_boxes.size());
-          for (const Box& box : rem.remainder_boxes) {
-            Result<market::RestCall> call = market::CallFromRegion(def, box);
-            PAYLESS_RETURN_IF_ERROR(call.status());
-            calls.push_back(std::move(*call));
-          }
-          access_span.AddAttr("rows_cached",
-                              static_cast<int64_t>(rows.size()));
-          access_span.AddAttr("remainder_calls",
-                              static_cast<int64_t>(calls.size()));
-          PAYLESS_RETURN_IF_ERROR(issue_all(calls, &rows));
+          const Box region = rel.QueryRegion();
+          PAYLESS_RETURN_IF_ERROR(hold_and_buy_remainder(
+              region, core::Optimizer::DimSpecsFor(def), {region}));
         } else {
           market::RestCall call;
           call.table = def.name;
           call.conditions = rel.conditions;
-          PAYLESS_RETURN_IF_ERROR(issue_all({call}, &rows));
+          calls.push_back(std::move(call));
         }
-        for (Row& row : rows.Take()) table.Append(std::move(row));
-        return table;
-      }
+        break;
 
       case core::AccessSpec::Kind::kBind: {
         // Binding columns and the left-result positions feeding them.
@@ -323,10 +313,10 @@ Result<storage::Table> ExecutionEngine::FetchRelation(
             if (seen.insert(combo).second) combos.push_back(std::move(combo));
           }
         }
+        access_span.AddAttr("binding_values",
+                            static_cast<int64_t>(combos.size()));
 
-        RowSet rows;
-        const bool single_dim = bind_cols.size() == 1;
-        if (config.use_sqr && single_dim) {
+        if (config.use_sqr && bind_cols.size() == 1) {
           // Fig. 9 path: the binding values are KNOWN here, so the bind
           // dimension becomes a value-set dimension and remainder generation
           // may merge values into range calls or reuse stored slabs.
@@ -359,179 +349,50 @@ Result<storage::Table> ExecutionEngine::FetchRelation(
           dims[dim].whole_domain_allowed =
               column.binding == catalog::BindingKind::kFree;
           region.dim(dim) = Interval(codes.front(), codes.back());
-
-          // Stored tuples on the requested slabs. Coverage is snapshotted
-          // before the harvest for the same reason as the range path above:
-          // a slab a concurrent query stores between the two reads must land
-          // in the remainder (and be deduped), not silently count as served.
-          const std::vector<Box> covered =
-              store_->CoveredRegions(def.name, config.min_epoch);
+          std::vector<Box> slabs;
+          slabs.reserve(codes.size());
           for (const int64_t code : codes) {
-            Box slab = region;
-            slab.dim(dim) = Interval::Point(code);
-            const std::vector<Row> cached =
-                store_->RowsInRegion(def, slab, config.min_epoch);
-            if (exec_stats != nullptr) {
-              exec_stats->rows_from_cache +=
-                  static_cast<int64_t>(cached.size());
-            }
-            rows.AddAll(cached);
+            slabs.push_back(region);
+            slabs.back().dim(dim) = Interval::Point(code);
           }
-
-          const catalog::DatasetDef* dataset = catalog_->DatasetOf(def);
-          semstore::RemainderOptions rem_options = config.remainder;
-          rem_options.tuples_per_transaction =
-              buy_site_tuples_per_txn(dataset->tuples_per_transaction);
-          const semstore::RemainderResult rem = semstore::GenerateRemainder(
-              region, covered, dims,
-              [&](const Box& box) {
-                return stats_->EstimateRows(def.name, box);
-              },
-              rem_options);
-          std::vector<market::RestCall> calls;
-          calls.reserve(rem.remainder_boxes.size());
-          for (const Box& box : rem.remainder_boxes) {
-            Result<market::RestCall> call = market::CallFromRegion(def, box);
-            PAYLESS_RETURN_IF_ERROR(call.status());
-            calls.push_back(std::move(*call));
-          }
-          access_span.AddAttr("binding_values",
-                              static_cast<int64_t>(codes.size()));
-          access_span.AddAttr("remainder_calls",
-                              static_cast<int64_t>(calls.size()));
-          PAYLESS_RETURN_IF_ERROR(issue_all(calls, &rows));
+          PAYLESS_RETURN_IF_ERROR(
+              hold_and_buy_remainder(region, dims, slabs));
         } else {
-          // One point call per binding combination; with SQR on, fully
-          // covered combinations are served from the store. Distinct
-          // combinations have pairwise-disjoint point regions, so neither the
-          // coverage decision nor any call's price depends on the order the
-          // calls complete in. Store probes are lock-free snapshot reads, so
-          // every combination's coverage is resolved up front; the rest go
-          // out as one scheduler batch and merge back in binding-value
-          // order, keeping rows, row order and billing identical at any
-          // window.
-          struct ComboOutcome {
-            std::optional<Result<market::CallResult>> fetched;
-            std::vector<Row> cached;
-            bool from_cache = false;
-            bool cancelled = false;
-          };
-          std::vector<ComboOutcome> outcomes(combos.size());
-          const auto combo_call = [&](size_t i) {
+          // One point call per binding combination; with SQR on, the store
+          // serves every combination it fully covers. Distinct combinations
+          // have pairwise-disjoint point regions, so neither the coverage
+          // decision nor any call's price depends on the order the calls
+          // complete in.
+          for (const Row& combo : combos) {
             market::RestCall call;
             call.table = def.name;
             call.conditions = rel.conditions;
             for (size_t c = 0; c < bind_cols.size(); ++c) {
               call.conditions[bind_cols[c]] =
-                  market::AttrCondition::Point(combos[i][c]);
+                  market::AttrCondition::Point(combo[c]);
             }
-            return call;
-          };
-          std::vector<size_t> need;  // combinations the market must serve
-          std::vector<market::RestCall> calls;
-          for (size_t i = 0; i < combos.size(); ++i) {
-            market::RestCall call = combo_call(i);
             if (config.use_sqr) {
               const Box point_region = market::CallRegion(def, call);
               if (point_region.empty()) continue;  // outside the domain
               if (store_->Covers(def, point_region, config.min_epoch)) {
-                outcomes[i].cached =
-                    store_->RowsInRegion(def, point_region, config.min_epoch);
-                outcomes[i].from_cache = true;
+                hold(point_region);
                 continue;
               }
             }
-            need.push_back(i);
             calls.push_back(std::move(call));
           }
-          std::vector<std::optional<Result<market::CallResult>>> fetched =
-              RunBatch(connector, window, calls, config.deadline, call_obs);
-          for (size_t j = 0; j < need.size(); ++j) {
-            if (fetched[j].has_value()) {
-              outcomes[need[j]].fetched = std::move(fetched[j]);
-            } else {
-              outcomes[need[j]].cancelled = true;
-            }
-          }
-          // Accumulate every delivered/cached outcome before surfacing the
-          // first (binding-value-order) error: exec_stats must equal the
-          // spend-so-far even when the access fails.
-          Status first_error = Status::OK();
-          int64_t combos_cached = 0;
-          int64_t combos_issued = 0;
-          for (const ComboOutcome& outcome : outcomes) {
-            if (outcome.from_cache) ++combos_cached;
-            if (outcome.fetched.has_value()) ++combos_issued;
-          }
-          access_span.AddAttr("binding_values",
-                              static_cast<int64_t>(combos.size()));
-          access_span.AddAttr("combos_from_store", combos_cached);
-          if (router_ != nullptr && combos_issued > 0) {
-            router_->CountRoutedCalls(connector->market_label(),
-                                      combos_issued);
-          }
-          for (ComboOutcome& outcome : outcomes) {
-            if (outcome.cancelled) {
-              if (exec_stats != nullptr) ++exec_stats->calls_cancelled;
-              continue;
-            }
-            if (outcome.fetched.has_value()) {
-              Result<market::CallResult>& result = *outcome.fetched;
-              if (!result.ok()) {
-                if (first_error.ok()) first_error = result.status();
-                continue;
-              }
-              rows.AddAll(result->rows);
-              if (exec_stats != nullptr) {
-                ++exec_stats->calls;
-                exec_stats->transactions += result->transactions;
-                exec_stats->rows_from_market += result->num_records;
-              }
-            } else if (outcome.from_cache) {
-              if (exec_stats != nullptr) {
-                exec_stats->rows_from_cache +=
-                    static_cast<int64_t>(outcome.cached.size());
-              }
-              rows.AddAll(outcome.cached);
-            }
-          }
-          if (!first_error.ok() && router_ != nullptr &&
-              IsRetryable(first_error.code())) {
-            // The buy-site died mid-bind-join: re-issue only the binding
-            // values that delivered nothing (errored or cancelled-unissued)
-            // at the next-cheapest live endpoint. Delivered siblings stay
-            // billed where they ran; RowSet dedupes any overlap.
-            std::vector<market::RestCall> rescue;
-            for (size_t i = 0; i < combos.size(); ++i) {
-              const ComboOutcome& outcome = outcomes[i];
-              const bool failed = outcome.cancelled ||
-                                  (outcome.fetched.has_value() &&
-                                   !(*outcome.fetched).ok());
-              if (!failed) continue;
-              market::RestCall call = combo_call(i);
-              if (config.use_sqr &&
-                  market::CallRegion(def, call).empty()) {
-                continue;  // value outside the published domain
-              }
-              rescue.push_back(std::move(call));
-            }
-            const std::string next = router_->NextCheapestLive(
-                def.dataset, {connector->market_label()});
-            if (!next.empty()) {
-              router_->CountFailover();
-              first_error = IssueWithFailover(
-                  router_->ConnectorFor(next), router_, def.dataset, window,
-                  std::move(rescue), config.deadline, call_obs, &rows,
-                  exec_stats);
-            }
-          }
-          PAYLESS_RETURN_IF_ERROR(first_error);
         }
-        for (Row& row : rows.Take()) table.Append(std::move(row));
-        return table;
+        break;
       }
     }
-    return Status::Internal("unknown access kind");
+
+    access_span.AddAttr("rows_cached", static_cast<int64_t>(rows.size()));
+    access_span.AddAttr("remainder_calls", static_cast<int64_t>(calls.size()));
+    PAYLESS_RETURN_IF_ERROR(IssueWithFailover(
+        connector, router_, def.dataset, window, std::move(calls),
+        config.deadline, call_obs, &rows, exec_stats));
+    for (Row& row : rows.Take()) table.Append(std::move(row));
+    return table;
   };
 
   Result<storage::Table> fetched = fetch();

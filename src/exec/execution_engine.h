@@ -34,9 +34,9 @@ struct ExecConfig {
   /// In-flight window for one access's REST calls: a bind join's
   /// per-binding-value calls and an access's remainder calls go through
   /// the connector's CallScheduler as one batch, up to this many at a time
-  /// (0 = default window of 16; 1 = strictly serial). Results are merged in
-  /// binding-value / remainder-box order, so rows, row order and billed
-  /// transactions are identical to serial execution.
+  /// (0 = default window of 16; 1 = strictly serial). Bought rows merge in
+  /// call order after the rows the store held, so rows, row order and
+  /// billed transactions are identical to serial execution.
   size_t max_parallel_calls = 0;
   /// Absolute per-query deadline forwarded to every market call. Calls
   /// past it fail with kDeadlineExceeded instead of retrying.

@@ -89,6 +89,8 @@ class EndpointRouter {
                                const std::vector<std::string>& exclude) const;
 
   /// Failover accounting (the executor reports; /markets renders).
+  /// CountRoutedCalls counts the calls submitted to an endpoint, delivered
+  /// or not; a call re-issued after failover counts at each endpoint.
   void CountRoutedCalls(const std::string& endpoint_id, int64_t calls);
   void CountFailover();
   int64_t failovers() const {

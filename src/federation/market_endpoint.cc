@@ -8,10 +8,11 @@
 namespace payless::federation {
 
 MarketEndpoint::MarketEndpoint(EndpointConfig config, catalog::Catalog catalog,
+                               const market::DataMarket& seller,
                                uint64_t sub_seed)
     : config_(std::move(config)),
       catalog_(std::move(catalog)),
-      market_(&catalog_),
+      market_(&catalog_, seller),
       sub_seed_(sub_seed) {
   if (config_.inject_faults) {
     market::FaultProfile profile = config_.fault_profile;
@@ -29,9 +30,9 @@ double MarketEndpoint::CostPerTuple(const std::string& dataset) const {
          static_cast<double>(def->tuples_per_transaction);
 }
 
-FederatedMarket::FederatedMarket(const catalog::Catalog* base,
+FederatedMarket::FederatedMarket(const market::DataMarket* seller,
                                  uint64_t base_seed)
-    : base_(base), base_seed_(base_seed) {}
+    : seller_(seller), base_seed_(base_seed) {}
 
 uint64_t FederatedMarket::SubSeed(uint64_t base_seed,
                                   const std::string& endpoint_id) {
@@ -56,7 +57,7 @@ Status FederatedMarket::AddEndpoint(EndpointConfig config) {
                                      "' already registered");
     }
   }
-  catalog::Catalog catalog = *base_;
+  catalog::Catalog catalog = seller_->catalog();
   for (const auto& [dataset, terms] : config.menu) {
     catalog::DatasetDef def;
     def.name = dataset;
@@ -67,31 +68,7 @@ Status FederatedMarket::AddEndpoint(EndpointConfig config) {
   }
   const uint64_t sub_seed = SubSeed(base_seed_, config.id);
   endpoints_.push_back(std::make_unique<MarketEndpoint>(
-      std::move(config), std::move(catalog), sub_seed));
-  return Status::OK();
-}
-
-Status FederatedMarket::HostTable(const std::string& name,
-                                  std::vector<Row> rows) {
-  if (endpoints_.empty()) {
-    return Status::InvalidArgument("federation has no endpoints");
-  }
-  for (size_t i = 0; i < endpoints_.size(); ++i) {
-    // The last endpoint can take the rows by move; earlier ones copy.
-    std::vector<Row> copy =
-        i + 1 == endpoints_.size() ? std::move(rows) : rows;
-    const Status s = endpoints_[i]->market()->HostTable(name, std::move(copy));
-    if (!s.ok()) return s;
-  }
-  return Status::OK();
-}
-
-Status FederatedMarket::AppendRows(const std::string& name,
-                                   const std::vector<Row>& rows) {
-  for (const auto& e : endpoints_) {
-    const Status s = e->market()->AppendRows(name, rows);
-    if (!s.ok()) return s;
-  }
+      std::move(config), std::move(catalog), *seller_, sub_seed));
   return Status::OK();
 }
 

@@ -7,9 +7,9 @@
 // rates. A MarketEndpoint wraps one such seller — its own DataMarket over
 // its own copy of the catalog (so Eq. 1 is evaluated under THAT endpoint's
 // menu), an optional independent FaultInjector, and a simulated network
-// latency. The FederatedMarket owns the endpoints and replicates hosted
-// data to all of them, modeling sellers that carry the same logical
-// product.
+// latency. The FederatedMarket owns the endpoints and builds them over one
+// seller market: every endpoint sells that market's hosted tables, shared
+// rather than copied, modeling sellers that carry the same logical product.
 //
 // Determinism: each endpoint's injector is seeded with an independent
 // sub-seed derived via SplitMix64 from the base seed and the endpoint id,
@@ -51,11 +51,12 @@ struct EndpointConfig {
   bool inject_faults = false;
 };
 
-/// One market endpoint: catalog copy under its menu + DataMarket + injector.
+/// One market endpoint: catalog copy under its menu + DataMarket (over the
+/// seller's hosted tables) + injector.
 class MarketEndpoint {
  public:
   MarketEndpoint(EndpointConfig config, catalog::Catalog catalog,
-                 uint64_t sub_seed);
+                 const market::DataMarket& seller, uint64_t sub_seed);
 
   MarketEndpoint(const MarketEndpoint&) = delete;
   MarketEndpoint& operator=(const MarketEndpoint&) = delete;
@@ -83,13 +84,17 @@ class MarketEndpoint {
   std::unique_ptr<market::FaultInjector> injector_;
 };
 
-/// The endpoint registry plus data replication. Endpoints are append-only
-/// and setup-time: add them all, host the data, then serve queries.
+/// The endpoint registry over one seller market. Endpoints are append-only
+/// and setup-time: add them all, then serve queries. Every endpoint sells
+/// the seller's one hosted copy of each table, so a release into the seller
+/// market reaches every endpoint; per-endpoint terms differ, contents do
+/// not.
 class FederatedMarket {
  public:
-  /// `base` must outlive the federation; `base_seed` roots every
-  /// endpoint's fault-injector sub-seed.
-  explicit FederatedMarket(const catalog::Catalog* base,
+  /// `seller` (and its catalog, the base every menu overrides) must outlive
+  /// the federation; `base_seed` roots every endpoint's fault-injector
+  /// sub-seed.
+  explicit FederatedMarket(const market::DataMarket* seller,
                            uint64_t base_seed = 42);
 
   FederatedMarket(const FederatedMarket&) = delete;
@@ -100,19 +105,12 @@ class FederatedMarket {
   /// duplicate ids and menu entries naming unknown datasets.
   Status AddEndpoint(EndpointConfig config);
 
-  /// Hosts `rows` as table `name` on EVERY endpoint (sellers carry the
-  /// same logical product; per-endpoint terms differ, contents do not).
-  Status HostTable(const std::string& name, std::vector<Row> rows);
-
-  /// Periodic data release, replicated to every endpoint.
-  Status AppendRows(const std::string& name, const std::vector<Row>& rows);
-
   MarketEndpoint* endpoint(const std::string& id);
   MarketEndpoint* endpoint(size_t i) { return endpoints_[i].get(); }
   const MarketEndpoint& endpoint(size_t i) const { return *endpoints_[i]; }
   size_t num_endpoints() const { return endpoints_.size(); }
 
-  const catalog::Catalog* base_catalog() const { return base_; }
+  const catalog::Catalog* base_catalog() const { return &seller_->catalog(); }
   uint64_t base_seed() const { return base_seed_; }
 
   /// The deterministic per-endpoint seed: SplitMix64 over the base seed
@@ -120,7 +118,7 @@ class FederatedMarket {
   static uint64_t SubSeed(uint64_t base_seed, const std::string& endpoint_id);
 
  private:
-  const catalog::Catalog* base_;
+  const market::DataMarket* seller_;
   uint64_t base_seed_;
   std::vector<std::unique_ptr<MarketEndpoint>> endpoints_;
 };

@@ -53,6 +53,13 @@ std::string BillingMeter::Report() const {
   return os.str();
 }
 
+DataMarket::DataMarket(const catalog::Catalog* catalog)
+    : catalog_(catalog), shelf_(std::make_shared<Shelf>()) {}
+
+DataMarket::DataMarket(const catalog::Catalog* catalog,
+                       const DataMarket& seller)
+    : catalog_(catalog), shelf_(seller.shelf_) {}
+
 void DataMarket::HostedTable::Insert(Row row) {
   rows.push_back(std::move(row));
   if (!seen.insert(static_cast<uint32_t>(rows.size() - 1)).second) {
@@ -103,16 +110,16 @@ Status DataMarket::HostTable(const std::string& name, std::vector<Row> rows) {
   for (Row& row : rows) table->Insert(std::move(row));
   rows = {};  // free the moved-from husks before indexing
   IndexRows(*def, table.get(), 0);
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  hosted_[name] = std::move(table);
+  std::unique_lock<std::shared_mutex> lock(shelf_->mutex);
+  shelf_->tables[name] = std::move(table);
   return Status::OK();
 }
 
 Status DataMarket::AppendRows(const std::string& name,
                               const std::vector<Row>& rows) {
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  const auto it = hosted_.find(name);
-  if (it == hosted_.end()) {
+  std::unique_lock<std::shared_mutex> lock(shelf_->mutex);
+  const auto it = shelf_->tables.find(name);
+  if (it == shelf_->tables.end()) {
     return Status::NotFound("table '" + name + "' not hosted");
   }
   const catalog::TableDef* def = catalog_->FindTable(name);
@@ -136,9 +143,9 @@ Result<CallResult> DataMarket::Execute(const RestCall& call) const {
     return Status::NotFound("table '" + call.table + "' not in catalog");
   }
   PAYLESS_RETURN_IF_ERROR(call.Validate(*def));
-  std::shared_lock<std::shared_mutex> lock(mutex_);
-  const auto it = hosted_.find(call.table);
-  if (it == hosted_.end()) {
+  std::shared_lock<std::shared_mutex> lock(shelf_->mutex);
+  const auto it = shelf_->tables.find(call.table);
+  if (it == shelf_->tables.end()) {
     return Status::NotFound("table '" + call.table + "' not hosted");
   }
   const catalog::DatasetDef* dataset = catalog_->DatasetOf(*def);
@@ -232,15 +239,15 @@ Result<CallResult> DataMarket::Execute(const RestCall& call) const {
 }
 
 const std::vector<Row>* DataMarket::HostedRows(const std::string& name) const {
-  std::shared_lock<std::shared_mutex> lock(mutex_);
-  const auto it = hosted_.find(name);
-  return it == hosted_.end() ? nullptr : &it->second->rows;
+  std::shared_lock<std::shared_mutex> lock(shelf_->mutex);
+  const auto it = shelf_->tables.find(name);
+  return it == shelf_->tables.end() ? nullptr : &it->second->rows;
 }
 
 Result<int64_t> DataMarket::TableSize(const std::string& name) const {
-  std::shared_lock<std::shared_mutex> lock(mutex_);
-  const auto it = hosted_.find(name);
-  if (it == hosted_.end()) {
+  std::shared_lock<std::shared_mutex> lock(shelf_->mutex);
+  const auto it = shelf_->tables.find(name);
+  if (it == shelf_->tables.end()) {
     return Status::NotFound("table '" + name + "' not hosted");
   }
   return static_cast<int64_t>(it->second->rows.size());

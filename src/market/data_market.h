@@ -105,8 +105,10 @@ class BillingMeter {
 ///
 /// Each table is hosted exactly once: HostTable takes the rows by move, and
 /// set semantics are kept by a hash set of row indices (hashed by the rows
-/// they name), not by a second copy of every row. Federation replicas and
-/// test oracles read these same rows through HostedRows.
+/// they name), not by a second copy of every row. A market built over
+/// another one shares its hosted tables (federation endpoints sell the
+/// seller's one copy under their own terms); test oracles read the same
+/// rows through HostedRows.
 ///
 /// Hosted tables carry simple seller-side indexes (posting lists for point
 /// conditions, a sorted projection for numeric ranges) so that the many
@@ -121,10 +123,19 @@ class BillingMeter {
 ///
 /// Thread-safe: Execute/TableSize are read-only and take a shared lock, so
 /// concurrent GETs proceed in parallel; HostTable/AppendRows (the periodic
-/// data release) take the lock exclusively.
+/// data release) take the lock exclusively. Markets that share hosted
+/// tables share the lock too.
 class DataMarket {
  public:
-  explicit DataMarket(const catalog::Catalog* catalog) : catalog_(catalog) {}
+  explicit DataMarket(const catalog::Catalog* catalog);
+
+  /// Sells `seller`'s hosted tables — shared, not copied, so a later
+  /// release into either market reaches both — priced under `catalog`,
+  /// whose tables must match the seller's (only dataset terms may differ).
+  DataMarket(const catalog::Catalog* catalog, const DataMarket& seller);
+
+  DataMarket(const DataMarket&) = delete;
+  DataMarket& operator=(const DataMarket&) = delete;
 
   /// Hosts `rows` (taken by move, duplicates collapsed) as the market-side
   /// contents of catalog table `name`.
@@ -141,8 +152,7 @@ class DataMarket {
   Result<int64_t> TableSize(const std::string& name) const;
 
   /// Raw seller-side rows, bypassing billing and binding patterns: the
-  /// backdoor for reference oracles and for replicating a market's data
-  /// into a federation at setup time. Query paths must go through
+  /// backdoor for reference oracles. Query paths must go through
   /// Execute(). nullptr when the table is not hosted.
   const std::vector<Row>* HostedRows(const std::string& name) const;
   /// Former name of HostedRows, still called by perfbench/.
@@ -193,9 +203,15 @@ class DataMarket {
   void IndexRows(const catalog::TableDef& def, HostedTable* table,
                  size_t first_row) const;
 
+  /// The hosted tables and their lock, shared by every market built over
+  /// the same seller.
+  struct Shelf {
+    mutable std::shared_mutex mutex;  // read-mostly: shared for Execute
+    std::map<std::string, std::unique_ptr<HostedTable>> tables;
+  };
+
   const catalog::Catalog* catalog_;
-  mutable std::shared_mutex mutex_;  // read-mostly: shared for Execute
-  std::map<std::string, std::unique_ptr<HostedTable>> hosted_;
+  std::shared_ptr<Shelf> shelf_;
 };
 
 class CallScheduler;

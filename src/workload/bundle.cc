@@ -86,8 +86,8 @@ exec::PayLessConfig MinimizingCallsConfig() {
 std::unique_ptr<federation::FederatedMarket> MakeFederatedMarket(
     const Bundle& bundle, const std::vector<FederatedEndpointSpec>& specs,
     uint64_t base_seed) {
-  auto federation =
-      std::make_unique<federation::FederatedMarket>(&bundle.catalog, base_seed);
+  auto federation = std::make_unique<federation::FederatedMarket>(
+      bundle.market.get(), base_seed);
   // Distinct market datasets in catalog (name) order; the order fixes which
   // endpoint discounts which dataset, so it must be deterministic.
   std::vector<std::string> datasets;
@@ -123,13 +123,6 @@ std::unique_ptr<federation::FederatedMarket> MakeFederatedMarket(
       config.menu[datasets[d]] = terms;
     }
     const Status st = federation->AddEndpoint(config);
-    assert(st.ok());
-    (void)st;
-  }
-  for (const std::string& table : bundle.catalog.TableNames()) {
-    const std::vector<Row>* rows = bundle.market->HostedRows(table);
-    if (rows == nullptr) continue;  // local table
-    const Status st = federation->HostTable(table, *rows);
     assert(st.ok());
     (void)st;
   }

@@ -20,8 +20,8 @@ namespace payless::workload {
 struct Bundle {
   catalog::Catalog catalog;
   std::map<std::string, std::vector<Row>> local_tables;
-  /// Hosts the seller-side rows — their only copy; federations replicate
-  /// from market->HostedRows.
+  /// Hosts the seller-side rows — their only copy; every federation built
+  /// over the bundle sells these same hosted tables.
   std::unique_ptr<market::DataMarket> market;
   std::vector<QueryInstance> queries;
 };
@@ -65,8 +65,8 @@ struct FederatedEndpointSpec {
   int64_t simulated_latency_micros = 0;
 };
 
-/// N-endpoint federation over the bundle's datasets, every endpoint hosting
-/// every table. Dataset d (catalog order) is discounted at endpoint
+/// N-endpoint federation over the bundle's market, every endpoint selling
+/// its hosted tables. Dataset d (catalog order) is discounted at endpoint
 /// d % specs.size(), so with 2+ endpoints no single market is cheapest for
 /// every dataset and cross-market plans genuinely beat single-market ones.
 std::unique_ptr<federation::FederatedMarket> MakeFederatedMarket(

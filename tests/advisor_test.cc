@@ -258,17 +258,6 @@ TEST_F(AdvisorTest, RecordedTrafficReplaysToTheRecordedBill) {
       ("advisor_recorded_traffic_" + std::to_string(::getpid()));
   fs::remove_all(dir);
   const fs::path journal_dir = dir / "journal";
-  // The fixture's query mix on a quarter of its data: the default grid's
-  // federated cells host one copy of the market per endpoint, and two
-  // cells replay at a time, here and in the CLI.
-  workload::RealDataOptions data_options;
-  data_options.scale = 0.01;
-  data_options.seed = 42;
-  const auto bundle = workload::MakeRealBundle(data_options,
-                                               /*per_template=*/2,
-                                               /*query_seed=*/1);
-  AdvisorOptions options;
-  options.max_parallel_cells = 2;
 
   // Record: the seed deployment (the config the seed cell replays: full
   // system, serial calls, savings accounting on) serves the queries for
@@ -290,10 +279,10 @@ TEST_F(AdvisorTest, RecordedTrafficReplaysToTheRecordedBill) {
       config.enable_tracing = false;
       config.enable_flight_recorder = false;
       config.workload_journal = journal->get();
-      clients.push_back(workload::NewPayLessClient(*bundle, config));
+      clients.push_back(workload::NewPayLessClient(*bundle_, config));
     }
-    for (size_t i = 0; i < bundle->queries.size(); ++i) {
-      const workload::QueryInstance& query = bundle->queries[i];
+    for (size_t i = 0; i < bundle_->queries.size(); ++i) {
+      const workload::QueryInstance& query = bundle_->queries[i];
       ASSERT_TRUE(clients[i % clients.size()]
                       ->Query(query.sql, query.params)
                       .ok())
@@ -307,7 +296,7 @@ TEST_F(AdvisorTest, RecordedTrafficReplaysToTheRecordedBill) {
   const obs::JournalReadResult read = obs::ReadJournal(journal_dir.string());
   EXPECT_FALSE(read.torn_tail);
   EXPECT_EQ(read.decode_failures, 0u);
-  ASSERT_EQ(read.records.size(), bundle->queries.size());
+  ASSERT_EQ(read.records.size(), bundle_->queries.size());
 
   // The operator's CLI over the journal and the same seeded data. It runs
   // before the in-process advice so the two grid replays never hold their
@@ -315,7 +304,7 @@ TEST_F(AdvisorTest, RecordedTrafficReplaysToTheRecordedBill) {
   const fs::path json_path = dir / "report.json";
   const std::string command =
       std::string(ADVISOR_CLI_BINARY) + " --journal_dir=" +
-      journal_dir.string() + " --scale=0.01 --threads=2 --gate_beats_seed" +
+      journal_dir.string() + " --scale=0.04 --gate_beats_seed" +
       " --json=" + json_path.string() + " > " + (dir / "cli.log").string() +
       " 2>&1";
   const int status = std::system(command.c_str());
@@ -328,7 +317,7 @@ TEST_F(AdvisorTest, RecordedTrafficReplaysToTheRecordedBill) {
   // reproduces the recorded bill, the advice beats the seed, and the CLI
   // wrote exactly this report.
   const Result<AdvisorReport> report =
-      Advise(*bundle, read.records, options);
+      Advise(*bundle_, read.records, AdvisorOptions{});
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   const CellOutcome* seed = nullptr;
   for (const CellOutcome& cell : report->ranked) {

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "exec/payless.h"
+#include "exec/reference.h"
 #include "market/call_scheduler.h"
 #include "federation/market_endpoint.h"
 #include "market/fault_injector.h"
@@ -664,105 +665,167 @@ TEST_F(ChaosTest, ScriptedFaultsReplayExactly) {
   EXPECT_GE(stats.retries, 2);
 }
 
+// The point-call bind path's store-served branch. Weather binds on two
+// edges (Country and StationID), so every binding combination is its own
+// point call; combinations a previous query bought come from the store.
+TEST_F(ChaosTest, PointPathServesHeldCombinationsFromTheStore) {
+  const std::string sql =
+      "SELECT Temperature FROM Station, Weather "
+      "WHERE Station.Country = 'US' AND "
+      "Station.Country = Weather.Country AND "
+      "Station.StationID = Weather.StationID AND Date >= 1 AND Date <= 4";
+  const storage::Database no_local_tables;
+  const Result<storage::Table> expected =
+      ReferenceEvaluate(cat_, *market_, no_local_tables, sql);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+  std::vector<std::vector<Row>> rows_by_window;
+  for (const size_t window : {1, 8}) {
+    SCOPED_TRACE("window " + std::to_string(window));
+    PayLessConfig config;
+    config.max_parallel_calls = window;
+    auto client = NewClient(config);
+    // Buys stations 1-4 for every date.
+    Result<QueryReport> warm = client->QueryWithReport(
+        kBindSql,
+        {Value(int64_t{1}), Value(int64_t{4}), Value(int64_t{kNumDates})});
+    ASSERT_TRUE(warm.ok() && warm->error.ok()) << warm.status().ToString();
+
+    Result<QueryReport> r = client->QueryWithReport(sql, {});
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_TRUE(r->error.ok()) << r->error.ToString();
+    // One Station call plus a point call for each of the 12 stations the
+    // store does not hold; the 4 held stations' 16 rows are free. Equal
+    // at every window, like the rows and their order below.
+    EXPECT_EQ(r->exec.calls, 13);
+    EXPECT_EQ(r->transactions_spent, 16);
+    EXPECT_EQ(r->exec.rows_from_cache, 16);
+    EXPECT_EQ(r->result.num_rows(), 64u);
+    EXPECT_TRUE(SameResult(r->result, *expected));
+    rows_by_window.push_back(r->result.rows());
+  }
+  ASSERT_EQ(rows_by_window.size(), 2u);
+  EXPECT_EQ(rows_by_window[0], rows_by_window[1]);
+}
+
 // Cross-market failover: the optimizer buys at the cheap primary endpoint,
 // the primary's breaker opens mid-bind-join, the remaining sibling calls
 // complete on the secondary — and the billed transactions reconcile
 // EXACTLY: ledger total == primary meter + secondary meter, the delivered
 // primary rows are never re-bought, and the per-market ledger cells match
-// each endpoint's own meter.
+// each endpoint's own meter. With SQR the binding values go out as
+// remainder calls; without it, as one point call per value.
 TEST_F(ChaosTest, CrossMarketFailoverMidBindJoinReconcilesExactly) {
   const std::vector<Value> params = {Value(int64_t{1}), Value(int64_t{8}),
                                      Value(int64_t{kNumDates})};
-  // Fault-free single-market baseline: the rows the failover run must match.
-  std::vector<Row> expected;
-  int64_t baseline_txn = 0;
-  {
-    auto baseline = NewClient();
-    Result<QueryReport> r = baseline->QueryWithReport(kBindSql, params);
+  for (const bool use_sqr : {true, false}) {
+    SCOPED_TRACE(use_sqr ? "use_sqr" : "no sqr");
+    // Fault-free single-market baseline: the rows the failover run must
+    // match.
+    std::vector<Row> expected;
+    int64_t baseline_txn = 0;
+    {
+      PayLessConfig config;
+      config.optimizer.use_sqr = use_sqr;
+      auto baseline = NewClient(config);
+      Result<QueryReport> r = baseline->QueryWithReport(kBindSql, params);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      ASSERT_TRUE(r->error.ok()) << r->error.ToString();
+      expected = SortedRows(r->result);
+      baseline_txn = baseline->meter().total_transactions();
+    }
+
+    federation::FederatedMarket federation(market_.get(), /*base_seed=*/7);
+    federation::EndpointConfig primary;
+    primary.id = "primary";
+    primary.menu["WHW"] = federation::DatasetTerms{0.5, 5};  // the cheap site
+    primary.inject_faults = true;
+    primary.fault_profile.transient_rate = 1.0;  // dead after the script runs
+    ASSERT_TRUE(federation.AddEndpoint(primary).ok());
+    federation::EndpointConfig secondary;
+    secondary.id = "secondary";
+    secondary.menu["WHW"] = federation::DatasetTerms{1.0, 5};
+    ASSERT_TRUE(federation.AddEndpoint(secondary).ok());
+
+    obs::Observability obs;
+    PayLessConfig config;
+    config.observability = &obs;
+    config.federation = &federation;
+    config.optimizer.use_sqr = use_sqr;
+    config.retry = TestPolicy();
+    config.retry.max_attempts = 2;
+    config.retry.breaker_failure_threshold = 2;         // opens mid-query
+    config.retry.breaker_cooldown_micros = 10'000'000;  // stays open
+    config.max_parallel_calls = 1;  // deterministic serial binding order
+    auto client = std::make_unique<PayLess>(&cat_, market_.get(), config);
+    ASSERT_TRUE(client->LoadLocalTable("CityMap", city_rows_).ok());
+
+    // Exactly the first primary call delivers (and is billed there); every
+    // later primary call faults until retries exhaust and the breaker trips.
+    federation.endpoint("primary")->injector()->Script(FaultKind::kNone);
+
+    Result<QueryReport> r = client->QueryWithReport(kBindSql, params);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ASSERT_TRUE(r->error.ok()) << r->error.ToString();
-    expected = SortedRows(r->result);
-    baseline_txn = baseline->meter().total_transactions();
-  }
+    EXPECT_EQ(SortedRows(r->result), expected);
 
-  federation::FederatedMarket federation(&cat_, /*base_seed=*/7);
-  federation::EndpointConfig primary;
-  primary.id = "primary";
-  primary.menu["WHW"] = federation::DatasetTerms{0.5, 5};  // the cheap site
-  primary.inject_faults = true;
-  primary.fault_profile.transient_rate = 1.0;  // dead after the script runs
-  ASSERT_TRUE(federation.AddEndpoint(primary).ok());
-  federation::EndpointConfig secondary;
-  secondary.id = "secondary";
-  secondary.menu["WHW"] = federation::DatasetTerms{1.0, 5};
-  ASSERT_TRUE(federation.AddEndpoint(secondary).ok());
-  std::vector<Row> weather_rows;
-  for (int64_t s = 1; s <= kNumStations; ++s) {
-    for (int64_t d = 1; d <= kNumDates; ++d) {
-      weather_rows.push_back(Row{Value("US"), Value(s), Value(d),
-                                 Value(static_cast<double>(s * 100 + d))});
+    auto* router = client->router();
+    ASSERT_NE(router, nullptr);
+    EXPECT_GE(router->failovers(), 1);
+
+    int64_t primary_txn = 0, secondary_txn = 0;
+    for (size_t i = 0; i < federation.num_endpoints(); ++i) {
+      const int64_t txn = router->connector(i)->meter().total_transactions();
+      if (router->endpoint_id(i) == "primary") primary_txn = txn;
+      if (router->endpoint_id(i) == "secondary") secondary_txn = txn;
+    }
+    // Money reached BOTH sellers: the delivered primary call stayed billed
+    // at the primary, the rescued siblings were bought at the secondary,
+    // and nothing was bought twice (total == the fault-free single-market
+    // bill).
+    EXPECT_GT(primary_txn, 0);
+    EXPECT_GT(secondary_txn, 0);
+    EXPECT_EQ(primary_txn + secondary_txn, baseline_txn);
+    EXPECT_EQ(obs.ledger.total_transactions(), primary_txn + secondary_txn);
+    EXPECT_EQ(obs.ledger.total_transactions(),
+              router->TotalMeteredTransactions());
+    if (!use_sqr) {
+      // Eight point calls, one per station: the first delivered at the
+      // primary, the other seven were bought at the secondary.
+      EXPECT_EQ(primary_txn, 1);
+      EXPECT_EQ(secondary_txn, 7);
+      EXPECT_EQ(router->failovers(), 1);
+    }
+
+    // The ledger's per-market split reconciles with each endpoint's meter.
+    int64_t cell_primary = 0, cell_secondary = 0;
+    for (const auto& [dataset, cell] : obs.ledger.TenantByDataset("default")) {
+      for (const auto& [site, txn] : cell.by_market) {
+        if (site == "primary") cell_primary += txn;
+        if (site == "secondary") cell_secondary += txn;
+      }
+    }
+    EXPECT_EQ(cell_primary, primary_txn);
+    EXPECT_EQ(cell_secondary, secondary_txn);
+
+    Result<QueryReport> again = client->QueryWithReport(kBindSql, params);
+    ASSERT_TRUE(again.ok());
+    ASSERT_TRUE(again->error.ok());
+    EXPECT_EQ(SortedRows(again->result), expected);
+    if (use_sqr) {
+      // A re-run reuses the store: every row is already owned, nobody
+      // bills.
+      EXPECT_EQ(router->TotalMeteredTransactions(),
+                primary_txn + secondary_txn);
+    } else {
+      // Without SQR the re-run buys again. Its cached plan still names the
+      // primary, whose open breaker sends every call on to the secondary;
+      // the bill still reconciles.
+      EXPECT_EQ(router->failovers(), 2);
+      EXPECT_EQ(obs.ledger.total_transactions(),
+                router->TotalMeteredTransactions());
     }
   }
-  ASSERT_TRUE(federation.HostTable("Weather", std::move(weather_rows)).ok());
-
-  obs::Observability obs;
-  PayLessConfig config;
-  config.observability = &obs;
-  config.federation = &federation;
-  config.retry = TestPolicy();
-  config.retry.max_attempts = 2;
-  config.retry.breaker_failure_threshold = 2;   // opens mid-query
-  config.retry.breaker_cooldown_micros = 10'000'000;  // stays open
-  config.max_parallel_calls = 1;  // deterministic serial binding order
-  auto client = std::make_unique<PayLess>(&cat_, market_.get(), config);
-  ASSERT_TRUE(client->LoadLocalTable("CityMap", city_rows_).ok());
-
-  // Exactly the first primary call delivers (and is billed there); every
-  // later primary call faults until retries exhaust and the breaker trips.
-  federation.endpoint("primary")->injector()->Script(FaultKind::kNone);
-
-  Result<QueryReport> r = client->QueryWithReport(kBindSql, params);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  ASSERT_TRUE(r->error.ok()) << r->error.ToString();
-  EXPECT_EQ(SortedRows(r->result), expected);
-
-  auto* router = client->router();
-  ASSERT_NE(router, nullptr);
-  EXPECT_GE(router->failovers(), 1);
-
-  int64_t primary_txn = 0, secondary_txn = 0;
-  for (size_t i = 0; i < federation.num_endpoints(); ++i) {
-    const int64_t txn = router->connector(i)->meter().total_transactions();
-    if (router->endpoint_id(i) == "primary") primary_txn = txn;
-    if (router->endpoint_id(i) == "secondary") secondary_txn = txn;
-  }
-  // Money reached BOTH sellers: the delivered primary call stayed billed
-  // at the primary, the rescued siblings were bought at the secondary, and
-  // nothing was bought twice (total == the fault-free single-market bill).
-  EXPECT_GT(primary_txn, 0);
-  EXPECT_GT(secondary_txn, 0);
-  EXPECT_EQ(primary_txn + secondary_txn, baseline_txn);
-  EXPECT_EQ(obs.ledger.total_transactions(), primary_txn + secondary_txn);
-  EXPECT_EQ(obs.ledger.total_transactions(),
-            router->TotalMeteredTransactions());
-
-  // The ledger's per-market split reconciles with each endpoint's meter.
-  int64_t cell_primary = 0, cell_secondary = 0;
-  for (const auto& [dataset, cell] : obs.ledger.TenantByDataset("default")) {
-    for (const auto& [site, txn] : cell.by_market) {
-      if (site == "primary") cell_primary += txn;
-      if (site == "secondary") cell_secondary += txn;
-    }
-  }
-  EXPECT_EQ(cell_primary, primary_txn);
-  EXPECT_EQ(cell_secondary, secondary_txn);
-
-  // A re-run reuses the store: every row is already owned, nobody bills.
-  Result<QueryReport> again = client->QueryWithReport(kBindSql, params);
-  ASSERT_TRUE(again.ok());
-  ASSERT_TRUE(again->error.ok());
-  EXPECT_EQ(SortedRows(again->result), expected);
-  EXPECT_EQ(router->TotalMeteredTransactions(), primary_txn + secondary_txn);
 }
 
 }  // namespace

@@ -87,10 +87,11 @@ class FederationTest : public ::testing::Test {
       alpha_rows.push_back(Row{Value(k), Value(static_cast<double>(k) * 2.0)});
       beta_rows.push_back(Row{Value(k), Value(static_cast<double>(k) + 0.5)});
     }
-    ASSERT_TRUE(market_->HostTable("Alpha", alpha_rows).ok());
-    ASSERT_TRUE(market_->HostTable("Beta", beta_rows).ok());
+    ASSERT_TRUE(market_->HostTable("Alpha", std::move(alpha_rows)).ok());
+    ASSERT_TRUE(market_->HostTable("Beta", std::move(beta_rows)).ok());
 
-    federation_ = std::make_unique<FederatedMarket>(&cat_, /*base_seed=*/42);
+    federation_ =
+        std::make_unique<FederatedMarket>(market_.get(), /*base_seed=*/42);
     EndpointConfig east;
     east.id = "east";
     east.menu["ALPHA"] = DatasetTerms{0.5, 10};  // discounted, bigger pages
@@ -101,8 +102,6 @@ class FederationTest : public ::testing::Test {
     west.menu["ALPHA"] = DatasetTerms{1.0, 5};
     west.menu["BETA"] = DatasetTerms{1.0, 10};
     ASSERT_TRUE(federation_->AddEndpoint(west).ok());
-    ASSERT_TRUE(federation_->HostTable("Alpha", std::move(alpha_rows)).ok());
-    ASSERT_TRUE(federation_->HostTable("Beta", std::move(beta_rows)).ok());
   }
 
   std::unique_ptr<PayLess> NewClient(PayLessConfig config = {}) {
@@ -458,32 +457,19 @@ TEST(FederatedBundleTest, RealWorkloadFederationBeatsEverySingleMarket) {
     specs[e].id = "m" + std::to_string(e);
     specs[e].discount_scale = 0.5;
   }
-  // One federation's hosted copies at a time: each holds the whole market
-  // once per endpoint.
-  std::vector<EndpointConfig> menus;
+  auto federation = workload::MakeFederatedMarket(*bundle, specs, 42);
   FederatedRun federated;
-  {
-    auto federation = workload::MakeFederatedMarket(*bundle, specs, 42);
-    RunFederated(*bundle, federation.get(), market::RetryPolicy{}, &federated);
-    for (size_t e = 0; e < specs.size(); ++e) {
-      menus.push_back(federation->endpoint(e)->config());
-    }
-  }
+  RunFederated(*bundle, federation.get(), market::RetryPolicy{}, &federated);
   EXPECT_GT(federated.routing_savings, 0);
 
   // Each endpoint alone, with its menu and the same rows: the federation
   // must beat every one of them on money with the same answers, and a
   // single market leaves no routing to attribute savings to.
-  for (const EndpointConfig& menu : menus) {
+  for (size_t e = 0; e < federation->num_endpoints(); ++e) {
+    const EndpointConfig& menu = federation->endpoint(e)->config();
     SCOPED_TRACE(menu.id);
-    FederatedMarket single(&bundle->catalog, /*base_seed=*/42);
+    FederatedMarket single(bundle->market.get(), /*base_seed=*/42);
     ASSERT_TRUE(single.AddEndpoint(menu).ok());
-    for (const std::string& table : bundle->catalog.TableNames()) {
-      const std::vector<Row>* rows = bundle->market->HostedRows(table);
-      if (rows != nullptr) {
-        ASSERT_TRUE(single.HostTable(table, *rows).ok());
-      }
-    }
     FederatedRun alone;
     RunFederated(*bundle, &single, market::RetryPolicy{}, &alone);
     EXPECT_LT(federated.money, alone.money);

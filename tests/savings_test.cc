@@ -387,11 +387,11 @@ TEST_F(SavingsAccountingTest, RepeatedRealWorkloadSavesEveryWarmRound) {
 // Federation: the counterfactual becomes the cheapest SINGLE-market plan
 // and every (tenant, dataset, market) cell must still close exactly.
 
-/// Two endpoints selling EHR: "east" on double pages (cheaper in
-/// transactions), "west" at catalog terms. Rows are replicated to both.
+/// Two endpoints selling `market`'s EHR: "east" on double pages (cheaper
+/// in transactions), "west" at catalog terms.
 std::unique_ptr<federation::FederatedMarket> NewEhrFederation(
-    const catalog::Catalog* cat) {
-  auto federation = std::make_unique<federation::FederatedMarket>(cat, 42);
+    const market::DataMarket* market) {
+  auto federation = std::make_unique<federation::FederatedMarket>(market, 42);
   federation::EndpointConfig east;
   east.id = "east";
   east.menu["EHR"] = federation::DatasetTerms{1.0, 200};
@@ -400,11 +400,6 @@ std::unique_ptr<federation::FederatedMarket> NewEhrFederation(
   west.id = "west";
   west.menu["EHR"] = federation::DatasetTerms{1.0, 100};
   EXPECT_TRUE(federation->AddEndpoint(west).ok());
-  std::vector<Row> rows;
-  for (int64_t rank = 1; rank <= 2000; ++rank) {
-    rows.push_back(Row{Value(rank), Value(static_cast<double>(rank) / 10)});
-  }
-  EXPECT_TRUE(federation->HostTable("Pollution", std::move(rows)).ok());
   return federation;
 }
 
@@ -430,7 +425,7 @@ void ExpectFederatedClosure(const Observability& obs, PayLess* client) {
 }
 
 TEST_F(SavingsAccountingTest, FederatedSerialWorkloadClosesPerMarketCell) {
-  auto federation = NewEhrFederation(&cat_);
+  auto federation = NewEhrFederation(market_.get());
   Observability obs;
   PayLessConfig config;
   config.observability = &obs;
@@ -456,7 +451,7 @@ TEST_F(SavingsAccountingTest, FederatedSerialWorkloadClosesPerMarketCell) {
 }
 
 TEST_F(SavingsAccountingTest, FederatedEightThreadsClosePerMarketCell) {
-  auto federation = NewEhrFederation(&cat_);
+  auto federation = NewEhrFederation(market_.get());
   Observability obs;
   PayLessConfig config;
   config.observability = &obs;
