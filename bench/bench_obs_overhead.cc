@@ -3,9 +3,8 @@
 // bind-join query streams, served in four configurations — bare (metrics and
 // cost ledger only; they are always on, the cheap handle-based part), with
 // estimator-accuracy tracking (q-error recording at every feedback point),
-// with full tracing plus a JSONL trace sink on top, and finally with
-// savings accounting (a counterfactual optimizer pass per planned query)
-// plus a background time-series sampler over the shared registry, and
+// with full tracing plus a JSONL trace sink on top, then with savings
+// accounting (a counterfactual optimizer pass per planned query), and
 // finally the durable workload journal (a CRC-framed record appended per
 // admitted query) on top of everything. The gaps price each layer
 // separately; the acceptance bars are that the fully loaded configuration
@@ -39,7 +38,6 @@
 #include "exec/payless.h"
 #include "market/data_market.h"
 #include "obs/observability.h"
-#include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "obs/workload_journal.h"
 
@@ -158,7 +156,6 @@ int Main(int argc, char** argv) {
   // qps, or a negative value when a query failed.
   const auto run_once = [&](bool accuracy, bool tracing, bool savings,
                             obs::Observability* shared,
-                            obs::TimeSeriesSampler* sampler,
                             obs::WorkloadJournal* journal) {
     PayLessConfig config;
     // Frozen stats: one stream's feedback cannot flip another stream's plan,
@@ -177,7 +174,6 @@ int Main(int argc, char** argv) {
       (void)st;
     }
     client->connector()->SetSimulatedLatencyMicros(latency_us);
-    if (sampler != nullptr) sampler->Start();
 
     std::atomic<size_t> next_stream{0};
     std::atomic<bool> failed{false};
@@ -202,7 +198,6 @@ int Main(int argc, char** argv) {
     }
     for (std::thread& w : workers) w.join();
     const double wall_ms = MillisSince(start);
-    if (sampler != nullptr) sampler->Stop();
     if (failed.load()) return -1.0;
     return 1000.0 * static_cast<double>(total_queries) / wall_ms;
   };
@@ -226,12 +221,7 @@ int Main(int argc, char** argv) {
   }
   shared.trace_sink = sink->get();
 
-  // The fully loaded configuration adds the counterfactual pricing pass
-  // and a fast background sampler (100x the default period) over the
-  // shared registry — both live for the whole run.
-  obs::TimeSeriesSampler::Options sampler_options;
-  sampler_options.period_micros = 10'000;
-  obs::TimeSeriesSampler sampler(&shared.metrics, sampler_options);
+  // The fully loaded configuration adds the counterfactual pricing pass.
 
   // The journaled configuration appends one durable record per admitted
   // query on top of the fully loaded stack. No fsync per append (the
@@ -256,26 +246,25 @@ int Main(int argc, char** argv) {
          full_qps = 0.0, journal_qps = 0.0;
   for (int64_t i = 0; i < trials; ++i) {
     const double base = run_once(/*accuracy=*/false, /*tracing=*/false,
-                                 /*savings=*/false, nullptr, nullptr, nullptr);
+                                 /*savings=*/false, nullptr, nullptr);
     if (base < 0.0) return 1;
     base_qps = std::max(base_qps, base);
     const double accuracy =
         run_once(/*accuracy=*/true, /*tracing=*/false,
-                 /*savings=*/false, nullptr, nullptr, nullptr);
+                 /*savings=*/false, nullptr, nullptr);
     if (accuracy < 0.0) return 1;
     accuracy_qps = std::max(accuracy_qps, accuracy);
     const double traced = run_once(/*accuracy=*/true, /*tracing=*/true,
-                                   /*savings=*/false, &shared, nullptr,
-                                   nullptr);
+                                   /*savings=*/false, &shared, nullptr);
     if (traced < 0.0) return 1;
     traced_qps = std::max(traced_qps, traced);
     const double full = run_once(/*accuracy=*/true, /*tracing=*/true,
-                                 /*savings=*/true, &shared, &sampler, nullptr);
+                                 /*savings=*/true, &shared, nullptr);
     if (full < 0.0) return 1;
     full_qps = std::max(full_qps, full);
     const double journaled =
         run_once(/*accuracy=*/true, /*tracing=*/true,
-                 /*savings=*/true, &shared, &sampler, journal->get());
+                 /*savings=*/true, &shared, journal->get());
     if (journaled < 0.0) return 1;
     journal_qps = std::max(journal_qps, journaled);
   }
@@ -290,8 +279,8 @@ int Main(int argc, char** argv) {
   std::printf("bare %.1f\n", base_qps);
   std::printf("accuracy %.1f\n", accuracy_qps);
   std::printf("accuracy+traced+sink %.1f\n", traced_qps);
-  std::printf("accuracy+traced+savings+sampler %.1f\n", full_qps);
-  std::printf("accuracy+traced+savings+sampler+journal %.1f\n", journal_qps);
+  std::printf("accuracy+traced+savings %.1f\n", full_qps);
+  std::printf("accuracy+traced+savings+journal %.1f\n", journal_qps);
   std::printf("# accuracy overhead: %.2f%%, traced overhead: %.2f%%, "
               "full overhead: %.2f%% (budget %lld%%), journal overhead: "
               "%.2f%% (budget %lld%%)\n",

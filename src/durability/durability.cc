@@ -38,19 +38,9 @@ DurabilityManager::DurabilityManager(DurabilityOptions options,
                                 : options_.dir + "/harvest.wal") {
   assert(metrics != nullptr);
   metric_.wal_appends = metrics->GetCounter("payless_wal_appends_total");
-  metric_.wal_bytes = metrics->GetCounter("payless_wal_bytes_total");
-  metric_.fsync_micros = metrics->GetHistogram(
-      "payless_wal_fsync_micros",
-      {10, 25, 50, 100, 250, 500, 1'000, 2'500, 5'000, 10'000, 25'000});
-  metric_.wal_size = metrics->GetGauge("payless_wal_size_bytes");
+  metric_.append_micros =
+      metrics->GetLatencyHistogram("payless_wal_append_micros");
   metric_.snapshots = metrics->GetCounter("payless_snapshots_total");
-  metric_.snapshot_bytes = metrics->GetGauge("payless_snapshot_bytes");
-  metric_.snapshot_age_records =
-      metrics->GetGauge("payless_snapshot_age_records");
-  metric_.recovery_micros = metrics->GetGauge("payless_recovery_micros");
-  metric_.recovered_views = metrics->GetGauge("payless_recovered_views");
-  metric_.recovered_rows = metrics->GetGauge("payless_recovered_rows");
-  metric_.recovered_plans = metrics->GetGauge("payless_recovered_plans");
   metric_.replayed_records =
       metrics->GetCounter("payless_recovery_replayed_records");
 }
@@ -151,17 +141,8 @@ Status DurabilityManager::Recover(const HarvestApply& apply) {
   PAYLESS_RETURN_IF_ERROR(wal_.Open());
 
   recovery_.recovery_micros = NowMicros() - start;
-  metric_.recovery_micros->Set(recovery_.recovery_micros);
-  metric_.recovered_views->Set(
-      static_cast<int64_t>(recovery_.recovered_views));
-  metric_.recovered_rows->Set(static_cast<int64_t>(recovery_.recovered_rows));
-  metric_.recovered_plans->Set(
-      static_cast<int64_t>(recovery_.recovered_plans));
   metric_.replayed_records->Add(
       static_cast<int64_t>(recovery_.replayed_records));
-  metric_.wal_size->Set(wal_.size_bytes());
-  metric_.snapshot_age_records->Set(
-      static_cast<int64_t>(records_since_snapshot_));
   return Status::OK();
 }
 
@@ -236,14 +217,10 @@ void DurabilityManager::LogAndApply(const catalog::TableDef& def,
       wal_.Append(payload, options_.fsync == FsyncPolicy::kEveryAppend);
   assert(appended.ok());
   (void)appended;
-  metric_.fsync_micros->Observe(NowMicros() - append_start);
+  metric_.append_micros->Record(NowMicros() - append_start);
   metric_.wal_appends->Add(1);
-  metric_.wal_bytes->Add(static_cast<int64_t>(payload.size()) + 8);
-  metric_.wal_size->Set(wal_.size_bytes());
   ++next_seq_;
   ++records_since_snapshot_;
-  metric_.snapshot_age_records->Set(
-      static_cast<int64_t>(records_since_snapshot_));
 
   const bool died_after_log =
       MaybeCrash(market::CrashPoint::kAfterHarvestLog);
@@ -298,9 +275,6 @@ Status DurabilityManager::SnapshotLocked() {
 
   PAYLESS_RETURN_IF_ERROR(WriteSnapshotFile(snapshot_path(), data));
   metric_.snapshots->Add(1);
-  std::error_code ec;
-  const uintmax_t size = std::filesystem::file_size(snapshot_path(), ec);
-  if (!ec) metric_.snapshot_bytes->Set(static_cast<int64_t>(size));
 
   if (MaybeCrash(market::CrashPoint::kAfterSnapshotBeforeReset)) {
     // Snapshot committed, log not yet reset: the seq filter makes the
@@ -311,8 +285,6 @@ Status DurabilityManager::SnapshotLocked() {
   PAYLESS_RETURN_IF_ERROR(wal_.Reset());
   last_snapshot_seq_ = data.last_seq;
   records_since_snapshot_ = 0;
-  metric_.wal_size->Set(wal_.size_bytes());
-  metric_.snapshot_age_records->Set(0);
   return Status::OK();
 }
 

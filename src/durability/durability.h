@@ -72,7 +72,7 @@ struct DurabilityOptions {
   market::FaultInjector* crash_injector = nullptr;
 };
 
-/// What recovery found and rebuilt, surfaced on /store and the dashboard.
+/// What recovery found and rebuilt, surfaced on /store.
 struct RecoveryInfo {
   bool recovered = false;     // any state restored (snapshot or replay)
   bool had_snapshot = false;
@@ -137,7 +137,7 @@ class DurabilityManager {
   std::string snapshot_path() const { return options_.dir + "/store.snap"; }
 
   /// {"enabled":...,"wal_bytes":...,"recovery":{...}} — spliced into the
-  /// /store introspection document and rendered on the dashboard.
+  /// /store introspection document.
   std::string StatsJson() const;
 
  private:
@@ -165,18 +165,14 @@ class DurabilityManager {
   std::atomic<bool> dead_{false};
   RecoveryInfo recovery_;
 
+  /// Registry handles. Counters and histograms only: several durable
+  /// clients may share one registry, so per-client levels (log size,
+  /// snapshot age, what one recovery rebuilt) live on /store instead.
   struct Metrics {
     obs::Counter* wal_appends = nullptr;
-    obs::Counter* wal_bytes = nullptr;
-    obs::Histogram* fsync_micros = nullptr;
-    obs::Gauge* wal_size = nullptr;
+    /// Every append, whether or not it fsyncs (FsyncPolicy::kOnSnapshot).
+    obs::LatencyHistogram* append_micros = nullptr;
     obs::Counter* snapshots = nullptr;
-    obs::Gauge* snapshot_bytes = nullptr;
-    obs::Gauge* snapshot_age_records = nullptr;
-    obs::Gauge* recovery_micros = nullptr;
-    obs::Gauge* recovered_views = nullptr;
-    obs::Gauge* recovered_rows = nullptr;
-    obs::Gauge* recovered_plans = nullptr;
     obs::Counter* replayed_records = nullptr;
   } metric_;
 };

@@ -81,8 +81,6 @@ PayLess::PayLess(const catalog::Catalog* catalog,
   metric_.query_failures = m.GetCounter("payless_query_failures_total");
   metric_.budget_rejections = m.GetCounter("payless_budget_rejections_total");
   metric_.budget_warnings = m.GetCounter("payless_budget_warnings_total");
-  metric_.transactions = m.GetCounter("payless_transactions_total");
-  metric_.market_calls = m.GetCounter("payless_market_calls_total");
   metric_.rows_from_market = m.GetCounter("payless_rows_from_market_total");
   metric_.rows_from_cache = m.GetCounter("payless_rows_from_cache_total");
   metric_.plan_cache_hits = m.GetCounter("payless_plan_cache_hits_total");
@@ -133,17 +131,14 @@ PayLess::PayLess(const catalog::Catalog* catalog,
     sched_hooks.recorder = &obs_->flight_recorder;
   }
   connector_.SetSchedulerHooks(sched_hooks);
-  // The base connector's RTT/backoff/SLO hooks (in federated mode it is
-  // only the prefetch fallback, but its latency is still worth seeing).
-  latency_slos_.push_back(
-      std::make_unique<obs::LatencySlo>(config.latency_slo));
-  {
-    market::MarketConnector::LatencyHooks lat;
-    lat.rtt = m.GetLatencyHistogram("payless_market_rtt_micros");
-    lat.backoff = m.GetLatencyHistogram("payless_retry_backoff_micros");
-    lat.slo = latency_slos_.back().get();
-    connector_.BindLatency(lat);
-  }
+  // The base connector's RTT/backoff hooks (in federated mode it is only
+  // the fallback for non-query surfaces, but its latency is still worth
+  // seeing). Every connector of this client records its retry sleeps into
+  // the one backoff histogram.
+  market::MarketConnector::LatencyHooks latency_hooks;
+  latency_hooks.rtt = m.GetLatencyHistogram("payless_market_rtt_micros");
+  latency_hooks.backoff = m.GetLatencyHistogram("payless_retry_backoff_micros");
+  connector_.BindLatency(latency_hooks);
   if (config.enable_flight_recorder &&
       !config.flight_recorder_dump_path.empty()) {
     // Arm the crash path: a durability-injected hard crash dumps the ring
@@ -158,15 +153,12 @@ PayLess::PayLess(const catalog::Catalog* catalog,
     router_->SetRetryPolicy(config.retry);
     for (size_t i = 0; i < router_->num_endpoints(); ++i) {
       router_->connector(i)->SetSchedulerHooks(sched_hooks);
-      latency_slos_.push_back(
-          std::make_unique<obs::LatencySlo>(config.latency_slo));
-      // Per-endpoint RTT + SLO: /markets renders each endpoint's latency
-      // health (tail + burn rate) next to its breaker states.
-      router_->BindLatency(
-          i,
-          m.GetLatencyHistogram("payless_market_rtt_micros_" +
-                                router_->endpoint_id(i)),
-          latency_slos_.back().get());
+      // Per-endpoint RTT: /markets renders each endpoint's tail next to
+      // its breaker states.
+      market::MarketConnector::LatencyHooks endpoint_hooks = latency_hooks;
+      endpoint_hooks.rtt = m.GetLatencyHistogram(
+          "payless_market_rtt_micros_" + router_->endpoint_id(i));
+      router_->BindLatency(i, endpoint_hooks);
     }
     if (savings_accountant_ != nullptr) {
       // The counterfactual becomes "the cheapest SINGLE market" — priced
@@ -217,7 +209,12 @@ PayLess::PayLess(const catalog::Catalog* catalog,
     (void)recovered;
     const durability::RecoveryInfo& info = durability_->recovery();
     if (info.recovered) {
-      accuracy_.RestoreDriftEpoch(info.restored_drift_epoch);
+      // The replayed log tail ticked the epoch from 0 against the
+      // snapshot's statistics, exactly as the crashed process did after
+      // its snapshot: the process had reached the snapshot's epoch plus
+      // those ticks.
+      accuracy_.RestoreDriftEpoch(info.restored_drift_epoch +
+                                  accuracy_.drift_epoch());
       current_week_.store(info.restored_week, std::memory_order_relaxed);
     }
   }
@@ -262,17 +259,10 @@ void PayLess::AbsorbHarvest(const catalog::TableDef& def, const Box& region,
     // it). Replay recomputes the identical estimate, so the drift epoch
     // reconverges deterministically on serial histories.
     const double estimated = stats_.EstimateRows(def.name, region);
-    accuracy_.Record(def.name, def.dataset, estimated,
-                     static_cast<double>(num_records));
+    accuracy_.Record(def.name, estimated, static_cast<double>(num_records));
   }
   store_.Store(def, region, rows, epoch);
   stats_.Feedback(def.name, region, num_records);
-  if (config_.enable_accuracy_tracking) {
-    const stats::EstimatorInfo info = stats_.Info(def.name);
-    accuracy_.RecordStatsQuality(def.name, static_cast<int64_t>(info.buckets),
-                                 static_cast<int64_t>(info.feedbacks),
-                                 info.total_count);
-  }
 }
 
 int64_t PayLess::MinEpoch() const {
@@ -576,8 +566,6 @@ Result<QueryReport> PayLess::QueryWithReportImpl(
     obs_->governor.RecordSpend(config_.tenant, report.transactions_spent);
     report.transactions_by_dataset =
         obs_->ledger.DatasetBreakdown(config_.tenant, query_id);
-    metric_.transactions->Add(report.transactions_spent);
-    metric_.market_calls->Add(report.exec.calls);
     metric_.rows_from_market->Add(report.exec.rows_from_market);
     metric_.rows_from_cache->Add(report.exec.rows_from_cache);
     if (savings_accountant_ != nullptr && cf.ok()) {
@@ -826,6 +814,16 @@ Result<BatchReport> PayLess::QueryBatch(const std::vector<BatchQuery>& batch) {
             },
             rem_options);
         if (rem.fully_covered) continue;
+        // Prefetch spend is the tenant's spend: a group the governor
+        // refuses is left to the batch's queries, which each meet their
+        // own gates. Soft warnings stay per query (gate 2).
+        const obs::Admission admission = obs_->governor.Admit(
+            config_.tenant, rem.estimated_transactions, /*now_micros=*/-1,
+            /*note_soft_warning=*/false);
+        if (!admission.status.ok()) {
+          metric_.budget_rejections->Add(1);
+          continue;
+        }
         bool issued = false;
         for (const Box& box : rem.remainder_boxes) {
           Result<market::RestCall> call = market::CallFromRegion(*def, box);
@@ -863,6 +861,7 @@ Result<BatchReport> PayLess::QueryBatch(const std::vector<BatchQuery>& batch) {
             }
             return result.status();
           }
+          obs_->governor.RecordSpend(config_.tenant, result->transactions);
           report.prefetch_transactions += result->transactions;
           issued = true;
         }
@@ -881,7 +880,7 @@ Result<BatchReport> PayLess::QueryBatch(const std::vector<BatchQuery>& batch) {
         AdmitAndRun(q.sql, q.params, /*tick_placement=*/false);
     status = one.ok() ? one->error : one.status();
     if (!status.ok()) break;
-    report.results.push_back(std::move(one->result));
+    report.reports.push_back(std::move(*one));
   }
   if (placement_ != nullptr) TickPlacement();
   PAYLESS_RETURN_IF_ERROR(status);
@@ -889,8 +888,7 @@ Result<BatchReport> PayLess::QueryBatch(const std::vector<BatchQuery>& batch) {
   return report;
 }
 
-void PayLess::RegisterIntrospection(obs::HttpExpositionServer* server,
-                                    obs::TimeSeriesSampler* sampler) {
+void PayLess::RegisterIntrospection(obs::HttpExpositionServer* server) {
   server->SetExplainHandler(
       [this](const std::string& sql) { return ExplainText(sql); });
   server->SetSavingsLedger(&obs_->savings);
@@ -904,7 +902,6 @@ void PayLess::RegisterIntrospection(obs::HttpExpositionServer* server,
     }
     return json;
   });
-  if (sampler != nullptr) server->SetTimeSeriesSampler(sampler);
   server->AddRoute("/markets", [this](const std::string&) {
     std::string json = router_ != nullptr
                            ? router_->StatsJson()

@@ -30,7 +30,6 @@
 #include "obs/http_exposition.h"
 #include "obs/observability.h"
 #include "obs/savings_accountant.h"
-#include "obs/timeseries.h"
 #include "obs/workload_journal.h"
 #include "semstore/semantic_store.h"
 #include "sql/bound_query.h"
@@ -68,9 +67,9 @@ struct PayLessConfig {
   /// was materially wrong (see qerror_invalidation_threshold).
   bool enable_plan_cache = true;
   /// Record (estimated, actual) pairs at the feedback point into per-table
-  /// q-error histograms and stats-quality gauges. Also powers the plan
-  /// cache's drift invalidation — with tracking off, the drift epoch never
-  /// moves and cached templates live until the consistency horizon shifts.
+  /// q-error histograms. Also powers the plan cache's drift invalidation —
+  /// with tracking off, the drift epoch never moves and cached templates
+  /// live until the consistency horizon shifts.
   bool enable_accuracy_tracking = true;
   /// A recorded q-error above this threshold ticks the drift epoch and
   /// invalidates every cached plan template (they were priced with
@@ -143,10 +142,6 @@ struct PayLessConfig {
   /// durability crash path so a hard crash dumps it too. Last writer wins
   /// when several clients share one path.
   std::string flight_recorder_dump_path;
-  /// Per-endpoint market-RTT latency objective: every attempt's round trip
-  /// is judged against `target_micros`, and /markets renders the rolling
-  /// burn rate next to the endpoint's breaker states.
-  obs::LatencySlo::Options latency_slo;
   /// Workload journal (nullable; must outlive the client). When set, every
   /// ADMITTED query — gate-1 pass, including gate-2 budget rejections and
   /// mid-flight failures — appends one record with its SQL, params, tenant,
@@ -212,7 +207,9 @@ struct BatchQuery {
 
 /// Outcome of batch processing.
 struct BatchReport {
-  std::vector<storage::Table> results;  // one per query, in input order
+  /// One per query, in input order: each query's rows and its own report,
+  /// exactly as QueryWithReport would have returned it.
+  std::vector<QueryReport> reports;
   int64_t transactions_spent = 0;
   /// Number of cross-query region groups whose market data was prefetched
   /// with merged calls (0 = batching found nothing to share).
@@ -280,8 +277,11 @@ class PayLess {
   /// remainders (the per-page Eq. 1 rounding makes many small overlapping
   /// fetches costlier than one hull fetch); merged groups are prefetched
   /// into the semantic store, then the queries execute normally — and
-  /// mostly for free. Falls back to plain sequential behaviour when merging
-  /// never pays. Requires SQR to be enabled.
+  /// mostly for free. Each group's prefetch first passes the tenant's
+  /// budget governor with its estimated spend (a refused group is left to
+  /// the queries, which meet their own gates), and its billed spend feeds
+  /// the tenant's rate window. Falls back to plain sequential behaviour
+  /// when merging never pays. Requires SQR to be enabled.
   Result<BatchReport> QueryBatch(const std::vector<BatchQuery>& batch);
 
   /// Loads rows into a buyer-side local table (must be declared local in
@@ -327,13 +327,13 @@ class PayLess {
 
   /// Wires this client's introspection surfaces onto an HTTP exposition
   /// server: /explain (plan text for arbitrary SQL), /savings (the savings
-  /// ledger), /store (live semantic-store coverage), /markets (per-endpoint
-  /// spend, breaker states, failovers and slab placement; answers
-  /// {"federated":false} in single-market mode) and — when `sampler` is
-  /// non-null — /timeseries. Call before server->Start(); the server must
-  /// not outlive this client.
-  void RegisterIntrospection(obs::HttpExpositionServer* server,
-                             obs::TimeSeriesSampler* sampler = nullptr);
+  /// ledger), /store (live semantic-store coverage plus durability),
+  /// /markets (per-endpoint spend, breaker states, RTT tails, failovers
+  /// and slab placement; answers {"federated":false} in single-market
+  /// mode), /latency (every registry histogram), /flightrecorder and
+  /// /workload. Call before server->Start(); the server must not outlive
+  /// this client.
+  void RegisterIntrospection(obs::HttpExpositionServer* server);
 
  private:
   int64_t MinEpoch() const;
@@ -370,14 +370,14 @@ class PayLess {
   void TickPlacement();
 
   /// Handles into the metrics registry, resolved once at construction so
-  /// the per-query path is pure atomic arithmetic.
+  /// the per-query path is pure atomic arithmetic. Spend and calls are not
+  /// here: the cost ledger (/ledger) counts them exactly, batch prefetch
+  /// included.
   struct MetricHandles {
     obs::Counter* queries = nullptr;
     obs::Counter* query_failures = nullptr;
     obs::Counter* budget_rejections = nullptr;
     obs::Counter* budget_warnings = nullptr;
-    obs::Counter* transactions = nullptr;
-    obs::Counter* market_calls = nullptr;
     obs::Counter* rows_from_market = nullptr;
     obs::Counter* rows_from_cache = nullptr;
     obs::Counter* plan_cache_hits = nullptr;
@@ -412,10 +412,6 @@ class PayLess {
   std::unique_ptr<obs::SavingsAccountant> savings_accountant_;
   /// Per-endpoint connectors + routing; null in single-market mode.
   std::unique_ptr<federation::EndpointRouter> router_;
-  /// Market-RTT latency objectives: one per endpoint (index-aligned with
-  /// the router), or a single entry in single-market mode. Owned here —
-  /// the registry owns histograms, SLO policy objects live with the client.
-  std::vector<std::unique_ptr<obs::LatencySlo>> latency_slos_;
   /// Capacity-budget slab placement; null without a budget.
   std::unique_ptr<federation::PlacementPolicy> placement_;
   /// Held shared by each query from plan-cache probe through execution and

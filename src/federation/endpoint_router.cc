@@ -1,7 +1,6 @@
 #include "federation/endpoint_router.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <limits>
 #include <set>
 #include <sstream>
@@ -37,18 +36,13 @@ EndpointRouter::EndpointRouter(FederatedMarket* federation)
     connectors_.push_back(std::move(connector));
     routed_calls_.push_back(std::make_unique<std::atomic<int64_t>>(0));
     rtt_.push_back(nullptr);
-    slos_.push_back(nullptr);
   }
 }
 
-void EndpointRouter::BindLatency(size_t i, obs::LatencyHistogram* rtt,
-                                 obs::LatencySlo* slo) {
+void EndpointRouter::BindLatency(
+    size_t i, const market::MarketConnector::LatencyHooks& hooks) {
   if (i >= connectors_.size()) return;
-  rtt_[i] = rtt;
-  slos_[i] = slo;
-  market::MarketConnector::LatencyHooks hooks;
-  hooks.rtt = rtt;
-  hooks.slo = slo;
+  rtt_[i] = hooks.rtt;
   connectors_[i]->BindLatency(hooks);
 }
 
@@ -173,22 +167,10 @@ std::string EndpointRouter::StatsJson() const {
          << BreakerStateName(connectors_[i]->breaker_state(dataset)) << "\"";
     }
     os << "}";
-    // Latency health next to breaker state: the endpoint's RTT tail and
-    // its SLO burn rate over the active window.
-    if (i < slos_.size() && slos_[i] != nullptr) {
-      const obs::LatencySlo& slo = *slos_[i];
-      char burn[32];
-      std::snprintf(burn, sizeof(burn), "%.3f", slo.BurnRate());
-      os << ",\"latency\":{\"target_us\":" << slo.target_micros()
-         << ",\"objective\":" << slo.objective()
-         << ",\"window_total\":" << slo.window_total()
-         << ",\"window_breaches\":" << slo.window_breaches()
-         << ",\"burn_rate\":" << burn;
-      if (i < rtt_.size() && rtt_[i] != nullptr) {
-        os << ",\"rtt_p50_us\":" << rtt_[i]->ValueAtQuantile(0.50)
-           << ",\"rtt_p99_us\":" << rtt_[i]->ValueAtQuantile(0.99);
-      }
-      os << "}";
+    // Latency health next to breaker state: the endpoint's RTT tail.
+    if (rtt_[i] != nullptr) {
+      os << ",\"latency\":{\"rtt_p50_us\":" << rtt_[i]->ValueAtQuantile(0.50)
+         << ",\"rtt_p99_us\":" << rtt_[i]->ValueAtQuantile(0.99) << "}";
     }
     os << "}";
   }

@@ -70,12 +70,11 @@ class EndpointRouter {
   void SetRetryPolicy(const market::RetryPolicy& policy);
   void AddListener(market::MarketConnector::Listener listener);
 
-  /// Latency health per endpoint (setup-time): `rtt` receives every
-  /// attempt's round trip, `slo` judges each against its target and feeds
-  /// the burn-rate column of /markets. The router keeps the handles so
-  /// StatsJson can render latency next to breaker state; ownership stays
-  /// with the caller (the registry / the PayLess client).
-  void BindLatency(size_t i, obs::LatencyHistogram* rtt, obs::LatencySlo* slo);
+  /// Latency instrumentation of endpoint `i`'s connector (setup-time).
+  /// The router keeps `hooks.rtt` so StatsJson can render the endpoint's
+  /// RTT tail next to its breaker states; the registry owns the handles.
+  void BindLatency(size_t i,
+                   const market::MarketConnector::LatencyHooks& hooks);
 
   /// Point-in-time buy-site menu: every endpoint's terms for every
   /// dataset, with `live` reflecting the endpoint's breaker state for that
@@ -116,9 +115,8 @@ class EndpointRouter {
   FederatedMarket* federation_;
   std::vector<std::unique_ptr<market::MarketConnector>> connectors_;
   std::vector<std::unique_ptr<std::atomic<int64_t>>> routed_calls_;
-  /// Per-endpoint latency handles (not owned); nullptr until bound.
+  /// Per-endpoint RTT histograms (not owned); nullptr until bound.
   std::vector<obs::LatencyHistogram*> rtt_;
-  std::vector<obs::LatencySlo*> slos_;
   std::atomic<int64_t> failovers_{0};
 };
 

@@ -411,7 +411,6 @@ int64_t MarketConnector::CompleteAttempt(CallTask* t) {
             Clock::now() - t->attempt_start)
             .count();
     if (latency_.rtt != nullptr) latency_.rtt->Record(rtt_micros);
-    if (latency_.slo != nullptr) latency_.slo->Record(rtt_micros);
     if (t->call_obs != nullptr && t->call_obs->stages != nullptr) {
       t->call_obs->stages->Add(obs::kStageMarketRtt, rtt_micros);
     }

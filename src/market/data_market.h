@@ -314,14 +314,13 @@ class MarketConnector {
   void SetMarketLabel(std::string label) { market_label_ = std::move(label); }
   const std::string& market_label() const { return market_label_; }
 
-  /// Latency instrumentation handles, all optional. Setup-time: bind
-  /// before serving traffic. `rtt` and `slo` see every attempt's round
-  /// trip (tagged per endpoint by giving each connector its own handles);
-  /// `backoff` sees every retry sleep the connector schedules.
+  /// Latency instrumentation handles, both optional. Setup-time: bind
+  /// before serving traffic. `rtt` sees every attempt's round trip (tagged
+  /// per endpoint by giving each connector its own handle); `backoff` sees
+  /// every retry sleep the connector schedules.
   struct LatencyHooks {
     obs::LatencyHistogram* rtt = nullptr;
     obs::LatencyHistogram* backoff = nullptr;
-    obs::LatencySlo* slo = nullptr;
   };
   void BindLatency(const LatencyHooks& hooks) { latency_ = hooks; }
 

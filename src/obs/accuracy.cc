@@ -7,14 +7,6 @@ namespace payless::obs {
 
 namespace {
 
-/// q-error histogram bounds, x100 fixed-point: 1.0, 1.25, 1.5, 2, 4, 8,
-/// 16, 64 (+inf implicit). The low end resolves "basically right", the
-/// high end catches cold-start misestimates that are off by orders of
-/// magnitude.
-std::vector<int64_t> QErrorBounds() {
-  return {100, 125, 150, 200, 400, 800, 1600, 6400};
-}
-
 int64_t ToX100(double v) {
   const double scaled = v * 100.0;
   constexpr double kMax = 9.0e18;
@@ -28,7 +20,6 @@ AccuracyTracker::AccuracyTracker(MetricsRegistry* metrics,
     : metrics_(metrics), threshold_(qerror_invalidation_threshold) {
   if (metrics_ != nullptr) {
     drift_ticks_ = metrics_->GetCounter("payless_stats_drift_ticks_total");
-    drift_epoch_gauge_ = metrics_->GetGauge("payless_stats_drift_epoch");
   }
 }
 
@@ -48,58 +39,41 @@ std::string AccuracyTracker::SanitizeMetricName(const std::string& name) {
   return out;
 }
 
-AccuracyTracker::PerTable& AccuracyTracker::Entry(const std::string& table,
-                                                  const std::string& dataset) {
+AccuracyTracker::PerTable& AccuracyTracker::Entry(const std::string& table) {
   PerTable& entry = tables_[table];
   if (metrics_ != nullptr && entry.qerror_hist == nullptr) {
-    const std::string tag = SanitizeMetricName(table);
-    (void)dataset;  // tables map 1:1 to metric series; dataset rides along
-                    // in the ledger, which already keys spend by dataset
-    entry.qerror_hist =
-        metrics_->GetHistogram("payless_qerror_x100_" + tag, QErrorBounds());
-    entry.qerror_last = metrics_->GetGauge("payless_qerror_last_x100_" + tag);
-    entry.qerror_max = metrics_->GetGauge("payless_qerror_max_x100_" + tag);
-    entry.stats_buckets = metrics_->GetGauge("payless_stats_buckets_" + tag);
-    entry.stats_feedbacks =
-        metrics_->GetGauge("payless_stats_feedbacks_" + tag);
-    entry.stats_rows = metrics_->GetGauge("payless_stats_rows_" + tag);
+    entry.qerror_hist = metrics_->GetLatencyHistogram(
+        "payless_qerror_x100_" + SanitizeMetricName(table));
   }
   return entry;
 }
 
 void AccuracyTracker::PrepareTable(const std::string& table) {
   std::lock_guard<std::mutex> lock(mutex_);
-  Entry(table, /*dataset=*/"");
+  Entry(table);
 }
 
-void AccuracyTracker::Record(const std::string& table,
-                             const std::string& dataset, double estimated,
+void AccuracyTracker::Record(const std::string& table, double estimated,
                              double actual) {
   const double qerror = QError(estimated, actual);
   total_samples_.fetch_add(1, std::memory_order_relaxed);
 
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    PerTable& entry = Entry(table, dataset);
+    PerTable& entry = Entry(table);
     AccuracySnapshot& snap = entry.snapshot;
     ++snap.samples;
     snap.last_qerror = qerror;
     snap.max_qerror = std::max(snap.max_qerror, qerror);
     snap.sum_qerror += qerror;
     if (entry.qerror_hist != nullptr) {
-      entry.qerror_hist->Observe(ToX100(qerror));
-      entry.qerror_last->Set(ToX100(qerror));
-      entry.qerror_max->Set(ToX100(snap.max_qerror));
+      entry.qerror_hist->Record(ToX100(qerror));
     }
   }
 
   if (threshold_ > 0.0 && qerror > threshold_) {
-    const uint64_t epoch =
-        drift_epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
+    drift_epoch_.fetch_add(1, std::memory_order_acq_rel);
     if (drift_ticks_ != nullptr) drift_ticks_->Add(1);
-    if (drift_epoch_gauge_ != nullptr) {
-      drift_epoch_gauge_->Set(static_cast<int64_t>(epoch));
-    }
   }
 }
 
@@ -108,21 +82,6 @@ void AccuracyTracker::RestoreDriftEpoch(uint64_t epoch) {
   while (current < epoch && !drift_epoch_.compare_exchange_weak(
                                 current, epoch, std::memory_order_acq_rel)) {
   }
-  if (drift_epoch_gauge_ != nullptr) {
-    drift_epoch_gauge_->Set(
-        static_cast<int64_t>(drift_epoch_.load(std::memory_order_acquire)));
-  }
-}
-
-void AccuracyTracker::RecordStatsQuality(const std::string& table,
-                                         int64_t buckets, int64_t feedbacks,
-                                         double total_rows) {
-  if (metrics_ == nullptr) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  PerTable& entry = Entry(table, /*dataset=*/"");
-  entry.stats_buckets->Set(buckets);
-  entry.stats_feedbacks->Set(feedbacks);
-  entry.stats_rows->Set(static_cast<int64_t>(total_rows));
 }
 
 AccuracySnapshot AccuracyTracker::Snapshot(const std::string& table) const {

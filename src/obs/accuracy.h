@@ -6,10 +6,9 @@
 //
 //   qerror(e, a) = max(max(e,1)/max(a,1), max(a,1)/max(e,1))  >= 1,
 //
-// into per-dataset histograms and stats-quality gauges of a metrics
-// registry. A q-error of 1 is a perfect estimate; the paper's cold-start
-// uniform assumption can be off by orders of magnitude until feedback
-// refines the histogram (§4.3).
+// into a per-table histogram of a metrics registry. A q-error of 1 is a
+// perfect estimate; the paper's cold-start uniform assumption can be off
+// by orders of magnitude until feedback refines the histogram (§4.3).
 //
 // The tracker also owns the plan-template cache's staleness signal: when a
 // recorded q-error exceeds the configured invalidation threshold, the
@@ -63,11 +62,9 @@ class AccuracyTracker {
   /// divide by zero.
   static double QError(double estimated, double actual);
 
-  /// Records one pair for `table` (hosted by `dataset`; the dataset tag is
-  /// only used to label metrics). Updates the per-table q-error histogram
-  /// and gauges, and ticks the drift epoch when the threshold is exceeded.
-  void Record(const std::string& table, const std::string& dataset,
-              double estimated, double actual);
+  /// Records one pair for `table`. Updates the per-table q-error
+  /// histogram and ticks the drift epoch when the threshold is exceeded.
+  void Record(const std::string& table, double estimated, double actual);
 
   /// Resolves `table`'s metric handles now, off the query path. Callers
   /// that know their table set up front (PayLess registers every catalog
@@ -75,23 +72,16 @@ class AccuracyTracker {
   /// touch the metrics registry's name map.
   void PrepareTable(const std::string& table);
 
-  /// Publishes stats-maturity gauges for `table` (histogram bucket count,
-  /// feedback volume, believed cardinality). Called alongside Record from
-  /// the feedback point; split out because the tracker must not depend on
-  /// the stats layer.
-  void RecordStatsQuality(const std::string& table, int64_t buckets,
-                          int64_t feedbacks, double total_rows);
-
   /// Monotonic staleness epoch: ticks whenever a recorded q-error exceeds
   /// the invalidation threshold. Plan-cache keys embed this value.
   uint64_t drift_epoch() const {
     return drift_epoch_.load(std::memory_order_acquire);
   }
 
-  /// Recovery: fast-forwards the drift epoch to at least `epoch` (the
-  /// value the durability snapshot persisted), so plan-cache keys minted
-  /// after a warm restart line up with the recovered templates' epochs.
-  /// Never moves the epoch backwards.
+  /// Recovery: fast-forwards the drift epoch to at least `epoch`, so
+  /// plan-cache keys minted after a warm restart line up with the epoch
+  /// the crashed process had reached. Never moves the epoch backwards, and
+  /// is not a drift tick: payless_stats_drift_ticks_total excludes it.
   void RestoreDriftEpoch(uint64_t epoch);
 
   double threshold() const { return threshold_; }
@@ -108,22 +98,16 @@ class AccuracyTracker {
  private:
   struct PerTable {
     AccuracySnapshot snapshot;
-    Histogram* qerror_hist = nullptr;      // x100 fixed-point
-    Gauge* qerror_last = nullptr;          // x100 fixed-point
-    Gauge* qerror_max = nullptr;           // x100 fixed-point
-    Gauge* stats_buckets = nullptr;
-    Gauge* stats_feedbacks = nullptr;
-    Gauge* stats_rows = nullptr;
+    LatencyHistogram* qerror_hist = nullptr;  // x100 fixed-point
   };
 
-  PerTable& Entry(const std::string& table, const std::string& dataset);
+  PerTable& Entry(const std::string& table);
 
   MetricsRegistry* metrics_;
   const double threshold_;
   std::atomic<uint64_t> drift_epoch_{0};
   std::atomic<uint64_t> total_samples_{0};
   Counter* drift_ticks_ = nullptr;
-  Gauge* drift_epoch_gauge_ = nullptr;
 
   mutable std::mutex mutex_;
   std::map<std::string, PerTable> tables_;

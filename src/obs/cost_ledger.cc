@@ -110,7 +110,8 @@ std::string CostLedger::ToJson() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::ostringstream os;
   os << "{\"total_transactions\":" << total_.transactions
-     << ",\"total_price\":" << total_.price << ",\"tenants\":{";
+     << ",\"total_price\":" << total_.price
+     << ",\"total_calls\":" << total_.calls << ",\"tenants\":{";
   bool first_tenant = true;
   for (const auto& [tenant, entry] : tenants_) {
     if (!first_tenant) os << ",";

@@ -75,7 +75,8 @@ class CostLedger {
 
   void Reset();
 
-  /// {"total_transactions":..., "tenants":{name:{"transactions":...,
+  /// {"total_transactions":..., "total_price":..., "total_calls":...,
+  /// "tenants":{name:{"transactions":...,
   /// "price":..., "datasets":{name: transactions}}}}
   std::string ToJson() const;
 

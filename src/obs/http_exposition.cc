@@ -5,12 +5,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
-
-#include "obs/dashboard.h"
 
 namespace payless::obs {
 
@@ -20,9 +17,6 @@ namespace {
 // 414; a connection never buffers more than kMaxRequestBytes.
 constexpr size_t kMaxRequestLine = 4096;
 constexpr size_t kMaxRequestBytes = 8192;
-
-// /timeseries?name=... — names longer than this are garbage, not metrics.
-constexpr size_t kMaxSeriesName = 256;
 
 int HexDigit(char c) {
   if (c >= '0' && c <= '9') return c - '0';
@@ -78,10 +72,6 @@ void WriteAll(int fd, const std::string& data) {
 
 HttpReply HttpReply::Json(std::string body) {
   return HttpReply{200, "application/json", std::move(body)};
-}
-
-HttpReply HttpReply::Html(std::string body) {
-  return HttpReply{200, "text/html; charset=utf-8", std::move(body)};
 }
 
 HttpReply HttpReply::Text(int status, std::string body) {
@@ -164,9 +154,6 @@ void HttpExpositionServer::InstallBuiltinRoutes() {
     }
     return HttpReply::Text(200, *rendered);
   };
-  routes_["/dashboard"] = [](const std::string&) {
-    return HttpReply::Html(DashboardHtml());
-  };
 }
 
 void HttpExpositionServer::AddRoute(const std::string& path,
@@ -196,28 +183,6 @@ void HttpExpositionServer::SetStoreStatsProvider(
   }
   routes_["/store"] = [provider = std::move(provider)](const std::string&) {
     return HttpReply::Json(provider());
-  };
-}
-
-void HttpExpositionServer::SetTimeSeriesSampler(TimeSeriesSampler* sampler) {
-  if (sampler == nullptr) {
-    routes_.erase("/timeseries");
-    return;
-  }
-  routes_["/timeseries"] = [sampler](const std::string& query) {
-    if (query.empty()) return HttpReply::Json(sampler->IndexJson());
-    const std::string name = QueryParam(query, "name");
-    if (name.empty()) {
-      return HttpReply::Text(400, "missing or empty name= parameter\n");
-    }
-    if (name.size() > kMaxSeriesName) {
-      return HttpReply::Text(400, "name= parameter too long\n");
-    }
-    const std::vector<std::string> names = sampler->Names();
-    if (std::find(names.begin(), names.end(), name) == names.end()) {
-      return HttpReply::Text(404, "unknown series\n");
-    }
-    return HttpReply::Json(sampler->SeriesJson(name));
   };
 }
 

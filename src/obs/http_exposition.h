@@ -10,14 +10,13 @@
 //   /ledger           the cost ledger (per-tenant / per-dataset spend)
 //   /savings          the savings ledger (counterfactual vs actual, causes)
 //   /store            semantic-store coverage summaries (injected provider)
-//   /timeseries       sampled metric history: ?name=<metric> for one
-//                     series, no query for the index of known names
-//   /dashboard        self-contained live HTML dashboard over the above
 //   /explain?q=...    EXPLAIN for a URL-encoded SQL statement (the handler
 //                     is injected by the embedding layer, keeping this
 //                     library below exec in the dependency order)
 //
-// Embedders may add further routes with AddRoute() before Start().
+// Embedders may add further routes with AddRoute() before Start();
+// PayLess::RegisterIntrospection adds /markets, /latency, /flightrecorder
+// and /workload. A time series is a scraper of /metrics away.
 //
 // Scale intent: an operator's curl / a Prometheus scraper — one small
 // response per request, connection closed after each (HTTP/1.1 with
@@ -40,7 +39,6 @@
 #include "obs/cost_ledger.h"
 #include "obs/metrics.h"
 #include "obs/savings.h"
-#include "obs/timeseries.h"
 
 namespace payless::obs {
 
@@ -52,7 +50,6 @@ struct HttpReply {
   std::string body;
 
   static HttpReply Json(std::string body);
-  static HttpReply Html(std::string body);
   static HttpReply Text(int status, std::string body);
 };
 
@@ -99,9 +96,6 @@ class HttpExpositionServer {
   /// injected as a closure so this library stays below semstore in the
   /// dependency order. Must be thread-safe.
   void SetStoreStatsProvider(std::function<std::string()> provider);
-
-  /// Wires /timeseries. The sampler must outlive the server.
-  void SetTimeSeriesSampler(TimeSeriesSampler* sampler);
 
   /// Binds, listens and launches the accept thread. Fails (without leaking
   /// the socket) when the address cannot be bound.

@@ -1,6 +1,5 @@
 #include "obs/latency.h"
 
-#include <chrono>
 #include <cmath>
 
 namespace payless::obs {
@@ -10,12 +9,6 @@ namespace {
 /// Position of the highest set bit (floor(log2(v))) for v >= 1.
 inline int HighBit(int64_t v) {
   return 63 - __builtin_clzll(static_cast<uint64_t>(v));
-}
-
-inline int64_t SteadyNowMicros() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 }  // namespace
@@ -92,67 +85,6 @@ const char* QueryStageName(int stage) {
       return "retry_backoff";
   }
   return "unknown";
-}
-
-LatencySlo::LatencySlo(const Options& options)
-    : options_(options), window_start_micros_(SteadyNowMicros()) {}
-
-int LatencySlo::ActiveIndex(int64_t now_micros) {
-  const int64_t start = window_start_micros_.load(std::memory_order_acquire);
-  if (now_micros - start >= options_.window_micros) {
-    int64_t expected = start;
-    if (window_start_micros_.compare_exchange_strong(
-            expected, now_micros, std::memory_order_acq_rel)) {
-      // This thread won the rotation: flip to the other slot and zero it.
-      // Concurrent recorders may land a stray observation in either slot
-      // around the flip; the SLO is an observability signal, not a ledger.
-      const int next = current_.load(std::memory_order_relaxed) ^ 1;
-      windows_[next].total.store(0, std::memory_order_relaxed);
-      windows_[next].breaches.store(0, std::memory_order_relaxed);
-      current_.store(next, std::memory_order_release);
-    }
-  }
-  return current_.load(std::memory_order_acquire);
-}
-
-void LatencySlo::Record(int64_t latency_micros) {
-  Window& w = windows_[ActiveIndex(SteadyNowMicros())];
-  w.total.fetch_add(1, std::memory_order_relaxed);
-  if (latency_micros > options_.target_micros) {
-    w.breaches.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-int64_t LatencySlo::window_total() const {
-  const int cur = current_.load(std::memory_order_acquire);
-  int64_t total = windows_[cur].total.load(std::memory_order_relaxed);
-  if (total == 0) {
-    total = windows_[cur ^ 1].total.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-int64_t LatencySlo::window_breaches() const {
-  const int cur = current_.load(std::memory_order_acquire);
-  if (windows_[cur].total.load(std::memory_order_relaxed) > 0) {
-    return windows_[cur].breaches.load(std::memory_order_relaxed);
-  }
-  return windows_[cur ^ 1].breaches.load(std::memory_order_relaxed);
-}
-
-double LatencySlo::BurnRate() const {
-  const int cur = current_.load(std::memory_order_acquire);
-  int64_t total = windows_[cur].total.load(std::memory_order_relaxed);
-  int64_t breaches = windows_[cur].breaches.load(std::memory_order_relaxed);
-  if (total == 0) {
-    total = windows_[cur ^ 1].total.load(std::memory_order_relaxed);
-    breaches = windows_[cur ^ 1].breaches.load(std::memory_order_relaxed);
-  }
-  if (total == 0) return 0.0;
-  const double budget = 1.0 - options_.objective;
-  if (budget <= 0.0) return 0.0;
-  return (static_cast<double>(breaches) / static_cast<double>(total)) /
-         budget;
 }
 
 }  // namespace payless::obs

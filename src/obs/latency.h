@@ -1,6 +1,5 @@
 // Latency observability: a log-scale high-dynamic-range histogram with
-// exact-decodable buckets, the per-query stage decomposition, and
-// per-endpoint latency SLOs with burn-rate extraction.
+// exact-decodable buckets, and the per-query stage decomposition.
 //
 // LatencyHistogram follows the registry's handle discipline: registration
 // (GetLatencyHistogram) takes the registry mutex once, the returned handle
@@ -9,7 +8,9 @@
 // timings can be recorded on the hot path. Buckets are base-2
 // sub-logarithmic (32 sub-buckets per octave), which makes every bucket's
 // [low, high] range exactly decodable from its index and bounds the
-// relative quantile error at 2^-5 ~ 3.1%.
+// relative quantile error at 2^-5 ~ 3.1%. It is the registry's only
+// distribution instrument: non-latency distributions (the per-table
+// q-errors, fixed-point x100) record into it too.
 #ifndef PAYLESS_OBS_LATENCY_H_
 #define PAYLESS_OBS_LATENCY_H_
 
@@ -20,7 +21,8 @@
 
 namespace payless::obs {
 
-/// Log-scale HDR histogram over non-negative microsecond values.
+/// Log-scale HDR histogram over non-negative integers (microseconds, for
+/// the latencies).
 class LatencyHistogram {
  public:
   /// Sub-bucket resolution: 2^kSubBits sub-buckets per power of two.
@@ -109,51 +111,6 @@ class QueryStageAccumulator {
 
  private:
   std::array<std::atomic<int64_t>, kNumQueryStages> micros_;
-};
-
-/// A latency objective over a rotating window: "objective of requests
-/// complete within target_micros, judged over window_micros". BurnRate is
-/// the SRE burn rate: observed breach fraction divided by the error budget
-/// (1 - objective); 1.0 means the budget is being consumed exactly at the
-/// sustainable rate, >1 means the endpoint is burning ahead of it.
-class LatencySlo {
- public:
-  struct Options {
-    int64_t target_micros = 50'000;
-    double objective = 0.99;
-    int64_t window_micros = 60'000'000;
-  };
-
-  explicit LatencySlo(const Options& options);
-  LatencySlo(const LatencySlo&) = delete;
-  LatencySlo& operator=(const LatencySlo&) = delete;
-
-  /// Lock-free; rotates the window lazily via CAS on the window start.
-  void Record(int64_t latency_micros);
-
-  /// Burn rate over the active window (falls back to the previous window
-  /// while the active one is empty); 0 when no data.
-  double BurnRate() const;
-
-  int64_t target_micros() const { return options_.target_micros; }
-  double objective() const { return options_.objective; }
-  int64_t window_micros() const { return options_.window_micros; }
-  int64_t window_total() const;
-  int64_t window_breaches() const;
-
- private:
-  struct Window {
-    std::atomic<int64_t> total{0};
-    std::atomic<int64_t> breaches{0};
-  };
-
-  /// Rotates if the active window has expired; returns the active index.
-  int ActiveIndex(int64_t now_micros);
-
-  Options options_;
-  std::atomic<int64_t> window_start_micros_;
-  std::atomic<int> current_{0};
-  Window windows_[2];
 };
 
 }  // namespace payless::obs

@@ -1,57 +1,8 @@
 #include "obs/metrics.h"
 
-#include <algorithm>
-#include <cassert>
-#include <cmath>
 #include <sstream>
 
 namespace payless::obs {
-
-Histogram::Histogram(std::vector<int64_t> bounds) : bounds_(std::move(bounds)) {
-  assert(std::is_sorted(bounds_.begin(), bounds_.end()) &&
-         std::adjacent_find(bounds_.begin(), bounds_.end()) == bounds_.end() &&
-         "histogram bounds must be strictly increasing");
-  buckets_ = std::make_unique<std::atomic<int64_t>[]>(bounds_.size() + 1);
-  for (size_t i = 0; i <= bounds_.size(); ++i) buckets_[i].store(0);
-}
-
-void Histogram::Observe(int64_t value) {
-  size_t bucket = bounds_.size();  // +inf bucket by default
-  for (size_t i = 0; i < bounds_.size(); ++i) {
-    if (value <= bounds_[i]) {
-      bucket = i;
-      break;
-    }
-  }
-  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(value, std::memory_order_relaxed);
-}
-
-std::vector<int64_t> Histogram::BucketCounts() const {
-  std::vector<int64_t> counts(bounds_.size() + 1);
-  for (size_t i = 0; i <= bounds_.size(); ++i) {
-    counts[i] = buckets_[i].load(std::memory_order_relaxed);
-  }
-  return counts;
-}
-
-int64_t Histogram::ValueAtQuantile(double q) const {
-  const int64_t total = count();
-  if (total <= 0 || bounds_.empty()) return 0;
-  if (q < 0) q = 0;
-  if (q > 1) q = 1;
-  int64_t rank =
-      static_cast<int64_t>(std::ceil(q * static_cast<double>(total)));
-  if (rank < 1) rank = 1;
-  int64_t cumulative = 0;
-  for (size_t i = 0; i < bounds_.size(); ++i) {
-    cumulative += buckets_[i].load(std::memory_order_relaxed);
-    if (cumulative >= rank) return bounds_[i];
-  }
-  // The +inf bucket has no finite upper bound; report the last one.
-  return bounds_.back();
-}
 
 Counter* MetricsRegistry::GetCounter(const std::string& name) {
   lookups_.fetch_add(1, std::memory_order_relaxed);
@@ -69,49 +20,28 @@ Gauge* MetricsRegistry::GetGauge(const std::string& name) {
   return slot.get();
 }
 
-Histogram* MetricsRegistry::GetHistogram(const std::string& name,
-                                         std::vector<int64_t> bounds) {
-  lookups_.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::unique_ptr<Histogram>& slot = histograms_[name];
-  if (slot == nullptr) slot = std::make_unique<Histogram>(std::move(bounds));
-  return slot.get();
-}
-
 LatencyHistogram* MetricsRegistry::GetLatencyHistogram(
     const std::string& name) {
   lookups_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mutex_);
-  std::unique_ptr<LatencyHistogram>& slot = latency_[name];
+  std::unique_ptr<LatencyHistogram>& slot = histograms_[name];
   if (slot == nullptr) slot = std::make_unique<LatencyHistogram>();
   return slot.get();
 }
 
-std::vector<std::pair<std::string, int64_t>>
-MetricsRegistry::SnapshotScalars() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::pair<std::string, int64_t>> out;
-  out.reserve(counters_.size() + gauges_.size() + 6 * histograms_.size() +
-              6 * latency_.size());
-  for (const auto& [name, c] : counters_) out.emplace_back(name, c->value());
-  for (const auto& [name, g] : gauges_) out.emplace_back(name, g->value());
+void MetricsRegistry::HistogramsJsonLocked(std::ostream& os) const {
+  os << "{";
+  bool first = true;
   for (const auto& [name, h] : histograms_) {
-    out.emplace_back(name + "_count", h->count());
-    out.emplace_back(name + "_sum", h->sum());
-    out.emplace_back(name + "_p50", h->ValueAtQuantile(0.50));
-    out.emplace_back(name + "_p95", h->ValueAtQuantile(0.95));
-    out.emplace_back(name + "_p99", h->ValueAtQuantile(0.99));
-    out.emplace_back(name + "_p999", h->ValueAtQuantile(0.999));
+    if (!first) os << ",";
+    first = false;
+    os << "\"" << name << "\":{\"count\":" << h->count()
+       << ",\"sum\":" << h->sum() << ",\"p50\":" << h->ValueAtQuantile(0.50)
+       << ",\"p95\":" << h->ValueAtQuantile(0.95)
+       << ",\"p99\":" << h->ValueAtQuantile(0.99)
+       << ",\"p999\":" << h->ValueAtQuantile(0.999) << "}";
   }
-  for (const auto& [name, h] : latency_) {
-    out.emplace_back(name + "_count", h->count());
-    out.emplace_back(name + "_sum", h->sum());
-    out.emplace_back(name + "_p50", h->ValueAtQuantile(0.50));
-    out.emplace_back(name + "_p95", h->ValueAtQuantile(0.95));
-    out.emplace_back(name + "_p99", h->ValueAtQuantile(0.99));
-    out.emplace_back(name + "_p999", h->ValueAtQuantile(0.999));
-  }
-  return out;
+  os << "}";
 }
 
 std::string MetricsRegistry::ToJson() const {
@@ -131,56 +61,18 @@ std::string MetricsRegistry::ToJson() const {
     first = false;
     os << "\"" << name << "\":" << g->value();
   }
-  os << "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : histograms_) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << name << "\":{\"count\":" << h->count()
-       << ",\"sum\":" << h->sum() << ",\"buckets\":[";
-    const std::vector<int64_t> counts = h->BucketCounts();
-    for (size_t i = 0; i < counts.size(); ++i) {
-      if (i > 0) os << ",";
-      os << "{\"le\":";
-      if (i < h->bounds().size()) {
-        os << h->bounds()[i];
-      } else {
-        os << "\"+Inf\"";
-      }
-      os << ",\"count\":" << counts[i] << "}";
-    }
-    os << "]}";
-  }
-  os << "},\"latency\":{";
-  first = true;
-  for (const auto& [name, h] : latency_) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << name << "\":{\"count\":" << h->count()
-       << ",\"sum\":" << h->sum() << ",\"p50\":" << h->ValueAtQuantile(0.50)
-       << ",\"p95\":" << h->ValueAtQuantile(0.95)
-       << ",\"p99\":" << h->ValueAtQuantile(0.99)
-       << ",\"p999\":" << h->ValueAtQuantile(0.999) << "}";
-  }
-  os << "}}";
+  os << "},\"histograms\":";
+  HistogramsJsonLocked(os);
+  os << "}";
   return os.str();
 }
 
 std::string MetricsRegistry::LatencyJson() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::ostringstream os;
-  os << "{\"histograms\":{";
-  bool first = true;
-  for (const auto& [name, h] : latency_) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << name << "\":{\"count\":" << h->count()
-       << ",\"sum\":" << h->sum() << ",\"p50\":" << h->ValueAtQuantile(0.50)
-       << ",\"p95\":" << h->ValueAtQuantile(0.95)
-       << ",\"p99\":" << h->ValueAtQuantile(0.99)
-       << ",\"p999\":" << h->ValueAtQuantile(0.999) << "}";
-  }
-  os << "}}";
+  os << "{\"histograms\":";
+  HistogramsJsonLocked(os);
+  os << "}";
   return os.str();
 }
 
@@ -195,26 +87,9 @@ std::string MetricsRegistry::ToPrometheusText() const {
     os << "# TYPE " << name << " gauge\n";
     os << name << " " << g->value() << "\n";
   }
+  // Histograms render as Prometheus summaries: the HDR bucket list is too
+  // long for useful text exposition, the quantiles are the point.
   for (const auto& [name, h] : histograms_) {
-    os << "# TYPE " << name << " histogram\n";
-    const std::vector<int64_t> counts = h->BucketCounts();
-    int64_t cumulative = 0;
-    for (size_t i = 0; i < counts.size(); ++i) {
-      cumulative += counts[i];
-      os << name << "_bucket{le=\"";
-      if (i < h->bounds().size()) {
-        os << h->bounds()[i];
-      } else {
-        os << "+Inf";
-      }
-      os << "\"} " << cumulative << "\n";
-    }
-    os << name << "_sum " << h->sum() << "\n";
-    os << name << "_count " << h->count() << "\n";
-  }
-  // Latency histograms render as Prometheus summaries: the HDR bucket list
-  // is too long for useful text exposition, the quantiles are the point.
-  for (const auto& [name, h] : latency_) {
     os << "# TYPE " << name << " summary\n";
     os << name << "{quantile=\"0.5\"} " << h->ValueAtQuantile(0.50) << "\n";
     os << name << "{quantile=\"0.95\"} " << h->ValueAtQuantile(0.95) << "\n";

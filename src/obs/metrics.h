@@ -1,5 +1,5 @@
-// Thread-safe metrics registry: counters, gauges and fixed-bucket
-// histograms with handle-based hot-path recording.
+// Thread-safe metrics registry: counters, gauges and log-scale histograms
+// (obs/latency.h) with handle-based hot-path recording.
 //
 // Registration (name -> instrument) takes a mutex once; the returned
 // handle is a stable pointer whose Record path is a handful of relaxed
@@ -8,16 +8,20 @@
 // Exposition walks the registry under the mutex and renders either JSON or
 // the Prometheus text format, both cheap enough to serve from an admin
 // endpoint.
+//
+// Every name the system registers is listed, with the invariant that pins
+// its value, in tests/metric_contract_test.cc; that test fails on a name it
+// does not know, so a new metric lands together with its invariant.
 #ifndef PAYLESS_OBS_METRICS_H_
 #define PAYLESS_OBS_METRICS_H_
 
 #include <atomic>
 #include <cstdint>
+#include <iosfwd>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "obs/latency.h"
 
@@ -35,7 +39,8 @@ class Counter {
   std::atomic<int64_t> value_{0};
 };
 
-/// Last-write-wins instantaneous value.
+/// Instantaneous value. Clients sharing one registry move it by deltas
+/// (Add), so their contributions sum; a Set would overwrite the others'.
 class Gauge {
  public:
   void Set(int64_t value) { value_.store(value, std::memory_order_relaxed); }
@@ -44,32 +49,6 @@ class Gauge {
 
  private:
   std::atomic<int64_t> value_{0};
-};
-
-/// Fixed-bucket histogram: `bounds` are inclusive upper bounds of the
-/// finite buckets; one implicit +inf bucket catches the rest. Observation
-/// is a linear scan over the (small, fixed) bound list plus three relaxed
-/// atomics — no allocation, no lock.
-class Histogram {
- public:
-  explicit Histogram(std::vector<int64_t> bounds);
-
-  void Observe(int64_t value);
-
-  int64_t count() const { return count_.load(std::memory_order_relaxed); }
-  int64_t sum() const { return sum_.load(std::memory_order_relaxed); }
-  const std::vector<int64_t>& bounds() const { return bounds_; }
-  /// Per-bucket counts, bounds-order then the +inf bucket (size = bounds+1).
-  std::vector<int64_t> BucketCounts() const;
-  /// Upper bound of the bucket holding the q-quantile observation; the
-  /// +inf bucket reports the last finite bound. 0 when empty.
-  int64_t ValueAtQuantile(double q) const;
-
- private:
-  std::vector<int64_t> bounds_;
-  std::unique_ptr<std::atomic<int64_t>[]> buckets_;  // bounds_.size() + 1
-  std::atomic<int64_t> count_{0};
-  std::atomic<int64_t> sum_{0};
 };
 
 /// Name -> instrument registry. GetX is create-or-get: the first caller
@@ -83,52 +62,40 @@ class MetricsRegistry {
 
   Counter* GetCounter(const std::string& name);
   Gauge* GetGauge(const std::string& name);
-  /// `bounds` must be strictly increasing; on a repeat Get for an existing
-  /// histogram the bounds argument is ignored (the first registration wins).
-  Histogram* GetHistogram(const std::string& name,
-                          std::vector<int64_t> bounds);
-  /// Log-scale HDR histogram for tail latencies (see obs/latency.h). Same
-  /// create-or-get and handle-stability contract as the other instruments.
+  /// Log-scale HDR histogram, the one distribution instrument: latencies,
+  /// and any other non-negative integer distribution (q-errors x100).
   LatencyHistogram* GetLatencyHistogram(const std::string& name);
 
   /// {"counters": {name: value}, "gauges": {...}, "histograms": {name:
-  /// {"count": c, "sum": s, "buckets": [{"le": bound, "count": n}, ...]}}}
+  /// {"count": c, "sum": s, "p50": ..., "p95": ..., "p99": ..., "p999":
+  /// ...}}}
   std::string ToJson() const;
 
-  /// Flat (name, value) snapshot of every scalar the registry knows:
-  /// counters and gauges verbatim, histograms (fixed and latency) as
-  /// derived `<name>_count` / `<name>_sum` plus `<name>_p50` / `_p95` /
-  /// `_p99` / `_p999` quantile scalars, so the time-series sampler can
-  /// chart tails over time. One registry-mutex hold, relaxed atomic reads —
-  /// cheap enough for a periodic sampling thread. Names are unique across
-  /// kinds by construction of the exposition formats.
-  std::vector<std::pair<std::string, int64_t>> SnapshotScalars() const;
-
-  /// {"histograms": {name: {"count": c, "sum": s, "p50": ..., "p95": ...,
-  /// "p99": ..., "p999": ...}}} over the latency histograms only — the
+  /// {"histograms": {...}} — the histogram part of ToJson alone, the
   /// payload behind the /latency route.
   std::string LatencyJson() const;
 
-  /// Prometheus text exposition format v0.0.4 (counters as `name value`,
-  /// histograms as cumulative `name_bucket{le="..."}` series).
+  /// Prometheus text exposition format v0.0.4: counters and gauges as
+  /// `name value`, histograms as summaries (quantiles plus _sum/_count).
   std::string ToPrometheusText() const;
 
-  /// Lifetime count of name->handle lookups (each GetCounter/GetGauge/
-  /// GetHistogram call; every one takes the registry mutex). Hot paths must
-  /// pre-resolve handles at construction, so this count is REQUIRED to stay
-  /// flat while queries are being served — the steady-state hot-path test
-  /// asserts exactly that.
+  /// Lifetime count of name->handle lookups (each GetX call; every one
+  /// takes the registry mutex). Hot paths must pre-resolve handles at
+  /// construction, so this count is REQUIRED to stay flat while queries are
+  /// being served — the steady-state hot-path test asserts exactly that.
   int64_t lookup_count() const {
     return lookups_.load(std::memory_order_relaxed);
   }
 
  private:
+  /// Renders the histogram map as a JSON object; caller holds mutex_.
+  void HistogramsJsonLocked(std::ostream& os) const;
+
   mutable std::atomic<int64_t> lookups_{0};
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-  std::map<std::string, std::unique_ptr<LatencyHistogram>> latency_;
+  std::map<std::string, std::unique_ptr<LatencyHistogram>> histograms_;
 };
 
 }  // namespace payless::obs

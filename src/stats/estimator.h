@@ -26,8 +26,8 @@
 
 namespace payless::stats {
 
-/// Introspection snapshot of one table's estimator — what EXPLAIN and the
-/// stats-quality gauges report about statistics maturity.
+/// Introspection snapshot of one table's estimator — what EXPLAIN reports
+/// about statistics maturity.
 struct EstimatorInfo {
   size_t buckets = 0;     // histogram buckets (1 for uniform estimators)
   size_t feedbacks = 0;   // feedback observations absorbed so far

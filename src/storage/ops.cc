@@ -1,35 +1,9 @@
 #include "storage/ops.h"
 
-#include <algorithm>
 #include <cassert>
 #include <unordered_map>
-#include <unordered_set>
 
 namespace payless::storage {
-
-Table Filter(const Table& input, const std::vector<ColumnPredicate>& preds) {
-  Table out(input.schema());
-  for (const Row& row : input.rows()) {
-    bool keep = true;
-    for (const ColumnPredicate& p : preds) {
-      if (!p.Matches(row)) {
-        keep = false;
-        break;
-      }
-    }
-    if (keep) out.Append(row);
-  }
-  return out;
-}
-
-Table FilterFn(const Table& input,
-               const std::function<bool(const Row&)>& pred) {
-  Table out(input.schema());
-  for (const Row& row : input.rows()) {
-    if (pred(row)) out.Append(row);
-  }
-  return out;
-}
 
 Table Project(const Table& input, const std::vector<size_t>& columns) {
   std::vector<SchemaColumn> cols;
@@ -45,63 +19,6 @@ Table Project(const Table& input, const std::vector<size_t>& columns) {
     for (size_t c : columns) projected.push_back(row[c]);
     out.Append(std::move(projected));
   }
-  return out;
-}
-
-Table ThetaJoin(const Table& left, const Table& right,
-                const std::function<bool(const Row&)>& pred) {
-  Table out(Schema::Concat(left.schema(), right.schema()));
-  for (const Row& l : left.rows()) {
-    for (const Row& r : right.rows()) {
-      Row joined = l;
-      joined.insert(joined.end(), r.begin(), r.end());
-      if (pred(joined)) out.Append(std::move(joined));
-    }
-  }
-  return out;
-}
-
-Table Distinct(const Table& input) {
-  Table out(input.schema());
-  std::unordered_set<Row, RowHasher> seen;
-  for (const Row& row : input.rows()) {
-    if (seen.insert(row).second) out.Append(row);
-  }
-  return out;
-}
-
-Status UnionAll(Table* into, const Table& more) {
-  if (into->schema().num_columns() != more.schema().num_columns()) {
-    return Status::InvalidArgument("UNION ALL arity mismatch: " +
-                                   into->schema().ToString() + " vs " +
-                                   more.schema().ToString());
-  }
-  for (const Row& row : more.rows()) into->Append(row);
-  return Status::OK();
-}
-
-Table SortBy(const Table& input, const std::vector<size_t>& columns) {
-  Table out = input;
-  std::stable_sort(out.mutable_rows().begin(), out.mutable_rows().end(),
-                   [&columns](const Row& a, const Row& b) {
-                     for (size_t c : columns) {
-                       const int cmp = a[c].Compare(b[c]);
-                       if (cmp != 0) return cmp < 0;
-                     }
-                     return false;
-                   });
-  return out;
-}
-
-std::vector<Value> DistinctValues(const Table& input, size_t column) {
-  std::unordered_set<Value, ValueHasher> seen;
-  std::vector<Value> out;
-  for (const Row& row : input.rows()) {
-    const Value& v = row[column];
-    if (v.is_null()) continue;
-    if (seen.insert(v).second) out.push_back(v);
-  }
-  std::sort(out.begin(), out.end());
   return out;
 }
 

@@ -91,12 +91,13 @@ TEST_F(BatchTest, BatchResultsMatchSequentialResults) {
   const std::vector<BatchQuery> batch = OverlappingBatch();
   Result<BatchReport> report = batched.QueryBatch(batch);
   ASSERT_TRUE(report.ok());
-  ASSERT_EQ(report->results.size(), batch.size());
+  ASSERT_EQ(report->reports.size(), batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     Result<storage::Table> expected =
         sequential.Query(batch[i].sql, batch[i].params);
     ASSERT_TRUE(expected.ok());
-    EXPECT_TRUE(SameResult(report->results[i], *expected)) << batch[i].sql;
+    EXPECT_TRUE(SameResult(report->reports[i].result, *expected))
+        << batch[i].sql;
   }
 }
 
@@ -157,9 +158,10 @@ TEST_F(BatchTest, InexpressibleMergedHullIsCountedNotSilentlySkipped) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_GE(report->prefetch_skipped_calls, 1u);
   EXPECT_EQ(report->merged_groups, 0u);  // nothing issuable was merged
-  ASSERT_EQ(report->results.size(), batch.size());
+  ASSERT_EQ(report->reports.size(), batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_TRUE(SameResult(report->results[i], expected[i])) << batch[i].sql;
+    EXPECT_TRUE(SameResult(report->reports[i].result, expected[i]))
+        << batch[i].sql;
   }
   EXPECT_EQ(report->transactions_spent,
             sequential.meter().total_transactions());
@@ -178,19 +180,70 @@ TEST_F(BatchTest, BudgetEvictsOnlyAfterTheWholeBatch) {
   ASSERT_TRUE(evicted.ok()) << evicted.status().ToString();
   EXPECT_GE(evicted->merged_groups, 1u);
   EXPECT_EQ(evicted->transactions_spent, kept->transactions_spent);
-  for (size_t i = 0; i < kept->results.size(); ++i) {
-    EXPECT_TRUE(SameResult(evicted->results[i], kept->results[i]));
+  for (size_t i = 0; i < kept->reports.size(); ++i) {
+    EXPECT_TRUE(
+        SameResult(evicted->reports[i].result, kept->reports[i].result));
   }
   for (const auto& t : budget.store().SnapshotStats()) {
     EXPECT_EQ(t.pooled_rows, 0u) << t.table;
   }
 }
 
+TEST_F(BatchTest, PrefetchMeetsTheTenantHardCap) {
+  // A tenant capped at 1 transaction. Gate 2 refuses a 2-transaction query
+  // before it spends anything; the batch's 2-transaction prefetch hull must
+  // meet the same cap. It is refused, so the first query buys its own page
+  // and the second is rejected at its own gate.
+  obs::Observability obs;
+  obs::TenantBudget budget;
+  budget.hard_cap_transactions = 1;
+  obs.governor.SetBudget("default", budget);
+  PayLessConfig config;
+  config.observability = &obs;
+  PayLess client(&cat_, market_.get(), config);
+
+  const Result<QueryReport> wide = client.QueryWithReport(
+      "SELECT * FROM Readings WHERE Pos >= 1000 AND Pos <= 1995");
+  ASSERT_FALSE(wide.ok());
+  EXPECT_EQ(wide.status().code(), Status::Code::kBudgetExceeded);
+  EXPECT_EQ(obs.ledger.TenantTransactions("default"), 0);
+
+  const Result<BatchReport> report = client.QueryBatch(OverlappingBatch());
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), Status::Code::kBudgetExceeded);
+  EXPECT_EQ(obs.ledger.TenantTransactions("default"), 1);
+  EXPECT_EQ(obs.ledger.total_transactions(),
+            client.meter().total_transactions());
+  // The refused prefetch and the refused second query, after the wide one.
+  EXPECT_EQ(obs.governor.rejections("default"), 3);
+}
+
+TEST_F(BatchTest, PrefetchSpendFeedsTheRateWindow) {
+  // A window cap far above the batch's spend: nothing is refused, and the
+  // window holds everything the tenant was billed, prefetch included.
+  obs::Observability obs;
+  obs::TenantBudget budget;
+  budget.window_cap_transactions = 1000;
+  budget.window_micros = 3'600'000'000;  // nothing ages out mid-test
+  obs.governor.SetBudget("default", budget);
+  PayLessConfig config;
+  config.observability = &obs;
+  PayLess client(&cat_, market_.get(), config);
+
+  const Result<BatchReport> report = client.QueryBatch(OverlappingBatch());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_GT(report->prefetch_transactions, 0);
+  EXPECT_EQ(obs.governor.WindowSpend("default"),
+            obs.ledger.TenantTransactions("default"));
+  EXPECT_EQ(obs.ledger.TenantTransactions("default"),
+            report->transactions_spent);
+}
+
 TEST_F(BatchTest, EmptyBatch) {
   PayLess client(&cat_, market_.get(), PayLessConfig{});
   Result<BatchReport> report = client.QueryBatch({});
   ASSERT_TRUE(report.ok());
-  EXPECT_TRUE(report->results.empty());
+  EXPECT_TRUE(report->reports.empty());
   EXPECT_EQ(report->transactions_spent, 0);
 }
 
@@ -206,7 +259,7 @@ TEST_F(BatchTest, BatchWithSqrDisabledStillAnswers) {
   Result<BatchReport> report = client.QueryBatch(OverlappingBatch());
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->merged_groups, 0u);  // no store: nothing to merge into
-  EXPECT_EQ(report->results.size(), 6u);
+  EXPECT_EQ(report->reports.size(), 6u);
 }
 
 }  // namespace

@@ -55,6 +55,7 @@ TEST(CostLedgerTest, RecordsAndAggregates) {
   const std::string json = ledger.ToJson();
   EXPECT_NE(json.find("\"acme\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"total_transactions\":11"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"total_calls\":4"), std::string::npos) << json;
 
   ledger.Reset();
   EXPECT_EQ(ledger.total_transactions(), 0);

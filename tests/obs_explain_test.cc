@@ -54,12 +54,12 @@ TEST(AccuracyTrackerTest, QErrorIsSymmetricAndAtLeastOne) {
 
 TEST(AccuracyTrackerTest, DriftEpochTicksOnlyAboveThreshold) {
   AccuracyTracker tracker(nullptr, /*qerror_invalidation_threshold=*/2.0);
-  tracker.Record("T", "D", 100, 100);  // q-error 1
-  tracker.Record("T", "D", 100, 199);  // q-error 1.99 <= 2
+  tracker.Record("T", 100, 100);  // q-error 1
+  tracker.Record("T", 100, 199);  // q-error 1.99 <= 2
   EXPECT_EQ(tracker.drift_epoch(), 0u);
-  tracker.Record("T", "D", 100, 500);  // q-error 5 > 2
+  tracker.Record("T", 100, 500);  // q-error 5 > 2
   EXPECT_EQ(tracker.drift_epoch(), 1u);
-  tracker.Record("T", "D", 1, 1000);
+  tracker.Record("T", 1, 1000);
   EXPECT_EQ(tracker.drift_epoch(), 2u);
 
   const AccuracySnapshot snap = tracker.Snapshot("T");
@@ -74,28 +74,30 @@ TEST(AccuracyTrackerTest, DriftEpochTicksOnlyAboveThreshold) {
 
 TEST(AccuracyTrackerTest, NonPositiveThresholdNeverTicks) {
   AccuracyTracker tracker(nullptr, /*qerror_invalidation_threshold=*/0.0);
-  tracker.Record("T", "D", 1, 1'000'000);
+  tracker.Record("T", 1, 1'000'000);
   EXPECT_EQ(tracker.drift_epoch(), 0u);
 }
 
 TEST(AccuracyTrackerTest, ExportsMetricsUnderSanitizedNames) {
   MetricsRegistry metrics;
   AccuracyTracker tracker(&metrics, 2.0);
-  tracker.Record("My-Table", "acme/weather", 10, 40);  // q-error 4 -> drift
-  tracker.RecordStatsQuality("My-Table", /*buckets=*/7, /*feedbacks=*/3,
-                             /*total_rows=*/123.0);
+  tracker.Record("My-Table", 10, 40);  // q-error 4 -> drift
+  tracker.Record("My-Table", 10, 10);  // q-error 1
   const std::string text = metrics.ToPrometheusText();
-  EXPECT_NE(text.find("payless_qerror_last_x100_My_Table 400"),
+  // One q-error summary per table, fixed-point x100: its count is the
+  // tracker's sample count and its sum the q-errors' (400 + 100).
+  EXPECT_NE(text.find("# TYPE payless_qerror_x100_My_Table summary"),
             std::string::npos)
       << text;
-  EXPECT_NE(text.find("payless_qerror_x100_My_Table_bucket"),
-            std::string::npos);
-  EXPECT_NE(text.find("payless_stats_buckets_My_Table 7"), std::string::npos);
-  EXPECT_NE(text.find("payless_stats_feedbacks_My_Table 3"),
-            std::string::npos);
+  EXPECT_NE(text.find("payless_qerror_x100_My_Table_count 2"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(tracker.Snapshot("My-Table").samples, 2u);
+  EXPECT_NE(text.find("payless_qerror_x100_My_Table_sum 500"),
+            std::string::npos)
+      << text;
   EXPECT_NE(text.find("payless_stats_drift_ticks_total 1"),
             std::string::npos);
-  EXPECT_NE(text.find("payless_stats_drift_epoch 1"), std::string::npos);
 }
 
 TEST(AccuracyTrackerTest, SanitizeMetricName) {

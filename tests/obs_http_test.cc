@@ -200,11 +200,14 @@ TEST_F(HttpExpositionTest, ServesMetricsAndLedgerUnderConcurrentQueries) {
   EXPECT_EQ(metrics_ok, 20);
   EXPECT_EQ(ledger_ok, 20);
 
-  // After the storm: the scrape reflects the spend the queries caused.
+  // After the storm: the scrape counts every query, and the ledger holds
+  // the spend they caused.
   const HttpReply after = Fetch(server.port(), "/metrics");
   ASSERT_EQ(after.status, 200);
-  EXPECT_NE(after.body.find("payless_transactions_total"),
-            std::string::npos);
+  EXPECT_NE(after.body.find("payless_queries_total " +
+                            std::to_string(kThreads * kQueriesPerThread)),
+            std::string::npos)
+      << after.body;
   const HttpReply ledger_after = Fetch(server.port(), "/ledger");
   ASSERT_EQ(ledger_after.status, 200);
   EXPECT_NE(ledger_after.body.find("EHR"), std::string::npos);
@@ -277,18 +280,14 @@ TEST_F(HttpExpositionTest, NullRegistriesAnswer404) {
   // Optional routes not wired: 404, not a crash.
   EXPECT_EQ(Fetch(server.port(), "/savings").status, 404);
   EXPECT_EQ(Fetch(server.port(), "/store").status, 404);
-  EXPECT_EQ(Fetch(server.port(), "/timeseries").status, 404);
 }
 
 TEST_F(HttpExpositionTest, ContentTypesMatchEachRoute) {
   Observability obs;
-  TimeSeriesSampler sampler(&obs.metrics, {1'000'000, 8});
   obs.metrics.GetCounter("payless_queries_total")->Add(1);
-  sampler.SampleOnce();
   HttpExpositionServer server(&obs.metrics, &obs.ledger);
   server.SetSavingsLedger(&obs.savings);
   server.SetStoreStatsProvider([] { return std::string("{\"tables\":[]}"); });
-  server.SetTimeSeriesSampler(&sampler);
   ASSERT_TRUE(server.Start().ok());
 
   const auto expect_type = [&](const std::string& target,
@@ -303,9 +302,6 @@ TEST_F(HttpExpositionTest, ContentTypesMatchEachRoute) {
   expect_type("/ledger", "application/json");
   expect_type("/savings", "application/json");
   expect_type("/store", "application/json");
-  expect_type("/timeseries", "application/json");
-  expect_type("/timeseries?name=payless_queries_total", "application/json");
-  expect_type("/dashboard", "text/html");
   // Errors are plain text.
   const HttpReply nope = Fetch(server.port(), "/nope");
   EXPECT_EQ(nope.status, 404);
@@ -350,46 +346,16 @@ TEST_F(HttpExpositionTest, OversizedRequestLinesAnswer414) {
   EXPECT_EQ(Fetch(server.port(), "/metrics").status, 200);
 }
 
-TEST_F(HttpExpositionTest, TimeSeriesRouteValidatesItsQuery) {
-  Observability obs;
-  TimeSeriesSampler sampler(&obs.metrics, {1'000'000, 8});
-  obs.metrics.GetCounter("payless_queries_total")->Add(2);
-  sampler.SampleOnce();
-  HttpExpositionServer server(&obs.metrics, &obs.ledger);
-  server.SetTimeSeriesSampler(&sampler);
-  ASSERT_TRUE(server.Start().ok());
-
-  // No query: the index of known names.
-  const HttpReply index = Fetch(server.port(), "/timeseries");
-  EXPECT_EQ(index.status, 200);
-  EXPECT_NE(index.body.find("payless_queries_total"), std::string::npos);
-  // A known series: its samples.
-  const HttpReply ok =
-      Fetch(server.port(), "/timeseries?name=payless_queries_total");
-  EXPECT_EQ(ok.status, 200);
-  EXPECT_NE(ok.body.find("\"samples\":[2]"), std::string::npos) << ok.body;
-  // Empty / oversized / unknown names: 4xx, never a crash.
-  EXPECT_EQ(Fetch(server.port(), "/timeseries?name=").status, 400);
-  EXPECT_EQ(Fetch(server.port(), "/timeseries?other=1").status, 400);
-  EXPECT_EQ(Fetch(server.port(),
-                  "/timeseries?name=" + std::string(300, 'a'))
-                .status,
-            400);
-  EXPECT_EQ(Fetch(server.port(), "/timeseries?name=no_such").status, 404);
-}
-
 TEST_F(HttpExpositionTest, MalformedQueryStringsNeverCrashOrBlock) {
   Observability obs;
-  TimeSeriesSampler sampler(&obs.metrics, {1'000'000, 8});
-  sampler.SampleOnce();
   PayLessConfig config;
   config.observability = &obs;
   PayLess client(&cat_, market_.get(), config);
   HttpExpositionServer server(&obs.metrics, &obs.ledger);
-  client.RegisterIntrospection(&server, &sampler);
+  client.RegisterIntrospection(&server);
   ASSERT_TRUE(server.Start().ok());
 
-  // Adversarial query strings on the parameterized routes: bad URL
+  // Adversarial query strings on the parameterized route: bad URL
   // encoding, stray separators, nul-ish escapes, nonsense SQL. Every
   // answer is a clean 4xx; none may wedge the accept thread.
   const std::vector<std::string> nasty = {
@@ -399,11 +365,6 @@ TEST_F(HttpExpositionTest, MalformedQueryStringsNeverCrashOrBlock) {
       "/explain?q=SELECT%20%00%01",
       "/explain?=&&&=",
       "/explain?q=" + std::string(5000, 'Z'),
-      "/timeseries?name=%",
-      "/timeseries?name=%2",
-      "/timeseries?name=&name=",
-      "/timeseries?&&&",
-      "/timeseries?name=%zz",
   };
   for (const std::string& target : nasty) {
     const HttpReply reply = Fetch(server.port(), target);
@@ -416,12 +377,11 @@ TEST_F(HttpExpositionTest, MalformedQueryStringsNeverCrashOrBlock) {
 
 TEST_F(HttpExpositionTest, LatencyAndFlightRecorderRoutesServeJson) {
   Observability obs;
-  TimeSeriesSampler sampler(&obs.metrics, {1'000'000, 8});
   PayLessConfig config;
   config.observability = &obs;
   PayLess client(&cat_, market_.get(), config);
   HttpExpositionServer server(&obs.metrics, &obs.ledger);
-  client.RegisterIntrospection(&server, &sampler);
+  client.RegisterIntrospection(&server);
   ASSERT_TRUE(server.Start().ok());
 
   // A query so both payloads have content: histograms record stages and
@@ -475,19 +435,17 @@ TEST_F(HttpExpositionTest, LatencyAndFlightRecorderRoutesServeJson) {
   EXPECT_EQ(Fetch(server.port(), "/latency").status, 200);
 }
 
-TEST_F(HttpExpositionTest, DashboardServesWiredPayloadsUnderLoad) {
+TEST_F(HttpExpositionTest, JsonRoutesServeUnderLoad) {
   Observability obs;
-  TimeSeriesSampler sampler(&obs.metrics, {1'000, 64});
   PayLessConfig config;
   config.observability = &obs;
   PayLess client(&cat_, market_.get(), config);
   HttpExpositionServer server(&obs.metrics, &obs.ledger);
-  client.RegisterIntrospection(&server, &sampler);
+  client.RegisterIntrospection(&server);
   ASSERT_TRUE(server.Start().ok());
-  sampler.Start();
 
-  // Eight query threads spend while the dashboard and every payload route
-  // it polls are fetched — the acceptance scenario for /dashboard.
+  // Eight query threads spend while the JSON routes are fetched: every
+  // payload stays well-formed mid-storm.
   constexpr int kThreads = 8;
   std::atomic<int> failures{0};
   std::vector<std::thread> workers;
@@ -508,18 +466,7 @@ TEST_F(HttpExpositionTest, DashboardServesWiredPayloadsUnderLoad) {
   }
 
   for (int i = 0; i < 10; ++i) {
-    const HttpReply page = Fetch(server.port(), "/dashboard");
-    ASSERT_EQ(page.status, 200);
-    EXPECT_NE(page.content_type.find("text/html"), std::string::npos);
-    // Self-contained: one document, inline script, no external fetches.
-    EXPECT_NE(page.body.find("<!doctype html>"), std::string::npos);
-    EXPECT_NE(page.body.find("</html>"), std::string::npos);
-    EXPECT_NE(page.body.find("<script>"), std::string::npos);
-    EXPECT_EQ(page.body.find("http://"), std::string::npos);
-    EXPECT_EQ(page.body.find("https://"), std::string::npos);
-    // The payload routes the inline JS polls are all wired and well-formed.
-    for (const char* target :
-         {"/metrics.json", "/savings", "/store", "/timeseries"}) {
+    for (const char* target : {"/metrics.json", "/savings", "/store"}) {
       const HttpReply payload = Fetch(server.port(), target);
       ASSERT_EQ(payload.status, 200) << target;
       ASSERT_FALSE(payload.body.empty()) << target;
@@ -528,7 +475,6 @@ TEST_F(HttpExpositionTest, DashboardServesWiredPayloadsUnderLoad) {
     }
   }
   for (std::thread& w : workers) w.join();
-  sampler.Stop();
   EXPECT_EQ(failures.load(), 0);
 
   // After the storm, the store and savings payloads reflect the activity.

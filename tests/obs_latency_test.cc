@@ -1,6 +1,6 @@
 // Latency observability: the HDR latency histogram (exact-decodable
-// log-scale buckets), the per-stage wall decomposition, the latency SLO
-// burn rate, and the crash-safe flight recorder ring.
+// log-scale buckets), the per-stage wall decomposition, and the crash-safe
+// flight recorder ring.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -144,35 +144,6 @@ TEST(LatencyHistogramTest, AccumulatorIgnoresOutOfRangeAndNonPositive) {
   acc.Add(kNumQueryStages, 5);  // ignored
   EXPECT_EQ(acc.micros(kStageFetch), 150);
   EXPECT_EQ(acc.micros(kStageMerge), 0);
-}
-
-// ---------------------------------------------------------------------------
-// LatencySlo burn rate.
-
-TEST(LatencySloTest, BurnRateIsBreachRateOverErrorBudget) {
-  LatencySlo::Options options;
-  options.target_micros = 1000;
-  options.objective = 0.90;  // error budget: 10% may breach
-  LatencySlo slo(options);
-  for (int i = 0; i < 90; ++i) slo.Record(500);   // under target
-  for (int i = 0; i < 10; ++i) slo.Record(2000);  // breach
-  // 10% breaches against a 10% budget: burning exactly at rate 1.
-  EXPECT_NEAR(slo.BurnRate(), 1.0, 1e-9);
-  EXPECT_EQ(slo.window_total(), 100);
-  EXPECT_EQ(slo.window_breaches(), 10);
-}
-
-TEST(LatencySloTest, CleanWindowBurnsNothing) {
-  LatencySlo slo(LatencySlo::Options{});
-  for (int i = 0; i < 50; ++i) slo.Record(10);
-  EXPECT_EQ(slo.BurnRate(), 0.0);
-  EXPECT_EQ(slo.window_breaches(), 0);
-}
-
-TEST(LatencySloTest, EmptyWindowAnswersZero) {
-  LatencySlo slo(LatencySlo::Options{});
-  EXPECT_EQ(slo.BurnRate(), 0.0);
-  EXPECT_EQ(slo.window_total(), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -588,17 +559,12 @@ TEST_F(StageDecompositionTest, ConcurrentIdenticalQueriesMeterCoalescing) {
   for (std::thread& w : workers) w.join();
   ASSERT_FALSE(failed.load());
 
-  int64_t coalescable_calls = 0;
-  int64_t coalescable_transactions = 0;
-  for (const auto& [name, value] :
-       client.observability()->metrics.SnapshotScalars()) {
-    if (name == "payless_coalescable_calls_total") coalescable_calls = value;
-    if (name == "payless_coalescable_transactions_total") {
-      coalescable_transactions = value;
-    }
-  }
-  EXPECT_GT(coalescable_calls, 0);
-  EXPECT_GT(coalescable_transactions, 0);
+  MetricsRegistry& metrics = client.observability()->metrics;
+  EXPECT_GT(metrics.GetCounter("payless_coalescable_calls_total")->value(),
+            0);
+  EXPECT_GT(
+      metrics.GetCounter("payless_coalescable_transactions_total")->value(),
+      0);
 
   // Single-call shape: each query is one plain call, a one-item batch.
   // The meter sees those too.
@@ -617,14 +583,10 @@ TEST_F(StageDecompositionTest, ConcurrentIdenticalQueriesMeterCoalescing) {
   }
   for (std::thread& r : racers) r.join();
   EXPECT_EQ(one_call_queries.load(), kThreads);
-  int64_t single_coalescable_calls = 0;
-  for (const auto& [name, value] :
-       single.observability()->metrics.SnapshotScalars()) {
-    if (name == "payless_coalescable_calls_total") {
-      single_coalescable_calls = value;
-    }
-  }
-  EXPECT_GE(single_coalescable_calls, 1);
+  EXPECT_GE(single.observability()
+                ->metrics.GetCounter("payless_coalescable_calls_total")
+                ->value(),
+            1);
 }
 
 }  // namespace

@@ -102,7 +102,7 @@ TEST_P(SqlFuzz, MutatedQueriesNeverCrash) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SqlFuzz, ::testing::Range(0, 8));
 
-// The HTTP query-string decoders feed /explain and /timeseries: random
+// The HTTP query-string decoders feed /explain: random
 // byte soup (truncated escapes, stray separators, embedded controls) must
 // decode to SOMETHING without crashing, and whatever SQL falls out must
 // flow through the parser as cleanly as hand-written garbage.

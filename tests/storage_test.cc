@@ -69,26 +69,6 @@ TEST(TableTest, ColumnValues) {
   EXPECT_EQ(names[3], Value("c"));
 }
 
-TEST(FilterTest, ConjunctionOfPredicates) {
-  const Table t = SampleTable();
-  const Table out = Filter(
-      t, {ColumnPredicate{0, CompareOp::kGe, Value(int64_t{2})},
-          ColumnPredicate{1, CompareOp::kEq, Value("a")}});
-  ASSERT_EQ(out.num_rows(), 1u);
-  EXPECT_EQ(out.rows()[0][0], Value(int64_t{3}));
-}
-
-TEST(FilterTest, EmptyPredicateListKeepsAll) {
-  EXPECT_EQ(Filter(SampleTable(), {}).num_rows(), 4u);
-}
-
-TEST(FilterFnTest, ArbitraryPredicate) {
-  const Table out = FilterFn(SampleTable(), [](const Row& r) {
-    return r[0].AsInt64() % 2 == 1;
-  });
-  EXPECT_EQ(out.num_rows(), 2u);
-}
-
 TEST(ProjectTest, ReordersColumns) {
   const Table out = Project(SampleTable(), {1, 0});
   EXPECT_EQ(out.schema().column(0).name, "name");
@@ -175,60 +155,6 @@ TEST(CartesianTest, Sizes) {
       exec::BlockCartesian(Columns(l), Columns(Table(TwoColSchema())))
           .num_rows(),
       0u);
-}
-
-TEST(ThetaJoinTest, InequalityJoin) {
-  const Table l = KeyedTable("L", {{1, "a"}, {5, "b"}});
-  const Table r = KeyedTable("R", {{3, "x"}});
-  const Table out = ThetaJoin(
-      l, r, [](const Row& joined) { return joined[0] < joined[2]; });
-  ASSERT_EQ(out.num_rows(), 1u);
-  EXPECT_EQ(out.rows()[0][1], Value("a"));
-}
-
-TEST(DistinctTest, RemovesDuplicateRows) {
-  Table t(TwoColSchema());
-  t.Append({Value(int64_t{1}), Value("a")});
-  t.Append({Value(int64_t{1}), Value("a")});
-  t.Append({Value(int64_t{1}), Value("b")});
-  EXPECT_EQ(Distinct(t).num_rows(), 2u);
-}
-
-TEST(UnionAllTest, AppendsAndChecksArity) {
-  Table a = SampleTable();
-  const Table b = SampleTable();
-  ASSERT_TRUE(UnionAll(&a, b).ok());
-  EXPECT_EQ(a.num_rows(), 8u);
-  Table narrow(Schema({SchemaColumn{"T", "x", ValueType::kInt64}}));
-  EXPECT_FALSE(UnionAll(&a, narrow).ok());
-}
-
-TEST(SortByTest, MultiColumnAscending) {
-  const Table out = SortBy(SampleTable(), {1, 0});
-  EXPECT_EQ(out.rows()[0][1], Value("a"));
-  EXPECT_EQ(out.rows()[0][0], Value(int64_t{1}));
-  EXPECT_EQ(out.rows()[1][0], Value(int64_t{3}));
-  EXPECT_EQ(out.rows()[3][1], Value("c"));
-}
-
-TEST(SortByTest, NullsFirst) {
-  Table t(TwoColSchema());
-  t.Append({Value(int64_t{5}), Value("a")});
-  t.Append({Value::Null(), Value("b")});
-  const Table out = SortBy(t, {0});
-  EXPECT_TRUE(out.rows()[0][0].is_null());
-}
-
-TEST(DistinctValuesTest, SortedAndNullFree) {
-  Table t(TwoColSchema());
-  t.Append({Value(int64_t{3}), Value("x")});
-  t.Append({Value(int64_t{1}), Value("x")});
-  t.Append({Value::Null(), Value("x")});
-  t.Append({Value(int64_t{3}), Value("x")});
-  const std::vector<Value> vals = DistinctValues(t, 0);
-  ASSERT_EQ(vals.size(), 2u);
-  EXPECT_EQ(vals[0], Value(int64_t{1}));
-  EXPECT_EQ(vals[1], Value(int64_t{3}));
 }
 
 Table NumbersTable(std::vector<std::pair<std::string, double>> rows) {
