@@ -192,15 +192,11 @@ ReplayResult ReplayJournal(const workload::Bundle& bundle,
   result.savings_transactions = obs->savings.total_savings();
 
   // Reconciliation: every transaction the shadow ledger attributed must be
-  // on exactly one shadow connector meter (per-endpoint meters when
-  // federated) — ledger == meter, per cell, every replay.
+  // on exactly one shadow endpoint meter — ledger == meter, per cell,
+  // every replay.
   int64_t metered = 0;
   for (const auto& [tenant, client] : clients) {
-    if (client->router() != nullptr) {
-      metered += client->router()->TotalMeteredTransactions();
-    } else {
-      metered += client->meter().total_transactions();
-    }
+    metered += client->router()->TotalMeteredTransactions();
   }
   result.ledger_matches_meter = metered == result.total_transactions;
 

@@ -76,31 +76,16 @@ void Optimizer::ChooseBuySite(const catalog::DatasetDef& dataset,
   if (menu == nullptr || menu->empty()) return;
   if (spec->IsZeroPrice() || spec->est_transactions >= kInfeasible) return;
 
-  // Reprice the access under each endpoint's page size. The call count is
-  // shape-determined (remainder boxes / binding values) and does not change
-  // with the buy-site; only how many pages those calls bill does. The paid
-  // row volume is approximated from the base estimate (est_transactions
-  // pages of the catalog page size), so an endpoint with identical terms
-  // reprices to exactly the base estimate.
-  const double paid_rows = static_cast<double>(spec->est_transactions) *
-                           static_cast<double>(dataset.tuples_per_transaction);
-  const int64_t calls = std::max<int64_t>(spec->est_calls, 1);
-
+  // Reprice the access under each endpoint's page size and keep the
+  // cheapest live site in money (fewer pages on a tie).
   const BuySiteMenu* best = nullptr;
   int64_t best_txn = 0;
   double best_money = 0.0;
   for (const BuySiteMenu& site : *menu) {
     if (!site.live) continue;
-    int64_t txn;
-    if (site.tuples_per_transaction == dataset.tuples_per_transaction) {
-      txn = spec->est_transactions;
-    } else {
-      const int64_t t = std::max<int64_t>(site.tuples_per_transaction, 1);
-      txn = std::max(
-          spec->est_calls,
-          static_cast<int64_t>(std::ceil(paid_rows / static_cast<double>(t))));
-      if (spec->est_transactions > 0) txn = std::max(txn, calls);
-    }
+    const int64_t txn = RepriceTransactions(
+        spec->est_transactions, spec->est_calls,
+        dataset.tuples_per_transaction, site.tuples_per_transaction);
     const double money = static_cast<double>(txn) * site.price_per_transaction;
     if (best == nullptr || money < best_money ||
         (money == best_money && txn < best_txn)) {

@@ -10,7 +10,6 @@
 #include "core/optimizer.h"
 #include "exec/local_eval.h"
 #include "federation/endpoint_router.h"
-#include "federation/market_endpoint.h"
 #include "market/call_scheduler.h"
 #include "market/rest_call.h"
 #include "obs/trace.h"
@@ -45,12 +44,18 @@ int64_t StageMicros(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
+/// The in-flight window of one access's calls (ExecConfig's 0 = 16).
+size_t CallWindow(const ExecConfig& config) {
+  return config.max_parallel_calls != 0 ? config.max_parallel_calls : 16;
+}
+
 /// Issues every call as one scheduler batch with up to `window` calls in
-/// flight, and merges results strictly in call order, so rows, row order,
-/// per-call billing and stats are byte-identical at any window. Errors are
-/// reported in call order too. Pricing depends only on seller-side data
-/// (never on buyer-side state), so issue order cannot change what any one
-/// call is billed. `delivered[i]` tells whether call i delivered.
+/// flight, and merges results strictly in call order into `rows` (nullable:
+/// the listeners still see every delivery), so rows, row order, per-call
+/// billing and stats are byte-identical at any window. Errors are reported
+/// in call order too. Pricing depends only on seller-side data (never on
+/// buyer-side state), so issue order cannot change what any one call is
+/// billed. `delivered[i]` tells whether call i delivered.
 ///
 /// Fail-fast under faults: the first call whose retries exhaust (or whose
 /// deadline blows) cancels the not-yet-issued siblings, so a doomed access
@@ -85,7 +90,7 @@ Status IssueCalls(market::MarketConnector* connector, size_t window,
       continue;
     }
     (*delivered)[i] = true;
-    rows->AddAll(result->rows);
+    if (rows != nullptr) rows->AddAll(result->rows);
     if (exec_stats != nullptr) {
       ++exec_stats->calls;
       exec_stats->transactions += result->transactions;
@@ -95,24 +100,26 @@ Status IssueCalls(market::MarketConnector* connector, size_t window,
   return first_error;
 }
 
-/// IssueCalls plus cross-endpoint failover. When the current endpoint dies
-/// for this dataset (breaker open / retries exhausted — a retryable code),
-/// only the calls that delivered NOTHING there are re-issued at the
-/// next-cheapest live endpoint the router names. Delivered calls stay
-/// billed at the endpoint that served them and their rows are already
-/// merged, so failover never buys a row twice; each connector bills its
-/// own meter, so the ledger keeps reconciling with the per-endpoint meter
-/// totals. Without a router this is exactly IssueCalls.
-Status IssueWithFailover(market::MarketConnector* connector,
-                         federation::EndpointRouter* router,
+/// IssueCalls at `buy_site`'s connector plus cross-endpoint failover. When
+/// the current endpoint dies for this dataset (breaker open / retries
+/// exhausted — a retryable code), only the calls that delivered NOTHING
+/// there are re-issued at the next-cheapest live endpoint the router names.
+/// Delivered calls stay billed at the endpoint that served them and their
+/// rows are already merged, so failover never buys a row twice; each
+/// connector bills its own meter, so the ledger keeps reconciling with the
+/// per-endpoint meter totals. A single market has no other endpoint to
+/// fail over to.
+Status IssueWithFailover(federation::EndpointRouter* router,
+                         const std::string& buy_site,
                          const std::string& dataset, size_t window,
                          std::vector<market::RestCall> calls,
                          market::Clock::time_point deadline,
                          const market::CallObs& call_obs, RowSet* rows,
                          ExecStats* exec_stats) {
+  market::MarketConnector* connector = router->ConnectorFor(buy_site);
   std::vector<std::string> tried;
   while (true) {
-    if (router != nullptr && !calls.empty()) {
+    if (!calls.empty()) {
       router->CountRoutedCalls(connector->market_label(),
                                static_cast<int64_t>(calls.size()));
     }
@@ -120,9 +127,7 @@ Status IssueWithFailover(market::MarketConnector* connector,
     const Status status =
         IssueCalls(connector, window, calls, deadline, call_obs, rows,
                    exec_stats, &delivered);
-    if (status.ok() || router == nullptr || !IsRetryable(status.code())) {
-      return status;
-    }
+    if (status.ok() || !IsRetryable(status.code())) return status;
     std::vector<market::RestCall> remaining;
     remaining.reserve(calls.size());
     for (size_t i = 0; i < calls.size(); ++i) {
@@ -146,8 +151,6 @@ Result<storage::Table> ExecutionEngine::FetchRelation(
     ExecStats* exec_stats) {
   const sql::BoundRelation& rel = query.relations[access.rel];
   const catalog::TableDef& def = *rel.def;
-  const size_t window =
-      config.max_parallel_calls != 0 ? config.max_parallel_calls : 16;
 
   // Per-operator span: every access of the plan gets one; the market-call
   // spans the connector opens underneath are its children. The estimate
@@ -167,13 +170,10 @@ Result<storage::Table> ExecutionEngine::FetchRelation(
   market::CallObs call_obs = config.obs;
   if (access_span.id() != 0) call_obs.parent_span = access_span.id();
 
-  // Buy-site routing: with a router, this access's calls start at the
-  // connector of the endpoint the optimizer chose (`buy_site`); without
-  // one, at the single market connector. Failover mid-access is handled
-  // inside IssueWithFailover.
-  market::MarketConnector* connector =
-      router_ != nullptr ? router_->ConnectorFor(access.buy_site) : connector_;
-  if (router_ != nullptr && !access.buy_site.empty()) {
+  // Buy-site routing: this access's calls start at the connector of the
+  // endpoint the optimizer chose (`buy_site`; "" for a single market).
+  // Failover mid-access is handled inside IssueWithFailover.
+  if (!access.buy_site.empty()) {
     access_span.AddAttr("buy_site", access.buy_site);
   }
 
@@ -214,19 +214,12 @@ Result<storage::Table> ExecutionEngine::FetchRelation(
       const std::vector<Box> covered =
           store_->CoveredRegions(def.name, config.min_epoch);
       for (const Box& slab : slabs) hold(slab);
+      const catalog::DatasetDef* terms =
+          router_->TermsFor(access.buy_site, def.dataset);
       semstore::RemainderOptions rem_options = config.remainder;
       rem_options.tuples_per_transaction =
-          catalog_->DatasetOf(def)->tuples_per_transaction;
-      if (router_ != nullptr && !access.buy_site.empty()) {
-        const federation::MarketEndpoint* endpoint =
-            router_->federation()->endpoint(access.buy_site);
-        const catalog::DatasetDef* terms =
-            endpoint != nullptr ? endpoint->catalog().FindDataset(def.dataset)
-                                : nullptr;
-        if (terms != nullptr) {
-          rem_options.tuples_per_transaction = terms->tuples_per_transaction;
-        }
-      }
+          (terms != nullptr ? terms : catalog_->DatasetOf(def))
+              ->tuples_per_transaction;
       const semstore::RemainderResult rem = semstore::GenerateRemainder(
           region, covered, dims,
           [&](const Box& box) { return stats_->EstimateRows(def.name, box); },
@@ -389,8 +382,8 @@ Result<storage::Table> ExecutionEngine::FetchRelation(
     access_span.AddAttr("rows_cached", static_cast<int64_t>(rows.size()));
     access_span.AddAttr("remainder_calls", static_cast<int64_t>(calls.size()));
     PAYLESS_RETURN_IF_ERROR(IssueWithFailover(
-        connector, router_, def.dataset, window, std::move(calls),
-        config.deadline, call_obs, &rows, exec_stats));
+        router_, access.buy_site, def.dataset, CallWindow(config),
+        std::move(calls), config.deadline, call_obs, &rows, exec_stats));
     for (Row& row : rows.Take()) table.Append(std::move(row));
     return table;
   };
@@ -411,6 +404,15 @@ Result<storage::Table> ExecutionEngine::FetchRelation(
     access_span.AddAttr("rows", static_cast<int64_t>(fetched->num_rows()));
   }
   return fetched;
+}
+
+Status ExecutionEngine::Buy(const catalog::TableDef& def,
+                            const std::string& buy_site,
+                            std::vector<market::RestCall> calls,
+                            const ExecConfig& config, ExecStats* exec_stats) {
+  return IssueWithFailover(router_, buy_site, def.dataset, CallWindow(config),
+                           std::move(calls), config.deadline, config.obs,
+                           /*rows=*/nullptr, exec_stats);
 }
 
 Result<storage::Table> ExecutionEngine::Execute(const sql::BoundQuery& query,

@@ -1,13 +1,15 @@
-// Plan execution (Fig. 3, steps 4-9): walks a left-deep plan, issues the
-// (remainder-rewritten) REST calls through the market connector, reuses
-// stored tuples from the semantic store, computes bind-join binding values
-// from the running join, and offloads the final join/aggregation to the
-// local engine.
+// Plan execution (Fig. 3, steps 4-9): walks a left-deep plan, buys the
+// (remainder-rewritten) REST calls through the client's endpoint router,
+// reuses stored tuples from the semantic store, computes bind-join binding
+// values from the running join, and offloads the final join/aggregation to
+// the local engine.
 #ifndef PAYLESS_EXEC_EXECUTION_ENGINE_H_
 #define PAYLESS_EXEC_EXECUTION_ENGINE_H_
 
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "catalog/catalog.h"
 #include "core/plan.h"
@@ -61,30 +63,38 @@ struct ExecStats {
 
 class ExecutionEngine {
  public:
-  ExecutionEngine(const catalog::Catalog* catalog, storage::Database* local_db,
-                  market::MarketConnector* connector,
-                  semstore::SemanticStore* store, stats::StatsRegistry* stats)
-      : catalog_(catalog),
-        local_db_(local_db),
-        connector_(connector),
-        store_(store),
-        stats_(stats) {}
-
-  /// Attaches a multi-market router (nullable; nullptr = single-market).
-  /// With a router, each access's calls start at the connector of its
+  /// `router` is the client's market boundary (a single market is its
+  /// one-endpoint case). Each access's calls start at the connector of its
   /// `buy_site` annotation, and when that endpoint dies mid-access (breaker
   /// open, retries exhausted) the calls that delivered nothing there are
   /// re-issued at the next-cheapest live endpoint. Calls that DID deliver
   /// stay billed where they ran — failover never buys a row twice.
-  void SetRouter(federation::EndpointRouter* router) { router_ = router; }
+  ExecutionEngine(const catalog::Catalog* catalog, storage::Database* local_db,
+                  federation::EndpointRouter* router,
+                  semstore::SemanticStore* store, stats::StatsRegistry* stats)
+      : catalog_(catalog),
+        local_db_(local_db),
+        router_(router),
+        store_(store),
+        stats_(stats) {}
 
   /// Executes `plan` for `query`; returns the final result table. Market
-  /// spend accrues on the connector's billing meter; `exec_stats` (optional)
-  /// receives per-query counters.
+  /// spend accrues on the endpoints' billing meters; `exec_stats`
+  /// (optional) receives per-query counters.
   Result<storage::Table> Execute(const sql::BoundQuery& query,
                                  const core::Plan& plan,
                                  const ExecConfig& config,
                                  ExecStats* exec_stats = nullptr);
+
+  /// Buys `calls` on `def`'s dataset through the same path every access
+  /// takes: one scheduler batch starting at `buy_site`, cancelling unissued
+  /// siblings after a failure and failing the undelivered calls over to
+  /// the next-cheapest live endpoint. The rows reach only the connectors'
+  /// listeners (the semantic store); `exec_stats` counts the delivered
+  /// calls and their spend. Batch prefetch buys its merged hulls here.
+  Status Buy(const catalog::TableDef& def, const std::string& buy_site,
+             std::vector<market::RestCall> calls, const ExecConfig& config,
+             ExecStats* exec_stats);
 
  private:
   /// Retrieves the rows for one access, spending money as needed.
@@ -100,10 +110,9 @@ class ExecutionEngine {
 
   const catalog::Catalog* catalog_;
   storage::Database* local_db_;
-  market::MarketConnector* connector_;
+  federation::EndpointRouter* router_;
   semstore::SemanticStore* store_;
   stats::StatsRegistry* stats_;
-  federation::EndpointRouter* router_ = nullptr;  // nullable
 };
 
 }  // namespace payless::exec

@@ -72,7 +72,10 @@ PayLess::PayLess(const catalog::Catalog* catalog,
       obs_(config.observability != nullptr ? config.observability
                                            : owned_obs_.get()),
       accuracy_(&obs_->metrics, config.qerror_invalidation_threshold),
-      connector_(market),
+      router_(config.federation != nullptr
+                  ? std::make_unique<federation::EndpointRouter>(
+                        config.federation)
+                  : std::make_unique<federation::EndpointRouter>(market)),
       stats_(config.stats_kind) {
   // Resolve metric handles once; the per-query path then records through
   // stable pointers (relaxed atomics, no registry lock).
@@ -109,10 +112,16 @@ PayLess::PayLess(const catalog::Catalog* catalog,
         obs::SavingsCauseName(static_cast<obs::SavingsCause>(i)));
   }
   if (config.enable_savings_accounting) {
+    // The counterfactual is the cheapest SINGLE market among the router's
+    // endpoints, each priced against its own menu; a federation's edge over
+    // the best of them is the federation_routing savings cause.
+    std::vector<obs::SavingsAccountant::Endpoint> endpoints;
+    for (size_t i = 0; i < router_->num_endpoints(); ++i) {
+      endpoints.emplace_back(router_->endpoint_id(i), &router_->terms(i));
+    }
     savings_accountant_ = std::make_unique<obs::SavingsAccountant>(
-        catalog_, &stats_, config.optimizer);
+        catalog_, &stats_, config.optimizer, std::move(endpoints));
   }
-  connector_.SetRetryPolicy(config.retry);
   // Scheduler/queue instrumentation and the coalescing-opportunity meter.
   // Gauges and counters are shared across connectors (they are atomics, and
   // the questions they answer — "how deep is the queue", "how many
@@ -130,48 +139,11 @@ PayLess::PayLess(const catalog::Catalog* catalog,
   if (config.enable_flight_recorder) {
     sched_hooks.recorder = &obs_->flight_recorder;
   }
-  connector_.SetSchedulerHooks(sched_hooks);
-  // The base connector's RTT/backoff hooks (in federated mode it is only
-  // the fallback for non-query surfaces, but its latency is still worth
-  // seeing). Every connector of this client records its retry sleeps into
-  // the one backoff histogram.
-  market::MarketConnector::LatencyHooks latency_hooks;
-  latency_hooks.rtt = m.GetLatencyHistogram("payless_market_rtt_micros");
-  latency_hooks.backoff = m.GetLatencyHistogram("payless_retry_backoff_micros");
-  connector_.BindLatency(latency_hooks);
   if (config.enable_flight_recorder &&
       !config.flight_recorder_dump_path.empty()) {
     // Arm the crash path: a durability-injected hard crash dumps the ring
     // to this path before the process dies.
     obs_->flight_recorder.ArmCrashDump(config.flight_recorder_dump_path);
-  }
-  if (config_.federation != nullptr) {
-    // One connector per endpoint, each billing its own meter under its own
-    // market label — the ledger/meter reconciliation invariant then holds
-    // per endpoint, not just in aggregate.
-    router_ = std::make_unique<federation::EndpointRouter>(config_.federation);
-    router_->SetRetryPolicy(config.retry);
-    for (size_t i = 0; i < router_->num_endpoints(); ++i) {
-      router_->connector(i)->SetSchedulerHooks(sched_hooks);
-      // Per-endpoint RTT: /markets renders each endpoint's tail next to
-      // its breaker states.
-      market::MarketConnector::LatencyHooks endpoint_hooks = latency_hooks;
-      endpoint_hooks.rtt = m.GetLatencyHistogram(
-          "payless_market_rtt_micros_" + router_->endpoint_id(i));
-      router_->BindLatency(i, endpoint_hooks);
-    }
-    if (savings_accountant_ != nullptr) {
-      // The counterfactual becomes "the cheapest SINGLE market" — priced
-      // per endpoint against that endpoint's menu; the federation's edge
-      // over the best of them is the federation_routing savings cause.
-      std::vector<std::pair<std::string, const catalog::Catalog*>> endpoints;
-      for (size_t i = 0; i < config_.federation->num_endpoints(); ++i) {
-        const federation::MarketEndpoint& endpoint =
-            *config_.federation->endpoint(i);
-        endpoints.emplace_back(endpoint.id(), &endpoint.catalog());
-      }
-      savings_accountant_->SetFederation(std::move(endpoints));
-    }
   }
   // Every catalog table gets a learning estimator seeded from the published
   // basic statistics (the uniform cold start of §4.3).
@@ -240,10 +212,26 @@ PayLess::PayLess(const catalog::Catalog* catalog,
                         current_week());
         }
       };
-  connector_.AddListener(harvest_listener);
-  // Federated mode: the same learning loop closes behind EVERY endpoint —
-  // a slab is a slab no matter which market sold it.
-  if (router_ != nullptr) router_->AddListener(harvest_listener);
+  // One loop wires every endpoint's connector, each billing its own meter
+  // under its own market label: the retry policy, the scheduler hooks, the
+  // learning loop (a slab is a slab no matter which market sold it) and an
+  // RTT histogram per endpoint, which /markets renders next to its breaker
+  // states. A single market's endpoint "" keeps the unsuffixed RTT name.
+  // Every connector records its retry sleeps into the one backoff
+  // histogram.
+  market::MarketConnector::LatencyHooks latency_hooks;
+  latency_hooks.backoff = m.GetLatencyHistogram("payless_retry_backoff_micros");
+  for (size_t i = 0; i < router_->num_endpoints(); ++i) {
+    market::MarketConnector* connector = router_->connector(i);
+    connector->SetRetryPolicy(config.retry);
+    connector->SetSchedulerHooks(sched_hooks);
+    connector->AddListener(harvest_listener);
+    const std::string& id = router_->endpoint_id(i);
+    latency_hooks.rtt = m.GetLatencyHistogram(
+        id.empty() ? "payless_market_rtt_micros"
+                   : "payless_market_rtt_micros_" + id);
+    router_->BindLatency(i, latency_hooks);
+  }
   if (config_.placement_capacity_bytes > 0) {
     placement_ = std::make_unique<federation::PlacementPolicy>(
         config_.placement_capacity_bytes, &store_, catalog_, router_.get());
@@ -533,8 +521,7 @@ Result<QueryReport> PayLess::QueryWithReportImpl(
   if (trace != nullptr) exec_span = trace->StartSpan("execute", root);
   exec_config.obs.parent_span = exec_span;
 
-  ExecutionEngine engine(catalog_, &local_db_, &connector_, &store_, &stats_);
-  engine.SetRouter(router_.get());
+  ExecutionEngine engine(catalog_, &local_db_, router_.get(), &store_, &stats_);
   // Everything since entry minus the probe is the plan side of the
   // wall-stage partition: parse + bind + optimize, and also gate-2
   // admission and executor set-up, so the stages tile the query with no
@@ -680,13 +667,11 @@ core::OptimizerOptions PayLess::QueryOptimizerOptions(
   if (config_.consistency == ConsistencyLevel::kFull) {
     options.use_sqr = false;  // §4.3: full consistency disables SQR
   }
-  // Federated: snapshot the buy-site menu (terms + breaker liveness) once,
-  // before optimization, so every access of this query is priced against
-  // one consistent view of the federation.
-  if (router_ != nullptr) {
-    *federation_pricing = router_->BuildPricing();
-    options.federation = federation_pricing;
-  }
+  // Snapshot the buy-site menu (terms + breaker liveness) once, before
+  // optimization, so every access of this query is priced against one
+  // consistent view of the client's endpoints.
+  *federation_pricing = router_->BuildPricing();
+  options.federation = federation_pricing;
   return options;
 }
 
@@ -716,12 +701,7 @@ Result<std::string> PayLess::ExplainText(const std::string& sql,
 
 Result<BatchReport> PayLess::QueryBatch(const std::vector<BatchQuery>& batch) {
   BatchReport report;
-  // Federated spend accrues across per-endpoint meters, not connector_'s.
-  const auto total_transactions = [&] {
-    return router_ != nullptr ? router_->TotalMeteredTransactions()
-                              : connector_.meter().total_transactions();
-  };
-  const int64_t before = total_transactions();
+  const int64_t before = router_->TotalMeteredTransactions();
 
   // ---- Phase 1: collect the market footprints of every query.
   struct Footprint {
@@ -749,6 +729,16 @@ Result<BatchReport> PayLess::QueryBatch(const std::vector<BatchQuery>& batch) {
   const bool sqr = config_.optimizer.use_sqr &&
                    config_.consistency != ConsistencyLevel::kFull;
   if (sqr) {
+    // Prefetch buys through the executor's one buy path. Its spend is
+    // shared across the batch's queries, so it is attributed to the tenant
+    // under the reserved query_id 0 — the ledger-total == meter-total
+    // invariant still holds globally.
+    ExecutionEngine engine(catalog_, &local_db_, router_.get(), &store_,
+                           &stats_);
+    ExecConfig prefetch_config;
+    prefetch_config.max_parallel_calls = config_.max_parallel_calls;
+    prefetch_config.obs.tenant = config_.tenant;
+    prefetch_config.obs.ledger = &obs_->ledger;
     std::map<const catalog::TableDef*, std::vector<Box>> by_table;
     for (Footprint& fp : footprints) {
       by_table[fp.def].push_back(std::move(fp.region));
@@ -757,21 +747,20 @@ Result<BatchReport> PayLess::QueryBatch(const std::vector<BatchQuery>& batch) {
       const catalog::DatasetDef* dataset = catalog_->DatasetOf(*def);
       // Prefetch buys at the cheapest live endpoint (shared spend should
       // flow to the best menu, same as the optimizer's buy-site choice).
-      market::MarketConnector* prefetch_connector = &connector_;
-      if (router_ != nullptr) {
-        prefetch_connector = router_->ConnectorFor(
-            router_->NextCheapestLive(def->dataset, {}));
-      }
+      const std::string buy_site = router_->NextCheapestLive(def->dataset, {});
       semstore::RemainderOptions rem_options = config_.optimizer.remainder;
       rem_options.tuples_per_transaction = dataset->tuples_per_transaction;
-      const auto remainder_cost = [&](const Box& region) {
-        const semstore::RemainderResult rem = semstore::GenerateRemainder(
+      const auto remainder = [&](const Box& region) {
+        return semstore::GenerateRemainder(
             region, store_.CoveredRegions(def->name, MinEpoch()),
             core::Optimizer::DimSpecsFor(*def),
             [&](const Box& box) {
               return stats_.EstimateRows(def->name, box);
             },
             rem_options);
+      };
+      const auto remainder_cost = [&](const Box& region) {
+        const semstore::RemainderResult rem = remainder(region);
         return rem.fully_covered ? int64_t{0} : rem.estimated_transactions;
       };
       const auto hull_of = [](const Box& a, const Box& b) {
@@ -806,13 +795,7 @@ Result<BatchReport> PayLess::QueryBatch(const std::vector<BatchQuery>& batch) {
       // Prefetch groups that actually combined several query footprints.
       for (size_t g = 0; g < regions.size(); ++g) {
         if (members[g] < 2) continue;
-        const semstore::RemainderResult rem = semstore::GenerateRemainder(
-            regions[g], store_.CoveredRegions(def->name, MinEpoch()),
-            core::Optimizer::DimSpecsFor(*def),
-            [&](const Box& box) {
-              return stats_.EstimateRows(def->name, box);
-            },
-            rem_options);
+        const semstore::RemainderResult rem = remainder(regions[g]);
         if (rem.fully_covered) continue;
         // Prefetch spend is the tenant's spend: a group the governor
         // refuses is left to the batch's queries, which each meet their
@@ -824,7 +807,7 @@ Result<BatchReport> PayLess::QueryBatch(const std::vector<BatchQuery>& batch) {
           metric_.budget_rejections->Add(1);
           continue;
         }
-        bool issued = false;
+        std::vector<market::RestCall> calls;
         for (const Box& box : rem.remainder_boxes) {
           Result<market::RestCall> call = market::CallFromRegion(*def, box);
           if (!call.ok()) {
@@ -841,31 +824,30 @@ Result<BatchReport> PayLess::QueryBatch(const std::vector<BatchQuery>& batch) {
             }
             return call.status();
           }
-          // Batch prefetch spend is shared across the batch's queries, so it
-          // is attributed to the tenant under the reserved query_id 0 — the
-          // ledger-total == meter-total invariant still holds globally.
-          market::CallObs prefetch_obs;
-          prefetch_obs.tenant = config_.tenant;
-          prefetch_obs.query_id = 0;
-          prefetch_obs.ledger = &obs_->ledger;
-          Result<market::CallResult> result = prefetch_connector->Get(
-              *call, market::kNoDeadline, &prefetch_obs);
-          if (!result.ok()) {
-            const Status::Code code = result.status().code();
-            if (IsRetryable(code) || code == Status::Code::kDeadlineExceeded) {
-              // Prefetching is an optimization: against a flaky market,
-              // abandon the group and let each query fetch (and retry) its
-              // own footprint in phase 3.
-              ++report.prefetch_failed_calls;
-              continue;
-            }
-            return result.status();
-          }
-          obs_->governor.RecordSpend(config_.tenant, result->transactions);
-          report.prefetch_transactions += result->transactions;
-          issued = true;
+          calls.push_back(std::move(*call));
         }
-        if (issued) ++report.merged_groups;
+        // The group's calls go out as one scheduler batch: a failure
+        // cancels the unissued siblings, and the undelivered calls fail
+        // over to the next-cheapest live endpoint.
+        const size_t group_calls = calls.size();
+        ExecStats bought;
+        const Status status =
+            engine.Buy(*def, buy_site, std::move(calls), prefetch_config,
+                       &bought);
+        obs_->governor.RecordSpend(config_.tenant, bought.transactions);
+        report.prefetch_transactions += bought.transactions;
+        if (bought.calls > 0) ++report.merged_groups;
+        if (!status.ok()) {
+          const Status::Code code = status.code();
+          if (!IsRetryable(code) && code != Status::Code::kDeadlineExceeded) {
+            return status;
+          }
+          // Prefetching is an optimization: against a flaky market, the
+          // calls no endpoint delivered are left to the queries, which
+          // fetch (and retry) their own footprints in phase 3.
+          report.prefetch_failed_calls +=
+              group_calls - static_cast<size_t>(bought.calls);
+        }
       }
     }
   }
@@ -884,7 +866,7 @@ Result<BatchReport> PayLess::QueryBatch(const std::vector<BatchQuery>& batch) {
   }
   if (placement_ != nullptr) TickPlacement();
   PAYLESS_RETURN_IF_ERROR(status);
-  report.transactions_spent = total_transactions() - before;
+  report.transactions_spent = router_->TotalMeteredTransactions() - before;
   return report;
 }
 
@@ -903,9 +885,7 @@ void PayLess::RegisterIntrospection(obs::HttpExpositionServer* server) {
     return json;
   });
   server->AddRoute("/markets", [this](const std::string&) {
-    std::string json = router_ != nullptr
-                           ? router_->StatsJson()
-                           : std::string("{\"federated\":false}");
+    std::string json = router_->StatsJson();
     if (placement_ != nullptr && !json.empty() && json.back() == '}') {
       // Splice the placement block in: one fetch shows where calls went
       // AND which purchased slabs the budget keeps.
@@ -913,12 +893,6 @@ void PayLess::RegisterIntrospection(obs::HttpExpositionServer* server) {
       json += ",\"placement\":" + placement_->StatsJson() + "}";
     }
     return obs::HttpReply::Json(std::move(json));
-  });
-  // Tail-latency decomposition: every HDR histogram in the registry
-  // (end-to-end, per stage, market RTT per endpoint, admission wait) as
-  // {count, sum, p50/p95/p99/p999}.
-  server->AddRoute("/latency", [this](const std::string&) {
-    return obs::HttpReply::Json(obs_->metrics.LatencyJson());
   });
   // The flight recorder's ring: the last N completed query traces and
   // scheduler batch events, newest last — what just happened, even when

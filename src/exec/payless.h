@@ -1,11 +1,12 @@
 // The PayLess system facade (Fig. 2 / Fig. 3): one instance per data buyer.
 //
 // Wires together the parser, the learning optimizer, the execution engine,
-// the semantic store, the feedback statistics and the market connector, and
-// exposes the SQL interface end users see. Construction registers the
-// connector listener that implements steps 5.3 (store every call + result)
-// and 5.4 (statistics feedback) automatically, so the learning loop is
-// always closed.
+// the semantic store, the feedback statistics and the endpoint router (the
+// client's market boundary: one connector per market endpoint, a single
+// market being the one-endpoint case), and exposes the SQL interface end
+// users see. Construction registers the connector listener that implements
+// steps 5.3 (store every call + result) and 5.4 (statistics feedback)
+// automatically, so the learning loop is always closed.
 #ifndef PAYLESS_EXEC_PAYLESS_H_
 #define PAYLESS_EXEC_PAYLESS_H_
 
@@ -111,16 +112,16 @@ struct PayLessConfig {
   /// its result is cached inside the plan template, so steady-state
   /// serving prices the counterfactual once per template, not per query.
   bool enable_savings_accounting = true;
-  /// Multi-market federation (nullable; must outlive the client). When
-  /// set, the client owns one connector per endpoint: the optimizer picks
-  /// each access's buy-site against the per-endpoint menus, execution
+  /// Multi-market federation (nullable; must outlive the client and hold
+  /// at least one endpoint). The client's router is built over these
+  /// endpoints when set, else over the `market` constructor argument as the
+  /// one endpoint "". Either way the optimizer picks each access's buy-site
+  /// against the per-endpoint menus, execution (batch prefetch included)
   /// routes calls there and fails over to the next-cheapest live endpoint
-  /// when a breaker opens mid-query, and the savings counterfactual
-  /// becomes the cheapest SINGLE-market plan (the federation's edge over
-  /// any one endpoint is attributed under the federation_routing cause).
-  /// The `market` constructor argument is then only the fallback for
-  /// non-query surfaces; all query spend flows through the endpoint
-  /// connectors.
+  /// when a breaker opens mid-query, and the savings counterfactual is the
+  /// cheapest SINGLE-market plan (a federation's edge over any one endpoint
+  /// is attributed under the federation_routing cause). With a federation
+  /// the `market` argument is unused.
   federation::FederatedMarket* federation = nullptr;
   /// Retained-slab budget for the semantic store (approx payload bytes);
   /// 0 = unbounded and no placement policy. With a budget, the policy runs
@@ -220,17 +221,17 @@ struct BatchReport {
   /// attribute left unconstrained, or a categorical multi-value sub-range).
   /// Expected and harmless: the per-query execution fetches those regions.
   size_t prefetch_skipped_calls = 0;
-  /// Prefetch calls that failed against a flaky market (retries exhausted /
-  /// deadline / rate limit) and were abandoned. Also harmless for
-  /// correctness: prefetching is an optimization, the queries fall back to
-  /// their own fetch paths.
+  /// Prefetch calls no endpoint delivered against a flaky market (retries
+  /// exhausted with no live endpoint left to fail over to / deadline / rate
+  /// limit). Also harmless for correctness: prefetching is an
+  /// optimization, the queries fall back to their own fetch paths.
   size_t prefetch_failed_calls = 0;
 };
 
 /// Thread-safety contract: Query / QueryWithReport / Explain may be called
 /// concurrently from any number of client threads against one PayLess —
-/// the market connector, billing meter, semantic store, statistics and plan
-/// cache all synchronize internally, and per-query spend is counted from
+/// the endpoint connectors, billing meters, semantic store, statistics and
+/// plan cache all synchronize internally, and per-query spend is counted from
 /// the query's own calls (not a meter delta). Setup and administration —
 /// LoadLocalTable, SetCurrentWeek, QueryBatch — are single-caller: run them
 /// while no queries are in flight.
@@ -279,9 +280,11 @@ class PayLess {
   /// into the semantic store, then the queries execute normally — and
   /// mostly for free. Each group's prefetch first passes the tenant's
   /// budget governor with its estimated spend (a refused group is left to
-  /// the queries, which meet their own gates), and its billed spend feeds
-  /// the tenant's rate window. Falls back to plain sequential behaviour
-  /// when merging never pays. Requires SQR to be enabled.
+  /// the queries, which meet their own gates), is bought as one scheduler
+  /// batch through the executor's failover path like any access, and its
+  /// billed spend feeds the tenant's rate window. Falls back to plain
+  /// sequential behaviour when merging never pays. Requires SQR to be
+  /// enabled.
   Result<BatchReport> QueryBatch(const std::vector<BatchQuery>& batch);
 
   /// Loads rows into a buyer-side local table (must be declared local in
@@ -297,7 +300,11 @@ class PayLess {
     return current_week_.load(std::memory_order_relaxed);
   }
 
-  const market::BillingMeter& meter() const { return connector_.meter(); }
+  /// Endpoint 0's billing meter: the single market's meter, or the first
+  /// federation endpoint's (the router sums them all).
+  const market::BillingMeter& meter() const {
+    return router_->connector(0)->meter();
+  }
   const semstore::SemanticStore& store() const { return store_; }
   const stats::StatsRegistry& stats() const { return stats_; }
   /// Estimator-accuracy telemetry (q-errors, drift epoch). Always present;
@@ -310,8 +317,12 @@ class PayLess {
   const durability::DurabilityManager* durability() const {
     return durability_.get();
   }
-  market::MarketConnector* connector() { return &connector_; }
-  /// Multi-market router; nullptr when no federation was configured.
+  /// Endpoint 0's connector (router()->primary()), which the client's
+  /// queries really buy through: the single market's connector, or the
+  /// first federation endpoint's.
+  market::MarketConnector* connector() { return router_->primary(); }
+  /// The client's market boundary, never null: one endpoint per federation
+  /// endpoint, or the single market as endpoint "".
   federation::EndpointRouter* router() { return router_.get(); }
   const federation::EndpointRouter* router() const { return router_.get(); }
   /// Slab placement policy; nullptr without a capacity budget.
@@ -329,10 +340,10 @@ class PayLess {
   /// server: /explain (plan text for arbitrary SQL), /savings (the savings
   /// ledger), /store (live semantic-store coverage plus durability),
   /// /markets (per-endpoint spend, breaker states, RTT tails, failovers
-  /// and slab placement; answers {"federated":false} in single-market
-  /// mode), /latency (every registry histogram), /flightrecorder and
-  /// /workload. Call before server->Start(); the server must not outlive
-  /// this client.
+  /// and slab placement; a single market shows its one endpoint "" under
+  /// "federated":false), /flightrecorder and /workload. Histograms are on
+  /// /metrics.json. Call before server->Start(); the server must not
+  /// outlive this client.
   void RegisterIntrospection(obs::HttpExpositionServer* server);
 
  private:
@@ -345,9 +356,9 @@ class PayLess {
                      const std::vector<Row>& rows, int64_t num_records,
                      int64_t epoch);
   /// The optimizer options every plan of this client is made with: the
-  /// consistency horizon, kFull's SQR override and, when federated, a
-  /// buy-site menu snapshot stored in `*federation_pricing` (which must
-  /// outlive the options).
+  /// consistency horizon, kFull's SQR override and the router's buy-site
+  /// menu snapshot, stored in `*federation_pricing` (which must outlive the
+  /// options).
   core::OptimizerOptions QueryOptimizerOptions(
       core::FederationPricing* federation_pricing) const;
   /// The one EXPLAIN implementation, behind Explain() and the `EXPLAIN`
@@ -400,7 +411,8 @@ class PayLess {
   obs::Observability* obs_;
   MetricHandles metric_;
   obs::AccuracyTracker accuracy_;  // after obs_: constructed from it
-  market::MarketConnector connector_;
+  /// Per-endpoint connectors + routing; never null.
+  std::unique_ptr<federation::EndpointRouter> router_;
   semstore::SemanticStore store_;
   stats::StatsRegistry stats_;
   core::PlanCache plan_cache_;
@@ -410,8 +422,6 @@ class PayLess {
   /// What-if pricer for savings accounting; null when disabled. After
   /// stats_ (it reads the live statistics through a raw pointer).
   std::unique_ptr<obs::SavingsAccountant> savings_accountant_;
-  /// Per-endpoint connectors + routing; null in single-market mode.
-  std::unique_ptr<federation::EndpointRouter> router_;
   /// Capacity-budget slab placement; null without a budget.
   std::unique_ptr<federation::PlacementPolicy> placement_;
   /// Held shared by each query from plan-cache probe through execution and

@@ -1,6 +1,7 @@
 #include "federation/endpoint_router.h"
 
 #include <algorithm>
+#include <cassert>
 #include <limits>
 #include <set>
 #include <sstream>
@@ -21,34 +22,56 @@ const char* BreakerStateName(market::CircuitBreakerSet::State state) {
   return "unknown";
 }
 
+/// The datasets `catalog`'s tables are sold under, sorted.
+std::vector<std::string> DatasetNames(const catalog::Catalog& catalog) {
+  std::set<std::string> names;
+  for (const std::string& table : catalog.TableNames()) {
+    const catalog::TableDef* def = catalog.FindTable(table);
+    if (def != nullptr && !def->dataset.empty()) names.insert(def->dataset);
+  }
+  return {names.begin(), names.end()};
+}
+
 }  // namespace
 
 EndpointRouter::EndpointRouter(FederatedMarket* federation)
-    : federation_(federation) {
-  for (size_t i = 0; i < federation_->num_endpoints(); ++i) {
-    MarketEndpoint* endpoint = federation_->endpoint(i);
-    auto connector =
-        std::make_unique<market::MarketConnector>(endpoint->market());
-    connector->SetMarketLabel(endpoint->id());
+    : federated_(true), endpoints_(federation->num_endpoints()) {
+  assert(!endpoints_.empty());
+  for (size_t i = 0; i < endpoints_.size(); ++i) {
+    MarketEndpoint* endpoint = federation->endpoint(i);
+    market::MarketConnector* connector = InitEndpoint(
+        i, endpoint->id(), &endpoint->catalog(), endpoint->market());
     connector->SetFaultInjector(endpoint->injector());
     connector->SetSimulatedLatencyMicros(
         endpoint->config().simulated_latency_micros);
-    connectors_.push_back(std::move(connector));
-    routed_calls_.push_back(std::make_unique<std::atomic<int64_t>>(0));
-    rtt_.push_back(nullptr);
   }
+}
+
+EndpointRouter::EndpointRouter(const market::DataMarket* market)
+    : federated_(false), endpoints_(1) {
+  InitEndpoint(0, "", &market->catalog(), market);
+}
+
+market::MarketConnector* EndpointRouter::InitEndpoint(
+    size_t i, std::string id, const catalog::Catalog* terms,
+    const market::DataMarket* market) {
+  Endpoint& endpoint = endpoints_[i];
+  endpoint.id = std::move(id);
+  endpoint.terms = terms;
+  endpoint.connector = std::make_unique<market::MarketConnector>(market);
+  endpoint.connector->SetMarketLabel(endpoint.id);
+  return endpoint.connector.get();
 }
 
 void EndpointRouter::BindLatency(
     size_t i, const market::MarketConnector::LatencyHooks& hooks) {
-  if (i >= connectors_.size()) return;
-  rtt_[i] = hooks.rtt;
-  connectors_[i]->BindLatency(hooks);
+  endpoints_[i].rtt = hooks.rtt;
+  endpoints_[i].connector->BindLatency(hooks);
 }
 
 size_t EndpointRouter::IndexOf(const std::string& endpoint_id) const {
-  for (size_t i = 0; i < connectors_.size(); ++i) {
-    if (federation_->endpoint(i)->id() == endpoint_id) return i;
+  for (size_t i = 0; i < endpoints_.size(); ++i) {
+    if (endpoints_[i].id == endpoint_id) return i;
   }
   return std::numeric_limits<size_t>::max();
 }
@@ -56,45 +79,34 @@ size_t EndpointRouter::IndexOf(const std::string& endpoint_id) const {
 market::MarketConnector* EndpointRouter::ConnectorFor(
     const std::string& endpoint_id) {
   const size_t i = IndexOf(endpoint_id);
-  return i == std::numeric_limits<size_t>::max() ? primary()
-                                                 : connectors_[i].get();
+  return i == std::numeric_limits<size_t>::max() ? primary() : connector(i);
 }
 
-void EndpointRouter::SetRetryPolicy(const market::RetryPolicy& policy) {
-  for (const auto& connector : connectors_) {
-    connector->SetRetryPolicy(policy);
-  }
+const catalog::DatasetDef* EndpointRouter::TermsFor(
+    const std::string& endpoint_id, const std::string& dataset) const {
+  const size_t i = IndexOf(endpoint_id);
+  return i == std::numeric_limits<size_t>::max()
+             ? nullptr
+             : endpoints_[i].terms->FindDataset(dataset);
 }
 
 void EndpointRouter::AddListener(market::MarketConnector::Listener listener) {
-  for (const auto& connector : connectors_) {
-    connector->AddListener(listener);
+  for (Endpoint& endpoint : endpoints_) {
+    endpoint.connector->AddListener(listener);
   }
-}
-
-std::vector<std::string> EndpointRouter::DatasetNames() const {
-  std::set<std::string> names;
-  const catalog::Catalog* base = federation_->base_catalog();
-  for (const std::string& table : base->TableNames()) {
-    const catalog::TableDef* def = base->FindTable(table);
-    if (def != nullptr && !def->dataset.empty()) names.insert(def->dataset);
-  }
-  return {names.begin(), names.end()};
 }
 
 core::FederationPricing EndpointRouter::BuildPricing() const {
   core::FederationPricing pricing;
-  const std::vector<std::string> datasets = DatasetNames();
-  for (size_t i = 0; i < connectors_.size(); ++i) {
-    const MarketEndpoint& endpoint = *federation_->endpoint(i);
-    for (const std::string& dataset : datasets) {
-      const catalog::DatasetDef* def = endpoint.catalog().FindDataset(dataset);
+  for (const Endpoint& endpoint : endpoints_) {
+    for (const std::string& dataset : DatasetNames(*endpoint.terms)) {
+      const catalog::DatasetDef* def = endpoint.terms->FindDataset(dataset);
       if (def == nullptr) continue;
       core::BuySiteMenu menu;
-      menu.endpoint = endpoint.id();
+      menu.endpoint = endpoint.id;
       menu.price_per_transaction = def->price_per_transaction;
       menu.tuples_per_transaction = def->tuples_per_transaction;
-      menu.live = connectors_[i]->breaker_state(dataset) !=
+      menu.live = endpoint.connector->breaker_state(dataset) !=
                   market::CircuitBreakerSet::State::kOpen;
       pricing.menus[dataset].push_back(std::move(menu));
     }
@@ -107,20 +119,22 @@ std::string EndpointRouter::NextCheapestLive(
     const std::vector<std::string>& exclude) const {
   std::string best;
   double best_cost = std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < connectors_.size(); ++i) {
-    const MarketEndpoint& endpoint = *federation_->endpoint(i);
-    if (std::find(exclude.begin(), exclude.end(), endpoint.id()) !=
+  for (const Endpoint& endpoint : endpoints_) {
+    if (std::find(exclude.begin(), exclude.end(), endpoint.id) !=
         exclude.end()) {
       continue;
     }
-    if (connectors_[i]->breaker_state(dataset) ==
+    if (endpoint.connector->breaker_state(dataset) ==
         market::CircuitBreakerSet::State::kOpen) {
       continue;
     }
-    const double cost = endpoint.CostPerTuple(dataset);
+    const catalog::DatasetDef* terms = endpoint.terms->FindDataset(dataset);
+    if (terms == nullptr || terms->tuples_per_transaction <= 0) continue;
+    const double cost = terms->price_per_transaction /
+                        static_cast<double>(terms->tuples_per_transaction);
     if (cost < best_cost) {
       best_cost = cost;
-      best = endpoint.id();
+      best = endpoint.id;
     }
   }
   return best;
@@ -130,7 +144,7 @@ void EndpointRouter::CountRoutedCalls(const std::string& endpoint_id,
                                       int64_t calls) {
   const size_t i = IndexOf(endpoint_id);
   if (i == std::numeric_limits<size_t>::max()) return;
-  routed_calls_[i]->fetch_add(calls, std::memory_order_relaxed);
+  endpoints_[i].routed_calls.fetch_add(calls, std::memory_order_relaxed);
 }
 
 void EndpointRouter::CountFailover() {
@@ -139,38 +153,40 @@ void EndpointRouter::CountFailover() {
 
 int64_t EndpointRouter::TotalMeteredTransactions() const {
   int64_t total = 0;
-  for (const auto& connector : connectors_) {
-    total += connector->meter().total_transactions();
+  for (const Endpoint& endpoint : endpoints_) {
+    total += endpoint.connector->meter().total_transactions();
   }
   return total;
 }
 
 std::string EndpointRouter::StatsJson() const {
-  const std::vector<std::string> datasets = DatasetNames();
   std::ostringstream os;
-  os << "{\"federated\":true,\"endpoints\":[";
-  for (size_t i = 0; i < connectors_.size(); ++i) {
-    const MarketEndpoint& endpoint = *federation_->endpoint(i);
-    const market::BillingMeter& meter = connectors_[i]->meter();
+  os << "{\"federated\":" << (federated_ ? "true" : "false")
+     << ",\"endpoints\":[";
+  for (size_t i = 0; i < endpoints_.size(); ++i) {
+    const Endpoint& endpoint = endpoints_[i];
+    const market::BillingMeter& meter = endpoint.connector->meter();
     if (i > 0) os << ",";
-    os << "{\"id\":\"" << endpoint.id() << "\""
+    os << "{\"id\":\"" << endpoint.id << "\""
        << ",\"transactions\":" << meter.total_transactions()
        << ",\"price\":" << meter.total_price()
        << ",\"calls\":" << meter.total_calls() << ",\"routed_calls\":"
-       << routed_calls_[i]->load(std::memory_order_relaxed)
+       << endpoint.routed_calls.load(std::memory_order_relaxed)
        << ",\"breakers\":{";
     bool first = true;
-    for (const std::string& dataset : datasets) {
+    for (const std::string& dataset : DatasetNames(*endpoint.terms)) {
       if (!first) os << ",";
       first = false;
       os << "\"" << dataset << "\":\""
-         << BreakerStateName(connectors_[i]->breaker_state(dataset)) << "\"";
+         << BreakerStateName(endpoint.connector->breaker_state(dataset))
+         << "\"";
     }
     os << "}";
     // Latency health next to breaker state: the endpoint's RTT tail.
-    if (rtt_[i] != nullptr) {
-      os << ",\"latency\":{\"rtt_p50_us\":" << rtt_[i]->ValueAtQuantile(0.50)
-         << ",\"rtt_p99_us\":" << rtt_[i]->ValueAtQuantile(0.99) << "}";
+    if (endpoint.rtt != nullptr) {
+      os << ",\"latency\":{\"rtt_p50_us\":"
+         << endpoint.rtt->ValueAtQuantile(0.50)
+         << ",\"rtt_p99_us\":" << endpoint.rtt->ValueAtQuantile(0.99) << "}";
     }
     os << "}";
   }

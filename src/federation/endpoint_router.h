@@ -1,15 +1,20 @@
-// Per-client routing across a federation's endpoints.
+// Per-client routing across market endpoints: the market boundary of every
+// PayLess client.
 //
 // Each PayLess client owns one EndpointRouter, and the router owns one
 // MarketConnector per endpoint — listeners (semantic store, statistics,
 // durability) are per-client state, so connectors cannot be shared between
-// clients. The router wires each connector to its endpoint's market, fault
-// injector, simulated latency and market label, fans the client's retry
-// policy and listeners out to all of them, and answers two questions on
-// the query path:
+// clients. A federated client's router is built over the federation's
+// endpoints, each connector wired to its endpoint's market, fault injector,
+// simulated latency and market label. A single-market client's router is
+// the one-endpoint case: endpoint "" over that market, under the market's
+// own catalog, so its ledger cells, EXPLAIN text and spans carry no label.
+// Every purchase then takes one path, and the router answers the questions
+// that path asks:
 //
 //   - BuildPricing(): the point-in-time buy-site menu (terms + breaker
 //     liveness) the optimizer prices each access against;
+//   - TermsFor(): the page size an access's calls are chunked by;
 //   - NextCheapestLive(): where the executor fails over to when an
 //     endpoint's breaker opens mid-query. Ranking is static per-tuple
 //     cost under each endpoint's menu, so failover walks the price menu
@@ -29,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "catalog/catalog.h"
 #include "core/federation.h"
 #include "federation/market_endpoint.h"
 #include "market/data_market.h"
@@ -38,36 +44,46 @@ namespace payless::federation {
 
 class EndpointRouter {
  public:
-  /// `federation` must outlive the router. Endpoint order (and therefore
+  /// One endpoint per federation endpoint; `federation` must outlive the
+  /// router and hold at least one endpoint. Endpoint order (and therefore
   /// primary()) follows registration order.
   explicit EndpointRouter(FederatedMarket* federation);
+
+  /// A single market as the one endpoint "" whose terms are the market's
+  /// own catalog (not a copy: tables registered later stay visible).
+  /// `market` must outlive the router.
+  explicit EndpointRouter(const market::DataMarket* market);
 
   EndpointRouter(const EndpointRouter&) = delete;
   EndpointRouter& operator=(const EndpointRouter&) = delete;
 
-  size_t num_endpoints() const { return connectors_.size(); }
-  FederatedMarket* federation() { return federation_; }
+  size_t num_endpoints() const { return endpoints_.size(); }
 
-  /// Endpoint 0's connector — the default buy-site when an access carries
-  /// no annotation (e.g. single-market plans replayed under federation).
-  market::MarketConnector* primary() { return connectors_[0].get(); }
+  /// Endpoint 0's connector — the buy-site of an access that carries no
+  /// annotation (the single market's only endpoint; under federation, e.g.
+  /// a plan recovered from a snapshot, which keeps no buy-sites).
+  market::MarketConnector* primary() { return connector(0); }
 
-  /// Connector of the named endpoint; "" or an unknown id falls back to
-  /// the primary (an access annotated against a menu snapshot may name an
-  /// endpoint that was since removed — never in this in-process model, but
-  /// the fallback keeps routing total).
+  /// Connector of the named endpoint; an unknown id (under federation, ""
+  /// too) falls back to the primary, so routing stays total.
   market::MarketConnector* ConnectorFor(const std::string& endpoint_id);
 
-  market::MarketConnector* connector(size_t i) { return connectors_[i].get(); }
+  /// The terms `endpoint_id` sells `dataset` under; nullptr when either is
+  /// unknown, so an unannotated federated access keeps the base catalog's
+  /// page size.
+  const catalog::DatasetDef* TermsFor(const std::string& endpoint_id,
+                                      const std::string& dataset) const;
+
+  market::MarketConnector* connector(size_t i) {
+    return endpoints_[i].connector.get();
+  }
   const market::MarketConnector& connector(size_t i) const {
-    return *connectors_[i];
+    return *endpoints_[i].connector;
   }
-  const std::string& endpoint_id(size_t i) const {
-    return federation_->endpoint(i)->id();
-  }
+  const std::string& endpoint_id(size_t i) const { return endpoints_[i].id; }
+  const catalog::Catalog& terms(size_t i) const { return *endpoints_[i].terms; }
 
   /// Fan-out to every endpoint connector (setup-time).
-  void SetRetryPolicy(const market::RetryPolicy& policy);
   void AddListener(market::MarketConnector::Listener listener);
 
   /// Latency instrumentation of endpoint `i`'s connector (setup-time).
@@ -96,27 +112,36 @@ class EndpointRouter {
     return failovers_.load(std::memory_order_relaxed);
   }
   int64_t routed_calls(size_t i) const {
-    return routed_calls_[i]->load(std::memory_order_relaxed);
+    return endpoints_[i].routed_calls.load(std::memory_order_relaxed);
   }
 
   /// Sum of every endpoint meter's billed transactions — the reconciliation
   /// counterpart of the CostLedger total.
   int64_t TotalMeteredTransactions() const;
 
-  /// {"federated":true,"endpoints":[{"id":...,"transactions":...,
+  /// {"federated":true|false,"endpoints":[{"id":...,"transactions":...,
   ///   "price":...,"calls":...,"routed_calls":...,"breakers":{...}},...],
   ///  "failovers":N} — the /markets introspection document.
   std::string StatsJson() const;
 
  private:
-  size_t IndexOf(const std::string& endpoint_id) const;  // SIZE_MAX if none
-  std::vector<std::string> DatasetNames() const;
+  struct Endpoint {
+    std::string id;
+    const catalog::Catalog* terms = nullptr;  // this endpoint's menu
+    std::unique_ptr<market::MarketConnector> connector;
+    std::atomic<int64_t> routed_calls{0};
+    obs::LatencyHistogram* rtt = nullptr;  // not owned; nullptr until bound
+  };
 
-  FederatedMarket* federation_;
-  std::vector<std::unique_ptr<market::MarketConnector>> connectors_;
-  std::vector<std::unique_ptr<std::atomic<int64_t>>> routed_calls_;
-  /// Per-endpoint RTT histograms (not owned); nullptr until bound.
-  std::vector<obs::LatencyHistogram*> rtt_;
+  /// Fills endpoint `i`: its id, terms and a connector over `market`
+  /// labelled with the id. Returns the connector.
+  market::MarketConnector* InitEndpoint(size_t i, std::string id,
+                                        const catalog::Catalog* terms,
+                                        const market::DataMarket* market);
+  size_t IndexOf(const std::string& endpoint_id) const;  // SIZE_MAX if none
+
+  const bool federated_;
+  std::vector<Endpoint> endpoints_;  // sized once at construction
   std::atomic<int64_t> failovers_{0};
 };
 

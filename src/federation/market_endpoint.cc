@@ -1,6 +1,5 @@
 #include "federation/market_endpoint.h"
 
-#include <limits>
 #include <utility>
 
 #include "common/snapshot.h"
@@ -19,15 +18,6 @@ MarketEndpoint::MarketEndpoint(EndpointConfig config, catalog::Catalog catalog,
     profile.seed = sub_seed_;
     injector_ = std::make_unique<market::FaultInjector>(profile);
   }
-}
-
-double MarketEndpoint::CostPerTuple(const std::string& dataset) const {
-  const catalog::DatasetDef* def = catalog_.FindDataset(dataset);
-  if (def == nullptr || def->tuples_per_transaction <= 0) {
-    return std::numeric_limits<double>::infinity();
-  }
-  return def->price_per_transaction /
-         static_cast<double>(def->tuples_per_transaction);
 }
 
 FederatedMarket::FederatedMarket(const market::DataMarket* seller,

@@ -71,11 +71,6 @@ class MarketEndpoint {
   market::FaultInjector* injector() { return injector_.get(); }
   uint64_t sub_seed() const { return sub_seed_; }
 
-  /// Money per tuple for `dataset` under this endpoint's menu — the
-  /// static cheapness ordering the failover ranking uses. Infinity when
-  /// the dataset is unknown here.
-  double CostPerTuple(const std::string& dataset) const;
-
  private:
   EndpointConfig config_;
   catalog::Catalog catalog_;  // stable: DataMarket points into it
@@ -110,7 +105,6 @@ class FederatedMarket {
   const MarketEndpoint& endpoint(size_t i) const { return *endpoints_[i]; }
   size_t num_endpoints() const { return endpoints_.size(); }
 
-  const catalog::Catalog* base_catalog() const { return &seller_->catalog(); }
   uint64_t base_seed() const { return base_seed_; }
 
   /// The deterministic per-endpoint seed: SplitMix64 over the base seed

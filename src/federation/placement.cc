@@ -9,7 +9,7 @@ namespace payless::federation {
 PlacementPolicy::PlacementPolicy(int64_t capacity_bytes,
                                  semstore::SemanticStore* store,
                                  const catalog::Catalog* catalog,
-                                 EndpointRouter* router)
+                                 const EndpointRouter* router)
     : capacity_bytes_(capacity_bytes),
       store_(store),
       catalog_(catalog),
@@ -32,23 +32,15 @@ size_t PlacementPolicy::Tick() {
 
     double cost_per_tuple = 0.0;
     if (!value.dataset.empty()) {
-      const catalog::DatasetDef* base_terms =
-          catalog_->FindDataset(value.dataset);
-      if (base_terms != nullptr && base_terms->tuples_per_transaction > 0) {
-        cost_per_tuple = base_terms->price_per_transaction /
-                         static_cast<double>(base_terms->tuples_per_transaction);
-      }
-      if (router_ != nullptr) {
-        const std::string cheapest =
-            router_->NextCheapestLive(value.dataset, {});
-        if (!cheapest.empty()) {
-          MarketEndpoint* endpoint =
-              router_->federation()->endpoint(cheapest);
-          if (endpoint != nullptr) {
-            cost_per_tuple = endpoint->CostPerTuple(value.dataset);
-            value.cheapest_endpoint = cheapest;
-          }
-        }
+      // With the dataset down at every endpoint no site is cheapest, and
+      // the re-buy is priced at the base catalog's terms.
+      value.cheapest_endpoint = router_->NextCheapestLive(value.dataset, {});
+      const catalog::DatasetDef* terms =
+          router_->TermsFor(value.cheapest_endpoint, value.dataset);
+      if (terms == nullptr) terms = catalog_->FindDataset(value.dataset);
+      if (terms != nullptr && terms->tuples_per_transaction > 0) {
+        cost_per_tuple = terms->price_per_transaction /
+                         static_cast<double>(terms->tuples_per_transaction);
       }
     }
     value.rebuy_cost =

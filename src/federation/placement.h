@@ -48,12 +48,13 @@ class PlacementPolicy {
     bool retained = true;
   };
 
-  /// `store` and `catalog` must outlive the policy. `capacity_bytes` (> 0)
-  /// is the retained-payload budget (approx_bytes across tables). `router`
-  /// (nullable) supplies per-endpoint menus and liveness — without it
-  /// re-buy cost is priced against the base catalog.
+  /// `store`, `catalog` and `router` must outlive the policy.
+  /// `capacity_bytes` (> 0) is the retained-payload budget (approx_bytes
+  /// across tables). `router` supplies the endpoints' menus and liveness:
+  /// a single market's router prices re-buys at that market's terms.
   PlacementPolicy(int64_t capacity_bytes, semstore::SemanticStore* store,
-                  const catalog::Catalog* catalog, EndpointRouter* router);
+                  const catalog::Catalog* catalog,
+                  const EndpointRouter* router);
 
   PlacementPolicy(const PlacementPolicy&) = delete;
   PlacementPolicy& operator=(const PlacementPolicy&) = delete;
@@ -79,7 +80,7 @@ class PlacementPolicy {
   const int64_t capacity_bytes_;
   semstore::SemanticStore* store_;
   const catalog::Catalog* catalog_;
-  EndpointRouter* router_;  // nullable
+  const EndpointRouter* router_;
 
   mutable std::mutex mutex_;  // guards the decision fields below
   std::vector<TableValue> last_decision_;

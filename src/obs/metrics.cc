@@ -29,21 +29,6 @@ LatencyHistogram* MetricsRegistry::GetLatencyHistogram(
   return slot.get();
 }
 
-void MetricsRegistry::HistogramsJsonLocked(std::ostream& os) const {
-  os << "{";
-  bool first = true;
-  for (const auto& [name, h] : histograms_) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << name << "\":{\"count\":" << h->count()
-       << ",\"sum\":" << h->sum() << ",\"p50\":" << h->ValueAtQuantile(0.50)
-       << ",\"p95\":" << h->ValueAtQuantile(0.95)
-       << ",\"p99\":" << h->ValueAtQuantile(0.99)
-       << ",\"p999\":" << h->ValueAtQuantile(0.999) << "}";
-  }
-  os << "}";
-}
-
 std::string MetricsRegistry::ToJson() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::ostringstream os;
@@ -61,18 +46,18 @@ std::string MetricsRegistry::ToJson() const {
     first = false;
     os << "\"" << name << "\":" << g->value();
   }
-  os << "},\"histograms\":";
-  HistogramsJsonLocked(os);
-  os << "}";
-  return os.str();
-}
-
-std::string MetricsRegistry::LatencyJson() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::ostringstream os;
-  os << "{\"histograms\":";
-  HistogramsJsonLocked(os);
-  os << "}";
+  os << "},\"histograms\":{";
+  first = true;
+  for (const auto& [name, h] : histograms_) {
+    if (!first) os << ",";
+    first = false;
+    os << "\"" << name << "\":{\"count\":" << h->count()
+       << ",\"sum\":" << h->sum() << ",\"p50\":" << h->ValueAtQuantile(0.50)
+       << ",\"p95\":" << h->ValueAtQuantile(0.95)
+       << ",\"p99\":" << h->ValueAtQuantile(0.99)
+       << ",\"p999\":" << h->ValueAtQuantile(0.999) << "}";
+  }
+  os << "}}";
   return os.str();
 }
 

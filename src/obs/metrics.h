@@ -17,7 +17,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -71,10 +70,6 @@ class MetricsRegistry {
   /// ...}}}
   std::string ToJson() const;
 
-  /// {"histograms": {...}} — the histogram part of ToJson alone, the
-  /// payload behind the /latency route.
-  std::string LatencyJson() const;
-
   /// Prometheus text exposition format v0.0.4: counters and gauges as
   /// `name value`, histograms as summaries (quantiles plus _sum/_count).
   std::string ToPrometheusText() const;
@@ -88,9 +83,6 @@ class MetricsRegistry {
   }
 
  private:
-  /// Renders the histogram map as a JSON object; caller holds mutex_.
-  void HistogramsJsonLocked(std::ostream& os) const;
-
   mutable std::atomic<int64_t> lookups_{0};
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;

@@ -1,7 +1,5 @@
 #include "obs/savings_accountant.h"
 
-#include <algorithm>
-#include <cmath>
 #include <set>
 #include <sstream>
 
@@ -9,37 +7,14 @@
 
 namespace payless::obs {
 
-namespace {
-
-/// What `access` would have been estimated to cost under `site`'s terms —
-/// the same repricing Optimizer::ChooseBuySite ran per endpoint, replayed
-/// here for the counterfactual's buy-site (paid rows reconstructed from
-/// the pre-routing base estimate, call count shape-determined).
-int64_t RepriceAccess(const core::AccessSpec& access,
-                      const catalog::DatasetDef& base,
-                      const catalog::DatasetDef& site) {
-  if (site.tuples_per_transaction == base.tuples_per_transaction) {
-    return access.est_base_transactions;
-  }
-  const double paid_rows =
-      static_cast<double>(access.est_base_transactions) *
-      static_cast<double>(base.tuples_per_transaction);
-  const int64_t t = std::max<int64_t>(site.tuples_per_transaction, 1);
-  int64_t txn = std::max(
-      access.est_calls,
-      static_cast<int64_t>(std::ceil(paid_rows / static_cast<double>(t))));
-  if (access.est_base_transactions > 0) {
-    txn = std::max(txn, std::max<int64_t>(access.est_calls, 1));
-  }
-  return txn;
-}
-
-}  // namespace
-
 SavingsAccountant::SavingsAccountant(const catalog::Catalog* catalog,
                                      const stats::StatsRegistry* stats,
-                                     core::OptimizerOptions options)
-    : catalog_(catalog), stats_(stats), options_(options) {}
+                                     core::OptimizerOptions options,
+                                     std::vector<Endpoint> endpoints)
+    : catalog_(catalog),
+      stats_(stats),
+      options_(options),
+      endpoints_(std::move(endpoints)) {}
 
 Counterfactual SavingsAccountant::PriceAgainst(
     const sql::BoundQuery& query, const catalog::Catalog* catalog) const {
@@ -69,14 +44,11 @@ Counterfactual SavingsAccountant::PriceAgainst(
 }
 
 Counterfactual SavingsAccountant::Price(const sql::BoundQuery& query) const {
-  if (federation_.empty()) return PriceAgainst(query, catalog_);
-
-  // Federated deployment: the baseline is the cheapest single market — a
-  // store-less client that registered with its best endpoint and buys
-  // everything there. Ties break toward registration order (endpoint 0 is
-  // the primary).
+  // The baseline is the cheapest single market — a store-less client that
+  // registered with its best endpoint and buys everything there. Ties
+  // break toward registration order (endpoint 0 is the primary).
   Counterfactual best;
-  for (const auto& [endpoint, catalog] : federation_) {
+  for (const auto& [endpoint, catalog] : endpoints_) {
     Counterfactual cf = PriceAgainst(query, catalog);
     if (!cf.ok()) continue;
     cf.market = endpoint;
@@ -115,7 +87,7 @@ QuerySavings SavingsAccountant::RecordQuery(
     int64_t routing = 0;      // plan-time edge over the baseline's menu
   };
   const catalog::Catalog* cf_catalog = nullptr;
-  for (const auto& [endpoint, catalog] : federation_) {
+  for (const auto& [endpoint, catalog] : endpoints_) {
     if (endpoint == cf.market) cf_catalog = catalog;
   }
   std::map<std::string, DatasetFlags> flags;
@@ -137,8 +109,11 @@ QuerySavings SavingsAccountant::RecordQuery(
           cf_catalog == nullptr ? nullptr
                                 : cf_catalog->FindDataset(def->dataset);
       if (base != nullptr && site != nullptr) {
-        f.routing +=
-            RepriceAccess(access, *base, *site) - access.est_transactions;
+        f.routing += core::RepriceTransactions(
+                         access.est_base_transactions, access.est_calls,
+                         base->tuples_per_transaction,
+                         site->tuples_per_transaction) -
+                     access.est_transactions;
       }
     }
   }

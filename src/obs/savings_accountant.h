@@ -48,10 +48,10 @@ struct Counterfactual {
   std::map<std::string, int64_t> by_dataset;
   /// Shape signature of the counterfactual plan (see PlanSignature).
   std::string signature;
-  /// Federation: the single market endpoint the counterfactual buys
-  /// everything from — the cheapest one ("" when not federated). Executed
-  /// accesses routed to a different endpoint earn federation_routing
-  /// savings against this baseline.
+  /// The single market endpoint the counterfactual buys everything from —
+  /// the cheapest one ("" for a single market). Executed accesses routed
+  /// to a different endpoint earn federation_routing savings against this
+  /// baseline.
   std::string market;
 
   bool ok() const { return total >= 0; }
@@ -70,22 +70,21 @@ struct QuerySavings {
 
 class SavingsAccountant {
  public:
-  /// `catalog` and `stats` must outlive the accountant; `options` should
-  /// mirror the live optimizer's options so the counterfactual differs
-  /// from reality only in store coverage.
+  /// One market endpoint the counterfactual may buy from: its id and its
+  /// catalog (the base catalog under that endpoint's menu).
+  using Endpoint = std::pair<std::string, const catalog::Catalog*>;
+
+  /// `catalog`, `stats` and every endpoint catalog must outlive the
+  /// accountant; `options` should mirror the live optimizer's options so
+  /// the counterfactual differs from reality only in store coverage.
+  /// `endpoints` are the client's markets, in registration order: one
+  /// entry, {"", market catalog}, for a single market. Price() returns the
+  /// cheapest SINGLE-market plan among them — the baseline a store-less
+  /// client pinned to its best endpoint would pay.
   SavingsAccountant(const catalog::Catalog* catalog,
                     const stats::StatsRegistry* stats,
-                    core::OptimizerOptions options);
-
-  /// Federation: registers the per-endpoint catalogs (each a copy of the
-  /// base catalog under that endpoint's menu). Price() then returns the
-  /// cheapest SINGLE-market plan — the baseline a non-federated client
-  /// pinned to its best endpoint would pay. Setup-time; the catalogs must
-  /// outlive the accountant.
-  void SetFederation(
-      std::vector<std::pair<std::string, const catalog::Catalog*>> endpoints) {
-    federation_ = std::move(endpoints);
-  }
+                    core::OptimizerOptions options,
+                    std::vector<Endpoint> endpoints);
 
   /// Prices the counterfactual plan for `query`. Read-only and
   /// thread-safe: same query + same stats snapshot => identical result.
@@ -117,7 +116,7 @@ class SavingsAccountant {
   const catalog::Catalog* catalog_;
   const stats::StatsRegistry* stats_;
   core::OptimizerOptions options_;
-  std::vector<std::pair<std::string, const catalog::Catalog*>> federation_;
+  std::vector<Endpoint> endpoints_;
 };
 
 }  // namespace payless::obs

@@ -239,6 +239,48 @@ TEST_F(BatchTest, PrefetchSpendFeedsTheRateWindow) {
             report->transactions_spent);
 }
 
+TEST_F(BatchTest, PrefetchFailsOverLikeAnyAccess) {
+  // Two sellers of D; the cheaper one drops every call. Each merged hull
+  // is bought there first and fails over to the other seller, exactly as
+  // a query's access would, so the queries then run from the store.
+  federation::FederatedMarket federation(market_.get());
+  federation::EndpointConfig cheap;
+  cheap.id = "cheap";
+  cheap.menu["D"] = federation::DatasetTerms{0.5, 100};
+  cheap.inject_faults = true;
+  cheap.fault_profile.transient_rate = 1.0;
+  ASSERT_TRUE(federation.AddEndpoint(cheap).ok());
+  federation::EndpointConfig dear;
+  dear.id = "dear";
+  ASSERT_TRUE(federation.AddEndpoint(dear).ok());
+  obs::Observability obs;
+  PayLessConfig config;
+  config.observability = &obs;
+  config.federation = &federation;
+  PayLess client(&cat_, market_.get(), config);
+
+  const std::vector<BatchQuery> batch = OverlappingBatch();
+  const Result<BatchReport> report = client.QueryBatch(batch);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->merged_groups, 2u);
+  EXPECT_EQ(report->prefetch_failed_calls, 0u);
+  EXPECT_EQ(report->prefetch_transactions, 2);
+  EXPECT_EQ(report->transactions_spent, 2);
+  const federation::EndpointRouter& router = *client.router();
+  EXPECT_EQ(router.connector(0).meter().total_transactions(), 0);  // cheap
+  EXPECT_EQ(router.connector(1).meter().total_transactions(), 2);  // dear
+  EXPECT_EQ(obs.ledger.total_transactions(),
+            router.TotalMeteredTransactions());
+  const storage::Database no_local_tables;
+  ASSERT_EQ(report->reports.size(), batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const Result<storage::Table> want = ReferenceEvaluate(
+        cat_, *market_, no_local_tables, batch[i].sql, batch[i].params);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_TRUE(SameResult(report->reports[i].result, *want)) << batch[i].sql;
+  }
+}
+
 TEST_F(BatchTest, EmptyBatch) {
   PayLess client(&cat_, market_.get(), PayLessConfig{});
   Result<BatchReport> report = client.QueryBatch({});

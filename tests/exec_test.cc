@@ -8,6 +8,7 @@
 #include "core/optimizer.h"
 #include "exec/local_eval.h"
 #include "exec/reference.h"
+#include "federation/endpoint_router.h"
 #include "sql/parser.h"
 
 namespace payless::exec {
@@ -72,12 +73,12 @@ class ExecTest : public ::testing::Test {
     ASSERT_TRUE(db_.CreateTable(*cat_.FindTable("Names")).ok());
     ASSERT_TRUE(db_.InsertRows("Names", name_rows).ok());
 
-    connector_ = std::make_unique<market::MarketConnector>(market_.get());
+    router_ = std::make_unique<federation::EndpointRouter>(market_.get());
     for (const std::string& name : cat_.TableNames()) {
       stats_.RegisterTable(*cat_.FindTable(name));
     }
-    connector_->AddListener([this](const market::RestCall& call,
-                                   const market::CallResult& result) {
+    router_->AddListener([this](const market::RestCall& call,
+                                const market::CallResult& result) {
       const TableDef* def = cat_.FindTable(call.table);
       store_.Store(*def, market::CallRegion(*def, call), result.rows, 0);
       stats_.Feedback(call.table, market::CallRegion(*def, call),
@@ -98,7 +99,7 @@ class ExecTest : public ::testing::Test {
     const core::Optimizer optimizer(&cat_, &stats_, &store_, {});
     Result<core::OptimizeResult> plan = optimizer.Optimize(q);
     if (!plan.ok()) return plan.status();
-    ExecutionEngine engine(&cat_, &db_, connector_.get(), &store_, &stats_);
+    ExecutionEngine engine(&cat_, &db_, router_.get(), &store_, &stats_);
     return engine.Execute(q, plan->plan, ExecConfig{}, stats);
   }
 
@@ -114,7 +115,7 @@ class ExecTest : public ::testing::Test {
 
   catalog::Catalog cat_;
   std::unique_ptr<market::DataMarket> market_;
-  std::unique_ptr<market::MarketConnector> connector_;
+  std::unique_ptr<federation::EndpointRouter> router_;
   storage::Database db_;
   semstore::SemanticStore store_;
   stats::StatsRegistry stats_;
@@ -157,11 +158,11 @@ TEST_F(ExecTest, BindJoinMatchesOracle) {
 TEST_F(ExecTest, SecondRunServedFromCache) {
   const std::string sql = "SELECT * FROM Users WHERE Segment = 'silver'";
   ASSERT_TRUE(Run(sql).ok());
-  const int64_t after_first = connector_->meter().total_transactions();
+  const int64_t after_first = router_->TotalMeteredTransactions();
   ExecStats stats;
   Result<storage::Table> again = Run(sql, &stats);
   ASSERT_TRUE(again.ok());
-  EXPECT_EQ(connector_->meter().total_transactions(), after_first);
+  EXPECT_EQ(router_->TotalMeteredTransactions(), after_first);
   EXPECT_EQ(stats.calls, 0);
   EXPECT_GT(stats.rows_from_cache, 0);
   ExpectMatchesOracle(sql);
@@ -173,7 +174,7 @@ TEST_F(ExecTest, OverlappingQueryBuysOnlyRemainder) {
           "AND Users.UserID >= 5 AND Users.UserID <= 8 AND Day >= 1 AND "
           "Day <= 5")
           .ok());
-  const int64_t after_first = connector_->meter().total_transactions();
+  const int64_t after_first = router_->TotalMeteredTransactions();
   // Extends the day range: only days 6..7 of those users are new.
   ExecStats stats;
   ASSERT_TRUE(
@@ -182,7 +183,7 @@ TEST_F(ExecTest, OverlappingQueryBuysOnlyRemainder) {
           "Day <= 7",
           &stats)
           .ok());
-  const int64_t delta = connector_->meter().total_transactions() - after_first;
+  const int64_t delta = router_->TotalMeteredTransactions() - after_first;
   EXPECT_GT(stats.rows_from_cache, 0);
   EXPECT_LE(delta, 2);  // far less than re-buying the whole range
   ExpectMatchesOracle(
@@ -233,7 +234,7 @@ TEST_F(ExecTest, ThreeWayJoinMatchesOracle) {
 
 TEST_F(ExecTest, PlanMustCoverAllRelations) {
   const sql::BoundQuery q = BindSql("SELECT * FROM Users");
-  ExecutionEngine engine(&cat_, &db_, connector_.get(), &store_, &stats_);
+  ExecutionEngine engine(&cat_, &db_, router_.get(), &store_, &stats_);
   core::Plan empty_plan;
   EXPECT_FALSE(engine.Execute(q, empty_plan, ExecConfig{}).ok());
 }
@@ -251,13 +252,13 @@ TEST_F(ExecTest, WithoutSqrEveryRunPaysAgain) {
   const core::Optimizer optimizer(&cat_, &stats_, &store_, opt);
   Result<core::OptimizeResult> plan = optimizer.Optimize(q);
   ASSERT_TRUE(plan.ok());
-  ExecutionEngine engine(&cat_, &db_, connector_.get(), &store_, &stats_);
+  ExecutionEngine engine(&cat_, &db_, router_.get(), &store_, &stats_);
   ExecConfig config;
   config.use_sqr = false;
   ASSERT_TRUE(engine.Execute(q, plan->plan, config).ok());
-  const int64_t first = connector_->meter().total_transactions();
+  const int64_t first = router_->TotalMeteredTransactions();
   ASSERT_TRUE(engine.Execute(q, plan->plan, config).ok());
-  EXPECT_EQ(connector_->meter().total_transactions(), 2 * first);
+  EXPECT_EQ(router_->TotalMeteredTransactions(), 2 * first);
 }
 
 }  // namespace

@@ -19,7 +19,9 @@
 //      client (serial or concurrent) still returns the oracle's rows;
 //   5. /markets serves the live federation state over HTTP;
 //   6. on the real workload, buy-site routing beats every single market,
-//      and failover under faults re-delivers no call region twice.
+//      and failover under faults re-delivers no call region twice;
+//   7. a federated client's connector() and meter() are endpoint 0's,
+//      the ones its queries buy through.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -222,6 +224,42 @@ TEST_F(FederationTest, RouterRoutesCheapestAndTracksPerEndpointCalls) {
   EXPECT_GT(router->routed_calls(0), 0);  // east bought ALPHA
   EXPECT_GT(router->routed_calls(1), 0);  // west bought BETA
   EXPECT_EQ(router->failovers(), 0);      // nothing failed
+}
+
+TEST_F(FederationTest, ConnectorAndMeterAreEndpointZeroAndLive) {
+  // A federated client's connector() and meter() are endpoint 0's, the
+  // ones its queries really buy through: a drop-every-call injector
+  // attached through connector() makes every access routed to endpoint 0
+  // retry there and fail over.
+  workload::RealDataOptions options;
+  options.scale = 0.02;
+  const auto bundle = workload::MakeRealBundle(options, /*per_template=*/4,
+                                               /*query_seed=*/1);
+  std::vector<workload::FederatedEndpointSpec> specs(2);
+  specs[0].id = "east";
+  specs[1].id = "west";
+  auto federation = workload::MakeFederatedMarket(*bundle, specs, 42);
+  obs::Observability obs;
+  PayLessConfig config = workload::PayLessFullConfig();
+  config.observability = &obs;
+  auto client = workload::NewFederatedPayLessClient(*bundle, federation.get(),
+                                                    std::move(config));
+  EXPECT_EQ(&client->meter(), &client->router()->connector(0)->meter());
+
+  market::FaultProfile drop_all;
+  drop_all.transient_rate = 1.0;
+  market::FaultInjector injector(drop_all);
+  client->connector()->SetFaultInjector(&injector);
+  for (const workload::QueryInstance& query : bundle->queries) {
+    const auto r = client->QueryWithReport(query.sql, query.params);
+    ASSERT_TRUE(r.ok()) << r.status().message();
+    ASSERT_TRUE(r->error.ok()) << r->error.message();
+  }
+  client->connector()->SetFaultInjector(nullptr);
+  EXPECT_GT(client->connector()->retry_stats().attempts, 0);
+  EXPECT_GT(client->router()->failovers(), 0);
+  EXPECT_EQ(obs.ledger.total_transactions(),
+            client->router()->TotalMeteredTransactions());
 }
 
 TEST_F(FederationTest, PlacementEvictsCheapestRebuyDensityFirst) {

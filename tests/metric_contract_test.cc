@@ -231,13 +231,14 @@ class MetricContractTest : public ::testing::Test {
                               : 0;
     Expect("payless_stats_drift_ticks_total",
            static_cast<int64_t>(client->accuracy().drift_epoch() - restored));
-    FoldConnector(*client->connector(), "payless_market_rtt_micros");
-    if (client->router() != nullptr) {
-      for (size_t i = 0; i < client->router()->num_endpoints(); ++i) {
-        FoldConnector(*client->router()->connector(i),
-                      "payless_market_rtt_micros_" +
-                          client->router()->endpoint_id(i));
-      }
+    // Every endpoint's connector under its own RTT name; a single market
+    // is the one endpoint "" and keeps the unsuffixed name.
+    const federation::EndpointRouter& router = *client->router();
+    for (size_t i = 0; i < router.num_endpoints(); ++i) {
+      const std::string& id = router.endpoint_id(i);
+      FoldConnector(router.connector(i),
+                    id.empty() ? "payless_market_rtt_micros"
+                               : "payless_market_rtt_micros_" + id);
     }
     if (durability != nullptr) {
       // Every delivered harvest is logged. The meter also bills lost

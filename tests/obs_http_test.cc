@@ -384,24 +384,39 @@ TEST_F(HttpExpositionTest, LatencyAndFlightRecorderRoutesServeJson) {
   client.RegisterIntrospection(&server);
   ASSERT_TRUE(server.Start().ok());
 
-  // A query so both payloads have content: histograms record stages and
-  // the flight recorder holds the query's entry.
+  // A query so every payload has content: the market bills, histograms
+  // record stages and the flight recorder holds the query's entry.
   ASSERT_TRUE(client
                   .Query("SELECT * FROM Pollution WHERE Rank >= ? AND "
                          "Rank <= ?",
                          {Value(int64_t{1}), Value(int64_t{50})})
                   .ok());
+  ASSERT_GT(client.meter().total_transactions(), 0);
 
-  const HttpReply latency = Fetch(server.port(), "/latency");
-  ASSERT_EQ(latency.status, 200);
-  EXPECT_NE(latency.content_type.find("application/json"),
+  // A single market is the router's one endpoint "": /markets shows its
+  // whole bill and its RTT tail.
+  const HttpReply markets = Fetch(server.port(), "/markets");
+  ASSERT_EQ(markets.status, 200);
+  EXPECT_NE(markets.content_type.find("application/json"),
             std::string::npos);
-  EXPECT_EQ(latency.body.front(), '{');
-  EXPECT_EQ(latency.body.back(), '}');
-  EXPECT_NE(latency.body.find("payless_latency_e2e_micros"),
+  EXPECT_EQ(markets.body.front(), '{');
+  EXPECT_EQ(markets.body.back(), '}');
+  EXPECT_NE(markets.body.find("\"federated\":false"), std::string::npos)
+      << markets.body;
+  EXPECT_NE(markets.body.find(
+                "{\"id\":\"\",\"transactions\":" +
+                std::to_string(client.meter().total_transactions()) + ","),
             std::string::npos)
-      << latency.body;
-  EXPECT_NE(latency.body.find("\"p99\""), std::string::npos);
+      << markets.body;
+  EXPECT_NE(markets.body.find("\"rtt_p50_us\""), std::string::npos);
+
+  // Every registry histogram, with its tail, is on /metrics.json.
+  const HttpReply metrics = Fetch(server.port(), "/metrics.json");
+  ASSERT_EQ(metrics.status, 200);
+  EXPECT_NE(metrics.body.find("payless_latency_e2e_micros"),
+            std::string::npos)
+      << metrics.body;
+  EXPECT_NE(metrics.body.find("\"p99\""), std::string::npos);
 
   const HttpReply recorder = Fetch(server.port(), "/flightrecorder");
   ASSERT_EQ(recorder.status, 200);
@@ -415,7 +430,7 @@ TEST_F(HttpExpositionTest, LatencyAndFlightRecorderRoutesServeJson) {
 
   // HTTP hygiene: HEAD mirrors GET without a body; oversized request
   // lines answer 414; query-string noise never wedges the routes.
-  for (const char* route : {"/latency", "/flightrecorder"}) {
+  for (const char* route : {"/markets", "/flightrecorder"}) {
     const HttpReply head =
         Fetch(server.port(), "/",
               "HEAD " + std::string(route) + " HTTP/1.1\r\nHost: x\r\n\r\n");
@@ -432,7 +447,7 @@ TEST_F(HttpExpositionTest, LatencyAndFlightRecorderRoutesServeJson) {
     }
   }
   // The accept thread survived.
-  EXPECT_EQ(Fetch(server.port(), "/latency").status, 200);
+  EXPECT_EQ(Fetch(server.port(), "/markets").status, 200);
 }
 
 TEST_F(HttpExpositionTest, JsonRoutesServeUnderLoad) {

@@ -435,8 +435,7 @@ TEST_F(StageDecompositionTest, TracingOffStillDecomposes) {
   EXPECT_GT(report->latency_us, 0);
   EXPECT_GT(report->stage_micros[kStageFetch], 0);
   // And the registry's HDR histograms saw the query.
-  const std::string latency_json =
-      client.observability()->metrics.LatencyJson();
+  const std::string latency_json = client.observability()->metrics.ToJson();
   EXPECT_NE(latency_json.find("payless_latency_e2e_micros"),
             std::string::npos);
   EXPECT_NE(latency_json.find("payless_stage_fetch_micros"),

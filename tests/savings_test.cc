@@ -243,7 +243,8 @@ TEST_F(SavingsAccountingTest, CounterfactualIsDeterministicAcrossThreads) {
   // eight concurrent pricers must agree bit for bit.
   stats::StatsRegistry stats(stats::StatsKind::kFeedbackHistogram);
   stats.RegisterTable(*cat_.FindTable("Pollution"));
-  SavingsAccountant accountant(&cat_, &stats, core::OptimizerOptions{});
+  SavingsAccountant accountant(&cat_, &stats, core::OptimizerOptions{},
+                               {{"", &cat_}});
 
   Result<sql::SelectStmt> stmt = sql::Parse(kRangeSql);
   ASSERT_TRUE(stmt.ok());

@@ -15,6 +15,7 @@
 #include "core/optimizer.h"
 #include "exec/execution_engine.h"
 #include "exec/reference.h"
+#include "federation/endpoint_router.h"
 #include "sql/parser.h"
 
 namespace payless {
@@ -90,9 +91,9 @@ int64_t MeasuredSpend(Scenario* s, core::OptimizerOptions options) {
     stats.RegisterTable(*s->cat.FindTable(name));
   }
   semstore::SemanticStore store;
-  market::MarketConnector connector(s->market.get());
-  connector.AddListener([&](const market::RestCall& call,
-                            const market::CallResult& result) {
+  federation::EndpointRouter router(s->market.get());
+  router.AddListener([&](const market::RestCall& call,
+                         const market::CallResult& result) {
     const TableDef* def = s->cat.FindTable(call.table);
     store.Store(*def, market::CallRegion(*def, call), result.rows, 0);
     stats.Feedback(call.table, market::CallRegion(*def, call),
@@ -109,7 +110,7 @@ int64_t MeasuredSpend(Scenario* s, core::OptimizerOptions options) {
   EXPECT_TRUE(plan.ok()) << plan.status().ToString() << " for " << s->sql;
 
   storage::Database db;
-  exec::ExecutionEngine engine(&s->cat, &db, &connector, &store, &stats);
+  exec::ExecutionEngine engine(&s->cat, &db, &router, &store, &stats);
   exec::ExecConfig config;
   config.use_sqr = options.use_sqr;
   Result<storage::Table> result =
@@ -122,7 +123,7 @@ int64_t MeasuredSpend(Scenario* s, core::OptimizerOptions options) {
   EXPECT_TRUE(want.ok());
   EXPECT_TRUE(exec::SameResult(*result, *want)) << s->sql;
 
-  return connector.meter().total_transactions();
+  return router.TotalMeteredTransactions();
 }
 
 class TheoremProperty : public ::testing::TestWithParam<uint64_t> {};
@@ -152,9 +153,9 @@ TEST_P(TheoremProperty, Theorem2CachedCoverageNeverIncreasesSpend) {
     stats.RegisterTable(*warm->cat.FindTable(name));
   }
   semstore::SemanticStore store;
-  market::MarketConnector connector(warm->market.get());
-  connector.AddListener([&](const market::RestCall& call,
-                            const market::CallResult& result) {
+  federation::EndpointRouter router(warm->market.get());
+  router.AddListener([&](const market::RestCall& call,
+                         const market::CallResult& result) {
     const TableDef* def = warm->cat.FindTable(call.table);
     store.Store(*def, market::CallRegion(*def, call), result.rows, 0);
     stats.Feedback(call.table, market::CallRegion(*def, call),
@@ -166,7 +167,7 @@ TEST_P(TheoremProperty, Theorem2CachedCoverageNeverIncreasesSpend) {
   ASSERT_TRUE(bound.ok());
   const core::Optimizer optimizer(&warm->cat, &stats, &store, {});
   storage::Database db;
-  exec::ExecutionEngine engine(&warm->cat, &db, &connector, &store, &stats);
+  exec::ExecutionEngine engine(&warm->cat, &db, &router, &store, &stats);
   for (int run = 0; run < 2; ++run) {
     Result<core::OptimizeResult> plan = optimizer.Optimize(*bound);
     ASSERT_TRUE(plan.ok());
@@ -174,7 +175,7 @@ TEST_P(TheoremProperty, Theorem2CachedCoverageNeverIncreasesSpend) {
   }
   // Two runs together cost no more than one cold run... and exactly equal:
   // the second run is free.
-  EXPECT_EQ(connector.meter().total_transactions(), cold_spend) << warm->sql;
+  EXPECT_EQ(router.TotalMeteredTransactions(), cold_spend) << warm->sql;
 }
 
 INSTANTIATE_TEST_SUITE_P(Random, TheoremProperty,
@@ -209,7 +210,7 @@ TEST(Theorem3Test, DisconnectedQueriesCostTheSumOfParts) {
       stats.RegisterTable(*cat.FindTable(name));
     }
     semstore::SemanticStore store;
-    market::MarketConnector connector(&market);
+    federation::EndpointRouter router(&market);
     Result<sql::SelectStmt> stmt = sql::Parse(sql);
     EXPECT_TRUE(stmt.ok());
     Result<sql::BoundQuery> bound = sql::Bind(*stmt, cat, {});
@@ -218,9 +219,9 @@ TEST(Theorem3Test, DisconnectedQueriesCostTheSumOfParts) {
     Result<core::OptimizeResult> plan = optimizer.Optimize(*bound);
     EXPECT_TRUE(plan.ok());
     storage::Database db;
-    exec::ExecutionEngine engine(&cat, &db, &connector, &store, &stats);
+    exec::ExecutionEngine engine(&cat, &db, &router, &store, &stats);
     EXPECT_TRUE(engine.Execute(*bound, plan->plan, exec::ExecConfig{}).ok());
-    return connector.meter().total_transactions();
+    return router.TotalMeteredTransactions();
   };
 
   const int64_t x_only = spend("SELECT * FROM X WHERE X.k >= 1 AND X.k <= 25");
