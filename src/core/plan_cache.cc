@@ -95,7 +95,6 @@ void PlanCache::Insert(const std::string& key, CachedPlan entry) {
   }
   (*next)[key] = std::make_shared<const CachedPlan>(std::move(entry));
   shard.entries.Store(std::move(next));
-  version_.fetch_add(1, std::memory_order_release);
 }
 
 PlanCacheStats PlanCache::Stats() const {
@@ -120,7 +119,6 @@ void PlanCache::Clear() {
     std::lock_guard<std::mutex> lock(shard.write_mutex);
     shard.entries.Store(std::make_shared<const ShardMap>());
   }
-  version_.fetch_add(1, std::memory_order_release);
 }
 
 }  // namespace payless::core

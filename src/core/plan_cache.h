@@ -27,9 +27,8 @@
 // copy-on-write maps (one atomic snapshot load + a find per lookup), and a
 // hit hands back a shared_ptr to the immutable cached entry instead of a
 // deep copy of the plan. Inserts copy-on-write one shard under its writer
-// mutex; a monotonic version counter ticks on every insert and clear so
-// introspection can cheaply detect churn. Hit/miss tallies are atomics so
-// concurrent clients can read them cheaply.
+// mutex. Hit/miss tallies are atomics so concurrent clients can read them
+// cheaply.
 #ifndef PAYLESS_CORE_PLAN_CACHE_H_
 #define PAYLESS_CORE_PLAN_CACHE_H_
 
@@ -115,11 +114,6 @@ class PlanCache {
   std::vector<std::pair<std::string, std::shared_ptr<const CachedPlan>>>
   Entries() const;
 
-  /// Monotonic mutation counter: ticks on every Insert and Clear.
-  uint64_t version() const {
-    return version_.load(std::memory_order_acquire);
-  }
-
  private:
   static constexpr size_t kShards = 8;
   using ShardMap =
@@ -132,7 +126,6 @@ class PlanCache {
 
   const size_t max_entries_;
   mutable std::array<Shard, kShards> shards_;
-  std::atomic<uint64_t> version_{0};
   mutable std::atomic<uint64_t> hits_{0};
   mutable std::atomic<uint64_t> misses_{0};
 };

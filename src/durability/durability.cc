@@ -96,7 +96,7 @@ Status DurabilityManager::Recover(const HarvestApply& apply) {
 
   // ---- Log tail: everything durable after the snapshot, re-applied
   // through the same listener body that absorbed it the first time.
-  const WalReadResult wal = ReadWal(wal_path());
+  const common::FrameReadResult wal = common::ReadFramedFile(wal_path());
   recovery_.wal_torn_tail = wal.torn_tail;
   recovery_.wal_bytes = wal.valid_bytes;
   uint64_t max_seq = snap.last_seq;

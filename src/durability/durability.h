@@ -158,7 +158,7 @@ class DurabilityManager {
   std::function<int64_t()> current_week_supplier_;
 
   mutable std::mutex mutex_;
-  WriteAheadLog wal_;
+  common::FramedAppendFile wal_;
   uint64_t next_seq_ = 1;
   uint64_t last_snapshot_seq_ = 0;
   size_t records_since_snapshot_ = 0;

@@ -9,14 +9,16 @@
 #include <sstream>
 
 #include "common/binio.h"
-#include "durability/wal.h"
+#include "common/framing.h"
 
 namespace payless::durability {
 
 namespace {
 
 constexpr char kMagic[8] = {'P', 'L', 'S', 'S', 'N', 'A', 'P', '1'};
-constexpr uint8_t kFormatVersion = 1;
+// Version 2 added each access's buy-site and base-catalog estimate, so a
+// recovered federated plan buys where it was planned to.
+constexpr uint8_t kFormatVersion = 2;
 
 void WritePlan(common::BinWriter& w, const core::Plan& plan) {
   w.I64(plan.est_cost);
@@ -37,6 +39,8 @@ void WritePlan(common::BinWriter& w, const core::Plan& plan) {
     w.F64(a.est_bind_values);
     w.I64(a.est_transactions);
     w.I64(a.est_calls);
+    w.Str(a.buy_site);
+    w.I64(a.est_base_transactions);
     w.U64(a.sqr_counters.elementary_boxes);
     w.U64(a.sqr_counters.enumerated_boxes);
     w.U64(a.sqr_counters.kept_boxes);
@@ -75,8 +79,9 @@ bool ReadPlan(common::BinReader& r, core::Plan* plan) {
     uint64_t c0 = 0, c1 = 0, c2 = 0, c3 = 0;
     if (!r.U8(&used_sqr) || !r.F64(&a.est_rows) ||
         !r.F64(&a.est_bind_values) || !r.I64(&a.est_transactions) ||
-        !r.I64(&a.est_calls) || !r.U64(&c0) || !r.U64(&c1) || !r.U64(&c2) ||
-        !r.U64(&c3)) {
+        !r.I64(&a.est_calls) || !r.Str(&a.buy_site) ||
+        !r.I64(&a.est_base_transactions) || !r.U64(&c0) || !r.U64(&c1) ||
+        !r.U64(&c2) || !r.U64(&c3)) {
       return false;
     }
     a.used_sqr = used_sqr != 0;
@@ -222,7 +227,7 @@ Status WriteSnapshotFile(const std::string& path, const SnapshotData& data) {
   std::string file;
   file.append(kMagic, sizeof(kMagic));
   common::BinWriter w(&file);
-  w.U32(Crc32(body));
+  w.U32(common::Crc32(body));
   w.U64(body.size());
   file += body;
 
@@ -267,7 +272,7 @@ Status ReadSnapshotFile(const std::string& path, SnapshotData* out) {
     return Status::Internal("snapshot '" + path + "': truncated header");
   }
   const std::string body = file.substr(sizeof(kMagic) + 12);
-  if (Crc32(body) != crc) {
+  if (common::Crc32(body) != crc) {
     return Status::Internal("snapshot '" + path + "': CRC mismatch");
   }
   if (!DecodeBody(body, out)) {

@@ -37,14 +37,4 @@ bool DecodeHarvest(const std::string& payload, HarvestRecord* out) {
   return r.ok() && r.remaining() == 0;
 }
 
-WalReadResult ReadWal(const std::string& path) {
-  common::FrameReadResult frames = common::ReadFramedFile(path);
-  WalReadResult result;
-  result.payloads = std::move(frames.payloads);
-  result.torn_tail = frames.torn_tail;
-  result.valid_bytes = frames.valid_bytes;
-  result.total_bytes = frames.total_bytes;
-  return result;
-}
-
 }  // namespace payless::durability

@@ -9,8 +9,9 @@
 // is never re-bought, and nothing is ever served that was not paid for.
 //
 // The on-disk format is the shared CRC framing in common/framing.h
-// (`[u32 len][u32 crc][payload]`, torn-tail discipline); this header adds
-// the harvest record codec on top of it.
+// (`[u32 len][u32 crc][payload]`, torn-tail discipline): the log is a
+// common::FramedAppendFile read back with common::ReadFramedFile. This
+// header adds the harvest record codec on top of it.
 #ifndef PAYLESS_DURABILITY_WAL_H_
 #define PAYLESS_DURABILITY_WAL_H_
 
@@ -25,12 +26,6 @@
 #include "common/value.h"
 
 namespace payless::durability {
-
-/// CRC-32 (IEEE, reflected) of a byte span — the frame checksum.
-inline uint32_t Crc32(const char* data, size_t size) {
-  return common::Crc32(data, size);
-}
-inline uint32_t Crc32(const std::string& s) { return common::Crc32(s); }
 
 /// One logged harvest: the market call's identity and billed result, plus
 /// everything the listener needs to re-apply it (region + rows + epoch).
@@ -50,58 +45,6 @@ struct HarvestRecord {
 
 std::string EncodeHarvest(const HarvestRecord& record);
 bool DecodeHarvest(const std::string& payload, HarvestRecord* out);
-
-/// Append handle over one log file. Not thread-safe: the durability
-/// manager serializes the whole harvest path, so the log never sees
-/// concurrent appends.
-class WriteAheadLog {
- public:
-  explicit WriteAheadLog(std::string path) : file_(std::move(path)) {}
-
-  WriteAheadLog(const WriteAheadLog&) = delete;
-  WriteAheadLog& operator=(const WriteAheadLog&) = delete;
-
-  /// Opens (creating if absent) for append. Idempotent.
-  Status Open() { return file_.Open(); }
-
-  /// Frames and appends one payload; fsyncs when asked. Size accounting
-  /// includes the 8-byte frame header.
-  Status Append(const std::string& payload, bool fsync) {
-    return file_.Append(payload, fsync);
-  }
-
-  /// Crash-injection path: writes only the first `torn_bytes` bytes of the
-  /// frame (header included) and stops — the torn tail a real kill
-  /// mid-append leaves behind. Never fsyncs (the process "died").
-  Status AppendTorn(const std::string& payload, size_t torn_bytes) {
-    return file_.AppendTorn(payload, torn_bytes);
-  }
-
-  /// Truncates the log to empty (after a snapshot made its records
-  /// redundant).
-  Status Reset() { return file_.Reset(); }
-
-  void Close() { file_.Close(); }
-
-  int64_t size_bytes() const { return file_.size_bytes(); }
-  const std::string& path() const { return file_.path(); }
-
- private:
-  common::FramedAppendFile file_;
-};
-
-/// Everything one pass over a log file yields.
-struct WalReadResult {
-  std::vector<std::string> payloads;  // intact frames, in append order
-  bool torn_tail = false;             // file ends in an invalid frame
-  int64_t valid_bytes = 0;            // prefix covered by intact frames
-  int64_t total_bytes = 0;            // file size as read
-};
-
-/// Reads every intact frame of the log at `path`. A missing file is an
-/// empty, un-torn log. Never fails on torn or corrupt content — the torn
-/// tail is data about the crash, not an error.
-WalReadResult ReadWal(const std::string& path);
 
 }  // namespace payless::durability
 

@@ -13,7 +13,6 @@
 #include "market/call_scheduler.h"
 #include "market/rest_call.h"
 #include "obs/trace.h"
-#include "storage/ops.h"
 
 namespace payless::exec {
 
@@ -146,8 +145,7 @@ Status IssueWithFailover(federation::EndpointRouter* router,
 
 Result<storage::Table> ExecutionEngine::FetchRelation(
     const sql::BoundQuery& query, const core::AccessSpec& access,
-    size_t access_index, const ColumnTable& left_result,
-    const std::vector<size_t>& offsets, const ExecConfig& config,
+    size_t access_index, const JoinedRows& joined, const ExecConfig& config,
     ExecStats* exec_stats) {
   const sql::BoundRelation& rel = query.relations[access.rel];
   const catalog::TableDef& def = *rel.def;
@@ -271,9 +269,9 @@ Result<storage::Table> ExecutionEngine::FetchRelation(
         break;
 
       case core::AccessSpec::Kind::kBind: {
-        // Binding columns and the left-result positions feeding them.
+        // Binding columns and the placed columns feeding them.
         std::vector<size_t> bind_cols;
-        std::vector<size_t> left_positions;
+        std::vector<sql::BoundColumnRef> feeding;
         for (const sql::JoinEdge& edge : access.bind_edges) {
           const bool own_left = edge.left.rel == access.rel;
           const sql::BoundColumnRef& own = own_left ? edge.left : edge.right;
@@ -283,7 +281,7 @@ Result<storage::Table> ExecutionEngine::FetchRelation(
             continue;  // one feeding edge per binding column suffices
           }
           bind_cols.push_back(own.col);
-          left_positions.push_back(offsets[other.rel] + other.col);
+          feeding.push_back(other);
         }
         if (bind_cols.empty()) {
           return Status::Internal("bind access without usable bind edges");
@@ -293,12 +291,12 @@ Result<storage::Table> ExecutionEngine::FetchRelation(
         std::vector<Row> combos;
         {
           std::unordered_set<Row, RowHasher> seen;
-          for (size_t r = 0; r < left_result.num_rows(); ++r) {
+          for (size_t r = 0; r < joined.num_rows(); ++r) {
             Row combo;
-            combo.reserve(left_positions.size());
+            combo.reserve(feeding.size());
             bool has_null = false;
-            for (const size_t pos : left_positions) {
-              const Value& v = left_result.At(r, pos);
+            for (const sql::BoundColumnRef& ref : feeding) {
+              const Value& v = joined.At(r, ref);
               if (v.is_null()) has_null = true;
               combo.push_back(v);
             }
@@ -433,12 +431,10 @@ Result<storage::Table> ExecutionEngine::Execute(const sql::BoundQuery& query,
     seen[access.rel] = true;
   }
 
-  std::vector<size_t> offsets(n, 0);
-  std::vector<bool> placed(n, false);
-  ColumnTable current;  // unit table: zero columns, one row
-  current.Grow(1);
-  std::vector<storage::SchemaColumn> placed_cols;
-  size_t width = 0;
+  // Every fetched relation stays alive for the whole query: `joined`
+  // indexes into these tables instead of copying their values.
+  std::vector<storage::Table> fetched(n);
+  JoinedRows joined;
 
   // Stage decomposition (wall-clock partition): everything FetchRelation
   // does — store reads, remainder generation, market calls — is `fetch`;
@@ -449,33 +445,17 @@ Result<storage::Table> ExecutionEngine::Execute(const sql::BoundQuery& query,
   for (size_t a = 0; a < plan.accesses.size(); ++a) {
     const core::AccessSpec& access = plan.accesses[a];
     const auto fetch_start = std::chrono::steady_clock::now();
-    Result<storage::Table> fetched =
-        FetchRelation(query, access, a, current, offsets, config, exec_stats);
+    Result<storage::Table> table =
+        FetchRelation(query, access, a, joined, config, exec_stats);
     if (stages != nullptr) {
       stages->Add(obs::kStageFetch, StageMicros(fetch_start));
     }
-    PAYLESS_RETURN_IF_ERROR(fetched.status());
+    PAYLESS_RETURN_IF_ERROR(table.status());
 
-    // Maintain the running join columnar (it feeds later bind joins).
+    // Extend the running join (it feeds later bind joins).
     const auto merge_start = std::chrono::steady_clock::now();
-    const ColumnTable filtered =
-        FilterRelationColumns(query, access.rel, *fetched);
-    std::vector<std::pair<size_t, size_t>> keys;
-    for (const sql::JoinEdge& e : query.joins) {
-      if (e.left.rel == access.rel && placed[e.right.rel]) {
-        keys.emplace_back(offsets[e.right.rel] + e.right.col, e.left.col);
-      } else if (e.right.rel == access.rel && placed[e.left.rel]) {
-        keys.emplace_back(offsets[e.left.rel] + e.left.col, e.right.col);
-      }
-    }
-    current = keys.empty() ? BlockCartesian(current, filtered)
-                           : BlockHashJoin(current, filtered, keys);
-    offsets[access.rel] = width;
-    width += filtered.num_columns();
-    placed[access.rel] = true;
-    for (const storage::SchemaColumn& col : fetched->schema().columns()) {
-      placed_cols.push_back(col);
-    }
+    fetched[access.rel] = std::move(*table);
+    JoinRelation(query, access.rel, fetched[access.rel], &joined);
     if (stages != nullptr) {
       stages->Add(obs::kStageMerge, StageMicros(merge_start));
     }
@@ -484,8 +464,7 @@ Result<storage::Table> ExecutionEngine::Execute(const sql::BoundQuery& query,
   // The running join already holds the complete filtered result: finish the
   // SELECT / GROUP BY directly over it instead of re-joining from scratch.
   const auto eval_start = std::chrono::steady_clock::now();
-  Result<storage::Table> result =
-      EvaluateJoined(query, current, offsets, std::move(placed_cols));
+  Result<storage::Table> result = EvaluateJoined(query, joined);
   if (stages != nullptr) {
     stages->Add(obs::kStageLocalEval, StageMicros(eval_start));
   }

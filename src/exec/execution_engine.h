@@ -13,7 +13,7 @@
 
 #include "catalog/catalog.h"
 #include "core/plan.h"
-#include "exec/block.h"
+#include "exec/local_eval.h"
 #include "market/data_market.h"
 #include "semstore/semantic_store.h"
 #include "sql/bound_query.h"
@@ -97,14 +97,15 @@ class ExecutionEngine {
              ExecStats* exec_stats);
 
  private:
-  /// Retrieves the rows for one access, spending money as needed.
-  /// `access_index` is the access's position in the plan; it tags the
-  /// access span so EXPLAIN ANALYZE can join actuals back onto the plan.
+  /// Retrieves the rows for one access, spending money as needed. A bind
+  /// access reads its binding values from `joined`, the running join of
+  /// the accesses before it. `access_index` is the access's position in the
+  /// plan; it tags the access span so EXPLAIN ANALYZE can join actuals back
+  /// onto the plan.
   Result<storage::Table> FetchRelation(const sql::BoundQuery& query,
                                        const core::AccessSpec& access,
                                        size_t access_index,
-                                       const ColumnTable& left_result,
-                                       const std::vector<size_t>& offsets,
+                                       const JoinedRows& joined,
                                        const ExecConfig& config,
                                        ExecStats* exec_stats);
 

@@ -60,8 +60,9 @@ class EndpointRouter {
   size_t num_endpoints() const { return endpoints_.size(); }
 
   /// Endpoint 0's connector — the buy-site of an access that carries no
-  /// annotation (the single market's only endpoint; under federation, e.g.
-  /// a plan recovered from a snapshot, which keeps no buy-sites).
+  /// annotation (the single market's only endpoint; under federation, an
+  /// access planned while no endpoint selling its dataset was live).
+  /// Snapshots persist the annotation, so a recovered plan keeps it.
   market::MarketConnector* primary() { return connector(0); }
 
   /// Connector of the named endpoint; an unknown id (under federation, ""

@@ -281,7 +281,6 @@ class MarketConnector {
 
   /// Installs the retry/deadline/breaker policy (setup-time).
   void SetRetryPolicy(const RetryPolicy& policy) { policy_ = policy; }
-  const RetryPolicy& retry_policy() const { return policy_; }
 
   /// Attaches a fault injector (nullptr detaches; caller keeps ownership).
   /// Setup-time relative to in-flight calls of the SAME test phase, but

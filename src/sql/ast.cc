@@ -4,6 +4,22 @@
 
 namespace payless::sql {
 
+const char* AggFuncName(AggFunc func) {
+  switch (func) {
+    case AggFunc::kCount:
+      return "COUNT";
+    case AggFunc::kSum:
+      return "SUM";
+    case AggFunc::kAvg:
+      return "AVG";
+    case AggFunc::kMin:
+      return "MIN";
+    case AggFunc::kMax:
+      return "MAX";
+  }
+  return "?";
+}
+
 std::string Operand::ToString() const {
   switch (kind) {
     case Kind::kLiteral:
@@ -30,7 +46,7 @@ std::string SelectItem::ToString() const {
       out = column.ToString();
       break;
     case Kind::kAggregate:
-      out = std::string(storage::AggFuncName(agg)) + "(" +
+      out = std::string(AggFuncName(agg)) + "(" +
             (agg_star ? "*" : column.ToString()) + ")";
       break;
   }

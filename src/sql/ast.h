@@ -14,7 +14,6 @@
 
 #include "common/compare.h"
 #include "common/value.h"
-#include "storage/ops.h"
 
 namespace payless::sql {
 
@@ -72,13 +71,17 @@ struct Comparison {
   std::string ToString() const;
 };
 
+enum class AggFunc { kCount, kSum, kAvg, kMin, kMax };
+
+const char* AggFuncName(AggFunc func);
+
 /// One item of the SELECT list: `*`, a column, or an aggregate.
 struct SelectItem {
   enum class Kind { kStar, kColumn, kAggregate };
 
   Kind kind = Kind::kColumn;
   ColumnRef column;                       // kColumn, or kAggregate argument
-  storage::AggFunc agg = storage::AggFunc::kCount;
+  AggFunc agg = AggFunc::kCount;
   bool agg_star = false;                  // COUNT(*)
   std::string alias;                      // optional AS name
 

@@ -350,6 +350,11 @@ class Binder {
           break;
         }
         case SelectItem::Kind::kAggregate: {
+          if (item.agg_star && item.agg != AggFunc::kCount) {
+            return Status::InvalidArgument(
+                std::string(AggFuncName(item.agg)) +
+                "(*) is not supported: only COUNT takes *");
+          }
           bound.kind = BoundSelectItem::Kind::kAggregate;
           bound.agg = item.agg;
           bound.agg_star = item.agg_star;
@@ -360,7 +365,7 @@ class Binder {
           }
           bound.output_name =
               item.alias.empty()
-                  ? std::string(storage::AggFuncName(item.agg)) + "(" +
+                  ? std::string(AggFuncName(item.agg)) + "(" +
                         (item.agg_star ? "*" : item.column.column) + ")"
                   : item.alias;
           break;

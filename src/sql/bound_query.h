@@ -19,7 +19,6 @@
 #include "common/geometry.h"
 #include "market/rest_call.h"
 #include "sql/ast.h"
-#include "storage/ops.h"
 
 namespace payless::sql {
 
@@ -69,8 +68,8 @@ struct BoundSelectItem {
 
   Kind kind = Kind::kColumn;
   BoundColumnRef column;  // kColumn, or aggregate argument
-  storage::AggFunc agg = storage::AggFunc::kCount;
-  bool agg_star = false;
+  AggFunc agg = AggFunc::kCount;
+  bool agg_star = false;  // COUNT(*)
   std::string output_name;
 };
 

@@ -8,12 +8,12 @@ namespace payless::sql {
 
 namespace {
 
-storage::AggFunc AggFromKeyword(const std::string& kw) {
-  if (kw == "COUNT") return storage::AggFunc::kCount;
-  if (kw == "SUM") return storage::AggFunc::kSum;
-  if (kw == "AVG") return storage::AggFunc::kAvg;
-  if (kw == "MIN") return storage::AggFunc::kMin;
-  return storage::AggFunc::kMax;
+AggFunc AggFromKeyword(const std::string& kw) {
+  if (kw == "COUNT") return AggFunc::kCount;
+  if (kw == "SUM") return AggFunc::kSum;
+  if (kw == "AVG") return AggFunc::kAvg;
+  if (kw == "MIN") return AggFunc::kMin;
+  return AggFunc::kMax;
 }
 
 bool IsAggKeyword(const Token& t) {

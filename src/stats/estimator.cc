@@ -250,7 +250,6 @@ void StatsRegistry::Feedback(const std::string& table, const Box& region,
   std::unique_ptr<Estimator> next = current->Clone();
   next->Feedback(region, actual_rows);
   cell->current.Store(std::move(next));
-  version_.fetch_add(1, std::memory_order_release);
 }
 
 size_t StatsRegistry::TotalFeedbacks() const {
@@ -407,7 +406,6 @@ bool StatsRegistry::RestoreTable(const std::string& table,
   if (restored == nullptr) return false;
   std::lock_guard<std::mutex> lock(cell->write_mutex);
   cell->current.Store(std::move(restored));
-  version_.fetch_add(1, std::memory_order_release);
   return true;
 }
 

@@ -12,7 +12,6 @@
 #ifndef PAYLESS_STATS_ESTIMATOR_H_
 #define PAYLESS_STATS_ESTIMATOR_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -208,15 +207,12 @@ enum class StatsKind {
 /// read) is two atomic loads plus the estimation itself. Feedback clones
 /// the current estimator under a per-table writer mutex, applies the
 /// observation to the clone, and republishes — writers to different tables
-/// never contend. A monotonic version counter ticks on every Feedback so
-/// the plan-template cache can invalidate plans whose cost estimates may
-/// have shifted.
+/// never contend.
 class StatsRegistry {
  public:
-  explicit StatsRegistry(bool learning_enabled = true)
-      : kind_(learning_enabled ? StatsKind::kFeedbackHistogram
-                               : StatsKind::kUniform) {}
-  explicit StatsRegistry(StatsKind kind) : kind_(kind) {}
+  /// kUniform never learns: it studies the cold-start optimizer.
+  explicit StatsRegistry(StatsKind kind = StatsKind::kFeedbackHistogram)
+      : kind_(kind) {}
 
   StatsRegistry(const StatsRegistry&) = delete;
   StatsRegistry& operator=(const StatsRegistry&) = delete;
@@ -248,14 +244,9 @@ class StatsRegistry {
 
   /// Replaces `table`'s estimator with the deserialized `blob` state (the
   /// recovery path — the table must already be registered, so a blob for a
-  /// table dropped from the catalog is skipped). Bumps version(). False on
-  /// unknown table or decode failure.
+  /// table dropped from the catalog is skipped). False on unknown table or
+  /// decode failure.
   bool RestoreTable(const std::string& table, const std::string& blob);
-
-  /// Monotonic mutation counter (ticks on every Feedback).
-  uint64_t version() const {
-    return version_.load(std::memory_order_acquire);
-  }
 
  private:
   /// One table's estimator: the published immutable snapshot plus the
@@ -267,7 +258,6 @@ class StatsRegistry {
 
   StatsKind kind_;
   common::ShardedCellMap<EstimatorCell> cells_;
-  std::atomic<uint64_t> version_{0};
 };
 
 }  // namespace payless::stats

@@ -53,10 +53,9 @@ class Schema {
   std::vector<SchemaColumn> columns_;
 };
 
-/// Row-store table: a schema plus materialized rows. The engine is fully
-/// materializing — operator outputs are new Tables — which is the right
-/// trade-off here because local processing is free (only REST calls are
-/// billed) and result sets are bounded by what was paid for.
+/// Row-store table: a schema plus materialized rows. The local engine joins
+/// fetched Tables late-materialized (exec::JoinedRows holds row indices into
+/// them) and builds one new Table only for the query result.
 class Table {
  public:
   Table() = default;

@@ -17,6 +17,7 @@
 // checks invariants 1 and 2 on the real Fig. 10a workload.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -40,8 +41,6 @@ namespace fs = std::filesystem;
 
 using durability::DecodeHarvest;
 using durability::HarvestRecord;
-using durability::ReadWal;
-using durability::WalReadResult;
 using market::CrashPlan;
 using market::CrashPoint;
 using market::FaultInjector;
@@ -257,7 +256,8 @@ TEST_F(DurabilityRecoveryTest, CrashMidLogTearsTheTailAndRebuysThatSlab) {
   client.reset();
 
   // The torn frame is on disk; recovery must drop exactly it.
-  const WalReadResult wal = ReadWal((dir_ / "harvest.wal").string());
+  const common::FrameReadResult wal =
+      common::ReadFramedFile((dir_ / "harvest.wal").string());
   EXPECT_TRUE(wal.torn_tail);
   EXPECT_EQ(wal.payloads.size(), num_harvests_ - 1);
 
@@ -340,7 +340,8 @@ TEST_F(DurabilityRecoveryTest,
   client.reset();
 
   EXPECT_TRUE(fs::exists(dir_ / "store.snap"));
-  const WalReadResult wal = ReadWal((dir_ / "harvest.wal").string());
+  const common::FrameReadResult wal =
+      common::ReadFramedFile((dir_ / "harvest.wal").string());
   EXPECT_EQ(wal.payloads.size(), num_harvests_);  // never reset
 
   auto restarted = Restart();
@@ -474,6 +475,89 @@ TEST_F(DurabilityRecoveryTest, RealWorkloadRestartsBillLikeTheTwin) {
   EXPECT_LE(rebuy, lost_slab_tx);
 }
 
+TEST_F(DurabilityRecoveryTest, RecoveredFederatedPlanKeepsItsBuySites) {
+  // A durable two-endpoint client plans every template, repeats it (a plan
+  // cache hit), snapshots and restarts. kFull consistency makes every run
+  // buy, and threshold 0 keeps the cache key valid across the restart, so
+  // the recovered hit must buy exactly where and what the repeat bought.
+  workload::RealDataOptions options;
+  options.scale = 0.02;
+  const auto bundle = workload::MakeRealBundle(options, /*per_template=*/1,
+                                               /*query_seed=*/1);
+  std::vector<workload::FederatedEndpointSpec> specs(2);
+  specs[0].id = "east";
+  specs[1].id = "west";
+  auto federation = workload::MakeFederatedMarket(*bundle, specs, 42);
+  PayLessConfig config = workload::PayLessFullConfig();
+  config.consistency = ConsistencyLevel::kFull;
+  config.qerror_invalidation_threshold = 0;
+  config.durability.dir = (dir_ / "federated").string();
+  config.durability.snapshot_every_records = 0;
+
+  struct Bill {
+    std::vector<std::string> buy_sites;
+    std::vector<int64_t> transactions;  // per endpoint
+    std::vector<double> price;          // per endpoint
+  };
+  // Runs `query` once; the bill is what each endpoint's meter moved by.
+  const auto run = [](PayLess* client, const workload::QueryInstance& query,
+                      Bill* bill) {
+    federation::EndpointRouter* router = client->router();
+    std::vector<int64_t> tx_before;
+    std::vector<double> price_before;
+    for (size_t i = 0; i < router->num_endpoints(); ++i) {
+      tx_before.push_back(router->connector(i)->meter().total_transactions());
+      price_before.push_back(router->connector(i)->meter().total_price());
+    }
+    const Result<QueryReport> report =
+        client->QueryWithReport(query.sql, query.params);
+    EXPECT_TRUE(report.ok()) << query.sql;
+    *bill = Bill{};
+    for (const core::AccessSpec& access : report->plan.accesses) {
+      bill->buy_sites.push_back(access.buy_site);
+    }
+    for (size_t i = 0; i < router->num_endpoints(); ++i) {
+      bill->transactions.push_back(
+          router->connector(i)->meter().total_transactions() - tx_before[i]);
+      bill->price.push_back(router->connector(i)->meter().total_price() -
+                            price_before[i]);
+    }
+    return report->counters.plan_cache_hits;
+  };
+
+  std::vector<Bill> repeats(bundle->queries.size());
+  {
+    auto client = workload::NewFederatedPayLessClient(*bundle, federation.get(),
+                                                      config);
+    for (size_t q = 0; q < bundle->queries.size(); ++q) {
+      Bill first;
+      EXPECT_EQ(run(client.get(), bundle->queries[q], &first), 0u);
+      EXPECT_EQ(run(client.get(), bundle->queries[q], &repeats[q]), 1u);
+    }
+    ASSERT_TRUE(client->durability()->SnapshotNow().ok());
+  }
+  bool any_west = false;
+  for (const Bill& bill : repeats) {
+    any_west |= std::count(bill.buy_sites.begin(), bill.buy_sites.end(),
+                           "west") > 0;
+  }
+  ASSERT_TRUE(any_west) << "every access bought at the primary anyway";
+
+  auto recovered = workload::NewFederatedPayLessClient(
+      *bundle, federation.get(), config);
+  for (size_t q = 0; q < bundle->queries.size(); ++q) {
+    SCOPED_TRACE(bundle->queries[q].sql);
+    Bill after;
+    EXPECT_EQ(run(recovered.get(), bundle->queries[q], &after), 1u);
+    EXPECT_EQ(after.buy_sites, repeats[q].buy_sites);
+    EXPECT_EQ(after.transactions, repeats[q].transactions);
+    ASSERT_EQ(after.price.size(), repeats[q].price.size());
+    for (size_t i = 0; i < after.price.size(); ++i) {
+      EXPECT_NEAR(after.price[i], repeats[q].price[i], 1e-9);
+    }
+  }
+}
+
 #ifdef CRASH_CHILD_BINARY
 TEST_F(DurabilityRecoveryTest, HardKillAndRestartIsBillingCorrect) {
   // The real thing: a child PROCESS dies via _Exit(42) at each crash point
@@ -520,7 +604,8 @@ TEST_F(DurabilityRecoveryTest, HardKillAndRestartIsBillingCorrect) {
     EXPECT_NE(dump.find("\"spans\":["), std::string::npos) << test_case.name;
 
     // What actually survived the kill.
-    const WalReadResult wal = ReadWal((case_dir / "harvest.wal").string());
+    const common::FrameReadResult wal =
+        common::ReadFramedFile((case_dir / "harvest.wal").string());
     EXPECT_EQ(wal.torn_tail, test_case.torn) << test_case.name;
     const size_t durable =
         test_case.point == static_cast<int>(CrashPoint::kAfterHarvestLog)

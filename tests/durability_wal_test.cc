@@ -90,9 +90,10 @@ void ExpectEqualRecords(const HarvestRecord& got, const HarvestRecord& want) {
 
 TEST_F(WalTest, Crc32MatchesKnownVectors) {
   // The canonical CRC-32 (IEEE, reflected) check value.
-  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
-  EXPECT_EQ(Crc32("", 0), 0u);
-  EXPECT_NE(Crc32(std::string("abc")), Crc32(std::string("abd")));
+  EXPECT_EQ(common::Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(common::Crc32("", 0), 0u);
+  EXPECT_NE(common::Crc32(std::string("abc")),
+            common::Crc32(std::string("abd")));
 }
 
 TEST_F(WalTest, HarvestRecordRoundtrips) {
@@ -112,7 +113,7 @@ TEST_F(WalTest, DecodeRejectsEveryTruncation) {
 }
 
 TEST_F(WalTest, AppendReadRoundtrip) {
-  WriteAheadLog wal(WalPath());
+  common::FramedAppendFile wal(WalPath());
   ASSERT_TRUE(wal.Open().ok());
   std::vector<std::string> payloads;
   for (uint64_t seq = 1; seq <= 5; ++seq) {
@@ -121,7 +122,7 @@ TEST_F(WalTest, AppendReadRoundtrip) {
   }
   wal.Close();
 
-  const WalReadResult read = ReadWal(WalPath());
+  const common::FrameReadResult read = common::ReadFramedFile(WalPath());
   EXPECT_FALSE(read.torn_tail);
   EXPECT_EQ(read.valid_bytes, read.total_bytes);
   ASSERT_EQ(read.payloads.size(), payloads.size());
@@ -134,23 +135,23 @@ TEST_F(WalTest, AppendReadRoundtrip) {
 }
 
 TEST_F(WalTest, MissingFileIsAnEmptyLog) {
-  const WalReadResult read = ReadWal(WalPath());
+  const common::FrameReadResult read = common::ReadFramedFile(WalPath());
   EXPECT_TRUE(read.payloads.empty());
   EXPECT_FALSE(read.torn_tail);
   EXPECT_EQ(read.total_bytes, 0);
 }
 
 TEST_F(WalTest, ResetTruncatesAndStaysAppendable) {
-  WriteAheadLog wal(WalPath());
+  common::FramedAppendFile wal(WalPath());
   ASSERT_TRUE(wal.Open().ok());
   ASSERT_TRUE(wal.Append(EncodeHarvest(SampleRecord(1)), true).ok());
   ASSERT_GT(wal.size_bytes(), 0);
   ASSERT_TRUE(wal.Reset().ok());
   EXPECT_EQ(wal.size_bytes(), 0);
-  EXPECT_TRUE(ReadWal(WalPath()).payloads.empty());
+  EXPECT_TRUE(common::ReadFramedFile(WalPath()).payloads.empty());
   ASSERT_TRUE(wal.Append(EncodeHarvest(SampleRecord(2)), true).ok());
   wal.Close();
-  const WalReadResult read = ReadWal(WalPath());
+  const common::FrameReadResult read = common::ReadFramedFile(WalPath());
   ASSERT_EQ(read.payloads.size(), 1u);
   HarvestRecord record;
   ASSERT_TRUE(DecodeHarvest(read.payloads[0], &record));
@@ -158,7 +159,7 @@ TEST_F(WalTest, ResetTruncatesAndStaysAppendable) {
 }
 
 TEST_F(WalTest, AppendTornLeavesThePrefixIntact) {
-  WriteAheadLog wal(WalPath());
+  common::FramedAppendFile wal(WalPath());
   ASSERT_TRUE(wal.Open().ok());
   for (uint64_t seq = 1; seq <= 3; ++seq) {
     ASSERT_TRUE(wal.Append(EncodeHarvest(SampleRecord(seq)), true).ok());
@@ -167,7 +168,7 @@ TEST_F(WalTest, AppendTornLeavesThePrefixIntact) {
   ASSERT_TRUE(wal.AppendTorn(EncodeHarvest(SampleRecord(4)), 11).ok());
   wal.Close();
 
-  const WalReadResult read = ReadWal(WalPath());
+  const common::FrameReadResult read = common::ReadFramedFile(WalPath());
   EXPECT_TRUE(read.torn_tail);
   EXPECT_EQ(read.valid_bytes, prefix);
   EXPECT_EQ(read.total_bytes, prefix + 11);
@@ -175,7 +176,7 @@ TEST_F(WalTest, AppendTornLeavesThePrefixIntact) {
 }
 
 TEST_F(WalTest, CorruptMiddleRecordStopsReplayBeforeIt) {
-  WriteAheadLog wal(WalPath());
+  common::FramedAppendFile wal(WalPath());
   ASSERT_TRUE(wal.Open().ok());
   const std::string first = EncodeHarvest(SampleRecord(1));
   ASSERT_TRUE(wal.Append(first, true).ok());
@@ -190,7 +191,7 @@ TEST_F(WalTest, CorruptMiddleRecordStopsReplayBeforeIt) {
   bytes[static_cast<size_t>(first_end) + 8 + 5] ^= 0x01;
   WriteFile(WalPath(), bytes);
 
-  const WalReadResult read = ReadWal(WalPath());
+  const common::FrameReadResult read = common::ReadFramedFile(WalPath());
   EXPECT_TRUE(read.torn_tail);
   EXPECT_EQ(read.valid_bytes, first_end);
   ASSERT_EQ(read.payloads.size(), 1u);
@@ -202,7 +203,7 @@ TEST_F(WalTest, TornTailAtEveryByteOffsetDropsExactlyTheFinalRecord) {
   // EVERY byte offset of the final frame. Each truncation must yield the
   // first two records exactly — never a crash, never a third record, never
   // a duplicate.
-  WriteAheadLog wal(WalPath());
+  common::FramedAppendFile wal(WalPath());
   ASSERT_TRUE(wal.Open().ok());
   std::vector<std::string> payloads;
   for (uint64_t seq = 1; seq <= 3; ++seq) {
@@ -217,7 +218,7 @@ TEST_F(WalTest, TornTailAtEveryByteOffsetDropsExactlyTheFinalRecord) {
   const std::string cut_path = (dir_ / "cut.wal").string();
   for (size_t cut = prefix; cut < bytes.size(); ++cut) {
     WriteFile(cut_path, bytes.substr(0, cut));
-    const WalReadResult read = ReadWal(cut_path);
+    const common::FrameReadResult read = common::ReadFramedFile(cut_path);
     ASSERT_EQ(read.payloads.size(), 2u) << "cut at byte " << cut;
     EXPECT_EQ(read.payloads[0], payloads[0]) << "cut at byte " << cut;
     EXPECT_EQ(read.payloads[1], payloads[1]) << "cut at byte " << cut;
@@ -293,7 +294,7 @@ TEST_F(WalTest, RecoveryAtEveryTornOffsetNeverDoubleApplies) {
   // Satellite, manager level: for every truncation offset inside the final
   // frame, full recovery must apply records 1..2 exactly once, adopt the
   // intact prefix as the live log, and keep accepting appends.
-  WriteAheadLog wal(WalPath());
+  common::FramedAppendFile wal(WalPath());
   ASSERT_TRUE(wal.Open().ok());
   size_t prefix = 0;
   for (uint64_t seq = 1; seq <= 3; ++seq) {
@@ -343,7 +344,8 @@ TEST_F(WalTest, RecoveryAtEveryTornOffsetNeverDoubleApplies) {
           fixture.store_.Store(d, region, std::move(rows), epoch);
           fixture.stats_.Feedback(d.name, region, num_records);
         });
-    const WalReadResult reread = ReadWal((trial_dir / "harvest.wal").string());
+    const common::FrameReadResult reread =
+        common::ReadFramedFile((trial_dir / "harvest.wal").string());
     EXPECT_FALSE(reread.torn_tail) << "cut at byte " << cut;
     ASSERT_EQ(reread.payloads.size(), 3u) << "cut at byte " << cut;
     HarvestRecord appended;

@@ -114,10 +114,10 @@ TEST(ParserTest, Aggregates) {
       Parse("SELECT COUNT(*), AVG(t.v), MIN(v), MAX(v), SUM(v) FROM t");
   ASSERT_TRUE(stmt.ok());
   EXPECT_TRUE(stmt->select[0].agg_star);
-  EXPECT_EQ(stmt->select[0].agg, storage::AggFunc::kCount);
-  EXPECT_EQ(stmt->select[1].agg, storage::AggFunc::kAvg);
+  EXPECT_EQ(stmt->select[0].agg, AggFunc::kCount);
+  EXPECT_EQ(stmt->select[1].agg, AggFunc::kAvg);
   EXPECT_EQ(stmt->select[1].column.table, "t");
-  EXPECT_EQ(stmt->select[4].agg, storage::AggFunc::kSum);
+  EXPECT_EQ(stmt->select[4].agg, AggFunc::kSum);
 }
 
 TEST(ParserTest, WhereConjunction) {
@@ -464,6 +464,16 @@ TEST_F(BinderTest, HasAggregatesAndJoinsOf) {
   EXPECT_TRUE(q->HasAggregates());
   EXPECT_EQ(q->JoinsOf(0).size(), 1u);
   EXPECT_EQ(q->JoinsOf(1).size(), 1u);
+}
+
+TEST_F(BinderTest, OnlyCountTakesStar) {
+  EXPECT_TRUE(BindSql("SELECT COUNT(*) FROM Station").ok());
+  for (const char* sql :
+       {"SELECT SUM(*) FROM Station", "SELECT AVG(*) FROM Station",
+        "SELECT MIN(*) FROM Station", "SELECT MAX(*), COUNT(*) FROM Station"}) {
+    SCOPED_TRACE(sql);
+    EXPECT_EQ(BindSql(sql).status().code(), Status::Code::kInvalidArgument);
+  }
 }
 
 }  // namespace

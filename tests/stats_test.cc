@@ -184,7 +184,7 @@ TEST(StatsRegistryTest, LearningDisabledStaysUniform) {
   def.cardinality = 1000;
   ASSERT_TRUE(cat.RegisterTable(def).ok());
 
-  StatsRegistry registry(/*learning_enabled=*/false);
+  StatsRegistry registry(StatsKind::kUniform);
   registry.RegisterTable(*cat.FindTable("T"));
   registry.Feedback("T", Box({Interval(0, 49)}), 10);
   EXPECT_DOUBLE_EQ(registry.EstimateRows("T", Box({Interval(0, 49)})), 500.0);

@@ -1,10 +1,8 @@
-#include "storage/ops.h"
+#include "storage/table.h"
 
 #include <gtest/gtest.h>
 
-#include "exec/block.h"
 #include "storage/database.h"
-#include "storage/table.h"
 
 namespace payless::storage {
 namespace {
@@ -67,167 +65,6 @@ TEST(TableTest, ColumnValues) {
   ASSERT_EQ(names.size(), 4u);
   EXPECT_EQ(names[0], Value("a"));
   EXPECT_EQ(names[3], Value("c"));
-}
-
-TEST(ProjectTest, ReordersColumns) {
-  const Table out = Project(SampleTable(), {1, 0});
-  EXPECT_EQ(out.schema().column(0).name, "name");
-  EXPECT_EQ(out.rows()[0][0], Value("a"));
-  EXPECT_EQ(out.rows()[0][1], Value(int64_t{1}));
-}
-
-TEST(ProjectTest, DuplicateColumnAllowed) {
-  const Table out = Project(SampleTable(), {0, 0});
-  EXPECT_EQ(out.schema().num_columns(), 2u);
-  EXPECT_EQ(out.rows()[2][0], out.rows()[2][1]);
-}
-
-Table KeyedTable(const std::string& name,
-                 std::vector<std::pair<int64_t, std::string>> rows) {
-  Table t(Schema({SchemaColumn{name, "k", ValueType::kInt64},
-                  SchemaColumn{name, "v", ValueType::kString}}));
-  for (auto& [k, v] : rows) t.Append({Value(k), Value(v)});
-  return t;
-}
-
-// Joins run on the block kernel (exec/block.h); these cases pin its
-// contract on row-major tables converted through ColumnsFromRows.
-exec::ColumnTable Columns(const Table& table) {
-  return exec::ColumnsFromRows(table.rows(), table.schema().num_columns());
-}
-
-TEST(HashJoinTest, BasicEquiJoin) {
-  const Table l = KeyedTable("L", {{1, "a"}, {2, "b"}, {3, "c"}});
-  const Table r = KeyedTable("R", {{2, "x"}, {3, "y"}, {4, "z"}});
-  const exec::ColumnTable out =
-      exec::BlockHashJoin(Columns(l), Columns(r), {{0, 0}});
-  EXPECT_EQ(out.num_rows(), 2u);
-  EXPECT_EQ(out.num_columns(), 4u);
-}
-
-TEST(HashJoinTest, DuplicateKeysMultiply) {
-  const Table l = KeyedTable("L", {{1, "a"}, {1, "b"}});
-  const Table r = KeyedTable("R", {{1, "x"}, {1, "y"}, {1, "z"}});
-  EXPECT_EQ(exec::BlockHashJoin(Columns(l), Columns(r), {{0, 0}}).num_rows(),
-            6u);
-}
-
-TEST(HashJoinTest, NullKeysNeverMatch) {
-  Table l(TwoColSchema());
-  l.Append({Value::Null(), Value("a")});
-  Table r(TwoColSchema());
-  r.Append({Value::Null(), Value("b")});
-  EXPECT_EQ(exec::BlockHashJoin(Columns(l), Columns(r), {{0, 0}}).num_rows(),
-            0u);
-}
-
-TEST(HashJoinTest, MultiKeyJoin) {
-  const Table l = KeyedTable("L", {{1, "a"}, {1, "b"}});
-  const Table r = KeyedTable("R", {{1, "a"}, {1, "z"}});
-  // Join on (k, v): only the (1, "a") rows pair up.
-  EXPECT_EQ(exec::BlockHashJoin(Columns(l), Columns(r), {{0, 0}, {1, 1}})
-                .num_rows(),
-            1u);
-}
-
-TEST(HashJoinTest, LeftColumnsAlwaysComeFirst) {
-  // Build side selection must not leak into the output layout.
-  const Table small = KeyedTable("S", {{1, "s"}});
-  const Table big = KeyedTable("B", {{1, "b1"}, {1, "b2"}, {2, "b3"}});
-  const std::vector<Row> out = exec::RowsFromColumns(
-      exec::BlockHashJoin(Columns(big), Columns(small), {{0, 0}}));
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0][1], Value("b1"));
-  EXPECT_EQ(out[0][3], Value("s"));
-}
-
-TEST(HashJoinTest, EmptyKeyListIsCartesian) {
-  const Table l = KeyedTable("L", {{1, "a"}, {2, "b"}});
-  const Table r = KeyedTable("R", {{9, "x"}});
-  EXPECT_EQ(exec::BlockHashJoin(Columns(l), Columns(r), {}).num_rows(), 2u);
-}
-
-TEST(CartesianTest, Sizes) {
-  const Table l = KeyedTable("L", {{1, "a"}, {2, "b"}});
-  const Table r = KeyedTable("R", {{3, "x"}, {4, "y"}, {5, "z"}});
-  EXPECT_EQ(exec::BlockCartesian(Columns(l), Columns(r)).num_rows(), 6u);
-  EXPECT_EQ(
-      exec::BlockCartesian(Columns(l), Columns(Table(TwoColSchema())))
-          .num_rows(),
-      0u);
-}
-
-Table NumbersTable(std::vector<std::pair<std::string, double>> rows) {
-  Table t(Schema({SchemaColumn{"T", "g", ValueType::kString},
-                  SchemaColumn{"T", "v", ValueType::kDouble}}));
-  for (auto& [g, v] : rows) t.Append({Value(g), Value(v)});
-  return t;
-}
-
-TEST(GroupAggregateTest, GroupedCountSumAvgMinMax) {
-  const Table t = NumbersTable({{"a", 1.0}, {"a", 3.0}, {"b", 10.0}});
-  const Table out = GroupAggregate(
-      t, {0},
-      {AggSpec{AggFunc::kCount, 0, true, "cnt"},
-       AggSpec{AggFunc::kSum, 1, false, "sum"},
-       AggSpec{AggFunc::kAvg, 1, false, "avg"},
-       AggSpec{AggFunc::kMin, 1, false, "min"},
-       AggSpec{AggFunc::kMax, 1, false, "max"}});
-  ASSERT_EQ(out.num_rows(), 2u);
-  // First-seen group order: "a" then "b".
-  EXPECT_EQ(out.rows()[0][1], Value(int64_t{2}));
-  EXPECT_EQ(out.rows()[0][2], Value(4.0));
-  EXPECT_EQ(out.rows()[0][3], Value(2.0));
-  EXPECT_EQ(out.rows()[0][4], Value(1.0));
-  EXPECT_EQ(out.rows()[0][5], Value(3.0));
-  EXPECT_EQ(out.rows()[1][1], Value(int64_t{1}));
-}
-
-TEST(GroupAggregateTest, GlobalAggregateOverEmptyInput) {
-  Table t = NumbersTable({});
-  const Table out = GroupAggregate(
-      t, {},
-      {AggSpec{AggFunc::kCount, 0, true, "cnt"},
-       AggSpec{AggFunc::kAvg, 1, false, "avg"}});
-  ASSERT_EQ(out.num_rows(), 1u);
-  EXPECT_EQ(out.rows()[0][0], Value(int64_t{0}));
-  EXPECT_TRUE(out.rows()[0][1].is_null());
-}
-
-TEST(GroupAggregateTest, GroupedAggregateOverEmptyInputHasNoRows) {
-  Table t = NumbersTable({});
-  EXPECT_EQ(GroupAggregate(t, {0}, {AggSpec{AggFunc::kCount, 0, true, "c"}})
-                .num_rows(),
-            0u);
-}
-
-TEST(GroupAggregateTest, CountColumnIgnoresNulls) {
-  Table t(Schema({SchemaColumn{"T", "v", ValueType::kInt64}}));
-  t.Append({Value(int64_t{1})});
-  t.Append({Value::Null()});
-  const Table out =
-      GroupAggregate(t, {}, {AggSpec{AggFunc::kCount, 0, false, "c"},
-                             AggSpec{AggFunc::kCount, 0, true, "star"}});
-  EXPECT_EQ(out.rows()[0][0], Value(int64_t{1}));  // COUNT(v)
-  EXPECT_EQ(out.rows()[0][1], Value(int64_t{2}));  // COUNT(*)
-}
-
-TEST(GroupAggregateTest, MinMaxOnStrings) {
-  Table t(Schema({SchemaColumn{"T", "s", ValueType::kString}}));
-  t.Append({Value("pear")});
-  t.Append({Value("apple")});
-  const Table out =
-      GroupAggregate(t, {}, {AggSpec{AggFunc::kMin, 0, false, "min"},
-                             AggSpec{AggFunc::kMax, 0, false, "max"}});
-  EXPECT_EQ(out.rows()[0][0], Value("apple"));
-  EXPECT_EQ(out.rows()[0][1], Value("pear"));
-}
-
-TEST(GroupAggregateTest, DefaultOutputNames) {
-  const Table t = NumbersTable({{"a", 1.0}});
-  const Table out =
-      GroupAggregate(t, {0}, {AggSpec{AggFunc::kAvg, 1, false, ""}});
-  EXPECT_EQ(out.schema().column(1).name, "AVG(v)");
 }
 
 TEST(DatabaseTest, CreateInsertTruncate) {
