@@ -3,19 +3,14 @@
 // bind-join query streams, served in four configurations — bare (metrics and
 // cost ledger only; they are always on, the cheap handle-based part), with
 // estimator-accuracy tracking (q-error recording at every feedback point),
-// with full tracing plus a JSONL trace sink on top, then with savings
-// accounting (a counterfactual optimizer pass per planned query), and
-// finally the durable workload journal (a CRC-framed record appended per
-// admitted query) on top of everything. The gaps price each layer
-// separately; the acceptance bars are that the fully loaded configuration
-// stays within a few percent of the bare one, and the journal itself costs
-// at most --max_journal_overhead_pct relative to the configuration it was
-// added to.
+// with full tracing plus a JSONL trace sink on top, and finally with savings
+// accounting (a counterfactual optimizer pass per planned query). The gaps
+// price each layer separately; the acceptance bar is that the fully loaded
+// configuration stays within a few percent of the bare one.
 //
 //   build/bench/bench_obs_overhead [--call_latency_us=2000] [--repeats=4]
 //                                  [--threads=8] [--trials=3]
 //                                  [--max_overhead_pct=5]
-//                                  [--max_journal_overhead_pct=2]
 //                                  [--trace_out=/dev/null]
 //                                  [--json=BENCH_obs_overhead.json]
 //
@@ -32,14 +27,11 @@
 #include <thread>
 #include <vector>
 
-#include <filesystem>
-
 #include "bench/driver.h"
 #include "exec/payless.h"
 #include "market/data_market.h"
 #include "obs/observability.h"
 #include "obs/trace.h"
-#include "obs/workload_journal.h"
 
 namespace payless::bench {
 namespace {
@@ -76,8 +68,6 @@ int Main(int argc, char** argv) {
   const int64_t threads = flags.threads;
   const int64_t trials = flags.trials;
   const int64_t max_overhead_pct = FlagOr(argc, argv, "max_overhead_pct", 5);
-  const int64_t max_journal_overhead_pct =
-      FlagOr(argc, argv, "max_journal_overhead_pct", 2);
   const std::string trace_out =
       StringFlagOr(argc, argv, "trace_out", "/dev/null");
   const std::string& json_path = flags.json_path;
@@ -155,8 +145,7 @@ int Main(int argc, char** argv) {
   // One timed pass of the whole workload against a fresh client; returns
   // qps, or a negative value when a query failed.
   const auto run_once = [&](bool accuracy, bool tracing, bool savings,
-                            obs::Observability* shared,
-                            obs::WorkloadJournal* journal) {
+                            obs::Observability* shared) {
     PayLessConfig config;
     // Frozen stats: one stream's feedback cannot flip another stream's plan,
     // so every configuration buys exactly the same calls.
@@ -166,7 +155,6 @@ int Main(int argc, char** argv) {
     config.enable_tracing = tracing;
     config.enable_savings_accounting = savings;
     config.observability = shared;
-    config.workload_journal = journal;
     auto client = std::make_unique<PayLess>(&cat, &market, config);
     {
       Status st = client->LoadLocalTable("CityMap", city_rows);
@@ -223,75 +211,41 @@ int Main(int argc, char** argv) {
 
   // The fully loaded configuration adds the counterfactual pricing pass.
 
-  // The journaled configuration appends one durable record per admitted
-  // query on top of the fully loaded stack. No fsync per append (the
-  // journal's default) — durability is at OS-flush granularity, which is
-  // the configuration the <= --max_journal_overhead_pct budget prices.
-  const std::filesystem::path journal_dir =
-      std::filesystem::temp_directory_path() / "payless_bench_obs_journal";
-  std::filesystem::remove_all(journal_dir);
-  obs::WorkloadJournalOptions journal_options;
-  journal_options.dir = journal_dir.string();
-  auto journal = obs::WorkloadJournal::Open(journal_options);
-  if (!journal.ok()) {
-    std::fprintf(stderr, "cannot open workload journal in '%s': %s\n",
-                 journal_dir.string().c_str(),
-                 journal.status().ToString().c_str());
-    return 1;
-  }
-
   // Best-of-N per configuration, trials interleaved so slow machine phases
   // (thermal, noisy neighbours) hit every configuration equally.
   double base_qps = 0.0, accuracy_qps = 0.0, traced_qps = 0.0,
-         full_qps = 0.0, journal_qps = 0.0;
+         full_qps = 0.0;
   for (int64_t i = 0; i < trials; ++i) {
     const double base = run_once(/*accuracy=*/false, /*tracing=*/false,
-                                 /*savings=*/false, nullptr, nullptr);
+                                 /*savings=*/false, nullptr);
     if (base < 0.0) return 1;
     base_qps = std::max(base_qps, base);
-    const double accuracy =
-        run_once(/*accuracy=*/true, /*tracing=*/false,
-                 /*savings=*/false, nullptr, nullptr);
+    const double accuracy = run_once(/*accuracy=*/true, /*tracing=*/false,
+                                     /*savings=*/false, nullptr);
     if (accuracy < 0.0) return 1;
     accuracy_qps = std::max(accuracy_qps, accuracy);
     const double traced = run_once(/*accuracy=*/true, /*tracing=*/true,
-                                   /*savings=*/false, &shared, nullptr);
+                                   /*savings=*/false, &shared);
     if (traced < 0.0) return 1;
     traced_qps = std::max(traced_qps, traced);
     const double full = run_once(/*accuracy=*/true, /*tracing=*/true,
-                                 /*savings=*/true, &shared, nullptr);
+                                 /*savings=*/true, &shared);
     if (full < 0.0) return 1;
     full_qps = std::max(full_qps, full);
-    const double journaled =
-        run_once(/*accuracy=*/true, /*tracing=*/true,
-                 /*savings=*/true, &shared, journal->get());
-    if (journaled < 0.0) return 1;
-    journal_qps = std::max(journal_qps, journaled);
   }
 
   const double accuracy_pct = 100.0 * (base_qps - accuracy_qps) / base_qps;
   const double traced_pct = 100.0 * (base_qps - traced_qps) / base_qps;
   const double overhead_pct = 100.0 * (base_qps - full_qps) / base_qps;
-  // The journal is priced against the configuration it was added to, not
-  // against bare — its budget must not be eaten by the other layers.
-  const double journal_pct = 100.0 * (full_qps - journal_qps) / full_qps;
   std::printf("# config qps\n");
   std::printf("bare %.1f\n", base_qps);
   std::printf("accuracy %.1f\n", accuracy_qps);
   std::printf("accuracy+traced+sink %.1f\n", traced_qps);
   std::printf("accuracy+traced+savings %.1f\n", full_qps);
-  std::printf("accuracy+traced+savings+journal %.1f\n", journal_qps);
   std::printf("# accuracy overhead: %.2f%%, traced overhead: %.2f%%, "
-              "full overhead: %.2f%% (budget %lld%%), journal overhead: "
-              "%.2f%% (budget %lld%%)\n",
+              "full overhead: %.2f%% (budget %lld%%)\n",
               accuracy_pct, traced_pct, overhead_pct,
-              static_cast<long long>(max_overhead_pct), journal_pct,
-              static_cast<long long>(max_journal_overhead_pct));
-  const obs::WorkloadJournal::Stats journal_stats = (*journal)->stats();
-  std::printf("# journal: %lld records in %lld segments, %lld bytes\n",
-              static_cast<long long>(journal_stats.records),
-              static_cast<long long>(journal_stats.segments),
-              static_cast<long long>(journal_stats.bytes));
+              static_cast<long long>(max_overhead_pct));
 
   BenchJson json;
   json.Meta("bench", std::string("obs_overhead"));
@@ -303,26 +257,15 @@ int Main(int argc, char** argv) {
   json.Meta("accuracy_qps", accuracy_qps);
   json.Meta("traced_qps", traced_qps);
   json.Meta("full_qps", full_qps);
-  json.Meta("journal_qps", journal_qps);
   json.Meta("accuracy_overhead_pct", accuracy_pct);
   json.Meta("traced_overhead_pct", traced_pct);
   json.Meta("overhead_pct", overhead_pct);
-  json.Meta("journal_overhead_pct", journal_pct);
-  json.Meta("journal_records", journal_stats.records);
-  json.Meta("journal_bytes", journal_stats.bytes);
   if (!json.WriteTo(json_path)) return 1;
 
   if (overhead_pct > static_cast<double>(max_overhead_pct)) {
     std::fprintf(stderr,
                  "observability overhead %.2f%% exceeds budget %lld%%\n",
                  overhead_pct, static_cast<long long>(max_overhead_pct));
-    return 1;
-  }
-  if (journal_pct > static_cast<double>(max_journal_overhead_pct)) {
-    std::fprintf(stderr,
-                 "workload journal overhead %.2f%% exceeds budget %lld%%\n",
-                 journal_pct,
-                 static_cast<long long>(max_journal_overhead_pct));
     return 1;
   }
   return 0;

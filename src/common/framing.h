@@ -1,6 +1,5 @@
-// CRC-framed append-only file discipline, shared by every durable log in
-// the system (the harvest WAL in src/durability and the workload journal
-// in src/obs).
+// CRC-framed append-only file discipline of the harvest WAL in
+// src/durability.
 //
 // On-disk framing, per record:
 //
@@ -52,8 +51,7 @@ FrameReadResult ReadFrames(const std::string& bytes);
 FrameReadResult ReadFramedFile(const std::string& path);
 
 /// Append handle over one framed file. Not thread-safe: callers serialize
-/// appends (the durability manager owns the whole harvest path; the
-/// workload journal appends under its own mutex).
+/// appends (the durability manager owns the whole harvest path).
 class FramedAppendFile {
  public:
   explicit FramedAppendFile(std::string path) : path_(std::move(path)) {}

@@ -273,16 +273,9 @@ Result<QueryReport> PayLess::QueryWithReport(const std::string& sql,
 Result<QueryReport> PayLess::AdmitAndRun(const std::string& sql,
                                          const std::vector<Value>& params,
                                          bool tick_placement) {
-  const auto start = std::chrono::steady_clock::now();
   const uint64_t query_id =
       next_query_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   metric_.queries->Add(1);
-  // Virtual arrival timestamp, captured before admission so the journal's
-  // clock reflects when the query entered the system, not when its record
-  // was appended (appends happen after completion, in completion order).
-  const int64_t arrival_us = config_.workload_journal != nullptr
-                                 ? config_.workload_journal->NowMicros()
-                                 : 0;
 
   // Admission gate 1: a tenant already over its hard cap or window rate
   // fails fast — before parsing, before the optimizer burns CPU, before any
@@ -307,37 +300,8 @@ Result<QueryReport> PayLess::AdmitAndRun(const std::string& sql,
     }
   }
 
-  const int64_t wall_us =
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count();
   if (!result.ok() || !result.value().error.ok()) {
     metric_.query_failures->Add(1);
-  }
-
-  // Journal every ADMITTED query (gate-1 pass): delivered results, parse
-  // and optimize errors, gate-2 budget rejections and mid-flight failures
-  // all replay deterministically, so all of them belong to the recorded
-  // workload. A journal write failure never fails the query — recording is
-  // observability, not the billing path.
-  if (config_.workload_journal != nullptr && admission.status.ok()) {
-    obs::WorkloadRecord record;
-    record.tenant = config_.tenant;
-    record.sql = sql;
-    record.params = params;
-    record.arrival_us = arrival_us;
-    if (result.ok()) {
-      record.status_code = static_cast<int32_t>(result->error.code());
-      record.transactions = result->transactions_spent;
-      record.result_rows = static_cast<int64_t>(result->result.num_rows());
-      record.latency_us = result->latency_us;
-    } else {
-      record.status_code = static_cast<int32_t>(result.status().code());
-      record.latency_us = wall_us;
-    }
-    const Status journaled =
-        config_.workload_journal->Append(std::move(record));
-    (void)journaled;
   }
   if (tick_placement && placement_ != nullptr && admission.status.ok()) {
     TickPlacement();
@@ -899,15 +863,6 @@ void PayLess::RegisterIntrospection(obs::HttpExpositionServer* server) {
   // nobody was watching.
   server->AddRoute("/flightrecorder", [this](const std::string&) {
     return obs::HttpReply::Json(obs_->flight_recorder.ToJson());
-  });
-  // The recorded workload: journal size/seq/segments plus per-tenant record
-  // counts, spend and observed arrival rates — what the deployment advisor
-  // would replay. {"recording":false} when no journal is configured.
-  server->AddRoute("/workload", [this](const std::string&) {
-    std::string json = config_.workload_journal != nullptr
-                           ? config_.workload_journal->StatsJson()
-                           : std::string("{\"recording\":false}");
-    return obs::HttpReply::Json(std::move(json));
   });
 }
 

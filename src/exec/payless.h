@@ -31,7 +31,6 @@
 #include "obs/http_exposition.h"
 #include "obs/observability.h"
 #include "obs/savings_accountant.h"
-#include "obs/workload_journal.h"
 #include "semstore/semantic_store.h"
 #include "sql/bound_query.h"
 #include "stats/estimator.h"
@@ -143,13 +142,6 @@ struct PayLessConfig {
   /// durability crash path so a hard crash dumps it too. Last writer wins
   /// when several clients share one path.
   std::string flight_recorder_dump_path;
-  /// Workload journal (nullable; must outlive the client). When set, every
-  /// ADMITTED query — gate-1 pass, including gate-2 budget rejections and
-  /// mid-flight failures — appends one record with its SQL, params, tenant,
-  /// virtual arrival timestamp and outcome digest. One journal is shared by
-  /// all tenant clients of a deployment, so the recorded stream interleaves
-  /// tenants exactly as they arrived; the deployment advisor replays it.
-  obs::WorkloadJournal* workload_journal = nullptr;
 };
 
 /// Everything a query returns besides the rows.
@@ -341,7 +333,7 @@ class PayLess {
   /// ledger), /store (live semantic-store coverage plus durability),
   /// /markets (per-endpoint spend, breaker states, RTT tails, failovers
   /// and slab placement; a single market shows its one endpoint "" under
-  /// "federated":false), /flightrecorder and /workload. Histograms are on
+  /// "federated":false) and /flightrecorder. Histograms are on
   /// /metrics.json. Call before server->Start(); the server must not
   /// outlive this client.
   void RegisterIntrospection(obs::HttpExpositionServer* server);
@@ -365,9 +357,9 @@ class PayLess {
   /// statement: optimizes and renders the plan without executing, caching
   /// or billing anything.
   Result<QueryReport> ExplainBound(const sql::BoundQuery& bound);
-  /// QueryWithReport's body: gate-1 admission, execution and journaling,
-  /// then, when `tick_placement`, a placement pass after an admitted
-  /// query. QueryBatch passes false and runs one pass after its batch.
+  /// QueryWithReport's body: gate-1 admission and execution, then, when
+  /// `tick_placement`, a placement pass after an admitted query.
+  /// QueryBatch passes false and runs one pass after its batch.
   Result<QueryReport> AdmitAndRun(const std::string& sql,
                                   const std::vector<Value>& params,
                                   bool tick_placement);

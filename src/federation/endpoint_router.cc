@@ -42,8 +42,6 @@ EndpointRouter::EndpointRouter(FederatedMarket* federation)
     market::MarketConnector* connector = InitEndpoint(
         i, endpoint->id(), &endpoint->catalog(), endpoint->market());
     connector->SetFaultInjector(endpoint->injector());
-    connector->SetSimulatedLatencyMicros(
-        endpoint->config().simulated_latency_micros);
   }
 }
 

@@ -5,8 +5,8 @@
 // MarketConnector per endpoint — listeners (semantic store, statistics,
 // durability) are per-client state, so connectors cannot be shared between
 // clients. A federated client's router is built over the federation's
-// endpoints, each connector wired to its endpoint's market, fault injector,
-// simulated latency and market label. A single-market client's router is
+// endpoints, each connector wired to its endpoint's market, fault injector
+// and market label. A single-market client's router is
 // the one-endpoint case: endpoint "" over that market, under the market's
 // own catalog, so its ledger cells, EXPLAIN text and spans carry no label.
 // Every purchase then takes one path, and the router answers the questions

@@ -42,8 +42,6 @@ struct EndpointConfig {
   /// Per-dataset menu overrides; datasets not listed keep the base
   /// catalog's terms.
   std::map<std::string, DatasetTerms> menu;
-  /// Round-trip latency every call to this endpoint pays (0 = off).
-  int64_t simulated_latency_micros = 0;
   /// Fault mix of this endpoint; only attached when `inject_faults`. The
   /// profile's seed field is ignored — the federation derives the
   /// endpoint's sub-seed from its own base seed and the endpoint id.

@@ -123,14 +123,16 @@ Status DataMarket::AppendRows(const std::string& name,
     return Status::NotFound("table '" + name + "' not hosted");
   }
   const catalog::TableDef* def = catalog_->FindTable(name);
-  HostedTable& table = *it->second;
-  const size_t first_new = table.rows.size();
+  // Validate the whole batch first, as HostTable does: a rejected append
+  // must leave no row behind that the indexes below never see.
   for (const Row& row : rows) {
     if (row.size() != def->columns.size()) {
       return Status::InvalidArgument("row arity mismatch for '" + name + "'");
     }
-    table.Insert(row);
   }
+  HostedTable& table = *it->second;
+  const size_t first_new = table.rows.size();
+  for (const Row& row : rows) table.Insert(row);
   // Rebuild range indexes incrementally is not worth it here: re-index the
   // appended suffix for postings and re-sort the range projections.
   IndexRows(*def, &table, first_new);

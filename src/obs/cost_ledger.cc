@@ -49,12 +49,6 @@ int64_t CostLedger::TenantTransactions(const std::string& tenant) const {
   return it == tenants_.end() ? 0 : it->second.rollup.transactions;
 }
 
-double CostLedger::TenantPrice(const std::string& tenant) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = tenants_.find(tenant);
-  return it == tenants_.end() ? 0.0 : it->second.rollup.price;
-}
-
 std::map<std::string, int64_t> CostLedger::DatasetBreakdown(
     const std::string& tenant, uint64_t query_id) const {
   std::lock_guard<std::mutex> lock(mutex_);

@@ -58,7 +58,6 @@ class CostLedger {
 
   /// Lifetime spend of one tenant (all queries, all datasets).
   int64_t TenantTransactions(const std::string& tenant) const;
-  double TenantPrice(const std::string& tenant) const;
 
   /// Per-dataset spend of one query — the QueryReport breakdown.
   std::map<std::string, int64_t> DatasetBreakdown(const std::string& tenant,

@@ -15,8 +15,8 @@
 //                     library below exec in the dependency order)
 //
 // Embedders may add further routes with AddRoute() before Start();
-// PayLess::RegisterIntrospection adds /markets, /flightrecorder and
-// /workload. A time series is a scraper of /metrics away.
+// PayLess::RegisterIntrospection adds /markets and /flightrecorder. A time
+// series is a scraper of /metrics away.
 //
 // Scale intent: an operator's curl / a Prometheus scraper — one small
 // response per request, connection closed after each (HTTP/1.1 with

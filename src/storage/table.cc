@@ -18,12 +18,6 @@ std::optional<size_t> Schema::Find(const std::string& table,
   return found;
 }
 
-Schema Schema::Concat(const Schema& left, const Schema& right) {
-  std::vector<SchemaColumn> cols = left.columns();
-  cols.insert(cols.end(), right.columns().begin(), right.columns().end());
-  return Schema(std::move(cols));
-}
-
 std::string Schema::ToString() const {
   std::string out = "(";
   for (size_t i = 0; i < columns_.size(); ++i) {
@@ -61,14 +55,6 @@ Status Table::AppendChecked(Row row) {
   }
   rows_.push_back(std::move(row));
   return Status::OK();
-}
-
-std::vector<Value> Table::ColumnValues(size_t col) const {
-  assert(col < schema_.num_columns());
-  std::vector<Value> out;
-  out.reserve(rows_.size());
-  for (const Row& row : rows_) out.push_back(row[col]);
-  return out;
 }
 
 std::string Table::ToString(size_t max_rows) const {

@@ -44,9 +44,6 @@ class Schema {
     return Find("", name);
   }
 
-  /// Concatenation for join outputs.
-  static Schema Concat(const Schema& left, const Schema& right);
-
   std::string ToString() const;
 
  private:
@@ -71,9 +68,6 @@ class Table {
 
   void Append(Row row);
   Status AppendChecked(Row row);  // validates arity and value types
-
-  /// All values of one column, in row order.
-  std::vector<Value> ColumnValues(size_t col) const;
 
   std::string ToString(size_t max_rows = 20) const;
 

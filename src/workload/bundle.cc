@@ -104,7 +104,6 @@ std::unique_ptr<federation::FederatedMarket> MakeFederatedMarket(
     config.id = specs[e].id;
     config.fault_profile = specs[e].fault_profile;
     config.inject_faults = specs[e].inject_faults;
-    config.simulated_latency_micros = specs[e].simulated_latency_micros;
     for (size_t d = 0; d < datasets.size(); ++d) {
       const catalog::DatasetDef* base = bundle.catalog.FindDataset(datasets[d]);
       assert(base != nullptr);

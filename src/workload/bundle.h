@@ -62,7 +62,6 @@ struct FederatedEndpointSpec {
   double discount_page_scale = 2.0;
   market::FaultProfile fault_profile;
   bool inject_faults = false;
-  int64_t simulated_latency_micros = 0;
 };
 
 /// N-endpoint federation over the bundle's market, every endpoint selling

@@ -2,8 +2,11 @@
 // footprints into shared prefetches.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "exec/payless.h"
 #include "exec/reference.h"
+#include "workload/bundle.h"
 
 namespace payless::exec {
 namespace {
@@ -302,6 +305,57 @@ TEST_F(BatchTest, BatchWithSqrDisabledStillAnswers) {
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->merged_groups, 0u);  // no store: nothing to merge into
   EXPECT_EQ(report->reports.size(), 6u);
+}
+
+TEST(BatchPrefetchTest, RealWorkloadWindowsBillDeterministically) {
+  // Two fresh clients run the real workload in the same windows of four
+  // batched queries. With serial calls nothing in the prefetch path may
+  // depend on timing: both bill the same cells, and each ledger equals its
+  // meter.
+  workload::RealDataOptions options;
+  options.scale = 0.04;
+  options.seed = 42;
+  const auto bundle = workload::MakeRealBundle(options, /*per_template=*/2,
+                                               /*query_seed=*/1);
+  constexpr size_t kWindow = 4;
+  const auto run = [&bundle](size_t* merged_groups) {
+    PayLessConfig config = workload::PayLessFullConfig();
+    config.max_parallel_calls = 1;
+    auto client = workload::NewPayLessClient(*bundle, config);
+    const std::vector<workload::QueryInstance>& queries = bundle->queries;
+    for (size_t i = 0; i < queries.size(); i += kWindow) {
+      std::vector<BatchQuery> batch;
+      for (size_t k = i; k < std::min(queries.size(), i + kWindow); ++k) {
+        batch.push_back(BatchQuery{queries[k].sql, queries[k].params});
+      }
+      const Result<BatchReport> report = client->QueryBatch(batch);
+      EXPECT_TRUE(report.ok()) << report.status().ToString();
+      if (report.ok()) *merged_groups += report->merged_groups;
+    }
+    const obs::CostLedger& ledger = client->observability()->ledger;
+    EXPECT_GT(ledger.total_transactions(), 0);
+    EXPECT_EQ(ledger.total_transactions(),
+              client->meter().total_transactions());
+    EXPECT_DOUBLE_EQ(ledger.total_price(), client->meter().total_price());
+    return ledger.TenantByDataset(client->tenant());
+  };
+  size_t first_merged = 0;
+  size_t second_merged = 0;
+  const std::map<std::string, obs::CostCell> first = run(&first_merged);
+  const std::map<std::string, obs::CostCell> second = run(&second_merged);
+  // Some window shares a prefetch, so the prefetch path bills.
+  EXPECT_GT(first_merged, 0u);
+  EXPECT_EQ(first_merged, second_merged);
+  ASSERT_EQ(first.size(), second.size());
+  for (const auto& [dataset, cell] : first) {
+    ASSERT_EQ(second.count(dataset), 1u) << dataset;
+    const obs::CostCell& again = second.at(dataset);
+    EXPECT_EQ(cell.transactions, again.transactions) << dataset;
+    EXPECT_EQ(cell.price, again.price) << dataset;
+    EXPECT_EQ(cell.calls, again.calls) << dataset;
+    EXPECT_EQ(cell.wasted_transactions, again.wasted_transactions) << dataset;
+    EXPECT_EQ(cell.by_market, again.by_market) << dataset;
+  }
 }
 
 }  // namespace

@@ -606,13 +606,21 @@ std::vector<storage::Table>* PlacementBudgetTest::expected_ = nullptr;
 
 TEST_F(PlacementBudgetTest, BudgetBoundClientMatchesTheOracle) {
   auto client = NewBudgetClient();
+  auto unbounded =
+      workload::NewPayLessClient(*bundle_, workload::PayLessFullConfig());
   for (size_t i = 0; i < bundle_->queries.size(); ++i) {
     for (int run = 0; run < 2; ++run) {
       ExpectOracleRows(client.get(), i);
       ExpectNoPooledRows(*client);
+      ExpectOracleRows(unbounded.get(), i);
     }
   }
   EXPECT_GT(client->placement()->evicted_tables(), 0);
+  // The budget costs money: the unbounded twin answers each second run
+  // from what the first one bought, the budget-bound client buys it again.
+  const int64_t billed = client->meter().total_transactions();
+  EXPECT_GT(billed, unbounded->meter().total_transactions());
+  EXPECT_EQ(client->observability()->ledger.total_transactions(), billed);
 }
 
 TEST_F(PlacementBudgetTest, FourThreadsMatchTheOracle) {

@@ -322,6 +322,22 @@ TEST_F(SellerScanTest, HostingCollapsesDuplicateRows) {
   ExpectMatchesReference(Call("Chile", std::nullopt, std::nullopt, {}));
 }
 
+TEST_F(SellerScanTest, RejectedAppendHostsNoneOfItsRows) {
+  // One short row rejects the whole batch: the good row before it must not
+  // be hosted unindexed, where a point call cannot see it.
+  const Row fresh{Value("Chile"), Value(int64_t{500}), Value(int64_t{3}),
+                  Value(1.5)};
+  const Row short_row{Value("Chile"), Value(int64_t{501})};
+  EXPECT_EQ(market_->AppendRows("Weather", {fresh, short_row}).code(),
+            Status::Code::kInvalidArgument);
+  EXPECT_EQ(*market_->TableSize("Weather"), kStations * kDates);
+  ExpectMatchesReference(Call("Chile", std::nullopt, std::nullopt, {}));
+  // Appending the good row alone then hosts and indexes it.
+  ASSERT_TRUE(market_->AppendRows("Weather", {fresh}).ok());
+  EXPECT_EQ(*market_->TableSize("Weather"), kStations * kDates + 1);
+  ExpectMatchesReference(Call("Chile", std::nullopt, std::nullopt, {}));
+}
+
 TEST_F(SellerScanTest, NonIntegerRangeValueKeepsThePostingScan) {
   // A double in a numeric column can match a range but is missing from
   // the sorted projection, so the narrow date span must not replace the

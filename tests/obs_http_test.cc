@@ -428,6 +428,12 @@ TEST_F(HttpExpositionTest, LatencyAndFlightRecorderRoutesServeJson) {
       << recorder.body;
   EXPECT_NE(recorder.body.find("\"stages\":{"), std::string::npos);
 
+  // No route serves a recorded workload: it answers 404 like any unknown
+  // target.
+  const HttpReply retired = Fetch(server.port(), "/",
+                                  "GET /workload HTTP/1.1\r\nHost: x\r\n\r\n");
+  EXPECT_EQ(retired.status, 404);
+
   // HTTP hygiene: HEAD mirrors GET without a body; oversized request
   // lines answer 414; query-string noise never wedges the routes.
   for (const char* route : {"/markets", "/flightrecorder"}) {

@@ -12,15 +12,6 @@ Schema TwoColSchema() {
                  SchemaColumn{"T", "name", ValueType::kString}});
 }
 
-Table SampleTable() {
-  Table t(TwoColSchema());
-  t.Append({Value(int64_t{1}), Value("a")});
-  t.Append({Value(int64_t{2}), Value("b")});
-  t.Append({Value(int64_t{3}), Value("a")});
-  t.Append({Value(int64_t{2}), Value("c")});
-  return t;
-}
-
 TEST(SchemaTest, FindQualifiedAndUnqualified) {
   const Schema s = TwoColSchema();
   EXPECT_EQ(s.Find("T", "id"), 0u);
@@ -34,12 +25,6 @@ TEST(SchemaTest, AmbiguousUnqualifiedLookupFails) {
             SchemaColumn{"B", "k", ValueType::kInt64}});
   EXPECT_FALSE(s.Find("k").has_value());
   EXPECT_EQ(s.Find("A", "k"), 0u);
-}
-
-TEST(SchemaTest, ConcatPreservesOrder) {
-  const Schema c = Schema::Concat(TwoColSchema(), TwoColSchema());
-  EXPECT_EQ(c.num_columns(), 4u);
-  EXPECT_EQ(c.column(2).name, "id");
 }
 
 TEST(TableTest, AppendCheckedValidatesArity) {
@@ -57,14 +42,6 @@ TEST(TableTest, AppendCheckedValidatesTypes) {
 TEST(TableTest, AppendCheckedCoercesIntToDoubleColumn) {
   Table t(Schema({SchemaColumn{"T", "v", ValueType::kDouble}}));
   EXPECT_TRUE(t.AppendChecked({Value(int64_t{3})}).ok());
-}
-
-TEST(TableTest, ColumnValues) {
-  const Table t = SampleTable();
-  const std::vector<Value> names = t.ColumnValues(1);
-  ASSERT_EQ(names.size(), 4u);
-  EXPECT_EQ(names[0], Value("a"));
-  EXPECT_EQ(names[3], Value("c"));
 }
 
 TEST(DatabaseTest, CreateInsertTruncate) {
