@@ -1,8 +1,7 @@
 // Ablation benches for the design choices DESIGN.md calls out, beyond the
 // paper's own figures:
 //   (a) statistics backend — multidimensional feedback histogram (ISOMER
-//       role) vs per-dimension independent histograms vs frozen uniform
-//       (§3 promises to "test other updatable statistics"),
+//       role) vs frozen uniform, the §4.3 cold start that never learns,
 //   (b) batched multi-query optimization vs sequential execution (§7).
 #include <cstdio>
 
@@ -24,7 +23,6 @@ void StatsAblation(int64_t real_q) {
   } variants[] = {
       {"feedback-histogram (ISOMER role)",
        stats::StatsKind::kFeedbackHistogram},
-      {"independent 1-d histograms", stats::StatsKind::kIndependentHistograms},
       {"frozen uniform", stats::StatsKind::kUniform},
   };
   for (const auto& variant : variants) {

@@ -4,18 +4,6 @@
 
 namespace payless::catalog {
 
-const char* BindingKindName(BindingKind kind) {
-  switch (kind) {
-    case BindingKind::kBound:
-      return "bound";
-    case BindingKind::kFree:
-      return "free";
-    case BindingKind::kOutput:
-      return "output";
-  }
-  return "unknown";
-}
-
 AttrDomain AttrDomain::Numeric(int64_t lo, int64_t hi) {
   AttrDomain d;
   d.kind_ = Kind::kNumeric;

@@ -30,8 +30,6 @@ enum class BindingKind {
   kOutput,
 };
 
-const char* BindingKindName(BindingKind kind);
-
 /// Published domain of a constrainable attribute. Numeric domains are int64
 /// lattice ranges (dates in YYYYMMDD, ranks, keys); categorical domains are
 /// explicit value lists, dictionary-encoded so region geometry can treat

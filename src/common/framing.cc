@@ -5,6 +5,7 @@
 
 #include <array>
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -38,11 +39,25 @@ Status WriteAll(int fd, const char* data, size_t size,
     const ssize_t n = ::write(fd, data + done, size - done);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return Errno("framed write", path);
+      return Errno("write", path);
     }
     done += static_cast<size_t>(n);
   }
   return Status::OK();
+}
+
+/// Makes the entries of the directory holding `path` (creations, renames)
+/// durable.
+Status SyncParentDir(const std::string& path) {
+  const size_t slash = path.find_last_of('/');
+  const std::string dir =
+      slash == std::string::npos ? std::string(".") : path.substr(0, slash + 1);
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) return Errno("directory open", dir);
+  const Status synced =
+      ::fsync(fd) == 0 ? Status::OK() : Errno("directory fsync", dir);
+  ::close(fd);
+  return synced;
 }
 
 }  // namespace
@@ -56,6 +71,9 @@ uint32_t Crc32(const char* data, size_t size) {
   return c ^ 0xffffffffu;
 }
 
+namespace {
+
+/// One payload wrapped in its `[len][crc]` header, ready to append.
 std::string FrameOf(const std::string& payload) {
   std::string frame;
   BinWriter w(&frame);
@@ -65,6 +83,7 @@ std::string FrameOf(const std::string& payload) {
   return frame;
 }
 
+/// Walks every intact frame of an in-memory byte stream.
 FrameReadResult ReadFrames(const std::string& bytes) {
   FrameReadResult result;
   result.total_bytes = static_cast<int64_t>(bytes.size());
@@ -90,6 +109,8 @@ FrameReadResult ReadFrames(const std::string& bytes) {
   return result;
 }
 
+}  // namespace
+
 FrameReadResult ReadFramedFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in.is_open()) return FrameReadResult{};  // no file yet: empty, un-torn
@@ -106,15 +127,15 @@ Status FramedAppendFile::Open() {
   if (fd_ < 0) return Errno("framed open", path_);
   const off_t end = ::lseek(fd_, 0, SEEK_END);
   size_bytes_ = end < 0 ? 0 : static_cast<int64_t>(end);
-  return Status::OK();
+  return SyncParentDir(path_);
 }
 
-Status FramedAppendFile::Append(const std::string& payload, bool fsync) {
+Status FramedAppendFile::Append(const std::string& payload) {
   PAYLESS_RETURN_IF_ERROR(Open());
   const std::string frame = FrameOf(payload);
   PAYLESS_RETURN_IF_ERROR(WriteAll(fd_, frame.data(), frame.size(), path_));
   size_bytes_ += static_cast<int64_t>(frame.size());
-  if (fsync && ::fsync(fd_) != 0) return Errno("framed fsync", path_);
+  if (::fsync(fd_) != 0) return Errno("framed fsync", path_);
   return Status::OK();
 }
 
@@ -142,6 +163,21 @@ void FramedAppendFile::Close() {
     ::close(fd_);
     fd_ = -1;
   }
+}
+
+Status ReplaceFileDurably(const std::string& path, const std::string& bytes) {
+  const std::string tmp = path + ".tmp";
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) return Errno("open", tmp);
+  Status written = WriteAll(fd, bytes.data(), bytes.size(), tmp);
+  if (written.ok() && ::fsync(fd) != 0) written = Errno("fsync", tmp);
+  ::close(fd);
+  PAYLESS_RETURN_IF_ERROR(written);
+  // The rename is the commit point; the directory fsync makes it durable.
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    return Errno("rename '" + tmp + "' ->", path);
+  }
+  return SyncParentDir(path);
 }
 
 }  // namespace payless::common

@@ -31,9 +31,6 @@ inline uint32_t Crc32(const std::string& s) {
 /// it is garbage from a torn header, not a real record.
 inline constexpr uint32_t kMaxFramePayload = 1u << 30;  // 1 GiB
 
-/// One payload wrapped in its `[len][crc]` header, ready to append.
-std::string FrameOf(const std::string& payload);
-
 /// Everything one pass over a framed byte stream yields.
 struct FrameReadResult {
   std::vector<std::string> payloads;  // intact frames, in append order
@@ -41,9 +38,6 @@ struct FrameReadResult {
   int64_t valid_bytes = 0;            // prefix covered by intact frames
   int64_t total_bytes = 0;            // stream size as read
 };
-
-/// Walks every intact frame of an in-memory byte stream.
-FrameReadResult ReadFrames(const std::string& bytes);
 
 /// Reads every intact frame of the file at `path`. A missing file is an
 /// empty, un-torn stream. Never fails on torn or corrupt content — the
@@ -60,12 +54,15 @@ class FramedAppendFile {
   FramedAppendFile(const FramedAppendFile&) = delete;
   FramedAppendFile& operator=(const FramedAppendFile&) = delete;
 
-  /// Opens (creating if absent) for append. Idempotent.
+  /// Opens (creating if absent) for append and fsyncs the directory, so a
+  /// newly created file's entry is durable before its first append.
+  /// Idempotent.
   Status Open();
 
-  /// Frames and appends one payload; fsyncs when asked. Size accounting
-  /// includes the 8-byte frame header.
-  Status Append(const std::string& payload, bool fsync);
+  /// Frames, appends and fsyncs one payload: once this returns OK the
+  /// record survives a power cut. Size accounting includes the 8-byte
+  /// frame header.
+  Status Append(const std::string& payload);
 
   /// Crash-injection path: writes only the first `torn_bytes` bytes of the
   /// frame (header included) and stops — the torn tail a real kill
@@ -85,6 +82,12 @@ class FramedAppendFile {
   int fd_ = -1;
   int64_t size_bytes_ = 0;
 };
+
+/// Replaces the file at `path` with `bytes` durably: writes `path`.tmp,
+/// fsyncs it, renames it over `path` (readers see the old or the new
+/// complete file, never a mix) and fsyncs the directory, so once this
+/// returns OK the new contents survive a power cut.
+Status ReplaceFileDurably(const std::string& path, const std::string& bytes);
 
 }  // namespace payless::common
 

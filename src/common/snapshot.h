@@ -163,12 +163,6 @@ class ShardedCellMap {
     }
   }
 
-  std::size_t NumCells() const {
-    std::size_t n = 0;
-    for (const Shard& s : shards_) n += s.index.Load()->size();
-    return n;
-  }
-
  private:
   struct Shard {
     std::mutex write_mutex;

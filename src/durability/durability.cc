@@ -213,8 +213,7 @@ void DurabilityManager::LogAndApply(const catalog::TableDef& def,
   }
 
   const int64_t append_start = NowMicros();
-  const Status appended =
-      wal_.Append(payload, options_.fsync == FsyncPolicy::kEveryAppend);
+  const Status appended = wal_.Append(payload);
   assert(appended.ok());
   (void)appended;
   metric_.append_micros->Record(NowMicros() - append_start);

@@ -5,9 +5,12 @@
 //
 // Write path. The manager sits at the single billing point (the market-
 // connector listener): every harvest is assigned a sequence number,
-// framed into the write-ahead log (fsync per policy), applied in memory
-// through the owner's listener body, and periodically compacted into a
-// snapshot that atomically replaces its predecessor and resets the log.
+// framed into the write-ahead log and fsynced, applied in memory through
+// the owner's listener body, and periodically compacted into a snapshot
+// that atomically replaces its predecessor and resets the log. One fsync
+// rule: a harvest is on stable storage before it is applied, and a
+// snapshot (file and rename) is on stable storage before the log it
+// replaces is cut.
 // The whole harvest pipeline is serialized under one mutex — a deliberate
 // trade: reads (the query hot path) stay lock-free on the COW snapshots,
 // while the write side, already serialized per table and bounded by
@@ -53,18 +56,10 @@
 
 namespace payless::durability {
 
-/// When the WAL is forced to stable storage.
-enum class FsyncPolicy {
-  kEveryAppend,  // every harvest durable before it is applied (default)
-  kOnSnapshot,   // OS-buffered appends; fsync only at snapshot boundaries
-  kNever         // benchmarks/tests only
-};
-
 struct DurabilityOptions {
   /// Directory holding harvest.wal + store.snap. Empty = durability off
   /// (PayLess then behaves exactly as before this subsystem existed).
   std::string dir;
-  FsyncPolicy fsync = FsyncPolicy::kEveryAppend;
   /// Compact a snapshot after this many logged harvests (0 = only explicit
   /// SnapshotNow calls).
   size_t snapshot_every_records = 512;
@@ -170,7 +165,7 @@ class DurabilityManager {
   /// snapshot age, what one recovery rebuilt) live on /store instead.
   struct Metrics {
     obs::Counter* wal_appends = nullptr;
-    /// Every append, whether or not it fsyncs (FsyncPolicy::kOnSnapshot).
+    /// Every append, its fsync included.
     obs::LatencyHistogram* append_micros = nullptr;
     obs::Counter* snapshots = nullptr;
     obs::Counter* replayed_records = nullptr;

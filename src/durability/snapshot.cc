@@ -1,9 +1,5 @@
 #include "durability/snapshot.h"
 
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -230,26 +226,7 @@ Status WriteSnapshotFile(const std::string& path, const SnapshotData& data) {
   w.U32(common::Crc32(body));
   w.U64(body.size());
   file += body;
-
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out.is_open()) {
-      return Status::Internal("snapshot open '" + tmp + "' failed");
-    }
-    out.write(file.data(), static_cast<std::streamsize>(file.size()));
-    out.flush();
-    if (!out.good()) {
-      return Status::Internal("snapshot write '" + tmp + "' failed");
-    }
-  }
-  // The rename is the commit point: readers see the old complete file or
-  // the new complete file, never bytes of both.
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::Internal("snapshot rename '" + tmp + "' -> '" + path +
-                            "': " + std::strerror(errno));
-  }
-  return Status::OK();
+  return common::ReplaceFileDurably(path, file);
 }
 
 Status ReadSnapshotFile(const std::string& path, SnapshotData* out) {

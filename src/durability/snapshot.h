@@ -5,10 +5,12 @@
 // A snapshot bounds recovery work — log records with seq <= last_seq are
 // already folded in and are skipped at replay — and bounds log growth: the
 // manager resets the WAL after a successful snapshot. Files are written
-// crash-atomically (tmp + fsync + rename), so a reader only ever sees the
-// previous complete snapshot or the new complete snapshot, never a torn
-// one; a crash BETWEEN the rename and the log reset is safe because the
-// seq filter drops the now-redundant log prefix at replay.
+// crash-atomically and durably (common::ReplaceFileDurably: tmp + fsync +
+// rename + directory fsync), so a reader only ever sees the previous
+// complete snapshot or the new complete snapshot, never a torn one, and
+// the log is cut only after the new snapshot is on stable storage; a crash
+// BETWEEN the rename and the log reset is safe because the seq filter
+// drops the now-redundant log prefix at replay.
 #ifndef PAYLESS_DURABILITY_SNAPSHOT_H_
 #define PAYLESS_DURABILITY_SNAPSHOT_H_
 
@@ -42,7 +44,7 @@ struct SnapshotData {
   std::vector<std::pair<std::string, core::CachedPlan>> plans;
 };
 
-/// Serializes `data` and writes it crash-atomically to `path`.
+/// Serializes `data` and writes it crash-atomically and durably to `path`.
 Status WriteSnapshotFile(const std::string& path, const SnapshotData& data);
 
 /// Reads and validates the snapshot at `path`. NotFound when the file does

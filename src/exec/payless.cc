@@ -274,7 +274,7 @@ Result<QueryReport> PayLess::AdmitAndRun(const std::string& sql,
                                          const std::vector<Value>& params,
                                          bool tick_placement) {
   const uint64_t query_id =
-      next_query_id_.fetch_add(1, std::memory_order_relaxed) + 1;
+      obs_->last_query_id.fetch_add(1, std::memory_order_relaxed) + 1;
   metric_.queries->Add(1);
 
   // Admission gate 1: a tenant already over its hard cap or window rate
@@ -495,10 +495,6 @@ Result<QueryReport> PayLess::QueryWithReportImpl(
   Result<storage::Table> result =
       engine.Execute(*bound, report.plan, exec_config, &report.exec);
   if (placement_lock.owns_lock()) placement_lock.unlock();
-  // Counted from this query's own calls, not a meter delta, so the number is
-  // exact even when other client threads are spending concurrently. Filled
-  // before the error check: on a mid-flight failure it is the spend-so-far.
-  report.transactions_spent = report.exec.transactions;
 
   // Everything a delivered OR failed-mid-flight report carries: spend
   // attribution, window feed, metrics, and the closed trace.
@@ -514,9 +510,17 @@ Result<QueryReport> PayLess::QueryWithReportImpl(
         metric_.stage[i]->Record(report.stage_micros[i]);
       }
     }
+    // The spend is read from this query's own ledger cells, not a meter
+    // delta, so it is exact while other client threads spend concurrently,
+    // and it counts billed-but-lost responses, which ExecStats (delivered
+    // calls only) does not. On a mid-flight failure it is the spend-so-far.
+    const std::map<std::string, obs::CostCell> cells =
+        obs_->ledger.QueryCells(config_.tenant, query_id);
+    for (const auto& [dataset, cell] : cells) {
+      report.transactions_by_dataset[dataset] = cell.transactions;
+      report.transactions_spent += cell.transactions;
+    }
     obs_->governor.RecordSpend(config_.tenant, report.transactions_spent);
-    report.transactions_by_dataset =
-        obs_->ledger.DatasetBreakdown(config_.tenant, query_id);
     metric_.rows_from_market->Add(report.exec.rows_from_market);
     metric_.rows_from_cache->Add(report.exec.rows_from_cache);
     if (savings_accountant_ != nullptr && cf.ok()) {
@@ -524,8 +528,7 @@ Result<QueryReport> PayLess::QueryWithReportImpl(
       // spend — runs for failed-mid-flight queries too, where the spend
       // so far (and its waste) is exactly what should be accounted.
       const obs::QuerySavings s = savings_accountant_->RecordQuery(
-          cf, report.plan, *bound, cache_hit,
-          obs_->ledger.QueryCells(config_.tenant, query_id), config_.tenant,
+          cf, report.plan, *bound, cache_hit, cells, config_.tenant,
           &obs_->savings);
       report.counterfactual_transactions = s.counterfactual;
       report.savings_transactions = s.savings;

@@ -51,9 +51,9 @@ struct PayLessConfig {
   core::OptimizerOptions optimizer;
   ConsistencyLevel consistency = ConsistencyLevel::kWeak;
   int64_t consistency_weeks = 4;  // the X of kXWeek
-  /// Which updatable statistic backs the learning optimizer (§3): the
-  /// multidimensional feedback histogram (ISOMER role, default), the
-  /// per-dimension independent histograms, or frozen uniform estimates.
+  /// Which statistic backs the optimizer: the learning multidimensional
+  /// feedback histogram (ISOMER role, default) or frozen uniform estimates
+  /// (the §4.3 cold start, never refined).
   stats::StatsKind stats_kind = stats::StatsKind::kFeedbackHistogram;
   /// In-flight window for one access's REST calls: a bind join's
   /// per-binding-value calls (and remainder calls) go out up to this many
@@ -155,11 +155,14 @@ struct QueryReport {
   std::string plan_text;
   core::PlanningCounters counters;
   ExecStats exec;
-  int64_t transactions_spent = 0;  // this query's own billed transactions
+  /// This query's own billed transactions, lost responses included (so it
+  /// can exceed `exec.transactions`, which counts delivered calls).
+  int64_t transactions_spent = 0;
   /// Per-dataset breakdown of `transactions_spent`, straight from the cost
   /// ledger — callers stop re-deriving spend from meter deltas.
   std::map<std::string, int64_t> transactions_by_dataset;
-  /// Ledger/trace id of this query, unique within its PayLess instance.
+  /// Ledger/trace id of this query, unique within its Observability
+  /// context (clients sharing one context never share an id).
   uint64_t query_id = 0;
   /// The query's spend crossed the tenant's soft budget threshold (the
   /// query still ran; only a hard cap rejects).
@@ -423,7 +426,6 @@ class PayLess {
   std::shared_mutex placement_mutex_;
   storage::Database local_db_;
   std::atomic<int64_t> current_week_{0};
-  std::atomic<uint64_t> next_query_id_{0};
 };
 
 }  // namespace payless::exec

@@ -3,6 +3,7 @@
 #include <map>
 
 #include "exec/local_eval.h"
+#include "market/rest_call.h"
 #include "sql/parser.h"
 #include "storage/table.h"
 
@@ -26,7 +27,12 @@ Result<storage::Table> ReferenceEvaluate(const catalog::Catalog& catalog,
       if (rows == nullptr) {
         return Status::NotFound("table '" + rel.def->name + "' not hosted");
       }
-      for (const Row& row : *rows) table.Append(row);
+      // EvaluateLocally re-applies every condition, so copying only the
+      // rows the relation's own conditions select is enough.
+      const market::RestCall filter{rel.def->name, rel.conditions};
+      for (const Row& row : *rows) {
+        if (filter.MatchesRow(row)) table.Append(row);
+      }
     } else {
       const storage::Table* local = local_db.FindTable(rel.def->name);
       if (local == nullptr) {

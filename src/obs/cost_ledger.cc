@@ -49,20 +49,6 @@ int64_t CostLedger::TenantTransactions(const std::string& tenant) const {
   return it == tenants_.end() ? 0 : it->second.rollup.transactions;
 }
 
-std::map<std::string, int64_t> CostLedger::DatasetBreakdown(
-    const std::string& tenant, uint64_t query_id) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::map<std::string, int64_t> breakdown;
-  const auto tenant_it = tenants_.find(tenant);
-  if (tenant_it == tenants_.end()) return breakdown;
-  const auto query_it = tenant_it->second.queries.find(query_id);
-  if (query_it == tenant_it->second.queries.end()) return breakdown;
-  for (const auto& [dataset, cell] : query_it->second) {
-    breakdown[dataset] = cell.transactions;
-  }
-  return breakdown;
-}
-
 std::map<std::string, CostCell> CostLedger::QueryCells(
     const std::string& tenant, uint64_t query_id) const {
   std::lock_guard<std::mutex> lock(mutex_);

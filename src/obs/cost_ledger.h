@@ -59,12 +59,9 @@ class CostLedger {
   /// Lifetime spend of one tenant (all queries, all datasets).
   int64_t TenantTransactions(const std::string& tenant) const;
 
-  /// Per-dataset spend of one query — the QueryReport breakdown.
-  std::map<std::string, int64_t> DatasetBreakdown(const std::string& tenant,
-                                                  uint64_t query_id) const;
-
   /// Full per-dataset cells of one query (transactions, price, calls,
-  /// waste) — the savings accountant's reconciliation input.
+  /// waste): the QueryReport's spend and breakdown, and the savings
+  /// accountant's reconciliation input.
   std::map<std::string, CostCell> QueryCells(const std::string& tenant,
                                              uint64_t query_id) const;
 

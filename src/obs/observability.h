@@ -6,6 +6,9 @@
 #ifndef PAYLESS_OBS_OBSERVABILITY_H_
 #define PAYLESS_OBS_OBSERVABILITY_H_
 
+#include <atomic>
+#include <cstdint>
+
 #include "obs/budget.h"
 #include "obs/cost_ledger.h"
 #include "obs/flight_recorder.h"
@@ -30,6 +33,9 @@ struct Observability {
   /// Optional: finished query traces are mirrored here (owned by the
   /// caller; must outlive every client using this context).
   TraceSink* trace_sink = nullptr;
+  /// Last query id handed out. Ids key the cost ledger's per-query cells,
+  /// so every client sharing this context draws from one counter.
+  std::atomic<uint64_t> last_query_id{0};
 };
 
 }  // namespace payless::obs

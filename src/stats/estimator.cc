@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <memory>
 #include <mutex>
 
@@ -127,84 +126,6 @@ double FeedbackHistogram::total_count() const {
   return total;
 }
 
-IndependentDimEstimator::IndependentDimEstimator(Box full_region,
-                                                 int64_t initial_cardinality,
-                                                 size_t max_buckets_per_dim)
-    : full_region_(std::move(full_region)),
-      total_(static_cast<double>(initial_cardinality)) {
-  for (size_t d = 0; d < full_region_.num_dims(); ++d) {
-    dims_.emplace_back(Box({full_region_.dim(d)}), initial_cardinality,
-                       max_buckets_per_dim);
-  }
-}
-
-double IndependentDimEstimator::EstimateRows(const Box& region) const {
-  const Box clipped = full_region_.Intersect(region);
-  if (clipped.empty()) return 0.0;
-  if (dims_.empty()) return total_;  // zero-dimensional table space
-  // Each per-dimension histogram carries the (unnormalized) marginal
-  // distribution; only the probabilities P_d(extent) matter.
-  double probability = 1.0;
-  for (size_t d = 0; d < dims_.size(); ++d) {
-    const double dim_total = dims_[d].total_count();
-    if (dim_total <= 0.0) return 0.0;
-    const double dim_mass = dims_[d].EstimateRows(Box({clipped.dim(d)}));
-    probability *= std::clamp(dim_mass / dim_total, 0.0, 1.0);
-  }
-  return total_ * probability;
-}
-
-void IndependentDimEstimator::Feedback(const Box& region,
-                                       int64_t actual_rows) {
-  const Box target = full_region_.Intersect(region);
-  if (target.empty()) return;
-  ++num_feedbacks_;
-  const double actual = static_cast<double>(actual_rows);
-
-  // Whole-table observation recalibrates the total directly; any
-  // observation puts a lower bound on it.
-  if (target == full_region_) {
-    total_ = actual;
-    return;
-  }
-  if (actual > total_) total_ = actual;
-  if (total_ <= 0.0) return;
-
-  for (size_t d = 0; d < dims_.size(); ++d) {
-    // A full-domain extent has marginal probability 1 by definition:
-    // nothing to learn (and the outside-mass formula would degenerate).
-    if (target.dim(d) == full_region_.dim(d)) continue;
-    // Deconvolve the joint observation into a target marginal probability
-    // for dimension d under the other dimensions' current marginals:
-    //   actual = total * P_d(extent) * prod_{o != d} P_o(extent_o)
-    double other_probability = 1.0;
-    for (size_t o = 0; o < dims_.size(); ++o) {
-      if (o == d) continue;
-      const double o_total = dims_[o].total_count();
-      if (o_total <= 0.0) continue;
-      other_probability *= std::clamp(
-          dims_[o].EstimateRows(Box({target.dim(o)})) / o_total, 1e-6, 1.0);
-    }
-    const double p =
-        std::clamp(actual / (total_ * other_probability), 0.0, 0.999);
-    // Choose the in-extent mass m so that after the 1-D histogram's
-    // rescale, P_d(extent) = m / (m + outside) = p. The outside mass is
-    // untouched by the 1-D feedback.
-    const double dim_total = dims_[d].total_count();
-    const double inside = dims_[d].EstimateRows(Box({target.dim(d)}));
-    const double outside = std::max(dim_total - inside, 1e-9);
-    const double new_inside = p * outside / (1.0 - p);
-    dims_[d].Feedback(Box({target.dim(d)}),
-                      static_cast<int64_t>(new_inside + 0.5));
-  }
-}
-
-EstimatorInfo IndependentDimEstimator::Info() const {
-  size_t buckets = 0;
-  for (const FeedbackHistogram& dim : dims_) buckets += dim.num_buckets();
-  return EstimatorInfo{std::max<size_t>(buckets, 1), num_feedbacks_, total_};
-}
-
 void StatsRegistry::RegisterTable(const catalog::TableDef& def) {
   const std::shared_ptr<EstimatorCell> cell = cells_.GetOrCreate(def.name);
   std::lock_guard<std::mutex> lock(cell->write_mutex);
@@ -217,10 +138,6 @@ void StatsRegistry::RegisterTable(const catalog::TableDef& def) {
       break;
     case StatsKind::kFeedbackHistogram:
       initial = std::make_shared<FeedbackHistogram>(full, def.cardinality);
-      break;
-    case StatsKind::kIndependentHistograms:
-      initial =
-          std::make_shared<IndependentDimEstimator>(full, def.cardinality);
       break;
   }
   cell->current.Store(std::move(initial));
@@ -265,10 +182,13 @@ size_t StatsRegistry::TotalFeedbacks() const {
 // ---- Serialization (durability snapshots).
 
 namespace {
-// Kind tags framing estimator state on disk; append-only.
+// Kind tags framing estimator state on disk; append-only. Tag 3 framed the
+// retired per-dimension independent histograms: it stays reserved and must
+// never be reused, so a snapshot that still carries it fails to decode
+// (and recovery keeps that table's catalog-seeded estimator) instead of
+// loading as some other estimator.
 constexpr uint8_t kUniformTag = 1;
 constexpr uint8_t kFeedbackHistogramTag = 2;
-constexpr uint8_t kIndependentDimTag = 3;
 }  // namespace
 
 void UniformEstimator::SaveState(common::BinWriter& w) const {
@@ -322,43 +242,13 @@ std::unique_ptr<FeedbackHistogram> FeedbackHistogram::Load(
   return est;
 }
 
-void IndependentDimEstimator::SaveState(common::BinWriter& w) const {
-  common::WriteBox(w, full_region_);
-  w.F64(total_);
-  w.U64(num_feedbacks_);
-  w.U32(static_cast<uint32_t>(dims_.size()));
-  for (const FeedbackHistogram& dim : dims_) dim.SaveState(w);
-}
-
-std::unique_ptr<IndependentDimEstimator> IndependentDimEstimator::Load(
-    common::BinReader& r) {
-  std::unique_ptr<IndependentDimEstimator> est(new IndependentDimEstimator());
-  uint64_t feedbacks = 0;
-  uint32_t num_dims = 0;
-  if (!common::ReadBox(r, &est->full_region_) || !r.F64(&est->total_) ||
-      !r.U64(&feedbacks) || !r.U32(&num_dims)) {
-    return nullptr;
-  }
-  est->num_feedbacks_ = static_cast<size_t>(feedbacks);
-  est->dims_.reserve(num_dims);
-  for (uint32_t d = 0; d < num_dims; ++d) {
-    std::unique_ptr<FeedbackHistogram> dim = FeedbackHistogram::Load(r);
-    if (dim == nullptr) return nullptr;
-    est->dims_.push_back(std::move(*dim));
-  }
-  return est;
-}
-
 void SaveEstimator(const Estimator& estimator, std::string* out) {
   common::BinWriter w(out);
   if (dynamic_cast<const UniformEstimator*>(&estimator) != nullptr) {
     w.U8(kUniformTag);
-  } else if (dynamic_cast<const FeedbackHistogram*>(&estimator) != nullptr) {
-    w.U8(kFeedbackHistogramTag);
   } else {
-    assert(dynamic_cast<const IndependentDimEstimator*>(&estimator) !=
-           nullptr);
-    w.U8(kIndependentDimTag);
+    assert(dynamic_cast<const FeedbackHistogram*>(&estimator) != nullptr);
+    w.U8(kFeedbackHistogramTag);
   }
   estimator.SaveState(w);
 }
@@ -371,8 +261,6 @@ std::unique_ptr<Estimator> LoadEstimator(common::BinReader& r) {
       return UniformEstimator::Load(r);
     case kFeedbackHistogramTag:
       return FeedbackHistogram::Load(r);
-    case kIndependentDimTag:
-      return IndependentDimEstimator::Load(r);
     default:
       return nullptr;
   }

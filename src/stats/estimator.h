@@ -148,53 +148,10 @@ class FeedbackHistogram : public Estimator {
   size_t num_feedbacks_ = 0;
 };
 
-/// Alternative updatable statistic (§3: "we will test other updatable
-/// statistics in place of ISOMER"): one 1-D feedback histogram per
-/// dimension combined under the attribute-value-independence assumption.
-/// Cheaper than the multidimensional histogram (no bucket blowup across
-/// dimensions) but blind to correlations; `bench_ablation_stats` compares
-/// the two on the paper's workloads.
-class IndependentDimEstimator : public Estimator {
- public:
-  IndependentDimEstimator(Box full_region, int64_t initial_cardinality,
-                          size_t max_buckets_per_dim = 256);
-
-  double EstimateRows(const Box& region) const override;
-
-  /// Joint feedback is deconvolved into per-dimension marginals: dimension
-  /// d receives `actual / (estimated fraction of the other dimensions)`,
-  /// clamped to the current total. Exact when the other dimensions span
-  /// their full domains; a heuristic otherwise.
-  void Feedback(const Box& region, int64_t actual_rows) override;
-
-  double total_count() const { return total_; }
-
-  /// Buckets are summed across the per-dimension histograms; feedbacks
-  /// count joint observations (each fans out to every dimension).
-  EstimatorInfo Info() const override;
-
-  std::unique_ptr<Estimator> Clone() const override {
-    return std::make_unique<IndependentDimEstimator>(*this);
-  }
-
-  void SaveState(common::BinWriter& w) const override;
-  static std::unique_ptr<IndependentDimEstimator> Load(common::BinReader& r);
-
- private:
-  IndependentDimEstimator() = default;  // Load fills every field
-
-  Box full_region_;
-  double total_ = 0.0;
-  size_t num_feedbacks_ = 0;
-  /// Per-dimension 1-D histograms over a normalized mass of `total_`.
-  std::vector<FeedbackHistogram> dims_;
-};
-
 /// Which estimator the registry instantiates per table.
 enum class StatsKind {
-  kUniform,              // never learns (cold start forever)
-  kFeedbackHistogram,    // multidimensional, the ISOMER role (default)
-  kIndependentHistograms,  // per-dimension 1-D histograms + independence
+  kUniform,            // never learns (cold start forever)
+  kFeedbackHistogram,  // multidimensional, the ISOMER role (default)
 };
 
 /// Per-table estimator registry: the statistics block of Fig. 3. Tables are

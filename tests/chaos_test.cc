@@ -250,14 +250,18 @@ TEST_F(ChaosTest, LostResponsesAreBilledOnceAndDeliveredOnce) {
   FaultInjector injector(profile);
   chaos->connector()->SetFaultInjector(&injector);
   size_t i = 0;
+  int64_t reported_spend = 0;
   for (const auto& params : ParamMix()) {
     Result<QueryReport> r = chaos->QueryWithReport(kBindSql, params);
     ASSERT_TRUE(r.ok() && r->error.ok()) << r.status().ToString();
     EXPECT_EQ(SortedRows(r->result), expected[i++]);
+    reported_spend += r->transactions_spent;
   }
 
   const RetryStats stats = chaos->connector()->retry_stats();
   EXPECT_GT(stats.wasted_calls, 0);
+  // Each query reports what it was billed, lost responses included.
+  EXPECT_EQ(reported_spend, chaos->meter().total_transactions());
   EXPECT_EQ(stats.wasted_calls, injector.stats().lost_responses);
   // The serial chaos run delivers exactly the baseline's call sequence:
   // every loss was retried until its result actually arrived.

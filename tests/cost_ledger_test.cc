@@ -40,11 +40,11 @@ TEST(CostLedgerTest, RecordsAndAggregates) {
   EXPECT_EQ(ledger.TenantTransactions("initech"), 1);
   EXPECT_EQ(ledger.TenantTransactions("ghost"), 0);
 
-  const auto q1 = ledger.DatasetBreakdown("acme", 1);
+  const auto q1 = ledger.QueryCells("acme", 1);
   ASSERT_EQ(q1.size(), 2u);
-  EXPECT_EQ(q1.at("WHW"), 3);
-  EXPECT_EQ(q1.at("GEO"), 2);
-  EXPECT_TRUE(ledger.DatasetBreakdown("acme", 99).empty());
+  EXPECT_EQ(q1.at("WHW").transactions, 3);
+  EXPECT_EQ(q1.at("GEO").transactions, 2);
+  EXPECT_TRUE(ledger.QueryCells("acme", 99).empty());
 
   const auto by_dataset = ledger.TenantByDataset("acme");
   ASSERT_EQ(by_dataset.size(), 2u);
@@ -148,6 +148,31 @@ TEST_F(LedgerInvariantTest, SerialQueriesMatchMeterExactly) {
             client->meter().total_transactions());
   EXPECT_DOUBLE_EQ(ledger.total_price(), client->meter().total_price());
   EXPECT_EQ(ledger.TenantTransactions("default"), reported);
+}
+
+// Two clients of one tenant report into one context. Query ids key the
+// ledger's per-query cells, so each report must hold only its own query's
+// purchases.
+TEST_F(LedgerInvariantTest, ClientsSharingAContextKeepTheirQueriesApart) {
+  Observability shared;
+  PayLessConfig config;
+  config.observability = &shared;
+  auto first = NewClient(config);
+  auto second = NewClient(config);
+  const auto a =
+      first->QueryWithReport(kBindSql, {Value(int64_t{1}), Value(int64_t{4})});
+  const auto b = second->QueryWithReport(kBindSql,
+                                         {Value(int64_t{1}), Value(int64_t{8})});
+  ASSERT_TRUE(a.ok() && a->ok());
+  ASSERT_TRUE(b.ok() && b->ok());
+  EXPECT_NE(a->query_id, b->query_id);
+  EXPECT_EQ(a->transactions_spent, first->meter().total_transactions());
+  EXPECT_EQ(b->transactions_spent, second->meter().total_transactions());
+  int64_t b_by_dataset = 0;
+  for (const auto& [dataset, tx] : b->transactions_by_dataset) {
+    b_by_dataset += tx;
+  }
+  EXPECT_EQ(b_by_dataset, b->transactions_spent);
 }
 
 // Runs in the TSan preset: 8 client threads on disjoint footprints against

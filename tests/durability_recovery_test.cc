@@ -29,6 +29,8 @@
 #include <sys/wait.h>
 #include <vector>
 
+#include "common/binio.h"
+#include "durability/snapshot.h"
 #include "durability/wal.h"
 #include "durability_fixture.h"
 #include "market/fault_injector.h"
@@ -187,6 +189,48 @@ TEST_F(DurabilityRecoveryTest, SnapshotCompactsAndRestoresEverything) {
   ExpectWarmRound(restarted.get(), /*lost_transactions=*/0);
   // The recovered plan templates actually serve: the warm round hits them.
   EXPECT_GT(restarted->plan_cache().Stats().hits, hits_before);
+}
+
+TEST_F(DurabilityRecoveryTest, RetiredStatsTagRecoversToTheSeededEstimator) {
+  auto client = fixture_.NewClient(DurableConfig());
+  (void)DurabilityFixture::RunMix(client.get());
+  const size_t stored_rows = client->store().TotalStoredRows();
+  ASSERT_TRUE(client->durability()->SnapshotNow().ok());
+  client.reset();
+
+  // Rewrite Weather's estimator blob as a well-formed blob under kind tag
+  // 3, which framed the per-dimension independent histograms before they
+  // were retired: [u8 3][box][f64 total][u64 feedbacks][u32 dims = 0].
+  const std::string snap_path = (dir_ / "store.snap").string();
+  durability::SnapshotData snap;
+  ASSERT_TRUE(durability::ReadSnapshotFile(snap_path, &snap).ok());
+  const catalog::TableDef* weather = fixture_.cat_.FindTable("Weather");
+  size_t retired = 0;
+  for (auto& [table, blob] : snap.stats_tables) {
+    if (table != "Weather") continue;
+    blob.clear();
+    common::BinWriter w(&blob);
+    w.U8(3);
+    common::WriteBox(w, weather->FullRegion());
+    w.F64(999.0);
+    w.U64(7);
+    w.U32(0);
+    ++retired;
+  }
+  ASSERT_EQ(retired, 1u);
+  ASSERT_GT(snap.stats_tables.size(), 1u);
+  ASSERT_TRUE(durability::WriteSnapshotFile(snap_path, snap).ok());
+
+  auto restarted = Restart();
+  const durability::RecoveryInfo& info = restarted->durability()->recovery();
+  EXPECT_TRUE(info.had_snapshot);
+  EXPECT_EQ(info.recovered_stats_tables, snap.stats_tables.size() - 1);
+  EXPECT_EQ(info.recovered_rows, stored_rows);
+  // The undecodable blob leaves Weather on its catalog-seeded estimator.
+  EXPECT_DOUBLE_EQ(
+      restarted->stats().EstimateRows("Weather", weather->FullRegion()),
+      static_cast<double>(weather->cardinality));
+  EXPECT_EQ(restarted->stats().Info("Weather").feedbacks, 0u);
 }
 
 TEST_F(DurabilityRecoveryTest, AutoSnapshotCompactsDuringTheRun) {

@@ -118,7 +118,7 @@ TEST_F(WalTest, AppendReadRoundtrip) {
   std::vector<std::string> payloads;
   for (uint64_t seq = 1; seq <= 5; ++seq) {
     payloads.push_back(EncodeHarvest(SampleRecord(seq)));
-    ASSERT_TRUE(wal.Append(payloads.back(), /*fsync=*/true).ok());
+    ASSERT_TRUE(wal.Append(payloads.back()).ok());
   }
   wal.Close();
 
@@ -144,12 +144,12 @@ TEST_F(WalTest, MissingFileIsAnEmptyLog) {
 TEST_F(WalTest, ResetTruncatesAndStaysAppendable) {
   common::FramedAppendFile wal(WalPath());
   ASSERT_TRUE(wal.Open().ok());
-  ASSERT_TRUE(wal.Append(EncodeHarvest(SampleRecord(1)), true).ok());
+  ASSERT_TRUE(wal.Append(EncodeHarvest(SampleRecord(1))).ok());
   ASSERT_GT(wal.size_bytes(), 0);
   ASSERT_TRUE(wal.Reset().ok());
   EXPECT_EQ(wal.size_bytes(), 0);
   EXPECT_TRUE(common::ReadFramedFile(WalPath()).payloads.empty());
-  ASSERT_TRUE(wal.Append(EncodeHarvest(SampleRecord(2)), true).ok());
+  ASSERT_TRUE(wal.Append(EncodeHarvest(SampleRecord(2))).ok());
   wal.Close();
   const common::FrameReadResult read = common::ReadFramedFile(WalPath());
   ASSERT_EQ(read.payloads.size(), 1u);
@@ -162,7 +162,7 @@ TEST_F(WalTest, AppendTornLeavesThePrefixIntact) {
   common::FramedAppendFile wal(WalPath());
   ASSERT_TRUE(wal.Open().ok());
   for (uint64_t seq = 1; seq <= 3; ++seq) {
-    ASSERT_TRUE(wal.Append(EncodeHarvest(SampleRecord(seq)), true).ok());
+    ASSERT_TRUE(wal.Append(EncodeHarvest(SampleRecord(seq))).ok());
   }
   const int64_t prefix = wal.size_bytes();
   ASSERT_TRUE(wal.AppendTorn(EncodeHarvest(SampleRecord(4)), 11).ok());
@@ -179,10 +179,10 @@ TEST_F(WalTest, CorruptMiddleRecordStopsReplayBeforeIt) {
   common::FramedAppendFile wal(WalPath());
   ASSERT_TRUE(wal.Open().ok());
   const std::string first = EncodeHarvest(SampleRecord(1));
-  ASSERT_TRUE(wal.Append(first, true).ok());
+  ASSERT_TRUE(wal.Append(first).ok());
   const int64_t first_end = wal.size_bytes();
-  ASSERT_TRUE(wal.Append(EncodeHarvest(SampleRecord(2)), true).ok());
-  ASSERT_TRUE(wal.Append(EncodeHarvest(SampleRecord(3)), true).ok());
+  ASSERT_TRUE(wal.Append(EncodeHarvest(SampleRecord(2))).ok());
+  ASSERT_TRUE(wal.Append(EncodeHarvest(SampleRecord(3))).ok());
   wal.Close();
 
   // Flip one payload byte of record 2: its CRC fails, and replay must stop
@@ -208,7 +208,7 @@ TEST_F(WalTest, TornTailAtEveryByteOffsetDropsExactlyTheFinalRecord) {
   std::vector<std::string> payloads;
   for (uint64_t seq = 1; seq <= 3; ++seq) {
     payloads.push_back(EncodeHarvest(SampleRecord(seq)));
-    ASSERT_TRUE(wal.Append(payloads.back(), true).ok());
+    ASSERT_TRUE(wal.Append(payloads.back()).ok());
   }
   wal.Close();
   const std::string bytes = ReadFile(WalPath());
@@ -298,9 +298,8 @@ TEST_F(WalTest, RecoveryAtEveryTornOffsetNeverDoubleApplies) {
   ASSERT_TRUE(wal.Open().ok());
   size_t prefix = 0;
   for (uint64_t seq = 1; seq <= 3; ++seq) {
-    ASSERT_TRUE(wal.Append(EncodeHarvest(StationHarvest(seq, int64_t(seq))),
-                           true)
-                    .ok());
+    ASSERT_TRUE(
+        wal.Append(EncodeHarvest(StationHarvest(seq, int64_t(seq)))).ok());
     if (seq == 2) prefix = static_cast<size_t>(wal.size_bytes());
   }
   wal.Close();

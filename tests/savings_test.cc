@@ -224,7 +224,17 @@ TEST_F(SavingsAccountingTest, FaultStormReconcilesAndCountsWaste) {
         client.QueryWithReport(kRangeSql, {Value(lo), Value(lo + 149)});
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     // Mid-flight failures still reconcile: the spend-so-far (waste
-    // included) was recorded before the report was returned.
+    // included) was recorded before the report was returned. The report
+    // agrees with its own breakdown and its savings.
+    int64_t by_dataset = 0;
+    for (const auto& [dataset, tx] : r->transactions_by_dataset) {
+      by_dataset += tx;
+    }
+    EXPECT_EQ(r->transactions_spent, by_dataset);
+    if (r->counterfactual_transactions >= 0) {
+      EXPECT_EQ(r->savings_transactions,
+                r->counterfactual_transactions - r->transactions_spent);
+    }
   }
   client.connector()->SetFaultInjector(nullptr);
 

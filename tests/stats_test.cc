@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/binio.h"
 #include "common/rng.h"
 
 namespace payless::stats {
@@ -9,6 +14,17 @@ namespace {
 
 Box Grid2D(int64_t w, int64_t h) {
   return Box({Interval(0, w - 1), Interval(0, h - 1)});
+}
+
+/// Table "T" of dataset "D": one free int64 column over [0, domain_hi].
+catalog::TableDef OneColumnTable(int64_t domain_hi, int64_t cardinality) {
+  catalog::TableDef def;
+  def.name = "T";
+  def.dataset = "D";
+  def.columns = {catalog::ColumnDef::Free(
+      "a", ValueType::kInt64, catalog::AttrDomain::Numeric(0, domain_hi))};
+  def.cardinality = cardinality;
+  return def;
 }
 
 TEST(UniformEstimatorTest, FullRegionReturnsCardinality) {
@@ -70,6 +86,23 @@ TEST(FeedbackHistogramTest, DisjointFeedbacksStayExact) {
   EXPECT_DOUBLE_EQ(hist.EstimateRows(Box({Interval(50, 99), Interval(0, 0)})),
                    40.0);
   EXPECT_NEAR(hist.total_count(), 750.0, 1e-6);
+}
+
+TEST(FeedbackHistogramTest, CorrelatedQuadrantFeedbacksStayExact) {
+  // Rows only on the diagonal quadrants: no product of per-dimension
+  // marginals can represent this, but the multidimensional buckets split
+  // along each fed-back box and reproduce all four counts exactly.
+  FeedbackHistogram hist(Grid2D(10, 10), 100);
+  const Box q1({Interval(0, 4), Interval(0, 4)});
+  const Box q2({Interval(5, 9), Interval(5, 9)});
+  const Box off1({Interval(0, 4), Interval(5, 9)});
+  const Box off2({Interval(5, 9), Interval(0, 4)});
+  const std::vector<std::pair<Box, int64_t>> truth = {
+      {q1, 50}, {q2, 50}, {off1, 0}, {off2, 0}};
+  for (const auto& [box, count] : truth) hist.Feedback(box, count);
+  for (const auto& [box, count] : truth) {
+    EXPECT_NEAR(hist.EstimateRows(box), static_cast<double>(count), 1e-9);
+  }
 }
 
 TEST(FeedbackHistogramTest, RefinementOverwritesCoarseFeedback) {
@@ -147,19 +180,8 @@ TEST(FeedbackHistogramTest, ConvergesToTrueCountsUnderRepeatedFeedback) {
 }
 
 TEST(StatsRegistryTest, RegisterAndEstimate) {
-  catalog::Catalog cat;
-  ASSERT_TRUE(
-      cat.RegisterDataset(catalog::DatasetDef{"D", 1.0, 100}).ok());
-  catalog::TableDef def;
-  def.name = "T";
-  def.dataset = "D";
-  def.columns = {catalog::ColumnDef::Free(
-      "a", ValueType::kInt64, catalog::AttrDomain::Numeric(0, 99))};
-  def.cardinality = 1000;
-  ASSERT_TRUE(cat.RegisterTable(def).ok());
-
   StatsRegistry registry;
-  registry.RegisterTable(*cat.FindTable("T"));
+  registry.RegisterTable(OneColumnTable(99, 1000));
   EXPECT_TRUE(registry.HasTable("T"));
   EXPECT_DOUBLE_EQ(registry.EstimateRows("T", Box({Interval(0, 49)})), 500.0);
   registry.Feedback("T", Box({Interval(0, 49)}), 10);
@@ -174,37 +196,52 @@ TEST(StatsRegistryTest, UnknownTableEstimatesZero) {
 }
 
 TEST(StatsRegistryTest, LearningDisabledStaysUniform) {
-  catalog::Catalog cat;
-  ASSERT_TRUE(cat.RegisterDataset(catalog::DatasetDef{"D", 1.0, 100}).ok());
-  catalog::TableDef def;
-  def.name = "T";
-  def.dataset = "D";
-  def.columns = {catalog::ColumnDef::Free(
-      "a", ValueType::kInt64, catalog::AttrDomain::Numeric(0, 99))};
-  def.cardinality = 1000;
-  ASSERT_TRUE(cat.RegisterTable(def).ok());
-
   StatsRegistry registry(StatsKind::kUniform);
-  registry.RegisterTable(*cat.FindTable("T"));
+  registry.RegisterTable(OneColumnTable(99, 1000));
   registry.Feedback("T", Box({Interval(0, 49)}), 10);
   EXPECT_DOUBLE_EQ(registry.EstimateRows("T", Box({Interval(0, 49)})), 500.0);
 }
 
 TEST(StatsRegistryTest, RegisterIsIdempotent) {
-  catalog::Catalog cat;
-  ASSERT_TRUE(cat.RegisterDataset(catalog::DatasetDef{"D", 1.0, 100}).ok());
-  catalog::TableDef def;
-  def.name = "T";
-  def.dataset = "D";
-  def.columns = {catalog::ColumnDef::Free(
-      "a", ValueType::kInt64, catalog::AttrDomain::Numeric(0, 9))};
-  def.cardinality = 100;
-  ASSERT_TRUE(cat.RegisterTable(def).ok());
   StatsRegistry registry;
-  registry.RegisterTable(*cat.FindTable("T"));
+  registry.RegisterTable(OneColumnTable(9, 100));
   registry.Feedback("T", Box({Interval(0, 4)}), 7);
-  registry.RegisterTable(*cat.FindTable("T"));  // must not reset learning
+  registry.RegisterTable(OneColumnTable(9, 100));  // must not reset learning
   EXPECT_DOUBLE_EQ(registry.EstimateRows("T", Box({Interval(0, 4)})), 7.0);
+}
+
+TEST(StatsRegistryTest, RetiredKindTagFailsToRestore) {
+  StatsRegistry registry;
+  registry.RegisterTable(OneColumnTable(99, 1000));
+  const Box full({Interval(0, 99)});
+  // A well-formed blob under kind tag 3, which framed the per-dimension
+  // independent histograms before they were retired:
+  // [u8 3][box][f64 total][u64 feedbacks][u32 dims = 0].
+  std::string blob;
+  common::BinWriter w(&blob);
+  w.U8(3);
+  common::WriteBox(w, full);
+  w.F64(400.0);
+  w.U64(7);
+  w.U32(0);
+  EXPECT_FALSE(registry.RestoreTable("T", blob));
+  // The table keeps its catalog-seeded estimator.
+  EXPECT_DOUBLE_EQ(registry.EstimateRows("T", full), 1000.0);
+  EXPECT_EQ(registry.Info("T").feedbacks, 0u);
+}
+
+TEST(StatsRegistryKindTest, InstantiatesSelectedBackend) {
+  for (const StatsKind kind :
+       {StatsKind::kUniform, StatsKind::kFeedbackHistogram}) {
+    StatsRegistry registry(kind);
+    registry.RegisterTable(OneColumnTable(99, 1000));
+    EXPECT_EQ(registry.kind(), kind);
+    const Box half({Interval(0, 49)});
+    EXPECT_NEAR(registry.EstimateRows("T", half), 500.0, 1e-6);
+    registry.Feedback("T", half, 100);
+    EXPECT_NEAR(registry.EstimateRows("T", half),
+                kind == StatsKind::kUniform ? 500.0 : 100.0, 1e-6);
+  }
 }
 
 // Parameterized sweep: feedback is idempotent — repeating the same
