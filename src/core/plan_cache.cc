@@ -104,16 +104,6 @@ PlanCacheStats PlanCache::Stats() const {
                         misses_.load(std::memory_order_relaxed), entries};
 }
 
-std::vector<std::pair<std::string, std::shared_ptr<const CachedPlan>>>
-PlanCache::Entries() const {
-  std::vector<std::pair<std::string, std::shared_ptr<const CachedPlan>>> out;
-  for (const Shard& shard : shards_) {
-    const std::shared_ptr<const ShardMap> entries = shard.entries.Load();
-    for (const auto& [key, entry] : *entries) out.emplace_back(key, entry);
-  }
-  return out;
-}
-
 void PlanCache::Clear() {
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.write_mutex);

@@ -61,12 +61,16 @@ std::string NormalizeSqlTemplate(const std::string& sql);
 /// The counterfactual fields are filled by the savings accountant at
 /// insert time, so a template's hit path reprices nothing and both paths
 /// report the identical counterfactual (the what-if baseline only depends
-/// on the stats snapshot, which the epoch in the key pins).
+/// on the stats snapshot, which the epoch in the key pins). Every entry is
+/// inserted by the client that reads it and lives only in memory:
+/// durability snapshots keep what was paid for, and a restarted client
+/// re-plans each template against the recovered store and statistics.
 struct CachedPlan {
   Plan plan;
   PlanningCounters counters;
   /// Estimated transactions of the counterfactual plan (empty store, no
-  /// cached template); -1 = never priced (savings accounting off).
+  /// cached template); -1 = not priced (savings accounting off, or the
+  /// pricing failed, which the hit then reports exactly as the miss did).
   int64_t cf_total = -1;
   std::map<std::string, int64_t> cf_by_dataset;
   /// Shape signature of the counterfactual plan, for detecting
@@ -108,11 +112,6 @@ class PlanCache {
 
   PlanCacheStats Stats() const;
   void Clear();
-
-  /// Every cached entry (key -> immutable shared entry) for the durability
-  /// snapshot. Per-shard order, not globally sorted.
-  std::vector<std::pair<std::string, std::shared_ptr<const CachedPlan>>>
-  Entries() const;
 
  private:
   static constexpr size_t kShards = 8;

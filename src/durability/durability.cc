@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "obs/flight_recorder.h"
+#include "obs/trace.h"
 
 namespace payless::durability {
 
@@ -27,13 +28,13 @@ DurabilityManager::DurabilityManager(DurabilityOptions options,
                                      const catalog::Catalog* catalog,
                                      semstore::SemanticStore* store,
                                      stats::StatsRegistry* stats,
-                                     core::PlanCache* plan_cache,
-                                     obs::MetricsRegistry* metrics)
+                                     obs::MetricsRegistry* metrics,
+                                     std::function<int64_t()> current_week)
     : options_(std::move(options)),
       catalog_(catalog),
       store_(store),
       stats_(stats),
-      plan_cache_(plan_cache),
+      current_week_(std::move(current_week)),
       wal_(options_.dir.empty() ? std::string()
                                 : options_.dir + "/harvest.wal") {
   assert(metrics != nullptr);
@@ -45,18 +46,24 @@ DurabilityManager::DurabilityManager(DurabilityOptions options,
       metrics->GetCounter("payless_recovery_replayed_records");
 }
 
-void DurabilityManager::SetStateSuppliers(
-    std::function<uint64_t()> drift_epoch,
-    std::function<int64_t()> current_week) {
-  drift_epoch_supplier_ = std::move(drift_epoch);
-  current_week_supplier_ = std::move(current_week);
-}
-
 Status DurabilityManager::Recover(const HarvestApply& apply) {
   if (!enabled()) return Status::OK();
   const int64_t start = NowMicros();
   std::lock_guard<std::mutex> lock(mutex_);
+  const Status recovered = RecoverLocked(apply);
+  if (!recovered.ok()) {
+    // Appending behind an unread log, or snapshotting over an unreadable
+    // snapshot, would cut state a later recovery could still read.
+    NoteError(recovered);
+    dead_.store(true, std::memory_order_release);
+  }
+  recovery_.recovery_micros = NowMicros() - start;
+  metric_.replayed_records->Add(
+      static_cast<int64_t>(recovery_.replayed_records));
+  return recovered;
+}
 
+Status DurabilityManager::RecoverLocked(const HarvestApply& apply) {
   std::error_code ec;
   std::filesystem::create_directories(options_.dir, ec);
   if (ec) {
@@ -71,7 +78,6 @@ Status DurabilityManager::Recover(const HarvestApply& apply) {
     recovery_.had_snapshot = true;
     recovery_.snapshot_seq = snap.last_seq;
     recovery_.restored_week = snap.current_week;
-    recovery_.restored_drift_epoch = snap.drift_epoch;
     for (const SnapshotData::TableViews& table : snap.store_tables) {
       const catalog::TableDef* def = catalog_->FindTable(table.table);
       if (def == nullptr) continue;  // table left the catalog: drop it
@@ -85,10 +91,6 @@ Status DurabilityManager::Recover(const HarvestApply& apply) {
       if (stats_->RestoreTable(table, blob)) {
         ++recovery_.recovered_stats_tables;
       }
-    }
-    for (const auto& [key, entry] : snap.plans) {
-      plan_cache_->Insert(key, entry);
-      ++recovery_.recovered_plans;
     }
   } else if (snap_status.code() != Status::Code::kNotFound) {
     return snap_status;  // an unreadable snapshot is a real error
@@ -138,12 +140,7 @@ Status DurabilityManager::Recover(const HarvestApply& apply) {
                               "' failed");
     }
   }
-  PAYLESS_RETURN_IF_ERROR(wal_.Open());
-
-  recovery_.recovery_micros = NowMicros() - start;
-  metric_.replayed_records->Add(
-      static_cast<int64_t>(recovery_.replayed_records));
-  return Status::OK();
+  return wal_.Open();
 }
 
 bool DurabilityManager::MaybeCrash(market::CrashPoint point) {
@@ -168,14 +165,16 @@ void DurabilityManager::LogAndApply(const catalog::TableDef& def,
                                     int64_t epoch,
                                     const HarvestApply& apply) {
   if (!enabled() || dead()) {
-    // Disabled: plain pass-through. Dead: the simulated kill already froze
-    // the disk; the in-memory instance keeps serving (tests discard it).
+    // Disabled: plain pass-through. Dead: a simulated kill or a disk error
+    // froze the disk; the in-memory instance keeps serving.
     apply(def, region, result.rows, result.num_records, epoch);
     return;
   }
   std::lock_guard<std::mutex> lock(mutex_);
 
-  if (MaybeCrash(market::CrashPoint::kBeforeHarvestLog)) {
+  // dead() again under the lock: a harvest that waited here while another's
+  // append failed must not land behind that record.
+  if (dead() || MaybeCrash(market::CrashPoint::kBeforeHarvestLog)) {
     // Billed but never durable: the one harvest a restart legitimately
     // re-buys.
     apply(def, region, result.rows, result.num_records, epoch);
@@ -214,8 +213,15 @@ void DurabilityManager::LogAndApply(const catalog::TableDef& def,
 
   const int64_t append_start = NowMicros();
   const Status appended = wal_.Append(payload);
-  assert(appended.ok());
-  (void)appended;
+  if (!appended.ok()) {
+    // No later record may land behind a missing or partly written one:
+    // freeze the disk. The harvest was billed and delivered, so it is
+    // still served.
+    NoteError(appended);
+    dead_.store(true, std::memory_order_release);
+    apply(def, region, result.rows, result.num_records, epoch);
+    return;
+  }
   metric_.append_micros->Record(NowMicros() - append_start);
   metric_.wal_appends->Add(1);
   ++next_seq_;
@@ -229,25 +235,22 @@ void DurabilityManager::LogAndApply(const catalog::TableDef& def,
 
   if (options_.snapshot_every_records > 0 &&
       records_since_snapshot_ >= options_.snapshot_every_records) {
-    const Status snapped = SnapshotLocked();
-    assert(snapped.ok());
-    (void)snapped;
+    NoteError(SnapshotLocked());  // the log stays authoritative
   }
 }
 
 Status DurabilityManager::SnapshotNow() {
   if (!enabled() || dead()) return Status::OK();
   std::lock_guard<std::mutex> lock(mutex_);
-  return SnapshotLocked();
+  const Status snapped = SnapshotLocked();
+  NoteError(snapped);
+  return snapped;
 }
 
 Status DurabilityManager::SnapshotLocked() {
   SnapshotData data;
   data.last_seq = next_seq_ - 1;
-  data.drift_epoch =
-      drift_epoch_supplier_ != nullptr ? drift_epoch_supplier_() : 0;
-  data.current_week =
-      current_week_supplier_ != nullptr ? current_week_supplier_() : 0;
+  data.current_week = current_week_();
   for (const std::string& table : store_->TableNames()) {
     SnapshotData::TableViews views;
     views.table = table;
@@ -259,9 +262,6 @@ Status DurabilityManager::SnapshotLocked() {
     if (stats_->SaveTable(table, &blob)) {
       data.stats_tables.emplace_back(table, std::move(blob));
     }
-  }
-  for (const auto& [key, entry] : plan_cache_->Entries()) {
-    data.plans.emplace_back(key, *entry);
   }
 
   if (MaybeCrash(market::CrashPoint::kMidSnapshot)) {
@@ -287,6 +287,10 @@ Status DurabilityManager::SnapshotLocked() {
   return Status::OK();
 }
 
+void DurabilityManager::NoteError(const Status& status) {
+  if (error_.ok()) error_ = status;
+}
+
 uint64_t DurabilityManager::next_seq() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return next_seq_;
@@ -300,7 +304,9 @@ int64_t DurabilityManager::wal_bytes() const {
 std::string DurabilityManager::StatsJson() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::ostringstream out;
-  out << "{\"enabled\":" << (enabled() ? "true" : "false")
+  out << "{\"error\":\"";
+  if (!error_.ok()) obs::AppendJsonEscaped(out, error_.ToString());
+  out << "\",\"enabled\":" << (enabled() ? "true" : "false")
       << ",\"dead\":" << (dead() ? "true" : "false")
       << ",\"wal_bytes\":" << wal_.size_bytes()
       << ",\"records_since_snapshot\":" << records_since_snapshot_
@@ -313,13 +319,11 @@ std::string DurabilityManager::StatsJson() const {
       << ",\"skipped_records\":" << recovery_.skipped_records
       << ",\"recovered_views\":" << recovery_.recovered_views
       << ",\"recovered_rows\":" << recovery_.recovered_rows
-      << ",\"recovered_plans\":" << recovery_.recovered_plans
       << ",\"recovered_stats_tables\":" << recovery_.recovered_stats_tables
       << ",\"wal_torn_tail\":" << (recovery_.wal_torn_tail ? "true" : "false")
       << ",\"wal_bytes\":" << recovery_.wal_bytes
       << ",\"recovery_micros\":" << recovery_.recovery_micros
       << ",\"restored_week\":" << recovery_.restored_week
-      << ",\"restored_drift_epoch\":" << recovery_.restored_drift_epoch
       << "}}";
   return out.str();
 }

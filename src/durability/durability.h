@@ -1,7 +1,7 @@
 // Durability manager: crash-consistent persistence for everything PayLess
-// paid for — semantic-store views, feedback-histogram state, and plan
-// templates — so a process death never forfeits purchased data (ROADMAP
-// item 4: purchased data is capital).
+// paid for — semantic-store views and feedback-histogram state — so a
+// process death never forfeits purchased data. Plans are derived state and
+// are not persisted.
 //
 // Write path. The manager sits at the single billing point (the market-
 // connector listener): every harvest is assigned a sequence number,
@@ -19,13 +19,19 @@
 // half-count an in-flight harvest.
 //
 // Recovery. Construction-time Recover() loads the snapshot (views replayed
-// into the store, estimator blobs into the statistics registry, templates
-// into the plan cache), then replays every intact WAL record with
-// seq > snapshot.last_seq through the same listener body. Torn log tails
-// are dropped, never applied; a crash between the snapshot rename and the
-// log reset is handled by that seq filter. The recovery metric is
-// monetary: a recovered run re-buys exactly the harvests that were billed
-// but not yet durable (crash before/mid append) and nothing else.
+// into the store, estimator blobs into the statistics registry), then
+// replays every intact WAL record with seq > snapshot.last_seq through the
+// same listener body. Torn log tails are dropped, never applied; a crash
+// between the snapshot rename and the log reset is handled by that seq
+// filter. The recovery metric is monetary: a recovered run re-buys exactly
+// the harvests that were billed but not yet durable (crash before/mid
+// append) and nothing else.
+//
+// Failure rule. A failed recovery or log append freezes the disk: the
+// first error is kept (StatsJson shows it), nothing further is written,
+// and the instance keeps serving from memory — a billed harvest is still
+// applied. A failed snapshot only records its error: the log stays
+// authoritative and keeps taking appends.
 //
 // Crash injection. At five pipeline points the manager consults the
 // FaultInjector for an armed CrashPlan. A hard plan _Exit()s the process
@@ -45,7 +51,6 @@
 
 #include "catalog/catalog.h"
 #include "common/status.h"
-#include "core/plan_cache.h"
 #include "durability/snapshot.h"
 #include "durability/wal.h"
 #include "market/data_market.h"
@@ -76,13 +81,11 @@ struct RecoveryInfo {
   uint64_t skipped_records = 0;   // WAL records the seq filter dropped
   uint64_t recovered_views = 0;
   uint64_t recovered_rows = 0;
-  uint64_t recovered_plans = 0;
   uint64_t recovered_stats_tables = 0;
   bool wal_torn_tail = false;
   int64_t wal_bytes = 0;  // intact prefix re-adopted as the live log
   int64_t recovery_micros = 0;
   int64_t restored_week = 0;
-  uint64_t restored_drift_epoch = 0;
 };
 
 class DurabilityManager {
@@ -93,27 +96,25 @@ class DurabilityManager {
       const catalog::TableDef& def, const Box& region,
       const std::vector<Row>& rows, int64_t num_records, int64_t epoch)>;
 
+  /// `current_week` supplies the owner's store week for each snapshot.
   DurabilityManager(DurabilityOptions options, const catalog::Catalog* catalog,
                     semstore::SemanticStore* store,
-                    stats::StatsRegistry* stats, core::PlanCache* plan_cache,
-                    obs::MetricsRegistry* metrics);
+                    stats::StatsRegistry* stats, obs::MetricsRegistry* metrics,
+                    std::function<int64_t()> current_week);
 
   DurabilityManager(const DurabilityManager&) = delete;
   DurabilityManager& operator=(const DurabilityManager&) = delete;
 
-  /// Scalar state captured into snapshots: the owner's accuracy drift epoch
-  /// and store week. Set before the first LogAndApply/SnapshotNow.
-  void SetStateSuppliers(std::function<uint64_t()> drift_epoch,
-                         std::function<int64_t()> current_week);
-
   /// Loads the snapshot, replays the log tail through `apply`, re-adopts
-  /// the intact log prefix for appending. Call once, before serving.
+  /// the intact log prefix for appending. Call once, before serving. A
+  /// failure freezes the disk (see the failure rule) and is returned.
   Status Recover(const HarvestApply& apply);
 
   /// The live harvest path: seq + log append (+fsync) + in-memory apply +
   /// periodic snapshot, serialized under the manager mutex. After a
-  /// simulated (soft) crash the apply still runs — the instance keeps
-  /// serving from memory — but nothing further reaches the disk.
+  /// simulated (soft) crash or a disk error the apply still runs — the
+  /// instance keeps serving from memory — but nothing further reaches the
+  /// disk.
   void LogAndApply(const catalog::TableDef& def, const Box& region,
                    const market::CallResult& result, int64_t epoch,
                    const HarvestApply& apply);
@@ -123,7 +124,8 @@ class DurabilityManager {
 
   const RecoveryInfo& recovery() const { return recovery_; }
   bool enabled() const { return !options_.dir.empty(); }
-  /// True after a soft (simulated) crash: the on-disk state is frozen.
+  /// True after a soft (simulated) crash or a failed recovery or append:
+  /// the on-disk state is frozen.
   bool dead() const { return dead_.load(std::memory_order_acquire); }
   uint64_t next_seq() const;
   int64_t wal_bytes() const;
@@ -131,8 +133,9 @@ class DurabilityManager {
   std::string wal_path() const { return options_.dir + "/harvest.wal"; }
   std::string snapshot_path() const { return options_.dir + "/store.snap"; }
 
-  /// {"enabled":...,"wal_bytes":...,"recovery":{...}} — spliced into the
-  /// /store introspection document.
+  /// {"error":...,"enabled":...,"wal_bytes":...,"recovery":{...}} —
+  /// spliced into the /store introspection document. "error" is the first
+  /// disk error, empty while there is none.
   std::string StatsJson() const;
 
  private:
@@ -142,15 +145,16 @@ class DurabilityManager {
   /// instead (its torn frame must be written before a hard exit).
   bool MaybeCrash(market::CrashPoint point);
 
+  Status RecoverLocked(const HarvestApply& apply);
   Status SnapshotLocked();
+  /// Keeps the first disk error for StatsJson; an OK status is ignored.
+  void NoteError(const Status& status);
 
   DurabilityOptions options_;
   const catalog::Catalog* catalog_;
   semstore::SemanticStore* store_;
   stats::StatsRegistry* stats_;
-  core::PlanCache* plan_cache_;
-  std::function<uint64_t()> drift_epoch_supplier_;
-  std::function<int64_t()> current_week_supplier_;
+  std::function<int64_t()> current_week_;
 
   mutable std::mutex mutex_;
   common::FramedAppendFile wal_;
@@ -158,14 +162,16 @@ class DurabilityManager {
   uint64_t last_snapshot_seq_ = 0;
   size_t records_since_snapshot_ = 0;
   std::atomic<bool> dead_{false};
+  Status error_;
   RecoveryInfo recovery_;
 
   /// Registry handles. Counters and histograms only: several durable
   /// clients may share one registry, so per-client levels (log size,
   /// snapshot age, what one recovery rebuilt) live on /store instead.
   struct Metrics {
+    /// Successful appends only, like their timings.
     obs::Counter* wal_appends = nullptr;
-    /// Every append, its fsync included.
+    /// Every successful append, its fsync included.
     obs::LatencyHistogram* append_micros = nullptr;
     obs::Counter* snapshots = nullptr;
     obs::Counter* replayed_records = nullptr;

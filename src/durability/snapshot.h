@@ -1,6 +1,8 @@
-// Compacted snapshots of the durable state: the semantic store's views,
-// the per-table estimator states, the plan-template cache, and the small
-// scalar state (last absorbed WAL sequence, drift epoch, current week).
+// Compacted snapshots of the durable state: what was paid for — the
+// semantic store's views and the per-table estimator states — plus the last
+// absorbed WAL sequence and the store week. Plans are not persisted: a
+// restarted client re-derives each template from the recovered store and
+// statistics on its first run.
 //
 // A snapshot bounds recovery work — log records with seq <= last_seq are
 // already folded in and are skipped at replay — and bounds log growth: the
@@ -20,7 +22,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/plan_cache.h"
 #include "semstore/semantic_store.h"
 
 namespace payless::durability {
@@ -28,7 +29,6 @@ namespace payless::durability {
 /// In-memory image of one snapshot file.
 struct SnapshotData {
   uint64_t last_seq = 0;     // highest WAL seq folded into this snapshot
-  uint64_t drift_epoch = 0;  // accuracy tracker's epoch at snapshot time
   int64_t current_week = 0;  // store clock at snapshot time
 
   struct TableViews {
@@ -39,16 +39,15 @@ struct SnapshotData {
 
   /// table -> serialized estimator state (stats::SaveEstimator blobs).
   std::vector<std::pair<std::string, std::string>> stats_tables;
-
-  /// Plan-template cache entries, key -> cached plan.
-  std::vector<std::pair<std::string, core::CachedPlan>> plans;
 };
 
-/// Serializes `data` and writes it crash-atomically and durably to `path`.
+/// Serializes `data` (format 3) and writes it crash-atomically and durably
+/// to `path`.
 Status WriteSnapshotFile(const std::string& path, const SnapshotData& data);
 
-/// Reads and validates the snapshot at `path`. NotFound when the file does
-/// not exist (a cold start); Internal on magic/CRC/decode failure.
+/// Reads and validates the snapshot at `path`: format 3, or format 2,
+/// whose plan epoch and cached plans are dropped. NotFound when the file
+/// does not exist (a cold start); Internal on magic/CRC/decode failure.
 Status ReadSnapshotFile(const std::string& path, SnapshotData* out);
 
 }  // namespace payless::durability

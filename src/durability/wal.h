@@ -3,10 +3,10 @@
 // Every record is one HARVEST: a market call's billed result at the single
 // point where money turned into state (the connector listener that feeds
 // the semantic store and the statistics — Fig. 3, steps 5.3/5.4). Replaying
-// the log through that same listener deterministically rebuilds the store,
-// the feedback histograms and the estimator-accuracy drift epoch, which is
-// what makes a warm restart billing-correct: a slab whose record is on disk
-// is never re-bought, and nothing is ever served that was not paid for.
+// the log through that same listener deterministically rebuilds the store
+// and the feedback histograms, which is what makes a warm restart
+// billing-correct: a slab whose record is on disk is never re-bought, and
+// nothing is ever served that was not paid for.
 //
 // The on-disk format is the shared CRC framing in common/framing.h
 // (`[u32 len][u32 crc][payload]`, torn-tail discipline): the log is a

@@ -160,16 +160,15 @@ PayLess::PayLess(const catalog::Catalog* catalog,
     }
   }
   // Persistence + recovery come up BEFORE the listener serves live calls:
-  // the snapshot restores store/stats/plan-cache state, the log tail
-  // replays through AbsorbHarvest (the same body live calls run), and the
-  // drift epoch / store week are fast-forwarded so plan-cache keys minted
-  // after the restart line up with the recovered templates.
+  // the snapshot restores the store and the statistics, and the log tail
+  // replays through AbsorbHarvest (the same body live calls run, so replay
+  // ticks the drift epoch as it goes). The plan cache starts empty: each
+  // template is planned once against the recovered state. A failed
+  // recovery freezes the disk and says so on /store; the client then
+  // serves from memory.
   if (!config_.durability.dir.empty()) {
     durability_ = std::make_unique<durability::DurabilityManager>(
-        config_.durability, catalog_, &store_, &stats_, &plan_cache_,
-        &obs_->metrics);
-    durability_->SetStateSuppliers(
-        [this] { return accuracy_.drift_epoch(); },
+        config_.durability, catalog_, &store_, &stats_, &obs_->metrics,
         [this] { return current_week(); });
     const Status recovered = durability_->Recover(
         [this](const catalog::TableDef& def, const Box& region,
@@ -177,16 +176,9 @@ PayLess::PayLess(const catalog::Catalog* catalog,
                int64_t epoch) {
           AbsorbHarvest(def, region, rows, num_records, epoch);
         });
-    assert(recovered.ok());
-    (void)recovered;
+    (void)recovered;  // the manager froze the disk and keeps the error
     const durability::RecoveryInfo& info = durability_->recovery();
     if (info.recovered) {
-      // The replayed log tail ticked the epoch from 0 against the
-      // snapshot's statistics, exactly as the crashed process did after
-      // its snapshot: the process had reached the snapshot's epoch plus
-      // those ticks.
-      accuracy_.RestoreDriftEpoch(info.restored_drift_epoch +
-                                  accuracy_.drift_epoch());
       current_week_.store(info.restored_week, std::memory_order_relaxed);
     }
   }
@@ -408,9 +400,6 @@ Result<QueryReport> PayLess::QueryWithReportImpl(
         cf.signature = cached->cf_signature;
         cache_hit = true;
       }
-    }
-    if (cache_hit && savings_accountant_ != nullptr && !cf.ok()) {
-      cf = savings_accountant_->Price(*bound);  // template predates accounting
     }
     if (!cache_hit) {
       const core::Optimizer optimizer(catalog_, &stats_, &store_, opt_options);
@@ -796,13 +785,18 @@ Result<BatchReport> PayLess::QueryBatch(const std::vector<BatchQuery>& batch) {
         // The group's calls go out as one scheduler batch: a failure
         // cancels the unissued siblings, and the undelivered calls fail
         // over to the next-cheapest live endpoint.
+        // The group's spend is the meters' delta (exact: QueryBatch is
+        // single-caller), so a billed but lost response counts too.
         const size_t group_calls = calls.size();
+        const int64_t billed_before = router_->TotalMeteredTransactions();
         ExecStats bought;
         const Status status =
             engine.Buy(*def, buy_site, std::move(calls), prefetch_config,
                        &bought);
-        obs_->governor.RecordSpend(config_.tenant, bought.transactions);
-        report.prefetch_transactions += bought.transactions;
+        const int64_t billed =
+            router_->TotalMeteredTransactions() - billed_before;
+        obs_->governor.RecordSpend(config_.tenant, billed);
+        report.prefetch_transactions += billed;
         if (bought.calls > 0) ++report.merged_groups;
         if (!status.ok()) {
           const Status::Code code = status.code();

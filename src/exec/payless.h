@@ -99,10 +99,13 @@ struct PayLessConfig {
   bool enable_tracing = true;
   /// Persistence + crash recovery (off when `durability.dir` is empty).
   /// With a directory set, construction first RECOVERS — snapshot + log
-  /// replay rebuild the semantic store, the feedback histograms, the plan
-  /// templates, the drift epoch and the store week — and every subsequent
-  /// harvest is logged at the billing point before it is applied, so a
-  /// process death never re-buys a durable slab.
+  /// replay rebuild what was paid for: the semantic store, the feedback
+  /// histograms and the store week — and every subsequent harvest is logged
+  /// at the billing point before it is applied, so a process death never
+  /// re-buys a durable slab. Plans are re-derived: the plan cache starts
+  /// empty, and the drift epoch counts only the replay's ticks. A failed
+  /// recovery or log append freezes the disk (durability()->dead(), the
+  /// error on /store) while the client keeps serving from memory.
   durability::DurabilityOptions durability;
   /// Price every query's counterfactual (store-less, uncached) plan and
   /// attribute the realized savings into the savings ledger and metrics.
@@ -210,6 +213,7 @@ struct BatchReport {
   /// Number of cross-query region groups whose market data was prefetched
   /// with merged calls (0 = batching found nothing to share).
   size_t merged_groups = 0;
+  /// Transactions billed for the prefetch groups, lost responses included.
   int64_t prefetch_transactions = 0;
   /// Prefetch calls skipped because the merged region is not expressible as
   /// one REST call (kBindingViolation / kNotSupported — e.g. a bound

@@ -77,13 +77,6 @@ void AccuracyTracker::Record(const std::string& table, double estimated,
   }
 }
 
-void AccuracyTracker::RestoreDriftEpoch(uint64_t epoch) {
-  uint64_t current = drift_epoch_.load(std::memory_order_acquire);
-  while (current < epoch && !drift_epoch_.compare_exchange_weak(
-                                current, epoch, std::memory_order_acq_rel)) {
-  }
-}
-
 AccuracySnapshot AccuracyTracker::Snapshot(const std::string& table) const {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = tables_.find(table);

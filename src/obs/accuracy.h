@@ -17,7 +17,9 @@
 // now-refined statistics. The epoch is a single monotonic counter — cheap
 // to read on the query hot path, and conservative (one bad estimate
 // anywhere re-prices everything, which is the behaviour the paper's
-// uniform-to-learned plan switch needs).
+// uniform-to-learned plan switch needs). It lives only in memory: a
+// restarted client starts at 0 and its durability replay ticks it like
+// any harvest, so payless_stats_drift_ticks_total counts every tick.
 #ifndef PAYLESS_OBS_ACCURACY_H_
 #define PAYLESS_OBS_ACCURACY_H_
 
@@ -73,16 +75,11 @@ class AccuracyTracker {
   void PrepareTable(const std::string& table);
 
   /// Monotonic staleness epoch: ticks whenever a recorded q-error exceeds
-  /// the invalidation threshold. Plan-cache keys embed this value.
+  /// the invalidation threshold, and only then. Plan-cache keys embed this
+  /// value.
   uint64_t drift_epoch() const {
     return drift_epoch_.load(std::memory_order_acquire);
   }
-
-  /// Recovery: fast-forwards the drift epoch to at least `epoch`, so
-  /// plan-cache keys minted after a warm restart line up with the epoch
-  /// the crashed process had reached. Never moves the epoch backwards, and
-  /// is not a drift tick: payless_stats_drift_ticks_total excludes it.
-  void RestoreDriftEpoch(uint64_t epoch);
 
   double threshold() const { return threshold_; }
 

@@ -44,8 +44,6 @@ std::vector<SpanRecord> Trace::TakeSpans() {
   return std::move(spans_);
 }
 
-namespace {
-
 void AppendJsonEscaped(std::ostringstream& os, const std::string& s) {
   for (const char c : s) {
     switch (c) {
@@ -66,8 +64,6 @@ void AppendJsonEscaped(std::ostringstream& os, const std::string& s) {
     }
   }
 }
-
-}  // namespace
 
 std::string SpansToJson(const std::vector<SpanRecord>& spans) {
   std::ostringstream os;

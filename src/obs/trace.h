@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -138,6 +139,9 @@ class JsonlTraceSink : public TraceSink {
 
 /// Renders spans as a JSON array (shared by the sink and tests).
 std::string SpansToJson(const std::vector<SpanRecord>& spans);
+
+/// Appends `s` with JSON string escapes (quotes, backslashes, \n, \t).
+void AppendJsonEscaped(std::ostringstream& os, const std::string& s);
 
 }  // namespace payless::obs
 

@@ -6,6 +6,7 @@
 
 #include "exec/payless.h"
 #include "exec/reference.h"
+#include "market/fault_injector.h"
 #include "workload/bundle.h"
 
 namespace payless::exec {
@@ -223,23 +224,37 @@ TEST_F(BatchTest, PrefetchMeetsTheTenantHardCap) {
 
 TEST_F(BatchTest, PrefetchSpendFeedsTheRateWindow) {
   // A window cap far above the batch's spend: nothing is refused, and the
-  // window holds everything the tenant was billed, prefetch included.
-  obs::Observability obs;
-  obs::TenantBudget budget;
-  budget.window_cap_transactions = 1000;
-  budget.window_micros = 3'600'000'000;  // nothing ages out mid-test
-  obs.governor.SetBudget("default", budget);
-  PayLessConfig config;
-  config.observability = &obs;
-  PayLess client(&cat_, market_.get(), config);
+  // window holds everything the tenant was billed, prefetch included —
+  // also when a prefetch response is lost after the seller billed it.
+  for (const double lost_response_rate : {0.0, 0.2}) {
+    SCOPED_TRACE(lost_response_rate);
+    obs::Observability obs;
+    obs::TenantBudget budget;
+    budget.window_cap_transactions = 1000;
+    budget.window_micros = 3'600'000'000;  // nothing ages out mid-test
+    obs.governor.SetBudget("default", budget);
+    PayLessConfig config;
+    config.observability = &obs;
+    PayLess client(&cat_, market_.get(), config);
+    market::FaultProfile faults;
+    faults.lost_response_rate = lost_response_rate;
+    faults.seed = 1;  // one prefetch response is lost, then retried
+    market::FaultInjector injector(faults);
+    client.connector()->SetFaultInjector(&injector);
 
-  const Result<BatchReport> report = client.QueryBatch(OverlappingBatch());
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_GT(report->prefetch_transactions, 0);
-  EXPECT_EQ(obs.governor.WindowSpend("default"),
-            obs.ledger.TenantTransactions("default"));
-  EXPECT_EQ(obs.ledger.TenantTransactions("default"),
-            report->transactions_spent);
+    const Result<BatchReport> report = client.QueryBatch(OverlappingBatch());
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_GT(report->prefetch_transactions, 0);
+    EXPECT_EQ(obs.governor.WindowSpend("default"),
+              obs.ledger.TenantTransactions("default"));
+    EXPECT_EQ(obs.ledger.TenantTransactions("default"),
+              report->transactions_spent);
+    // The queries ran from the store, so every billed transaction, the
+    // lost ones too, was a prefetch's.
+    EXPECT_EQ(report->prefetch_transactions, report->transactions_spent);
+    EXPECT_EQ(client.connector()->retry_stats().wasted_transactions > 0,
+              lost_response_rate > 0);
+  }
 }
 
 TEST_F(BatchTest, PrefetchFailsOverLikeAnyAccess) {

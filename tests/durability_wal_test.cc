@@ -13,7 +13,8 @@
 #include <vector>
 
 #include "catalog/catalog.h"
-#include "core/plan_cache.h"
+#include "common/binio.h"
+#include "common/framing.h"
 #include "durability/durability.h"
 #include "durability/snapshot.h"
 #include "durability/wal.h"
@@ -251,7 +252,8 @@ class RecoveryFixture {
     DurabilityOptions options;
     options.dir = dir;
     manager_ = std::make_unique<DurabilityManager>(
-        options, &catalog_, &store_, &stats_, &plan_cache_, &metrics_);
+        options, &catalog_, &store_, &stats_, &metrics_,
+        [] { return int64_t{0}; });
   }
 
   Status Recover() {
@@ -268,7 +270,6 @@ class RecoveryFixture {
   catalog::Catalog catalog_;
   semstore::SemanticStore store_;
   stats::StatsRegistry stats_;
-  core::PlanCache plan_cache_;
   obs::MetricsRegistry metrics_;
   std::unique_ptr<DurabilityManager> manager_;
   size_t applied_rows_ = 0;
@@ -356,88 +357,123 @@ TEST_F(WalTest, RecoveryAtEveryTornOffsetNeverDoubleApplies) {
 
 // ---- Snapshot files.
 
-TEST_F(WalTest, SnapshotRoundtripsEveryField) {
-  SnapshotData want;
-  want.last_seq = 17;
-  want.drift_epoch = 3;
-  want.current_week = 12;
-
+/// The views, statistics and scalars every snapshot test writes.
+SnapshotData SampleSnapshot() {
+  SnapshotData data;
+  data.last_seq = 17;
+  data.current_week = 12;
   SnapshotData::TableViews views;
   views.table = "Weather";
   semstore::StoredView view;
-  view.region = Box({Interval(1, 4), Interval(2, 2)});
+  view.region = Box({Interval(1, 4)});  // RecoveryFixture's Weather
   view.rows = {Row{Value(int64_t{1}), Value(2.5)},
                Row{Value(int64_t{2}), Value::Null()}};
   view.epoch = 11;
   views.views.push_back(view);
-  want.store_tables.push_back(views);
+  data.store_tables.push_back(views);
+  data.stats_tables.emplace_back("Weather", std::string("\x01\x02\x00\x03", 4));
+  return data;
+}
 
-  want.stats_tables.emplace_back("Weather", std::string("\x01\x02\x00\x03", 4));
-
-  core::CachedPlan cached;
-  cached.plan.est_cost = 21;
-  cached.plan.est_result_rows = 34.5;
-  core::AccessSpec access;
-  access.rel = 1;
-  access.kind = core::AccessSpec::Kind::kBind;
-  access.bind_edges.push_back(sql::JoinEdge{{0, 1}, {1, 0}});
-  access.used_sqr = true;
-  access.est_rows = 8.25;
-  access.est_bind_values = 4.0;
-  access.est_transactions = 6;
-  access.est_calls = 4;
-  access.sqr_counters.cover_boxes = 3;
-  cached.plan.accesses.push_back(access);
-  cached.counters.evaluated_plans = 9;
-  cached.counters.enumerated_bboxes = 5;
-  cached.counters.kept_bboxes = 2;
-  cached.cf_total = 40;
-  cached.cf_by_dataset["WHW"] = 40;
-  cached.cf_signature = "bind:Weather";
-  want.plans.emplace_back("key-1", cached);
-
-  const std::string path = (dir_ / "store.snap").string();
-  ASSERT_TRUE(WriteSnapshotFile(path, want).ok());
-  SnapshotData got;
-  ASSERT_TRUE(ReadSnapshotFile(path, &got).ok());
-
+void ExpectSampleSnapshot(const SnapshotData& got) {
+  const SnapshotData want = SampleSnapshot();
   EXPECT_EQ(got.last_seq, want.last_seq);
-  EXPECT_EQ(got.drift_epoch, want.drift_epoch);
   EXPECT_EQ(got.current_week, want.current_week);
   ASSERT_EQ(got.store_tables.size(), 1u);
   EXPECT_EQ(got.store_tables[0].table, "Weather");
   ASSERT_EQ(got.store_tables[0].views.size(), 1u);
+  const semstore::StoredView& view = want.store_tables[0].views[0];
   EXPECT_EQ(got.store_tables[0].views[0].region, view.region);
   EXPECT_EQ(got.store_tables[0].views[0].rows, view.rows);
   EXPECT_EQ(got.store_tables[0].views[0].epoch, view.epoch);
   ASSERT_EQ(got.stats_tables.size(), 1u);
   EXPECT_EQ(got.stats_tables[0], want.stats_tables[0]);
-  ASSERT_EQ(got.plans.size(), 1u);
-  EXPECT_EQ(got.plans[0].first, "key-1");
-  const core::CachedPlan& plan = got.plans[0].second;
-  EXPECT_EQ(plan.plan.est_cost, 21);
-  EXPECT_EQ(plan.plan.est_result_rows, 34.5);
-  ASSERT_EQ(plan.plan.accesses.size(), 1u);
-  const core::AccessSpec& a = plan.plan.accesses[0];
-  EXPECT_EQ(a.rel, 1u);
-  EXPECT_EQ(a.kind, core::AccessSpec::Kind::kBind);
-  ASSERT_EQ(a.bind_edges.size(), 1u);
-  EXPECT_EQ(a.bind_edges[0].left.rel, 0u);
-  EXPECT_EQ(a.bind_edges[0].left.col, 1u);
-  EXPECT_EQ(a.bind_edges[0].right.rel, 1u);
-  EXPECT_EQ(a.bind_edges[0].right.col, 0u);
-  EXPECT_TRUE(a.used_sqr);
-  EXPECT_EQ(a.est_rows, 8.25);
-  EXPECT_EQ(a.est_bind_values, 4.0);
-  EXPECT_EQ(a.est_transactions, 6);
-  EXPECT_EQ(a.est_calls, 4);
-  EXPECT_EQ(a.sqr_counters.cover_boxes, 3u);
-  EXPECT_EQ(plan.counters.evaluated_plans, 9u);
-  EXPECT_EQ(plan.counters.enumerated_bboxes, 5u);
-  EXPECT_EQ(plan.counters.kept_bboxes, 2u);
-  EXPECT_EQ(plan.cf_total, 40);
-  EXPECT_EQ(plan.cf_by_dataset, cached.cf_by_dataset);
-  EXPECT_EQ(plan.cf_signature, "bind:Weather");
+}
+
+TEST_F(WalTest, SnapshotRoundtripsEveryField) {
+  const std::string path = (dir_ / "store.snap").string();
+  ASSERT_TRUE(WriteSnapshotFile(path, SampleSnapshot()).ok());
+  SnapshotData got;
+  ASSERT_TRUE(ReadSnapshotFile(path, &got).ok());
+  ExpectSampleSnapshot(got);
+}
+
+TEST_F(WalTest, FormatTwoSnapshotStillDecodes) {
+  // Format 2, byte by byte: the version, last_seq, the plan epoch, the
+  // week, the views, the statistics, then one cached plan with one bind
+  // access bought at "west". Recovery keeps everything but the epoch and
+  // the plan.
+  const SnapshotData sample = SampleSnapshot();
+  std::string body;
+  common::BinWriter w(&body);
+  w.U8(2);
+  w.U64(sample.last_seq);
+  w.U64(5);  // plan epoch
+  w.I64(sample.current_week);
+  w.U32(1);
+  w.Str("Weather");
+  w.U32(1);
+  const semstore::StoredView& view = sample.store_tables[0].views[0];
+  common::WriteBox(w, view.region);
+  w.I64(view.epoch);
+  w.U32(static_cast<uint32_t>(view.rows.size()));
+  for (const Row& row : view.rows) common::WriteRow(w, row);
+  w.U32(1);
+  w.Str(sample.stats_tables[0].first);
+  w.Str(sample.stats_tables[0].second);
+  // One cached plan: its key, est_cost, est_result_rows and one bind
+  // access (rel, kind, one edge, used_sqr, rows, bind values,
+  // transactions, calls, buy site, base transactions, four SQR counters),
+  // then five planning counters and the counterfactual (total, one
+  // dataset, signature).
+  w.U32(1);
+  w.Str("key-1");
+  w.I64(21);
+  w.F64(34.5);
+  w.U32(1);
+  w.U64(1);
+  w.U8(1);
+  w.U32(1);
+  for (uint64_t v : {0, 1, 1, 0}) w.U64(v);
+  w.U8(1);
+  w.F64(8.25);
+  w.F64(4.0);
+  w.I64(6);
+  w.I64(4);
+  w.Str("west");
+  w.I64(6);
+  for (int i = 0; i < 4; ++i) w.U64(3);
+  for (int i = 0; i < 5; ++i) w.U64(9);
+  w.I64(40);
+  w.U32(1);
+  w.Str("WHW");
+  w.I64(40);
+  w.Str("bind:Weather");
+
+  std::string file = "PLSSNAP1";
+  common::BinWriter header(&file);
+  header.U32(common::Crc32(body));
+  header.U64(body.size());
+  file += body;
+  const std::string path = (dir_ / "store.snap").string();
+  WriteFile(path, file);
+
+  SnapshotData got;
+  ASSERT_TRUE(ReadSnapshotFile(path, &got).ok());
+  ExpectSampleSnapshot(got);
+
+  // The manager recovers it: the view is back, and the log continues
+  // after the snapshot's last_seq.
+  RecoveryFixture fixture(dir_.string());
+  ASSERT_TRUE(fixture.Recover().ok());
+  const RecoveryInfo& info = fixture.manager_->recovery();
+  EXPECT_TRUE(info.had_snapshot);
+  EXPECT_EQ(info.snapshot_seq, sample.last_seq);
+  EXPECT_EQ(info.restored_week, sample.current_week);
+  EXPECT_EQ(info.recovered_views, 1u);
+  EXPECT_EQ(info.recovered_rows, view.rows.size());
+  EXPECT_EQ(fixture.manager_->next_seq(), sample.last_seq + 1);
+  EXPECT_FALSE(fixture.manager_->dead());
 }
 
 TEST_F(WalTest, SnapshotMissingIsNotFound) {

@@ -71,7 +71,7 @@ struct ContractEntry {
 //   plan_cache_{hits,misses}_total       plan_cache().Stats()
 //   store_{hits,misses,evictions}_total  the stores' own counters
 //   counterfactual, savings, savings_cause_*  the SavingsLedger totals
-//   stats_drift_ticks_total  drift-epoch advances, recovery restores excluded
+//   stats_drift_ticks_total  accuracy().drift_epoch(): nothing else moves it
 //   qerror_x100_<table>      count: accuracy().Snapshot(table).samples
 //   latency_e2e_micros       count and sum of report.latency_us (EXPLAIN
 //                            without ANALYZE executes nothing; none here)
@@ -225,12 +225,8 @@ class MetricContractTest : public ::testing::Test {
                  obs::AccuracyTracker::SanitizeMetricName(table) + "_count",
              static_cast<int64_t>(client->accuracy().Snapshot(table).samples));
     }
-    const durability::DurabilityManager* durability = client->durability();
-    const uint64_t restored =
-        durability != nullptr ? durability->recovery().restored_drift_epoch
-                              : 0;
     Expect("payless_stats_drift_ticks_total",
-           static_cast<int64_t>(client->accuracy().drift_epoch() - restored));
+           static_cast<int64_t>(client->accuracy().drift_epoch()));
     // Every endpoint's connector under its own RTT name; a single market
     // is the one endpoint "" and keeps the unsuffixed name.
     const federation::EndpointRouter& router = *client->router();
@@ -240,6 +236,7 @@ class MetricContractTest : public ::testing::Test {
                     id.empty() ? "payless_market_rtt_micros"
                                : "payless_market_rtt_micros_" + id);
     }
+    const durability::DurabilityManager* durability = client->durability();
     if (durability != nullptr) {
       // Every delivered harvest is logged. The meter also bills lost
       // responses, which deliver nothing.
@@ -285,8 +282,8 @@ TEST_F(MetricContractTest, EveryExportedNumberHoldsItsInvariant) {
   }
   auto a = fixture_.NewClient(a_config);
   ASSERT_TRUE(a->durability()->recovery().had_snapshot);
-  EXPECT_GT(a->durability()->recovery().restored_drift_epoch, 0u);
   EXPECT_GT(a->durability()->recovery().replayed_records, 0u);
+  EXPECT_GT(a->accuracy().drift_epoch(), 0u);  // replay ticked the epoch
   RunMix(a.get());
 
   // Tenant b: durable, with a soft budget. A batch prefetches one merged
