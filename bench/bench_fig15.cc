@@ -14,6 +14,9 @@ double AvgBoundingBoxes(const workload::Bundle& bundle, bool pruning) {
   exec::PayLessConfig config = workload::PayLessFullConfig();
   config.optimizer.remainder.prune_minimal = pruning;
   config.optimizer.remainder.prune_price = pruning;
+  // Every query is optimized: a plan-cache hit would report the counters
+  // of the optimization that built the template, against an earlier store.
+  config.enable_plan_cache = false;
   auto client = workload::NewPayLessClient(bundle, config);
   double total = 0.0;
   for (const workload::QueryInstance& query : bundle.queries) {

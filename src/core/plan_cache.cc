@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <mutex>
 
+#include "core/optimizer.h"
+#include "semstore/remainder.h"
 #include "sql/lexer.h"
 
 namespace payless::core {
@@ -55,15 +57,24 @@ void AppendValue(const Value& v, std::string* out) {
 
 }  // namespace
 
+std::vector<PricedRegion> PricedRegionsOf(const sql::BoundQuery& query) {
+  std::vector<PricedRegion> priced;
+  for (const sql::BoundRelation& rel : query.relations) {
+    if (!rel.is_market()) continue;
+    priced.push_back(PricedRegion{
+        rel.def, semstore::ValidExpansion(rel.QueryRegion(),
+                                          Optimizer::DimSpecsFor(*rel.def))});
+  }
+  return priced;
+}
+
 std::string PlanCache::MakeKey(const std::string& normalized_sql,
                                const std::vector<Value>& params,
-                               uint64_t staleness_epoch, int64_t min_epoch) {
+                               int64_t min_epoch) {
   std::string key = normalized_sql;
   key += '\x1f';
   for (const Value& param : params) AppendValue(param, &key);
   key += '\x1f';
-  key += std::to_string(staleness_epoch);
-  key += '/';
   key += std::to_string(min_epoch);
   return key;
 }
@@ -81,20 +92,56 @@ std::shared_ptr<const CachedPlan> PlanCache::Lookup(
   return it->second;
 }
 
-void PlanCache::Insert(const std::string& key, CachedPlan entry) {
+bool PlanCache::Insert(const std::string& key, CachedPlan entry,
+                       uint64_t invalidations_seen) {
   Shard& shard = shards_[common::ShardOf(key, kShards)];
   // Per-shard slice of the global bound (hashing spreads keys evenly).
   const size_t shard_cap = std::max<size_t>(1, max_entries_ / kShards);
   std::lock_guard<std::mutex> lock(shard.write_mutex);
+  // An invalidation that bumped the count before this check is either
+  // seen here, or its scan of this shard runs after the insert and sees
+  // the entry.
+  if (invalidations() != invalidations_seen) return false;
   const std::shared_ptr<const ShardMap> current = shard.entries.Load();
   std::shared_ptr<ShardMap> next;
   if (current->size() >= shard_cap && current->count(key) == 0) {
-    next = std::make_shared<ShardMap>();  // epoch-stamped keys: mostly dead
+    // Full shard: drop it whole. Most of its entries are live plans, so a
+    // policy that picks victims (e.g. CLOCK) would keep more of them.
+    next = std::make_shared<ShardMap>();
   } else {
     next = std::make_shared<ShardMap>(*current);
   }
   (*next)[key] = std::make_shared<const CachedPlan>(std::move(entry));
   shard.entries.Store(std::move(next));
+  return true;
+}
+
+size_t PlanCache::Invalidate(const catalog::TableDef* table,
+                             const Box& changed) {
+  if (changed.empty()) return 0;
+  invalidations_.fetch_add(1, std::memory_order_acq_rel);
+  const auto stale = [&](const CachedPlan& entry) {
+    for (const PricedRegion& priced : entry.priced) {
+      if (priced.table == table && priced.region.Overlaps(changed)) {
+        return true;
+      }
+    }
+    return false;
+  };
+  size_t dropped = 0;
+  for (Shard& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.write_mutex);
+    const std::shared_ptr<const ShardMap> current = shard.entries.Load();
+    std::shared_ptr<ShardMap> next;
+    for (const auto& [key, entry] : *current) {
+      if (!stale(*entry)) continue;
+      if (next == nullptr) next = std::make_shared<ShardMap>(*current);
+      next->erase(key);
+      ++dropped;
+    }
+    if (next != nullptr) shard.entries.Store(std::move(next));
+  }
+  return dropped;
 }
 
 PlanCacheStats PlanCache::Stats() const {

@@ -4,31 +4,40 @@
 // parameterized templates instantiated thousands of times, and a serving
 // middleware sees exactly that shape: the same SQL template, over and over,
 // from many clients. The cache keys on the normalized template, the
-// parameter values, the consistency horizon, and a STALENESS EPOCH supplied
-// by the estimator-accuracy tracker: the epoch ticks only when a market
-// call's true result size diverges from its estimate by more than the
-// configured q-error threshold — i.e. when the statistics that priced the
-// cached plans were materially wrong. Routine feedback that merely confirms
-// the estimates leaves the epoch (and thus every cached template) intact,
-// so steady-state serving stays on the cached-plan fast path.
+// parameter values and the consistency horizon.
+//
+// Invalidation is scoped to what the feedback changed. Each entry records,
+// per market relation, its table and its legalized query region, which
+// contains every box the optimizer and the savings counterfactual estimated
+// for that relation. When a harvest's estimate misses by more than the
+// q-error threshold (a drift tick, obs/accuracy.h), the statistics report
+// the box whose estimates the feedback may have changed, and Invalidate
+// drops exactly the entries that read that table over an overlapping
+// region; their re-optimization picks up the refined histogram (the
+// paper's uniform-to-learned plan switch, Fig. 3 step 5.4). A tick on a
+// disjoint region cannot change any estimate those plans were priced with,
+// so they stay. Routine feedback that merely confirms the estimates never
+// ticks, so steady-state serving stays on the cached-plan fast path.
+//
+// No plan priced on pre-feedback statistics survives a tick that covers
+// it: the harvest publishes its feedback before it ticks and invalidates,
+// and an insert is refused when any invalidation ran since its
+// optimization started (checked under the shard's writer mutex, which the
+// invalidation scan also takes).
 //
 // Cached plans can never be result-wrong, only cost-suboptimal: the
 // execution engine re-runs the SQR rewrite against the live semantic store,
 // and store coverage under a fixed consistency horizon only grows between
 // placement evictions. Eviction (PayLessConfig::placement_capacity_bytes)
 // is the one thing that shrinks it, so a placement pass that evicts clears
-// the cache before any query can probe it again. When the epoch ticks,
-// older keys become unreachable, which IS the invalidation — no explicit
-// flush, stale entries just age out of the bounded map, and the forced
-// re-optimization picks up the refined histogram (the paper's
-// uniform-to-learned plan switch, Fig. 3 step 5.4).
+// the cache before any query can probe it again.
 //
 // Thread-safe and lock-free on the hit path: entries live in hash-sharded
 // copy-on-write maps (one atomic snapshot load + a find per lookup), and a
 // hit hands back a shared_ptr to the immutable cached entry instead of a
-// deep copy of the plan. Inserts copy-on-write one shard under its writer
-// mutex. Hit/miss tallies are atomics so concurrent clients can read them
-// cheaply.
+// deep copy of the plan. Inserts and invalidations copy-on-write one shard
+// under its writer mutex. Hit/miss tallies are atomics so concurrent
+// clients can read them cheaply.
 #ifndef PAYLESS_CORE_PLAN_CACHE_H_
 #define PAYLESS_CORE_PLAN_CACHE_H_
 
@@ -42,9 +51,12 @@
 #include <unordered_map>
 #include <vector>
 
+#include "catalog/catalog.h"
+#include "common/geometry.h"
 #include "common/snapshot.h"
 #include "common/value.h"
 #include "core/plan.h"
+#include "sql/bound_query.h"
 
 namespace payless::core {
 
@@ -56,15 +68,26 @@ namespace payless::core {
 /// (it will miss, then fail in the parser like any other query).
 std::string NormalizeSqlTemplate(const std::string& sql);
 
+/// One market relation a plan was priced over: its table and its legalized
+/// query region (semstore::ValidExpansion of BoundRelation::QueryRegion).
+struct PricedRegion {
+  const catalog::TableDef* table = nullptr;
+  Box region;
+};
+
+/// The priced regions of `query`'s market relations, in relation order.
+std::vector<PricedRegion> PricedRegionsOf(const sql::BoundQuery& query);
+
 /// One cached optimization outcome: the plan plus the planning counters of
 /// the optimization that produced it (so reports stay meaningful on hits).
 /// The counterfactual fields are filled by the savings accountant at
 /// insert time, so a template's hit path reprices nothing and both paths
 /// report the identical counterfactual (the what-if baseline only depends
-/// on the stats snapshot, which the epoch in the key pins). Every entry is
-/// inserted by the client that reads it and lives only in memory:
-/// durability snapshots keep what was paid for, and a restarted client
-/// re-plans each template against the recovered store and statistics.
+/// on the estimates over `priced`, which invalidation keeps current).
+/// Every entry is inserted by the client that reads it and lives only in
+/// memory: durability snapshots keep what was paid for, and a restarted
+/// client re-plans each template against the recovered store and
+/// statistics.
 struct CachedPlan {
   Plan plan;
   PlanningCounters counters;
@@ -76,6 +99,8 @@ struct CachedPlan {
   /// Shape signature of the counterfactual plan, for detecting
   /// learned-stats plan switches (signature mismatch vs executed plan).
   std::string cf_signature;
+  /// What the plan and its counterfactual were priced over.
+  std::vector<PricedRegion> priced;
 };
 
 struct PlanCacheStats {
@@ -86,9 +111,8 @@ struct PlanCacheStats {
 
 class PlanCache {
  public:
-  /// `max_entries` bounds memory; on overflow the whole map is dropped
-  /// (entries are epoch-stamped, so most are already unreachable by the
-  /// time the cache fills — wholesale eviction loses almost nothing).
+  /// `max_entries` bounds memory; an insert into a full shard drops that
+  /// shard's entries first.
   explicit PlanCache(size_t max_entries = 1024) : max_entries_(max_entries) {
     for (Shard& s : shards_) s.entries.Store(std::make_shared<const ShardMap>());
   }
@@ -96,19 +120,33 @@ class PlanCache {
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
-  /// Builds the full cache key for one query instance. `staleness_epoch` is
-  /// the accuracy tracker's drift epoch at optimization time (ticks only on
-  /// estimate drift beyond the q-error threshold); `min_epoch` folds in the
-  /// consistency horizon (it moves with the wall clock under kXWeek).
+  /// Builds the full cache key for one query instance. `min_epoch` folds
+  /// in the consistency horizon (it moves with the wall clock under
+  /// kXWeek).
   static std::string MakeKey(const std::string& normalized_sql,
                              const std::vector<Value>& params,
-                             uint64_t staleness_epoch, int64_t min_epoch);
+                             int64_t min_epoch);
 
   /// Lock-free: one shard-snapshot load plus a map find. The returned
   /// entry is immutable and shared — callers copy the fields they need
   /// instead of the whole plan. nullptr on miss.
   std::shared_ptr<const CachedPlan> Lookup(const std::string& key) const;
-  void Insert(const std::string& key, CachedPlan entry);
+
+  /// Invalidation count; read it before optimizing and pass it to Insert.
+  uint64_t invalidations() const {
+    return invalidations_.load(std::memory_order_acquire);
+  }
+
+  /// Caches `entry` unless an invalidation ran since `invalidations_seen`
+  /// was read (the plan may be priced on statistics that feedback has
+  /// since changed). Returns whether it cached.
+  bool Insert(const std::string& key, CachedPlan entry,
+              uint64_t invalidations_seen);
+
+  /// Drops every entry that read `table` over a region overlapping
+  /// `changed`; an empty `changed` drops nothing. Returns the number of
+  /// entries dropped.
+  size_t Invalidate(const catalog::TableDef* table, const Box& changed);
 
   PlanCacheStats Stats() const;
   void Clear();
@@ -125,6 +163,7 @@ class PlanCache {
 
   const size_t max_entries_;
   mutable std::array<Shard, kShards> shards_;
+  std::atomic<uint64_t> invalidations_{0};
   mutable std::atomic<uint64_t> hits_{0};
   mutable std::atomic<uint64_t> misses_{0};
 };

@@ -36,7 +36,8 @@ DurabilityManager::DurabilityManager(DurabilityOptions options,
       stats_(stats),
       current_week_(std::move(current_week)),
       wal_(options_.dir.empty() ? std::string()
-                                : options_.dir + "/harvest.wal") {
+                                : options_.dir + "/harvest.wal"),
+      snapshot_due_at_(options_.snapshot_every_records) {
   assert(metrics != nullptr);
   metric_.wal_appends = metrics->GetCounter("payless_wal_appends_total");
   metric_.append_micros =
@@ -234,8 +235,15 @@ void DurabilityManager::LogAndApply(const catalog::TableDef& def,
   if (died_after_log) return;
 
   if (options_.snapshot_every_records > 0 &&
-      records_since_snapshot_ >= options_.snapshot_every_records) {
-    NoteError(SnapshotLocked());  // the log stays authoritative
+      records_since_snapshot_ >= snapshot_due_at_) {
+    const Status snapped = SnapshotLocked();
+    if (!snapped.ok()) {
+      // The log stays authoritative; retry a full interval later instead
+      // of serializing the whole store again on every harvest.
+      snapshot_due_at_ =
+          records_since_snapshot_ + options_.snapshot_every_records;
+      NoteError(snapped);
+    }
   }
 }
 
@@ -284,6 +292,7 @@ Status DurabilityManager::SnapshotLocked() {
   PAYLESS_RETURN_IF_ERROR(wal_.Reset());
   last_snapshot_seq_ = data.last_seq;
   records_since_snapshot_ = 0;
+  snapshot_due_at_ = options_.snapshot_every_records;
   return Status::OK();
 }
 

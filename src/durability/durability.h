@@ -160,7 +160,12 @@ class DurabilityManager {
   common::FramedAppendFile wal_;
   uint64_t next_seq_ = 1;
   uint64_t last_snapshot_seq_ = 0;
+  /// Records since the last good snapshot (what /store reports).
   size_t records_since_snapshot_ = 0;
+  /// records_since_snapshot_ at which the next automatic snapshot runs:
+  /// snapshot_every_records after a good one, that many more after a
+  /// failed one.
+  size_t snapshot_due_at_ = 0;
   std::atomic<bool> dead_{false};
   Status error_;
   RecoveryInfo recovery_;

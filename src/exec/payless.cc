@@ -233,16 +233,23 @@ PayLess::PayLess(const catalog::Catalog* catalog,
 void PayLess::AbsorbHarvest(const catalog::TableDef& def, const Box& region,
                             const std::vector<Row>& rows, int64_t num_records,
                             int64_t epoch) {
-  if (config_.enable_accuracy_tracking) {
-    // The estimate is taken BEFORE Feedback (afterwards the histogram has
-    // already absorbed the observation and the comparison would flatter
-    // it). Replay recomputes the identical estimate, so the drift epoch
-    // reconverges deterministically on serial histories.
-    const double estimated = stats_.EstimateRows(def.name, region);
-    accuracy_.Record(def.name, estimated, static_cast<double>(num_records));
-  }
+  // The estimate is taken BEFORE Feedback (afterwards the histogram has
+  // already absorbed the observation and the comparison would flatter it).
+  // Replay recomputes the identical estimate, so the drift epoch
+  // reconverges deterministically on serial histories.
+  const double estimated = config_.enable_accuracy_tracking
+                               ? stats_.EstimateRows(def.name, region)
+                               : 0.0;
   store_.Store(def, region, rows, epoch);
-  stats_.Feedback(def.name, region, num_records);
+  const Box changed = stats_.Feedback(def.name, region, num_records);
+  // The tick comes after Feedback has published, so a plan optimized after
+  // the invalidation below is priced on the learned statistics, and one
+  // optimized before it is either dropped by it or refused by Insert.
+  if (config_.enable_accuracy_tracking &&
+      accuracy_.Record(def.name, estimated,
+                       static_cast<double>(num_records))) {
+    plan_cache_.Invalidate(&def, changed);
+  }
 }
 
 int64_t PayLess::MinEpoch() const {
@@ -366,10 +373,9 @@ Result<QueryReport> PayLess::QueryWithReportImpl(
   }
 
   // Plan-template cache: repeated identical parameterized queries reuse
-  // the optimizer's plan until the accuracy tracker observes estimate
-  // drift beyond the q-error threshold (the drift epoch is part of the
-  // key, so staleness means a plain miss and a re-optimization against
-  // the refined statistics).
+  // the optimizer's plan until a drift tick on a region the plan was
+  // priced over drops it (AbsorbHarvest); the next instance then misses
+  // and re-optimizes against the refined statistics.
   QueryReport report;
   bool cache_hit = false;
   obs::Counterfactual cf;
@@ -381,13 +387,12 @@ Result<QueryReport> PayLess::QueryWithReportImpl(
   {
     obs::ScopedSpan plan_span(trace, "plan", root);
     std::string cache_key;
-    const uint64_t drift_epoch = accuracy_.drift_epoch();
+    const uint64_t invalidations = plan_cache_.invalidations();
     std::shared_ptr<const core::CachedPlan> cached;
     if (config_.enable_plan_cache) {
       const auto probe_start = std::chrono::steady_clock::now();
       cache_key = core::PlanCache::MakeKey(core::NormalizeSqlTemplate(sql),
-                                           params, drift_epoch,
-                                           opt_options.min_epoch);
+                                           params, opt_options.min_epoch);
       cached = plan_cache_.Lookup(cache_key);
       probe_micros = MicrosSince(probe_start);
       if (cached != nullptr) {
@@ -410,14 +415,14 @@ Result<QueryReport> PayLess::QueryWithReportImpl(
       if (savings_accountant_ != nullptr) {
         cf = savings_accountant_->Price(*bound);
       }
-      if (config_.enable_plan_cache &&
-          accuracy_.drift_epoch() == drift_epoch) {
-        // Only cache when no concurrent drift tick raced the optimization,
-        // so every cached plan matches the epoch in its key exactly.
-        plan_cache_.Insert(cache_key,
-                           core::CachedPlan{report.plan, report.counters,
-                                            cf.total, cf.by_dataset,
-                                            cf.signature});
+      if (config_.enable_plan_cache) {
+        // Refused when an invalidation raced the optimization.
+        plan_cache_.Insert(
+            cache_key,
+            core::CachedPlan{report.plan, report.counters, cf.total,
+                             cf.by_dataset, cf.signature,
+                             core::PricedRegionsOf(*bound)},
+            invalidations);
       }
     }
     plan_span.AddAttr("cache_hit", static_cast<int64_t>(cache_hit ? 1 : 0));

@@ -62,19 +62,20 @@ struct PayLessConfig {
   /// and billing are identical either way.
   size_t max_parallel_calls = 0;
   /// Reuse plans of repeated identical parameterized queries (skips the DP
-  /// entirely). Invalidation is drift-based: the accuracy tracker's epoch
-  /// is part of the key, so templates only re-optimize when an estimate
-  /// was materially wrong (see qerror_invalidation_threshold).
+  /// entirely). Invalidation is drift-based and region-scoped: a template
+  /// re-optimizes only when an estimate was materially wrong (see
+  /// qerror_invalidation_threshold) over a region its plan was priced on.
   bool enable_plan_cache = true;
   /// Record (estimated, actual) pairs at the feedback point into per-table
   /// q-error histograms. Also powers the plan cache's drift invalidation —
-  /// with tracking off, the drift epoch never moves and cached templates
-  /// live until the consistency horizon shifts.
+  /// with tracking off, nothing ticks and cached templates live until the
+  /// consistency horizon shifts.
   bool enable_accuracy_tracking = true;
   /// A recorded q-error above this threshold ticks the drift epoch and
-  /// invalidates every cached plan template (they were priced with
-  /// statistics that have since been materially corrected). <= 0 disables
-  /// drift invalidation entirely.
+  /// invalidates the cached plan templates that read the harvested table
+  /// over a region overlapping the box the feedback changed (they were
+  /// priced with estimates that have since been materially corrected).
+  /// <= 0 disables drift invalidation entirely.
   double qerror_invalidation_threshold = 2.0;
   /// Resilience policy of the market connector: retries with capped
   /// exponential backoff + jitter, per-call timeout, per-dataset circuit
@@ -416,7 +417,8 @@ class PayLess {
   stats::StatsRegistry stats_;
   core::PlanCache plan_cache_;
   /// Persistence + recovery; null when durability is off. After store_,
-  /// stats_ and plan_cache_ (it holds raw pointers to all three).
+  /// stats_ (it holds raw pointers to both) and plan_cache_ (its replay
+  /// runs AbsorbHarvest, which invalidates plans).
   std::unique_ptr<durability::DurabilityManager> durability_;
   /// What-if pricer for savings accounting; null when disabled. After
   /// stats_ (it reads the live statistics through a raw pointer).

@@ -53,7 +53,7 @@ void AccuracyTracker::PrepareTable(const std::string& table) {
   Entry(table);
 }
 
-void AccuracyTracker::Record(const std::string& table, double estimated,
+bool AccuracyTracker::Record(const std::string& table, double estimated,
                              double actual) {
   const double qerror = QError(estimated, actual);
   total_samples_.fetch_add(1, std::memory_order_relaxed);
@@ -71,10 +71,10 @@ void AccuracyTracker::Record(const std::string& table, double estimated,
     }
   }
 
-  if (threshold_ > 0.0 && qerror > threshold_) {
-    drift_epoch_.fetch_add(1, std::memory_order_acq_rel);
-    if (drift_ticks_ != nullptr) drift_ticks_->Add(1);
-  }
+  if (threshold_ <= 0.0 || qerror <= threshold_) return false;
+  drift_epoch_.fetch_add(1, std::memory_order_acq_rel);
+  if (drift_ticks_ != nullptr) drift_ticks_->Add(1);
+  return true;
 }
 
 AccuracySnapshot AccuracyTracker::Snapshot(const std::string& table) const {

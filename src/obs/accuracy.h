@@ -12,14 +12,14 @@
 //
 // The tracker also owns the plan-template cache's staleness signal: when a
 // recorded q-error exceeds the configured invalidation threshold, the
-// estimate that priced some plan was materially wrong, so every cached
-// template keyed on the previous epoch must be re-optimized against the
-// now-refined statistics. The epoch is a single monotonic counter — cheap
-// to read on the query hot path, and conservative (one bad estimate
-// anywhere re-prices everything, which is the behaviour the paper's
-// uniform-to-learned plan switch needs). It lives only in memory: a
-// restarted client starts at 0 and its durability replay ticks it like
-// any harvest, so payless_stats_drift_ticks_total counts every tick.
+// estimate was materially wrong, Record says so, and the caller drops the
+// cached plans priced over the region that feedback changed (the paper's
+// uniform-to-learned plan switch, Fig. 3 step 5.4). The tracker only
+// decides THAT a harvest ticks; which plans it invalidates is the plan
+// cache's business. The drift epoch counts the ticks. It lives only in
+// memory: a restarted client starts at 0 and its durability replay ticks
+// it like any harvest, so payless_stats_drift_ticks_total counts every
+// tick.
 #ifndef PAYLESS_OBS_ACCURACY_H_
 #define PAYLESS_OBS_ACCURACY_H_
 
@@ -46,7 +46,7 @@ struct AccuracySnapshot {
 };
 
 /// Thread-safe (estimated, actual) recorder with metric export and a drift
-/// epoch for plan-template-cache invalidation.
+/// tick counter.
 class AccuracyTracker {
  public:
   /// `metrics` may be null (tracking still works; nothing is exported).
@@ -66,7 +66,8 @@ class AccuracyTracker {
 
   /// Records one pair for `table`. Updates the per-table q-error
   /// histogram and ticks the drift epoch when the threshold is exceeded.
-  void Record(const std::string& table, double estimated, double actual);
+  /// Returns whether it ticked.
+  bool Record(const std::string& table, double estimated, double actual);
 
   /// Resolves `table`'s metric handles now, off the query path. Callers
   /// that know their table set up front (PayLess registers every catalog
@@ -74,9 +75,8 @@ class AccuracyTracker {
   /// touch the metrics registry's name map.
   void PrepareTable(const std::string& table);
 
-  /// Monotonic staleness epoch: ticks whenever a recorded q-error exceeds
-  /// the invalidation threshold, and only then. Plan-cache keys embed this
-  /// value.
+  /// Monotonic drift tick count: ticks whenever a recorded q-error exceeds
+  /// the invalidation threshold, and only then.
   uint64_t drift_epoch() const {
     return drift_epoch_.load(std::memory_order_acquire);
   }

@@ -76,8 +76,8 @@ Interval TightValidExtent(const DimSpec& dim, const Interval& tight) {
   return tight;
 }
 
-// Legal single-call expansion of an arbitrary box (used for fallback
-// singleton candidates): widens illegal extents to the whole domain.
+}  // namespace
+
 Box ValidExpansion(const Box& box, const std::vector<DimSpec>& dims) {
   Box out = box;
   for (size_t d = 0; d < dims.size(); ++d) {
@@ -96,8 +96,6 @@ Box ValidExpansion(const Box& box, const std::vector<DimSpec>& dims) {
   }
   return out;
 }
-
-}  // namespace
 
 int64_t EstimatedTransactions(double rows, int64_t tuples_per_transaction) {
   if (rows < 0.0) rows = 0.0;

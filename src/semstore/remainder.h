@@ -93,6 +93,13 @@ using BoxEstimator = std::function<double(const Box&)>;
 /// only the market knows for sure).
 int64_t EstimatedTransactions(double rows, int64_t tuples_per_transaction);
 
+/// Legal single-call expansion of an arbitrary box: a categorical extent
+/// that spans several values, but not the whole domain, widens to the
+/// domain (one value or the whole domain, Fig. 8). Every box
+/// GenerateRemainder estimates over kNumeric/kCategorical dims lies inside
+/// the ValidExpansion of its `query`.
+Box ValidExpansion(const Box& box, const std::vector<DimSpec>& dims);
+
 /// Core entry point. `query` is Q (already clipped to the table's domains);
 /// `stored` are the usable stored-view regions; `dims` has one spec per
 /// region dimension. For kValueSet dims, `query.dim(d)` must span the known

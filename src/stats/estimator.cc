@@ -13,6 +13,12 @@ namespace {
 /// saturation never triggers in practice, but stay safe anyway.
 double Vol(const Box& box) { return static_cast<double>(box.Volume()); }
 
+/// The Feedback result that changed no estimate.
+Box Unchanged(size_t dims) {
+  return Box(std::vector<Interval>(std::max<size_t>(dims, 1),
+                                   Interval::Empty()));
+}
+
 }  // namespace
 
 UniformEstimator::UniformEstimator(Box full_region, int64_t cardinality)
@@ -27,11 +33,11 @@ double UniformEstimator::EstimateRows(const Box& region) const {
   return cardinality_ * (Vol(clipped) / total);
 }
 
-void UniformEstimator::Feedback(const Box& region, int64_t actual_rows) {
+Box UniformEstimator::Feedback(const Box& region, int64_t actual_rows) {
   ++num_feedbacks_;
-  if (region == full_region_) {
-    cardinality_ = static_cast<double>(actual_rows);
-  }
+  if (!(region == full_region_)) return Unchanged(full_region_.num_dims());
+  cardinality_ = static_cast<double>(actual_rows);
+  return full_region_;
 }
 
 FeedbackHistogram::FeedbackHistogram(Box full_region,
@@ -61,19 +67,30 @@ double FeedbackHistogram::EstimateRows(const Box& region) const {
   return total;
 }
 
-void FeedbackHistogram::Feedback(const Box& region, int64_t actual_rows) {
+Box FeedbackHistogram::Feedback(const Box& region, int64_t actual_rows) {
   const Box target = full_region_.Intersect(region);
-  if (target.empty()) return;
+  if (target.empty()) return target;
   ++num_feedbacks_;
 
   // Phase 1: split buckets that straddle the target so that afterwards every
-  // bucket is either inside or outside it (skipped at capacity).
-  if (buckets_.size() < max_buckets_) {
+  // bucket is either inside or outside it (skipped at capacity). A split
+  // that would leave more than 2 * max_buckets_ buckets, counting the ones
+  // not visited yet, is skipped: that bucket and every later one stay whole.
+  bool all_split = buckets_.size() < max_buckets_;
+  if (all_split) {
     std::vector<Bucket> next;
     next.reserve(buckets_.size() + 4);
-    for (const Bucket& bucket : buckets_) {
+    for (size_t i = 0; i < buckets_.size(); ++i) {
+      const Bucket& bucket = buckets_[i];
       const Box inside = bucket.box.Intersect(target);
-      if (inside.empty() || inside == bucket.box) {
+      if (!all_split || inside.empty() || inside == bucket.box) {
+        next.push_back(bucket);
+        continue;
+      }
+      std::vector<Box> outside = SubtractBox(bucket.box, target);
+      const size_t unvisited = buckets_.size() - i - 1;
+      if (next.size() + 1 + outside.size() + unvisited > max_buckets_ * 2) {
+        all_split = false;
         next.push_back(bucket);
         continue;
       }
@@ -82,11 +99,10 @@ void FeedbackHistogram::Feedback(const Box& region, int64_t actual_rows) {
       // (uniformity within the bucket).
       Bucket in_piece{inside, bucket.count * (Vol(inside) / volume)};
       next.push_back(std::move(in_piece));
-      for (Box& piece : SubtractBox(bucket.box, target)) {
+      for (Box& piece : outside) {
         const double share = bucket.count * (Vol(piece) / volume);
         next.push_back(Bucket{std::move(piece), share});
       }
-      if (next.size() >= max_buckets_ * 2) break;  // runaway guard
     }
     buckets_ = std::move(next);
   }
@@ -99,9 +115,11 @@ void FeedbackHistogram::Feedback(const Box& region, int64_t actual_rows) {
   for (const Bucket& bucket : buckets_) {
     inside_mass += OverlapCount(bucket, target);
   }
+  // A bucket left straddling the target spreads its new count past it.
+  const Box& changed = all_split ? target : full_region_;
   const double actual = static_cast<double>(actual_rows);
   if (inside_mass <= 1e-9) {
-    if (actual <= 0.0) return;
+    if (actual <= 0.0) return changed;
     // Nothing to scale: spread the observed rows over the inside volume.
     const double target_volume = Vol(target);
     for (Bucket& bucket : buckets_) {
@@ -109,7 +127,7 @@ void FeedbackHistogram::Feedback(const Box& region, int64_t actual_rows) {
       if (overlap.empty()) continue;
       bucket.count += actual * (Vol(overlap) / target_volume);
     }
-    return;
+    return changed;
   }
   const double scale = actual / inside_mass;
   for (Bucket& bucket : buckets_) {
@@ -118,6 +136,7 @@ void FeedbackHistogram::Feedback(const Box& region, int64_t actual_rows) {
     bucket.count += inside * (scale - 1.0);
     if (bucket.count < 0.0) bucket.count = 0.0;
   }
+  return changed;
 }
 
 double FeedbackHistogram::total_count() const {
@@ -157,16 +176,17 @@ double StatsRegistry::EstimateRows(const std::string& table,
   return est->EstimateRows(region);
 }
 
-void StatsRegistry::Feedback(const std::string& table, const Box& region,
-                             int64_t actual_rows) {
+Box StatsRegistry::Feedback(const std::string& table, const Box& region,
+                            int64_t actual_rows) {
   const std::shared_ptr<EstimatorCell> cell = cells_.Find(table);
-  if (cell == nullptr) return;
+  if (cell == nullptr) return Unchanged(region.num_dims());
   std::lock_guard<std::mutex> lock(cell->write_mutex);
   const std::shared_ptr<const Estimator> current = cell->current.Load();
-  if (current == nullptr) return;
+  if (current == nullptr) return Unchanged(region.num_dims());
   std::unique_ptr<Estimator> next = current->Clone();
-  next->Feedback(region, actual_rows);
+  Box changed = next->Feedback(region, actual_rows);
   cell->current.Store(std::move(next));
+  return changed;
 }
 
 size_t StatsRegistry::TotalFeedbacks() const {

@@ -43,7 +43,9 @@ class Estimator {
   virtual double EstimateRows(const Box& region) const = 0;
 
   /// Records that `region` was observed to contain exactly `actual_rows`.
-  virtual void Feedback(const Box& region, int64_t actual_rows) = 0;
+  /// Returns a box that contains every region whose estimate this call may
+  /// have changed; an empty box when it changed none.
+  virtual Box Feedback(const Box& region, int64_t actual_rows) = 0;
 
   /// Structure snapshot for observability surfaces.
   virtual EstimatorInfo Info() const = 0;
@@ -74,8 +76,8 @@ class UniformEstimator : public Estimator {
   double EstimateRows(const Box& region) const override;
 
   /// Only whole-table feedback is usable under uniformity: it recalibrates
-  /// the total count. Sub-region feedback is ignored.
-  void Feedback(const Box& region, int64_t actual_rows) override;
+  /// the total count. Sub-region feedback is ignored (nothing changes).
+  Box Feedback(const Box& region, int64_t actual_rows) override;
 
   EstimatorInfo Info() const override {
     return EstimatorInfo{1, num_feedbacks_, cardinality_};
@@ -108,12 +110,18 @@ class UniformEstimator : public Estimator {
 class FeedbackHistogram : public Estimator {
  public:
   /// `max_buckets` bounds memory: once reached, feedback stops splitting
-  /// and reconciles counts by proportional overlap instead.
+  /// and reconciles counts by proportional overlap instead. One feedback
+  /// never leaves more than 2 * `max_buckets` buckets: the splits that
+  /// would pass that bound are skipped, and those buckets stay whole.
   FeedbackHistogram(Box full_region, int64_t initial_cardinality,
                     size_t max_buckets = 4096);
 
   double EstimateRows(const Box& region) const override;
-  void Feedback(const Box& region, int64_t actual_rows) override;
+  /// Returns the fed-back region when every straddling bucket was split, so
+  /// only buckets inside it were rescaled. Otherwise (at capacity, or when
+  /// the split bound skipped a split) a rescaled bucket extends past the
+  /// region, and the full region is returned.
+  Box Feedback(const Box& region, int64_t actual_rows) override;
 
   size_t num_buckets() const { return buckets_.size(); }
   size_t num_feedbacks() const { return num_feedbacks_; }
@@ -181,8 +189,11 @@ class StatsRegistry {
   /// catalog table up front).
   double EstimateRows(const std::string& table, const Box& region) const;
 
-  void Feedback(const std::string& table, const Box& region,
-                int64_t actual_rows);
+  /// Applies one observation to `table`'s estimator and returns the box
+  /// whose estimates it may have changed (Estimator::Feedback); an empty
+  /// box for an unknown table.
+  Box Feedback(const std::string& table, const Box& region,
+               int64_t actual_rows);
 
   size_t TotalFeedbacks() const;
 

@@ -367,6 +367,46 @@ TEST_F(DurabilityRecoveryTest, CrashMidSnapshotKeepsTheLogAuthoritative) {
   ExpectWarmRound(restarted.get(), /*lost_transactions=*/0);
 }
 
+TEST_F(DurabilityRecoveryTest, FailedAutoSnapshotRetriesOnlyOnSchedule) {
+  // The snapshot's tmp path is a directory, so every snapshot write fails.
+  // A failed automatic snapshot is retried only after another
+  // snapshot_every_records harvests: at harvests 2, 4, 6, ... of the
+  // round, not at every harvest after the first failure. The kMidSnapshot
+  // crash point counts the attempts: armed to let `attempts` arrivals
+  // pass, it must stay quiet through the round and fire on the next one.
+  fs::create_directory(dir_ / "store.snap.tmp");
+  FaultInjector injector(FaultProfile{});
+  PayLessConfig config = DurableConfig();
+  config.durability.snapshot_every_records = 2;
+  config.durability.crash_injector = &injector;
+  auto client = fixture_.NewClient(config);
+  const size_t attempts = num_harvests_ / 2;
+  CrashPlan plan;
+  plan.point = CrashPoint::kMidSnapshot;
+  plan.after_hits = static_cast<int>(attempts);
+  injector.ArmCrash(plan);
+
+  EXPECT_EQ(DurabilityFixture::RunMix(client.get()), twin_round1_results_);
+  EXPECT_EQ(injector.stats().crashes, 0);
+  EXPECT_FALSE(client->durability()->dead());
+  EXPECT_EQ(client->observability()
+                ->metrics.GetCounter("payless_snapshots_total")
+                ->value(),
+            0);
+  // /store still counts records since the last good snapshot: none ran.
+  const std::string json = client->durability()->StatsJson();
+  EXPECT_NE(json.find("\"records_since_snapshot\":" +
+                      std::to_string(num_harvests_)),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("store.snap"), std::string::npos) << json;
+
+  // The next attempt is the first one past `attempts`: the crash fires.
+  EXPECT_TRUE(client->durability()->SnapshotNow().ok());
+  EXPECT_EQ(injector.stats().crashes, 1);
+  EXPECT_TRUE(client->durability()->dead());
+}
+
 TEST_F(DurabilityRecoveryTest,
        CrashBetweenSnapshotRenameAndLogResetAppliesOnce) {
   // The overlap window: snapshot committed, WAL still holds every record.

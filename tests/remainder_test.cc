@@ -355,6 +355,41 @@ TEST_P(RemainderProperty, CoverIsAlwaysComplete) {
   EXPECT_GT(r.estimated_transactions, 0);
 }
 
+// Every box the generator estimates lies inside the ValidExpansion of its
+// query: the plan cache records that region per relation, and a feedback
+// outside it cannot change the plan's price.
+TEST_P(RemainderProperty, EstimatesStayInsideTheLegalizedQuery) {
+  Rng rng(static_cast<uint64_t>(GetParam()) * 977 + 5);
+  const auto random_interval = [&rng](int64_t max) {
+    const int64_t a = rng.Uniform(0, max);
+    const int64_t b = rng.Uniform(0, max);
+    return Interval(std::min(a, b), std::max(a, b));
+  };
+  const std::vector<DimSpec> dims = {NumericDim(0, 40), CategoricalDim(6)};
+  const Box query({random_interval(40), random_interval(5)});
+  std::vector<Box> stored;
+  for (int64_t i = rng.Uniform(0, 6); i > 0; --i) {
+    stored.push_back(Box({random_interval(40), random_interval(5)}));
+  }
+  RemainderOptions options;
+  // Also take the wide-categorical and the degraded (cell budget) paths.
+  if (GetParam() % 3 == 1) options.max_categorical_values = 1;
+  if (GetParam() % 3 == 2) options.max_cells = 2;
+  std::vector<Box> estimated;
+  (void)GenerateRemainder(
+      query, stored, dims,
+      [&estimated](const Box& b) {
+        estimated.push_back(b);
+        return static_cast<double>(b.Volume()) / 3.0;
+      },
+      options);
+  const Box legal = ValidExpansion(query, dims);
+  for (const Box& box : estimated) {
+    EXPECT_TRUE(legal.Contains(box))
+        << box.ToString() << " outside " << legal.ToString();
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Random, RemainderProperty, ::testing::Range(0, 30));
 
 }  // namespace

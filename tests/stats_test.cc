@@ -27,6 +27,26 @@ catalog::TableDef OneColumnTable(int64_t domain_hi, int64_t cardinality) {
   return def;
 }
 
+/// The bucket boxes of `hist`, read back from its saved state.
+std::vector<Box> BucketBoxes(const FeedbackHistogram& hist) {
+  std::string blob;
+  common::BinWriter w(&blob);
+  hist.SaveState(w);
+  common::BinReader r(blob);
+  Box full;
+  uint64_t max_buckets = 0;
+  uint64_t feedbacks = 0;
+  uint32_t num_buckets = 0;
+  EXPECT_TRUE(common::ReadBox(r, &full) && r.U64(&max_buckets) &&
+              r.U64(&feedbacks) && r.U32(&num_buckets));
+  std::vector<Box> boxes(num_buckets);
+  for (Box& box : boxes) {
+    double count = 0.0;
+    EXPECT_TRUE(common::ReadBox(r, &box) && r.F64(&count));
+  }
+  return boxes;
+}
+
 TEST(UniformEstimatorTest, FullRegionReturnsCardinality) {
   UniformEstimator est(Grid2D(10, 10), 500);
   EXPECT_DOUBLE_EQ(est.EstimateRows(Grid2D(10, 10)), 500.0);
@@ -153,6 +173,52 @@ TEST(FeedbackHistogramTest, CapacityBoundRespected) {
   EXPECT_GE(hist.EstimateRows(Grid2D(1000, 1)), 0.0);
 }
 
+TEST(FeedbackHistogramTest, SplitBoundKeepsTheBucketsItDoesNotSplit) {
+  // Seven column buckets of a 7 x 10 grid, one below the cap of 8.
+  const Box full = Grid2D(7, 10);
+  FeedbackHistogram hist(full, 700, /*max_buckets=*/8);
+  for (int64_t x = 0; x < 6; ++x) {
+    hist.Feedback(Box({Interval::Point(x), Interval(0, 9)}), 100);
+  }
+  ASSERT_EQ(hist.num_buckets(), 7u);
+
+  // A row across columns 0..5 would split each of their buckets in three:
+  // 19 buckets, past the bound of 2 x 8. Column 6 lies outside the row.
+  const Box row({Interval(0, 5), Interval::Point(5)});
+  const Box column6({Interval::Point(6), Interval(0, 9)});
+  const double column6_before = hist.EstimateRows(column6);
+  ASSERT_DOUBLE_EQ(column6_before, 100.0);
+  // The buckets left whole straddle the row, so phase 2 rescales past it.
+  EXPECT_EQ(hist.Feedback(row, 30), full);
+
+  EXPECT_LE(hist.num_buckets(), 16u);
+  EXPECT_DOUBLE_EQ(hist.EstimateRows(column6), column6_before);
+  int64_t volume = 0;
+  for (const Box& box : BucketBoxes(hist)) volume += box.Volume();
+  EXPECT_EQ(volume, full.Volume());  // the buckets still tile the domain
+}
+
+TEST(FeedbackHistogramTest, FeedbackReportsTheRegionItChanged) {
+  const Box full = Grid2D(100, 1);
+  FeedbackHistogram hist(full, 1000, /*max_buckets=*/3);
+  // Below the cap every straddling bucket splits, so only buckets inside
+  // the fed-back region are rescaled.
+  const Box first({Interval(10, 19), Interval(0, 0)});
+  EXPECT_EQ(hist.Feedback(first, 50), first);
+  ASSERT_EQ(hist.num_buckets(), 3u);
+
+  // At the cap nothing splits: the straddling bucket [20, 99] is rescaled
+  // as a whole, which moves estimates outside the fed-back region.
+  const Box outside({Interval(60, 99), Interval(0, 0)});
+  const double outside_before = hist.EstimateRows(outside);
+  EXPECT_EQ(hist.Feedback(Box({Interval(40, 59), Interval(0, 0)}), 500), full);
+  EXPECT_NE(hist.EstimateRows(outside), outside_before);
+
+  // Feedback outside the domain changes nothing.
+  EXPECT_TRUE(hist.Feedback(Box({Interval(200, 300), Interval(0, 0)}), 5)
+                  .empty());
+}
+
 TEST(FeedbackHistogramTest, ConvergesToTrueCountsUnderRepeatedFeedback) {
   // Ground truth: 1000 rows concentrated in [0, 99] of a 10k-wide domain.
   FeedbackHistogram hist(Box({Interval(0, 9999)}), 5000);
@@ -193,6 +259,21 @@ TEST(StatsRegistryTest, UnknownTableEstimatesZero) {
   StatsRegistry registry;
   EXPECT_DOUBLE_EQ(registry.EstimateRows("Nope", Box({Interval(0, 1)})), 0.0);
   registry.Feedback("Nope", Box({Interval(0, 1)}), 5);  // no crash
+}
+
+TEST(StatsRegistryTest, FeedbackReturnsTheChangedBox) {
+  const Box half({Interval(0, 49)});
+  const Box full({Interval(0, 99)});
+  StatsRegistry registry;
+  registry.RegisterTable(OneColumnTable(99, 1000));
+  EXPECT_EQ(registry.Feedback("T", half, 10), half);
+  EXPECT_TRUE(registry.Feedback("Nope", half, 5).empty());
+
+  // Uniform statistics ignore sub-region feedback: nothing changes.
+  StatsRegistry frozen(StatsKind::kUniform);
+  frozen.RegisterTable(OneColumnTable(99, 1000));
+  EXPECT_TRUE(frozen.Feedback("T", half, 10).empty());
+  EXPECT_EQ(frozen.Feedback("T", full, 10), full);
 }
 
 TEST(StatsRegistryTest, LearningDisabledStaysUniform) {
