@@ -1,6 +1,7 @@
 // Copy-on-write snapshot cells and a sharded cell map: the concurrency
-// substrate for the read-dominated hot path (semantic store, stats
-// registry, plan cache). Writers build a fresh immutable value and publish
+// substrate for the read-dominated hot path (the stats registry and the
+// plan cache publish snapshot cells; the semantic store keys its
+// lock-guarded table cells by the sharded map). Writers build a fresh immutable value and publish
 // it with one release; readers pin the current snapshot with one
 // acquire and then walk a structure that can never change underneath
 // them. This is the epoch-validated optimistic-read protocol taken to its

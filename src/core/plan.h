@@ -10,6 +10,7 @@
 #define PAYLESS_CORE_PLAN_H_
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -77,6 +78,26 @@ struct PlanningCounters {
   /// 1 when the cache is enabled (0/0 when bypassed, e.g. Explain).
   size_t plan_cache_hits = 0;
   size_t plan_cache_misses = 0;
+};
+
+/// One query's counterfactual price: what the cheapest plan of a store-
+/// less client pinned to one market would cost (obs/savings_accountant.h
+/// computes it at plan time).
+struct Counterfactual {
+  /// Estimated transactions of the store-less plan; -1 = pricing failed
+  /// (the query is then excluded from savings accounting, never guessed).
+  int64_t total = -1;
+  std::map<std::string, int64_t> by_dataset;
+  /// Shape signature of the counterfactual plan (see
+  /// SavingsAccountant::PlanSignature).
+  std::string signature;
+  /// The single market endpoint the counterfactual buys everything from —
+  /// the cheapest one ("" for a single market). Executed accesses routed
+  /// to a different endpoint earn federation_routing savings against this
+  /// baseline.
+  std::string market;
+
+  bool ok() const { return total >= 0; }
 };
 
 }  // namespace payless::core

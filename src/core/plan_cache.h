@@ -44,7 +44,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -78,27 +77,19 @@ struct PricedRegion {
 /// The priced regions of `query`'s market relations, in relation order.
 std::vector<PricedRegion> PricedRegionsOf(const sql::BoundQuery& query);
 
-/// One cached optimization outcome: the plan plus the planning counters of
-/// the optimization that produced it (so reports stay meaningful on hits).
-/// The counterfactual fields are filled by the savings accountant at
-/// insert time, so a template's hit path reprices nothing and both paths
-/// report the identical counterfactual (the what-if baseline only depends
-/// on the estimates over `priced`, which invalidation keeps current).
-/// Every entry is inserted by the client that reads it and lives only in
-/// memory: durability snapshots keep what was paid for, and a restarted
-/// client re-plans each template against the recovered store and
-/// statistics.
+/// One cached optimization outcome: the plan and its counterfactual. The
+/// savings accountant prices the counterfactual at insert time, so a
+/// template's hit path reprices nothing and both paths report the
+/// identical counterfactual (the what-if baseline only depends on the
+/// estimates over `priced`, which invalidation keeps current). Its total is
+/// -1 when it was not priced (savings accounting off, or the pricing
+/// failed, which the hit then reports exactly as the miss did). Every
+/// entry is inserted by the client that reads it and lives only in memory:
+/// durability snapshots keep what was paid for, and a restarted client
+/// re-plans each template against the recovered store and statistics.
 struct CachedPlan {
   Plan plan;
-  PlanningCounters counters;
-  /// Estimated transactions of the counterfactual plan (empty store, no
-  /// cached template); -1 = not priced (savings accounting off, or the
-  /// pricing failed, which the hit then reports exactly as the miss did).
-  int64_t cf_total = -1;
-  std::map<std::string, int64_t> cf_by_dataset;
-  /// Shape signature of the counterfactual plan, for detecting
-  /// learned-stats plan switches (signature mismatch vs executed plan).
-  std::string cf_signature;
+  Counterfactual cf;
   /// What the plan and its counterfactual were priced over.
   std::vector<PricedRegion> priced;
 };

@@ -12,11 +12,11 @@
 // snapshot (file and rename) is on stable storage before the log it
 // replaces is cut.
 // The whole harvest pipeline is serialized under one mutex — a deliberate
-// trade: reads (the query hot path) stay lock-free on the COW snapshots,
-// while the write side, already serialized per table and bounded by
-// market-call latency, gains a total order that makes the log a faithful
-// replay script and leaves no window where a snapshot could double- or
-// half-count an in-flight harvest.
+// trade: reads (the query hot path) never take it, only the store's shared
+// table locks and the statistics' snapshots, while the write side, already
+// serialized per table and bounded by market-call latency, gains a total
+// order that makes the log a faithful replay script and leaves no window
+// where a snapshot could double- or half-count an in-flight harvest.
 //
 // Recovery. Construction-time Recover() loads the snapshot (views replayed
 // into the store, estimator blobs into the statistics registry), then

@@ -58,13 +58,9 @@ Status DownloadAllClient::EnsureDownloaded(const std::string& table) {
     for (const Row& row : existing->rows()) have.insert(row);
   }
 
-  market::CallObs call_obs;
-  call_obs.tenant = tenant_;
-  call_obs.query_id = 0;  // table purchase, not attributable to one query
-  call_obs.ledger = ledger_;
   for (const market::RestCall& call : calls) {
     Result<market::CallResult> result =
-        connector_.Get(call, market::kNoDeadline, &call_obs);
+        connector_.Get(call, market::kNoDeadline);
     PAYLESS_RETURN_IF_ERROR(result.status());
     std::vector<Row> fresh;
     fresh.reserve(result->rows.size());

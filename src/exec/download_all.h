@@ -8,12 +8,10 @@
 
 #include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "catalog/catalog.h"
 #include "market/data_market.h"
-#include "obs/cost_ledger.h"
 #include "storage/database.h"
 
 namespace payless::exec {
@@ -45,21 +43,11 @@ class DownloadAllClient {
   /// FaultInjector (chaos tests, flaky-market benchmarks).
   market::MarketConnector* connector() { return &connector_; }
 
-  /// Attributes every downloaded table's spend to `tenant` in `ledger`
-  /// (under the reserved query_id 0: download-all buys tables, not queries).
-  /// Lets head-to-head comparisons with PayLess share one cost ledger.
-  void AttributeSpendTo(obs::CostLedger* ledger, std::string tenant) {
-    ledger_ = ledger;
-    tenant_ = std::move(tenant);
-  }
-
  private:
   const catalog::Catalog* catalog_;
   market::MarketConnector connector_;
   storage::Database db_;
   std::set<std::string> downloaded_;
-  obs::CostLedger* ledger_ = nullptr;
-  std::string tenant_ = "default";
 };
 
 }  // namespace payless::exec

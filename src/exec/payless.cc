@@ -120,7 +120,7 @@ PayLess::PayLess(const catalog::Catalog* catalog,
       endpoints.emplace_back(router_->endpoint_id(i), &router_->terms(i));
     }
     savings_accountant_ = std::make_unique<obs::SavingsAccountant>(
-        catalog_, &stats_, config.optimizer, std::move(endpoints));
+        catalog_, &stats_, std::move(endpoints));
   }
   // Scheduler/queue instrumentation and the coalescing-opportunity meter.
   // Gauges and counters are shared across connectors (they are atomics, and
@@ -378,7 +378,7 @@ Result<QueryReport> PayLess::QueryWithReportImpl(
   // and re-optimizes against the refined statistics.
   QueryReport report;
   bool cache_hit = false;
-  obs::Counterfactual cf;
+  core::Counterfactual cf;
   int64_t probe_micros = 0;
   std::shared_lock<std::shared_mutex> placement_lock;
   if (placement_ != nullptr) {
@@ -396,13 +396,11 @@ Result<QueryReport> PayLess::QueryWithReportImpl(
       cached = plan_cache_.Lookup(cache_key);
       probe_micros = MicrosSince(probe_start);
       if (cached != nullptr) {
-        report.plan = cached->plan;
-        report.counters = cached->counters;
+        // A hit ran no optimization, so its planning counters stay zero.
         // The counterfactual rides in the template: a hit reports exactly
         // the price the miss that created the template computed.
-        cf.total = cached->cf_total;
-        cf.by_dataset = cached->cf_by_dataset;
-        cf.signature = cached->cf_signature;
+        report.plan = cached->plan;
+        cf = cached->cf;
         cache_hit = true;
       }
     }
@@ -413,15 +411,13 @@ Result<QueryReport> PayLess::QueryWithReportImpl(
       report.plan = std::move(optimized->plan);
       report.counters = optimized->counters;
       if (savings_accountant_ != nullptr) {
-        cf = savings_accountant_->Price(*bound);
+        cf = savings_accountant_->Price(*bound, opt_options);
       }
       if (config_.enable_plan_cache) {
         // Refused when an invalidation raced the optimization.
         plan_cache_.Insert(
             cache_key,
-            core::CachedPlan{report.plan, report.counters, cf.total,
-                             cf.by_dataset, cf.signature,
-                             core::PricedRegionsOf(*bound)},
+            core::CachedPlan{report.plan, cf, core::PricedRegionsOf(*bound)},
             invalidations);
       }
     }

@@ -62,7 +62,6 @@ class EndpointRouter {
   /// Endpoint 0's connector — the buy-site of an access that carries no
   /// annotation (the single market's only endpoint; under federation, an
   /// access planned while no endpoint selling its dataset was live).
-  /// Snapshots persist the annotation, so a recovered plan keeps it.
   market::MarketConnector* primary() { return connector(0); }
 
   /// Connector of the named endpoint; an unknown id (under federation, ""

@@ -103,8 +103,6 @@ class FederatedMarket {
   const MarketEndpoint& endpoint(size_t i) const { return *endpoints_[i]; }
   size_t num_endpoints() const { return endpoints_.size(); }
 
-  uint64_t base_seed() const { return base_seed_; }
-
   /// The deterministic per-endpoint seed: SplitMix64 over the base seed
   /// mixed with a stable hash of the endpoint id.
   static uint64_t SubSeed(uint64_t base_seed, const std::string& endpoint_id);

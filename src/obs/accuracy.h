@@ -81,8 +81,6 @@ class AccuracyTracker {
     return drift_epoch_.load(std::memory_order_acquire);
   }
 
-  double threshold() const { return threshold_; }
-
   AccuracySnapshot Snapshot(const std::string& table) const;
   uint64_t total_samples() const {
     return total_samples_.load(std::memory_order_relaxed);

@@ -9,24 +9,18 @@ namespace payless::obs {
 
 SavingsAccountant::SavingsAccountant(const catalog::Catalog* catalog,
                                      const stats::StatsRegistry* stats,
-                                     core::OptimizerOptions options,
                                      std::vector<Endpoint> endpoints)
-    : catalog_(catalog),
-      stats_(stats),
-      options_(options),
-      endpoints_(std::move(endpoints)) {}
+    : catalog_(catalog), stats_(stats), endpoints_(std::move(endpoints)) {}
 
-Counterfactual SavingsAccountant::PriceAgainst(
-    const sql::BoundQuery& query, const catalog::Catalog* catalog) const {
+core::Counterfactual SavingsAccountant::PriceAgainst(
+    const sql::BoundQuery& query, const catalog::Catalog* catalog,
+    const core::OptimizerOptions& options) const {
   // The store-less world, shared by every pricing pass: never written, so
   // concurrent reads are free and nothing of the real store leaks in.
   static semstore::SemanticStore* const empty_store =
       new semstore::SemanticStore();
 
-  Counterfactual cf;
-  // The counterfactual client is pinned to ONE market: no buy-site menu.
-  core::OptimizerOptions options = options_;
-  options.federation = nullptr;
+  core::Counterfactual cf;
   const core::Optimizer optimizer(catalog, stats_, empty_store, options);
   const Result<core::OptimizeResult> result = optimizer.Optimize(query);
   if (!result.ok()) return cf;  // unpriceable: excluded, not guessed
@@ -43,13 +37,17 @@ Counterfactual SavingsAccountant::PriceAgainst(
   return cf;
 }
 
-Counterfactual SavingsAccountant::Price(const sql::BoundQuery& query) const {
+core::Counterfactual SavingsAccountant::Price(
+    const sql::BoundQuery& query,
+    const core::OptimizerOptions& options) const {
   // The baseline is the cheapest single market — a store-less client that
   // registered with its best endpoint and buys everything there. Ties
   // break toward registration order (endpoint 0 is the primary).
-  Counterfactual best;
+  core::OptimizerOptions single_market = options;
+  single_market.federation = nullptr;  // no buy-site menu
+  core::Counterfactual best;
   for (const auto& [endpoint, catalog] : endpoints_) {
-    Counterfactual cf = PriceAgainst(query, catalog);
+    core::Counterfactual cf = PriceAgainst(query, catalog, single_market);
     if (!cf.ok()) continue;
     cf.market = endpoint;
     if (!best.ok() || cf.total < best.total) best = std::move(cf);
@@ -71,7 +69,7 @@ std::string SavingsAccountant::PlanSignature(const core::Plan& plan,
 }
 
 QuerySavings SavingsAccountant::RecordQuery(
-    const Counterfactual& cf, const core::Plan& executed,
+    const core::Counterfactual& cf, const core::Plan& executed,
     const sql::BoundQuery& query, bool plan_cache_hit,
     const std::map<std::string, CostCell>& actual_cells,
     const std::string& tenant, SavingsLedger* ledger) const {

@@ -40,23 +40,6 @@
 
 namespace payless::obs {
 
-/// One query's counterfactual price, computed at plan time.
-struct Counterfactual {
-  /// Estimated transactions of the store-less plan; -1 = pricing failed
-  /// (the query is then excluded from savings accounting, never guessed).
-  int64_t total = -1;
-  std::map<std::string, int64_t> by_dataset;
-  /// Shape signature of the counterfactual plan (see PlanSignature).
-  std::string signature;
-  /// The single market endpoint the counterfactual buys everything from —
-  /// the cheapest one ("" for a single market). Executed accesses routed
-  /// to a different endpoint earn federation_routing savings against this
-  /// baseline.
-  std::string market;
-
-  bool ok() const { return total >= 0; }
-};
-
 /// One query's realized savings, aggregated over its datasets — what
 /// RecordQuery folded into the ledger, returned so the caller can update
 /// metrics and the QueryReport without re-deriving the attribution.
@@ -75,20 +58,21 @@ class SavingsAccountant {
   using Endpoint = std::pair<std::string, const catalog::Catalog*>;
 
   /// `catalog`, `stats` and every endpoint catalog must outlive the
-  /// accountant; `options` should mirror the live optimizer's options so
-  /// the counterfactual differs from reality only in store coverage.
-  /// `endpoints` are the client's markets, in registration order: one
-  /// entry, {"", market catalog}, for a single market. Price() returns the
-  /// cheapest SINGLE-market plan among them — the baseline a store-less
-  /// client pinned to its best endpoint would pay.
+  /// accountant. `endpoints` are the client's markets, in registration
+  /// order: one entry, {"", market catalog}, for a single market. Price()
+  /// returns the cheapest SINGLE-market plan among them — the baseline a
+  /// store-less client pinned to its best endpoint would pay.
   SavingsAccountant(const catalog::Catalog* catalog,
                     const stats::StatsRegistry* stats,
-                    core::OptimizerOptions options,
                     std::vector<Endpoint> endpoints);
 
-  /// Prices the counterfactual plan for `query`. Read-only and
+  /// Prices the counterfactual plan for `query` under `options`, the live
+  /// optimizer's options for this query, so the counterfactual differs
+  /// from reality only in store coverage (the buy-site menu is dropped:
+  /// the counterfactual client buys from one market). Read-only and
   /// thread-safe: same query + same stats snapshot => identical result.
-  Counterfactual Price(const sql::BoundQuery& query) const;
+  core::Counterfactual Price(const sql::BoundQuery& query,
+                             const core::OptimizerOptions& options) const;
 
   /// Order-insensitive shape signature of a plan: per-relation access
   /// kind, SQR usage and bind shape. Two plans with equal signatures made
@@ -104,18 +88,18 @@ class SavingsAccountant {
   /// the federation_routing split replays each routed access's buy-site
   /// repricing under the counterfactual endpoint's menu.
   QuerySavings RecordQuery(
-      const Counterfactual& cf, const core::Plan& executed,
+      const core::Counterfactual& cf, const core::Plan& executed,
       const sql::BoundQuery& query, bool plan_cache_hit,
       const std::map<std::string, CostCell>& actual_cells,
       const std::string& tenant, SavingsLedger* ledger) const;
 
  private:
-  Counterfactual PriceAgainst(const sql::BoundQuery& query,
-                              const catalog::Catalog* catalog) const;
+  core::Counterfactual PriceAgainst(
+      const sql::BoundQuery& query, const catalog::Catalog* catalog,
+      const core::OptimizerOptions& options) const;
 
   const catalog::Catalog* catalog_;
   const stats::StatsRegistry* stats_;
-  core::OptimizerOptions options_;
   std::vector<Endpoint> endpoints_;
 };
 

@@ -1,9 +1,9 @@
 #include "semstore/semantic_store.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
-#include <mutex>
+#include <memory>
+#include <shared_mutex>
 #include <sstream>
 #include <unordered_set>
 
@@ -113,187 +113,85 @@ void SemanticStore::AddCoverage(std::vector<Box>* coverage, Box region) {
   list.push_back(std::move(region));
 }
 
-const SemanticStore::PostingList* SemanticStore::PostingDim::Find(
-    int64_t code) const {
-  if (root == nullptr || code < lo) return nullptr;
-  const uint64_t offset =
-      static_cast<uint64_t>(code) - static_cast<uint64_t>(lo);
-  const int span_bits = levels * kPostingBits;
-  if (span_bits < 64 && (offset >> span_bits) != 0) return nullptr;
-  const PostingNode* node = root.get();
-  for (int level = levels - 1; level > 0; --level) {
-    node = node->children[(offset >> (level * kPostingBits)) &
-                          (kPostingFanout - 1)]
-               .get();
-    if (node == nullptr) return nullptr;
-  }
-  return node->lists[offset & (kPostingFanout - 1)].get();
-}
-
-std::shared_ptr<const SemanticStore::PostingNode> SemanticStore::WithPostings(
-    const PostingNode* node, int level, const PostingDim& dim,
-    FreshPostings::const_iterator first, FreshPostings::const_iterator last) {
-  auto copy = node != nullptr ? std::make_shared<PostingNode>(*node)
-                              : std::make_shared<PostingNode>();
-  const auto slot_of = [&](const FreshPosting& posting) {
-    const uint64_t offset =
-        static_cast<uint64_t>(posting.first) - static_cast<uint64_t>(dim.lo);
-    return (offset >> (level * kPostingBits)) & (kPostingFanout - 1);
-  };
-  // Postings arrive sorted by code, so each slot's share is one contiguous
-  // run: a child subtree below the bottom level, one code's list at it.
-  std::vector<std::shared_ptr<const PostingNode>>& children = copy->children;
-  std::vector<std::shared_ptr<const PostingList>>& lists = copy->lists;
-  if (level > 0) {
-    children.resize(kPostingFanout);
-  } else {
-    lists.resize(kPostingFanout);
-  }
-  while (first != last) {
-    const uint64_t slot = slot_of(*first);
-    auto run_end = first;
-    while (run_end != last && slot_of(*run_end) == slot) ++run_end;
-    if (level > 0) {
-      children[slot] =
-          WithPostings(children[slot].get(), level - 1, dim, first, run_end);
-      first = run_end;
-      continue;
-    }
-    auto list = lists[slot] != nullptr
-                    ? std::make_shared<PostingList>(*lists[slot])
-                    : std::make_shared<PostingList>();
-    // The open tail chunk may be shared with older snapshots: append to a
-    // private copy of it. Full chunks stay shared untouched.
-    std::shared_ptr<PostingChunk> open;
-    if (!list->chunks.empty() && list->chunks.back()->size() < kPostingChunk) {
-      open = std::make_shared<PostingChunk>(*list->chunks.back());
-      list->chunks.back() = open;
-    }
-    for (; first != run_end; ++first) {
-      if (open == nullptr || open->size() >= kPostingChunk) {
-        open = std::make_shared<PostingChunk>();
-        list->chunks.push_back(open);
-      }
-      open->push_back(first->second);
-      ++list->size;
-    }
-    lists[slot] = std::move(list);
-  }
-  return copy;
-}
-
 void SemanticStore::Store(const catalog::TableDef& def, Box region,
                           const std::vector<Row>& rows, int64_t epoch) {
   if (region.empty()) return;
   const std::shared_ptr<TableCell> cell = cells_.GetOrCreate(def.name);
-  std::lock_guard<std::mutex> lock(cell->write_mutex);
+  std::unique_lock<std::shared_mutex> lock(cell->mutex);
+  TableData& data = cell->data;
 
-  const std::shared_ptr<const TableData> old = cell->data.Load();
-  // Copies the view, coverage and chunk lists; rows and postings are shared.
-  auto next = std::make_shared<TableData>(*old);
-  AddCoverage(&next->coverage, region);
-  if (next->domain_volume == 0) next->domain_volume = DomainVolume(def);
-  for (const Row& row : rows) next->approx_bytes += ApproxRowBytes(row);
-  if (next->views.empty()) {
-    next->min_epoch = epoch;
-    next->max_epoch = epoch;
+  AddCoverage(&data.coverage, region);
+  if (data.domain_volume == 0) data.domain_volume = DomainVolume(def);
+  for (const Row& row : rows) data.approx_bytes += ApproxRowBytes(row);
+  if (data.views.empty()) {
+    data.min_epoch = epoch;
+    data.max_epoch = epoch;
   } else {
-    next->min_epoch = std::min(next->min_epoch, epoch);
-    next->max_epoch = std::max(next->max_epoch, epoch);
+    data.min_epoch = std::min(data.min_epoch, epoch);
+    data.max_epoch = std::max(data.max_epoch, epoch);
   }
 
   const std::vector<size_t> dims = def.ConstrainableColumns();
   const size_t num_dims = dims.size();
-  if (next->postings.empty()) {
-    next->postings.resize(num_dims);
+  if (data.postings.empty()) {
+    data.postings.resize(num_dims);
     for (size_t d = 0; d < num_dims; ++d) {
-      const Interval domain = def.columns[dims[d]].domain.ToInterval();
-      PostingDim& dim = next->postings[d];
-      dim.posted = domain.Width() > 1;
-      dim.lo = domain.lo;
-      const uint64_t max_offset =
-          static_cast<uint64_t>(domain.hi) - static_cast<uint64_t>(domain.lo);
-      while (dim.levels * kPostingBits < 64 &&
-             (max_offset >> (dim.levels * kPostingBits)) != 0) {
-        ++dim.levels;
-      }
+      data.postings[d].posted =
+          def.columns[dims[d]].domain.ToInterval().Width() > 1;
     }
   }
-  std::vector<FreshPostings> fresh(num_dims);
-  // The open (non-full) tail chunk may be referenced by the previous
-  // snapshot, so appends go to a private copy of it; full chunks are shared
-  // between snapshots untouched.
-  std::shared_ptr<RowChunk> open;
-  if (!next->chunks.empty() && next->chunks.back()->rows.size() < kRowChunk) {
-    open = std::make_shared<RowChunk>(*next->chunks.back());
-    next->chunks.back() = open;
-  }
-  auto view = std::make_shared<View>();
-  view->epoch = epoch;
-  view->rows.reserve(rows.size());
+  View view;
+  view.epoch = epoch;
+  view.rows.reserve(rows.size());
   for (const Row& row : rows) {
     std::optional<std::vector<int64_t>> point = PointOf(def, dims, row);
     if (!point.has_value()) {  // outside domains: kept only for export
-      view->rows.push_back(kUnpooled |
-                           static_cast<uint32_t>(view->unpooled.size()));
-      view->unpooled.push_back(row);
+      view.rows.push_back(kUnpooled |
+                          static_cast<uint32_t>(view.unpooled.size()));
+      view.unpooled.push_back(row);
       continue;
     }
     // Identical rows share their point, so the point-hash index finds any
     // pooled copy; in-batch duplicates are indexed as they pool.
     const uint64_t hash = PointHash(*point);
     uint32_t index = kUnpooled;
-    const auto [first, last] = cell->pooled_by_point.equal_range(hash);
+    const auto [first, last] = data.pooled_by_point.equal_range(hash);
     for (auto it = first; it != last && index == kUnpooled; ++it) {
-      if (next->PooledPoint(it->second) == *point &&
-          next->PooledRow(it->second) == row) {
+      if (data.points[it->second] == *point && data.pool[it->second] == row) {
         index = it->second;
       }
     }
     if (index == kUnpooled) {
-      index = static_cast<uint32_t>(next->pooled_rows);
-      cell->pooled_by_point.emplace(hash, index);
-      if (open == nullptr || open->rows.size() >= kRowChunk) {
-        open = std::make_shared<RowChunk>();
-        open->rows.reserve(kRowChunk);
-        open->points.reserve(kRowChunk);
-        next->chunks.push_back(open);
-      }
-      open->rows.push_back(row);  // the row's one copy
+      // Pool indices only grow, so every posting list stays ascending.
+      index = static_cast<uint32_t>(data.pool.size());
+      data.pooled_by_point.emplace(hash, index);
+      data.pool.push_back(row);  // the row's one copy
       for (size_t d = 0; d < num_dims; ++d) {
-        if (next->postings[d].posted) fresh[d].emplace_back((*point)[d], index);
+        if (data.postings[d].posted) {
+          data.postings[d].lists[(*point)[d]].push_back(index);
+        }
       }
-      open->points.push_back(std::move(*point));
-      ++next->pooled_rows;
+      data.points.push_back(std::move(*point));
     }
-    view->rows.push_back(index);
+    view.rows.push_back(index);
   }
-  for (size_t d = 0; d < num_dims; ++d) {
-    if (fresh[d].empty()) continue;
-    std::sort(fresh[d].begin(), fresh[d].end());  // by code, then index
-    PostingDim& dim = next->postings[d];
-    dim.root = WithPostings(dim.root.get(), dim.levels - 1, dim,
-                            fresh[d].begin(), fresh[d].end());
-  }
-
-  view->region = std::move(region);
-  next->views.push_back(std::move(view));
-  cell->data.Store(std::move(next));
-  version_.fetch_add(1, std::memory_order_release);
+  view.region = std::move(region);
+  data.views.push_back(std::move(view));
 }
 
 std::vector<StoredView> SemanticStore::ViewsOf(
     const std::string& table) const {
   const std::shared_ptr<TableCell> cell = cells_.Find(table);
   if (cell == nullptr) return {};
-  const std::shared_ptr<const TableData> data = cell->data.Load();
+  std::shared_lock<std::shared_mutex> lock(cell->mutex);
+  const TableData& data = cell->data;
   std::vector<StoredView> out;
-  out.reserve(data->views.size());
-  for (const auto& view : data->views) {
-    StoredView exported{view->region, {}, view->epoch};
-    exported.rows.reserve(view->rows.size());
-    for (const uint32_t ref : view->rows) {
-      exported.rows.push_back(data->ViewRow(*view, ref));
+  out.reserve(data.views.size());
+  for (const View& view : data.views) {
+    StoredView exported{view.region, {}, view.epoch};
+    exported.rows.reserve(view.rows.size());
+    for (const uint32_t ref : view.rows) {
+      exported.rows.push_back(data.ViewRow(view, ref));
     }
     out.push_back(std::move(exported));
   }
@@ -308,8 +206,8 @@ std::vector<Box> SemanticStore::CoveredRegionsOf(const TableData& data,
   }
   std::vector<Box> out;
   out.reserve(data.views.size());
-  for (const auto& view : data.views) {
-    if (view->epoch >= min_epoch) out.push_back(view->region);
+  for (const View& view : data.views) {
+    if (view.epoch >= min_epoch) out.push_back(view.region);
   }
   return out;
 }
@@ -326,7 +224,8 @@ std::vector<Box> SemanticStore::CoveredRegions(const std::string& table,
                                                int64_t min_epoch) const {
   const std::shared_ptr<TableCell> cell = cells_.Find(table);
   if (cell == nullptr) return {};
-  return CoveredRegionsOf(*cell->data.Load(), min_epoch);
+  std::shared_lock<std::shared_mutex> lock(cell->mutex);
+  return CoveredRegionsOf(cell->data, min_epoch);
 }
 
 void SemanticStore::CountProbe(const TableCell* cell, bool hit) const {
@@ -353,8 +252,11 @@ bool SemanticStore::Covers(const catalog::TableDef& def, const Box& region,
     CountProbe(nullptr, /*hit=*/false);
     return false;
   }
-  const std::shared_ptr<const TableData> data = cell->data.Load();
-  const bool covered = IsCoveredUnder(*data, region, min_epoch);
+  bool covered = false;
+  {
+    std::shared_lock<std::shared_mutex> lock(cell->mutex);
+    covered = IsCoveredUnder(cell->data, region, min_epoch);
+  }
   CountProbe(cell.get(), covered);
   return covered;
 }
@@ -362,23 +264,20 @@ bool SemanticStore::Covers(const catalog::TableDef& def, const Box& region,
 std::vector<Row> SemanticStore::RowsInRegion(const catalog::TableDef& def,
                                              const Box& region,
                                              int64_t min_epoch) const {
-  std::vector<Row> out = RowsInRegionImpl(def, region, min_epoch);
   const std::shared_ptr<TableCell> cell =
       region.empty() ? nullptr : cells_.Find(def.name);
+  std::vector<Row> out;
+  if (cell != nullptr) {
+    std::shared_lock<std::shared_mutex> lock(cell->mutex);
+    out = RowsOf(cell->data, region, min_epoch);
+  }
   CountProbe(cell.get(), /*hit=*/!out.empty());
   return out;
 }
 
-std::vector<Row> SemanticStore::RowsInRegionImpl(const catalog::TableDef& def,
-                                                 const Box& region,
-                                                 int64_t min_epoch) const {
+std::vector<Row> SemanticStore::RowsOf(const TableData& data,
+                                       const Box& region, int64_t min_epoch) {
   std::vector<Row> out;
-  if (region.empty()) return out;
-  const std::shared_ptr<TableCell> cell = cells_.Find(def.name);
-  if (cell == nullptr) return out;
-  const std::shared_ptr<const TableData> snapshot = cell->data.Load();
-  const TableData& data = *snapshot;
-
   if (min_epoch == std::numeric_limits<int64_t>::min()) {
     // Weak consistency: serve from the deduplicated pool. Use the postings
     // of the most selective narrow dimension when one exists — selectivity
@@ -386,6 +285,11 @@ std::vector<Row> SemanticStore::RowsInRegionImpl(const catalog::TableDef& def,
     // interval width: a one-value categorical dimension ("Country = 'US'")
     // has width 1 but may post every pooled row, while a four-station slab
     // posts a handful.
+    const auto list_of = [&](size_t d,
+                             int64_t code) -> const std::vector<uint32_t>* {
+      const auto it = data.postings[d].lists.find(code);
+      return it == data.postings[d].lists.end() ? nullptr : &it->second;
+    };
     size_t best_dim = region.num_dims();
     size_t best_candidates = std::numeric_limits<size_t>::max();
     for (size_t d = 0; d < region.num_dims() && d < data.postings.size();
@@ -395,35 +299,27 @@ std::vector<Row> SemanticStore::RowsInRegionImpl(const catalog::TableDef& def,
       size_t candidates = 0;
       for (int64_t code = region.dim(d).lo; code <= region.dim(d).hi;
            ++code) {
-        const PostingList* list = data.postings[d].Find(code);
-        if (list != nullptr) candidates += list->size;
+        if (const auto* list = list_of(d, code)) candidates += list->size();
       }
       if (candidates < best_candidates) {
         best_candidates = candidates;
         best_dim = d;
       }
     }
-    const bool use_postings = best_dim < region.num_dims();
-    if (use_postings) {
+    if (best_dim < region.num_dims()) {
       out.reserve(best_candidates);
       for (int64_t code = region.dim(best_dim).lo;
            code <= region.dim(best_dim).hi; ++code) {
-        const PostingList* list = data.postings[best_dim].Find(code);
+        const auto* list = list_of(best_dim, code);
         if (list == nullptr) continue;
-        for (const auto& chunk : list->chunks) {
-          for (const uint32_t i : *chunk) {
-            if (region.Contains(data.PooledPoint(i))) {
-              out.push_back(data.PooledRow(i));
-            }
-          }
+        for (const uint32_t i : *list) {
+          if (region.Contains(data.points[i])) out.push_back(data.pool[i]);
         }
       }
     } else {
-      out.reserve(data.pooled_rows);
-      for (size_t i = 0; i < data.pooled_rows; ++i) {
-        if (region.Contains(data.PooledPoint(i))) {
-          out.push_back(data.PooledRow(i));
-        }
+      out.reserve(data.pool.size());
+      for (size_t i = 0; i < data.pool.size(); ++i) {
+        if (region.Contains(data.points[i])) out.push_back(data.pool[i]);
       }
     }
     return out;
@@ -435,10 +331,10 @@ std::vector<Row> SemanticStore::RowsInRegionImpl(const catalog::TableDef& def,
   std::vector<const View*> usable;
   usable.reserve(data.views.size());
   size_t candidate_rows = 0;
-  for (const auto& view : data.views) {
-    if (view->epoch >= min_epoch && view->region.Overlaps(region)) {
-      usable.push_back(view.get());
-      candidate_rows += view->rows.size();
+  for (const View& view : data.views) {
+    if (view.epoch >= min_epoch && view.region.Overlaps(region)) {
+      usable.push_back(&view);
+      candidate_rows += view.rows.size();
     }
   }
   std::stable_sort(usable.begin(), usable.end(),
@@ -451,8 +347,8 @@ std::vector<Row> SemanticStore::RowsInRegionImpl(const catalog::TableDef& def,
   for (const View* view : usable) {
     for (const uint32_t ref : view->rows) {
       if ((ref & kUnpooled) != 0) continue;
-      if (!region.Contains(data.PooledPoint(ref))) continue;
-      if (seen.insert(ref).second) out.push_back(data.PooledRow(ref));
+      if (!region.Contains(data.points[ref])) continue;
+      if (seen.insert(ref).second) out.push_back(data.pool[ref]);
     }
   }
   return out;
@@ -461,13 +357,15 @@ std::vector<Row> SemanticStore::RowsInRegionImpl(const catalog::TableDef& def,
 size_t SemanticStore::NumViews(const std::string& table) const {
   const std::shared_ptr<TableCell> cell = cells_.Find(table);
   if (cell == nullptr) return 0;
-  return cell->data.Load()->views.size();
+  std::shared_lock<std::shared_mutex> lock(cell->mutex);
+  return cell->data.views.size();
 }
 
 size_t SemanticStore::TotalViews() const {
   size_t total = 0;
   cells_.ForEach([&](const std::string&, const TableCell& cell) {
-    total += cell.data.Load()->views.size();
+    std::shared_lock<std::shared_mutex> lock(cell.mutex);
+    total += cell.data.views.size();
   });
   return total;
 }
@@ -475,8 +373,8 @@ size_t SemanticStore::TotalViews() const {
 size_t SemanticStore::TotalStoredRows() const {
   size_t total = 0;
   cells_.ForEach([&](const std::string&, const TableCell& cell) {
-    const std::shared_ptr<const TableData> data = cell.data.Load();
-    for (const auto& view : data->views) total += view->rows.size();
+    std::shared_lock<std::shared_mutex> lock(cell.mutex);
+    for (const View& view : cell.data.views) total += view.rows.size();
   });
   return total;
 }
@@ -495,14 +393,10 @@ void SemanticStore::DropTable(const std::string& table) {
   if (cell == nullptr) return;
   int64_t dropped = 0;
   {
-    std::lock_guard<std::mutex> lock(cell->write_mutex);
-    const std::shared_ptr<const TableData> old = cell->data.Load();
-    dropped = static_cast<int64_t>(old->views.size());
-    if (dropped == 0 && old->pooled_rows == 0) return;
-    cell->data.Store(std::make_shared<const TableData>());
-    cell->pooled_by_point.clear();
+    std::unique_lock<std::shared_mutex> lock(cell->mutex);
+    dropped = static_cast<int64_t>(cell->data.views.size());
+    cell->data = TableData();
   }
-  version_.fetch_add(1, std::memory_order_release);
   if (dropped > 0) {
     evictions_.fetch_add(dropped, std::memory_order_relaxed);
     obs::Counter* metric = evictions_metric_.load(std::memory_order_relaxed);
@@ -513,10 +407,10 @@ void SemanticStore::DropTable(const std::string& table) {
 void SemanticStore::Clear() {
   int64_t dropped = 0;
   cells_.ForEach([&](const std::string&, const TableCell& cell) {
-    dropped += static_cast<int64_t>(cell.data.Load()->views.size());
+    std::shared_lock<std::shared_mutex> lock(cell.mutex);
+    dropped += static_cast<int64_t>(cell.data.views.size());
   });
   cells_.Clear();
-  version_.fetch_add(1, std::memory_order_release);
   if (dropped > 0) {
     evictions_.fetch_add(dropped, std::memory_order_relaxed);
     obs::Counter* metric = evictions_metric_.load(std::memory_order_relaxed);
@@ -539,20 +433,21 @@ std::vector<StoreTableStats> SemanticStore::SnapshotStats() const {
     stats.probes = cell.probes.load(std::memory_order_relaxed);
     stats.hits = cell.hits.load(std::memory_order_relaxed);
     stats.misses = cell.misses.load(std::memory_order_relaxed);
-    const std::shared_ptr<const TableData> data = cell.data.Load();
-    stats.views = data->views.size();
-    stats.coverage_boxes = data->coverage.size();
-    stats.pooled_rows = data->pooled_rows;
-    stats.approx_bytes = data->approx_bytes;
-    stats.min_epoch = data->min_epoch;
-    stats.max_epoch = data->max_epoch;
-    if (data->domain_volume > 0) {
+    std::shared_lock<std::shared_mutex> lock(cell.mutex);
+    const TableData& data = cell.data;
+    stats.views = data.views.size();
+    stats.coverage_boxes = data.coverage.size();
+    stats.pooled_rows = data.pool.size();
+    stats.approx_bytes = data.approx_bytes;
+    stats.min_epoch = data.min_epoch;
+    stats.max_epoch = data.max_epoch;
+    if (data.domain_volume > 0) {
       double covered = 0.0;
-      for (const Box& box : data->coverage) {
+      for (const Box& box : data.coverage) {
         covered += static_cast<double>(box.Volume());
       }
       stats.covered_fraction =
-          std::min(1.0, covered / static_cast<double>(data->domain_volume));
+          std::min(1.0, covered / static_cast<double>(data.domain_volume));
     }
     out.push_back(std::move(stats));
   });
@@ -566,7 +461,7 @@ std::vector<StoreTableStats> SemanticStore::SnapshotStats() const {
 std::string SemanticStore::StatsJson() const {
   const std::vector<StoreTableStats> tables = SnapshotStats();
   std::ostringstream os;
-  os << "{\"version\":" << version() << ",\"probes\":" << TotalProbes()
+  os << "{\"probes\":" << TotalProbes()
      << ",\"hits\":" << TotalHits() << ",\"misses\":" << TotalMisses()
      << ",\"evictions\":" << TotalEvictions() << ",\"tables\":[";
   bool first = true;

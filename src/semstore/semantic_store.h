@@ -1,8 +1,9 @@
-// Semantic store (Fig. 3, step 5.3): every RESTful query PayLess ever
-// issued, together with its result tuples. The store is append-only and
-// never evicts — the paper deliberately trades cheap buyer-side storage for
-// not re-buying data (§3). Stored views power semantic query rewriting
-// (§4.2) and the three consistency levels (§4.3).
+// Semantic store (Fig. 3, step 5.3): every RESTful query PayLess issued,
+// together with its result tuples. The paper's store is append-only, trading
+// cheap buyer-side storage for not re-buying data (§3); here the one way
+// out is DropTable, the placement policy's lever for a capacity budget
+// (PayLessConfig::placement_capacity_bytes). Stored views power semantic
+// query rewriting (§4.2) and the three consistency levels (§4.3).
 //
 // Three internal structures serve the access patterns:
 //   - a deduplicated per-table ROW POOL holds every stored tuple exactly
@@ -15,30 +16,23 @@
 //   - a normalized COVERAGE list (merged maximal boxes) keeps remainder
 //     generation fast as thousands of calls accumulate.
 //
-// Thread-safety: tables live in a hash-sharded cell map and each table's
-// data is an immutable copy-on-write snapshot (common::SnapshotCell).
-// Readers — Covers / RowsInRegion / CoveredRegions, the query hot path —
-// take ZERO locks: one atomic snapshot load and they walk a structure that
-// can never change underneath them. Writers (Store, fed by market-call
-// results) serialize per table on a small writer mutex, build the next
-// snapshot, and publish with a release store. Pooled rows and posting
-// lists are append-only chunks shared between successive snapshots, so a
-// Store copies only its new rows (each exactly once, into the pool), the
-// chunks it appends to and the trie nodes leading to them, and the view
-// and coverage lists. A monotonic version counter ticks on every mutation
-// and is reported in StatsJson; plan-cache keys do not use it — they embed
-// the drift epoch and the consistency horizon instead.
+// Thread-safety: tables live in a hash-sharded cell map, and each table's
+// state is plain mutable data behind one reader-writer lock. Store and
+// DropTable take it exclusively and append or reset in place; every read
+// (Covers / RowsInRegion / CoveredRegions on the query hot path, and the
+// introspection and export calls) takes it shared and returns a copy, so
+// no reference into a table escapes its lock. Writes are one harvest's
+// pooling and coverage merge, and reads outnumber them by an order of
+// magnitude, so readers seldom wait.
 #ifndef PAYLESS_SEMSTORE_SEMANTIC_STORE_H_
 #define PAYLESS_SEMSTORE_SEMANTIC_STORE_H_
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <optional>
+#include <shared_mutex>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -91,31 +85,33 @@ class SemanticStore {
   SemanticStore& operator=(const SemanticStore&) = delete;
 
   /// Remembers a call's region and result rows. Rows not yet pooled are
-  /// copied into the pool; the view references them there. Serializes on
-  /// the table's writer mutex, publishes a fresh snapshot; bumps version().
+  /// copied into the pool; the view references them there. Holds the
+  /// table's lock exclusively.
   void Store(const catalog::TableDef& def, Box region,
              const std::vector<Row>& rows, int64_t epoch);
 
   /// All views of a table (regardless of epoch) with their rows
-  /// materialized from the pool, in Store order. Safe under concurrent
-  /// Store; for export (the durability snapshot) and tests — the copy is
-  /// deep.
+  /// materialized from the pool, in Store order. For export (the
+  /// durability snapshot) and tests — the copy is deep.
   std::vector<StoredView> ViewsOf(const std::string& table) const;
 
   /// Regions of views no older than `min_epoch` (the X-week consistency
   /// filter; INT64_MIN = weak consistency, served from the normalized
-  /// coverage). Returns a snapshot by value.
+  /// coverage). Returns a copy.
   std::vector<Box> CoveredRegions(const std::string& table,
                                   int64_t min_epoch) const;
 
   /// True iff usable views jointly cover `region` — the table's required
   /// tuples are free, making it a "zero price relation" (Theorem 2).
-  /// Lock-free.
   bool Covers(const catalog::TableDef& def, const Box& region,
               int64_t min_epoch) const;
 
   /// Deduplicated stored tuples of `def` falling inside `region`, from
-  /// views no older than `min_epoch`. Lock-free.
+  /// views no older than `min_epoch`. Under weak consistency the rows come
+  /// from the pool: by ascending code of the posted dimension with the
+  /// fewest candidates (the lowest such dimension on a tie), pool order
+  /// within a code, or in pool order when no dimension is narrow enough.
+  /// Otherwise usable views are read newest first, first copy kept.
   std::vector<Row> RowsInRegion(const catalog::TableDef& def,
                                 const Box& region, int64_t min_epoch) const;
 
@@ -129,11 +125,10 @@ class SemanticStore {
 
   void Clear();
 
-  /// Evicts one table's entire stored state (views, coverage, row pool),
-  /// publishing an empty snapshot in its place — the placement policy's
-  /// lever for staying under a capacity budget. Dropped views count as
-  /// evictions; the table's lifetime probe counters survive. Bumps
-  /// version().
+  /// Evicts one table's entire stored state (views, coverage, row pool)
+  /// under the table's exclusive lock — the placement policy's lever for
+  /// staying under a capacity budget. Dropped views count as evictions;
+  /// the table's lifetime probe counters survive.
   void DropTable(const std::string& table);
 
   /// Mirror probe outcomes and evictions into registry counters (pass
@@ -156,72 +151,28 @@ class SemanticStore {
     return evictions_.load(std::memory_order_relaxed);
   }
 
-  /// Per-table coverage summaries, sorted by table name. Reads snapshots —
-  /// safe under concurrent queries and stores.
+  /// Per-table coverage summaries, sorted by table name. Safe under
+  /// concurrent queries and stores.
   std::vector<StoreTableStats> SnapshotStats() const;
 
-  /// {"version":N,"probes":N,"hits":N,"misses":N,"evictions":N,
+  /// {"probes":N,"hits":N,"misses":N,"evictions":N,
   ///  "tables":[{...per-table stats...}]}
   std::string StatsJson() const;
 
-  /// Monotonic mutation counter: ticks on every Store and Clear. Two equal
-  /// observations bracket an interval in which coverage was unchanged, so
-  /// any plan optimized in between is still cost-correct.
-  uint64_t version() const {
-    return version_.load(std::memory_order_acquire);
-  }
-
  private:
-  friend struct SemanticStorePeer;  // white-box tests of chunk sharing
-
-  /// Rows are pooled in fixed-capacity chunks so successive snapshots share
-  /// all full chunks; only the open tail chunk is copied by a Store.
-  static constexpr size_t kRowChunkShift = 8;
-  static constexpr size_t kRowChunk = 1u << kRowChunkShift;  // 256 rows
-
-  struct RowChunk {
-    std::vector<Row> rows;
-    std::vector<std::vector<int64_t>> points;  // lattice point per row
-  };
-
-  /// Ascending pool indices of the rows sharing one coordinate, as
-  /// fixed-capacity chunks: full chunks are shared by every later snapshot,
-  /// and an append copies only the open tail chunk and this header.
-  static constexpr size_t kPostingChunk = 256;
-  using PostingChunk = std::vector<uint32_t>;
-  struct PostingList {
-    std::vector<std::shared_ptr<const PostingChunk>> chunks;
-    size_t size = 0;
-  };
-
-  /// Persistent radix trie node over a dimension's lattice offsets (code
-  /// minus the domain's low end), kPostingFanout-way. Interior levels fill
-  /// `children`, the bottom level fills `lists`; a Store path-copies only
-  /// the nodes that lead to the codes it appends to.
-  static constexpr int kPostingBits = 4;
-  static constexpr size_t kPostingFanout = size_t{1} << kPostingBits;
-  struct PostingNode {
-    std::vector<std::shared_ptr<const PostingNode>> children;
-    std::vector<std::shared_ptr<const PostingList>> lists;
-  };
-
-  /// One dimension's postings. Dimensions whose whole domain is a single
+  /// One dimension's postings: lattice code -> ascending pool indices of
+  /// the rows with that code. Dimensions whose whole domain is a single
   /// lattice point are not posted: their one list would mirror the entire
   /// pool, selective never.
   struct PostingDim {
     bool posted = false;
-    int64_t lo = 0;  // offset base: the domain's low end
-    int levels = 1;  // trie depth
-    std::shared_ptr<const PostingNode> root;
-
-    /// The posting list of `code`; nullptr when no pooled row has it.
-    const PostingList* Find(int64_t code) const;
+    std::unordered_map<int64_t, std::vector<uint32_t>> lists;
   };
 
-  /// One remembered call inside a snapshot: its region and epoch, and its
-  /// rows, in call order, as pool indices. A row without a lattice point (a
-  /// NULL or off-domain constrainable value) is never pooled; it is kept
-  /// verbatim in `unpooled` and referenced as kUnpooled | position.
+  /// One remembered call: its region and epoch, and its rows, in call
+  /// order, as pool indices. A row without a lattice point (a NULL or
+  /// off-domain constrainable value) is never pooled; it is kept verbatim
+  /// in `unpooled` and referenced as kUnpooled | position.
   static constexpr uint32_t kUnpooled = uint32_t{1} << 31;
   struct View {
     Box region;
@@ -230,53 +181,32 @@ class SemanticStore {
     std::vector<Row> unpooled;
   };
 
-  /// Immutable per-table snapshot: everything a reader needs, reachable
-  /// from one acquire load. Never mutated after publication.
+  /// One table's stored state. `pool` and `points` share pool indices.
   struct TableData {
-    std::vector<std::shared_ptr<const View>> views;
+    std::vector<View> views;
     std::vector<Box> coverage;  // normalized merged maximal boxes
-    std::vector<std::shared_ptr<const RowChunk>> chunks;  // dedup row pool
-    size_t pooled_rows = 0;
+    std::vector<Row> pool;      // dedup row pool
+    std::vector<std::vector<int64_t>> points;  // lattice point per pooled row
     std::vector<PostingDim> postings;  // one per constrainable dimension
+    /// Point hash -> pool index of every pooled row: Store's duplicate
+    /// probe. Holds indices only — no second copy of the pool.
+    std::unordered_multimap<uint64_t, uint32_t> pooled_by_point;
     int64_t approx_bytes = 0;   // accumulated at Store time
     int64_t domain_volume = 0;  // lattice size, learned from the TableDef
     int64_t min_epoch = 0;      // oldest / newest stored view epochs
     int64_t max_epoch = 0;
 
-    const Row& PooledRow(size_t i) const {
-      return chunks[i >> kRowChunkShift]->rows[i & (kRowChunk - 1)];
-    }
-    const std::vector<int64_t>& PooledPoint(size_t i) const {
-      return chunks[i >> kRowChunkShift]->points[i & (kRowChunk - 1)];
-    }
     const Row& ViewRow(const View& view, uint32_t ref) const {
       return (ref & kUnpooled) != 0 ? view.unpooled[ref & ~kUnpooled]
-                                    : PooledRow(ref);
+                                    : pool[ref];
     }
   };
 
-  /// A Store's new postings of one dimension, (code, pool index) pairs.
-  using FreshPosting = std::pair<int64_t, uint32_t>;
-  using FreshPostings = std::vector<FreshPosting>;
-
-  /// The subtree `node` (nullptr = empty) at trie `level` of `dim`, with
-  /// the postings [first, last) appended: each node on a touched path is
-  /// copied once, everything else is shared.
-  static std::shared_ptr<const PostingNode> WithPostings(
-      const PostingNode* node, int level, const PostingDim& dim,
-      FreshPostings::const_iterator first, FreshPostings::const_iterator last);
-
-  /// One table's cell: the published snapshot, the writer-side duplicate
-  /// index and lifetime probe counters.
+  /// One table's cell: its state, the lock that guards it, and lifetime
+  /// probe counters.
   struct TableCell {
-    TableCell() { data.Store(std::make_shared<const TableData>()); }
-
-    std::mutex write_mutex;  // serializes Store on this table
-    common::SnapshotCell<TableData> data;
-    /// Point hash -> pool index of every pooled row of `data`: Store's
-    /// duplicate probe. Holds indices only — no second copy of the pool —
-    /// and readers never touch it. Guarded by write_mutex.
-    std::unordered_multimap<uint64_t, uint32_t> pooled_by_point;
+    mutable std::shared_mutex mutex;
+    TableData data;  // guarded by `mutex`
     mutable std::atomic<int64_t> probes{0};
     mutable std::atomic<int64_t> hits{0};
     mutable std::atomic<int64_t> misses{0};
@@ -292,17 +222,16 @@ class SemanticStore {
   static bool IsCoveredUnder(const TableData& data, const Box& region,
                              int64_t min_epoch);
 
-  /// RowsInRegion without the probe accounting (the public wrapper counts).
-  std::vector<Row> RowsInRegionImpl(const catalog::TableDef& def,
-                                    const Box& region,
-                                    int64_t min_epoch) const;
+  /// RowsInRegion over one table's state, without the probe accounting.
+  /// The caller holds the table's lock.
+  static std::vector<Row> RowsOf(const TableData& data, const Box& region,
+                                 int64_t min_epoch);
 
   /// Classify one probe outcome into the table's and the store's counters
   /// (and the bound registry counters, when any).
   void CountProbe(const TableCell* cell, bool hit) const;
 
   common::ShardedCellMap<TableCell> cells_;
-  std::atomic<uint64_t> version_{0};
 
   mutable std::atomic<int64_t> probes_{0};
   mutable std::atomic<int64_t> hits_{0};

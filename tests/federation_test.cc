@@ -208,6 +208,38 @@ TEST_F(FederationTest, FederatedPlanBeatsEverySingleMarketAndReconciles) {
   EXPECT_EQ(cell_west, west_txn);
 }
 
+TEST_F(FederationTest, PlanCacheHitKeepsTheCounterfactualsMarket) {
+  // Full consistency reuses nothing from the store, so the repeat buys
+  // again through the cached plan. Both runs bill 400 tx against the
+  // 600-tx single-market baseline (east, the first of two equal
+  // endpoints), and the hit must book its routing edge like the miss.
+  obs::Observability obs;
+  PayLessConfig config;
+  config.observability = &obs;
+  config.consistency = exec::ConsistencyLevel::kFull;
+  auto client = NewClient(config);
+
+  const std::vector<Value> params = {Value(int64_t{1}), Value(kKeys),
+                                     Value(int64_t{1}), Value(kKeys)};
+  int64_t routing[2] = {0, 0};
+  for (int run = 0; run < 2; ++run) {
+    const int64_t before =
+        obs.savings.total_by_cause(obs::SavingsCause::kFederationRouting);
+    const auto r = client->QueryWithReport(kJoinSql, params);
+    ASSERT_TRUE(r.ok()) << r.status().message();
+    ASSERT_TRUE(r->error.ok()) << r->error.message();
+    EXPECT_EQ(r->counters.plan_cache_hits, run == 0 ? 0u : 1u);
+    EXPECT_EQ(r->transactions_spent, 400);
+    EXPECT_EQ(r->counterfactual_transactions, 600);
+    routing[run] =
+        obs.savings.total_by_cause(obs::SavingsCause::kFederationRouting) -
+        before;
+  }
+  EXPECT_EQ(routing[0], 200);
+  EXPECT_EQ(routing[1], routing[0]);
+  EXPECT_TRUE(obs.savings.Reconciles());
+}
+
 TEST_F(FederationTest, RouterRoutesCheapestAndTracksPerEndpointCalls) {
   auto client = NewClient();
   auto* router = client->router();

@@ -253,8 +253,8 @@ TEST_F(SavingsAccountingTest, CounterfactualIsDeterministicAcrossThreads) {
   // eight concurrent pricers must agree bit for bit.
   stats::StatsRegistry stats(stats::StatsKind::kFeedbackHistogram);
   stats.RegisterTable(*cat_.FindTable("Pollution"));
-  SavingsAccountant accountant(&cat_, &stats, core::OptimizerOptions{},
-                               {{"", &cat_}});
+  SavingsAccountant accountant(&cat_, &stats, {{"", &cat_}});
+  const core::OptimizerOptions options;
 
   Result<sql::SelectStmt> stmt = sql::Parse(kRangeSql);
   ASSERT_TRUE(stmt.ok());
@@ -262,21 +262,22 @@ TEST_F(SavingsAccountingTest, CounterfactualIsDeterministicAcrossThreads) {
       sql::Bind(*stmt, cat_, {Value(int64_t{100}), Value(int64_t{400})});
   ASSERT_TRUE(bound.ok());
 
-  const Counterfactual reference = accountant.Price(*bound);
+  const core::Counterfactual reference = accountant.Price(*bound, options);
   ASSERT_TRUE(reference.ok());
   EXPECT_GT(reference.total, 0);
   ASSERT_EQ(reference.by_dataset.count("EHR"), 1u);
 
   constexpr int kThreads = 8;
-  std::vector<Counterfactual> results(kThreads);
+  std::vector<core::Counterfactual> results(kThreads);
   std::vector<std::thread> workers;
   workers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back(
-        [&, t] { results[static_cast<size_t>(t)] = accountant.Price(*bound); });
+    workers.emplace_back([&, t] {
+      results[static_cast<size_t>(t)] = accountant.Price(*bound, options);
+    });
   }
   for (std::thread& w : workers) w.join();
-  for (const Counterfactual& cf : results) {
+  for (const core::Counterfactual& cf : results) {
     ASSERT_TRUE(cf.ok());
     EXPECT_EQ(cf.total, reference.total);
     EXPECT_EQ(cf.by_dataset, reference.by_dataset);
@@ -296,6 +297,7 @@ TEST_F(SavingsAccountingTest, PlanCacheHitAndMissPathsPriceIdentically) {
   ASSERT_TRUE(miss.ok());
   ASSERT_TRUE(miss->error.ok());
   EXPECT_EQ(miss->counters.plan_cache_misses, 1u);
+  EXPECT_GT(miss->counters.evaluated_plans, 0u);
   ASSERT_GE(miss->counterfactual_transactions, 0);
 
   // Second run: template hit. The counterfactual rode in the template, so
@@ -304,9 +306,61 @@ TEST_F(SavingsAccountingTest, PlanCacheHitAndMissPathsPriceIdentically) {
   ASSERT_TRUE(hit.ok());
   ASSERT_TRUE(hit->error.ok());
   EXPECT_EQ(hit->counters.plan_cache_hits, 1u);
+  // A hit runs no optimization, so it reports no planning work.
+  EXPECT_EQ(hit->counters.evaluated_plans, 0u);
+  EXPECT_EQ(hit->counters.enumerated_bboxes, 0u);
   EXPECT_EQ(hit->counterfactual_transactions,
             miss->counterfactual_transactions);
   EXPECT_TRUE(obs.savings.Reconciles());
+}
+
+TEST(SavingsCauseTest, FullConsistencyPricesTheCounterfactualWithoutSqr) {
+  // Alpha declares 2,000 keys but hosts only 1..1000. Uniform statistics
+  // estimate 200 rows (40 tx) for keys 901..1100; the market returns 100
+  // (20 tx). Both plans are one plain access, and only the weak client
+  // plans it with SQR, so its saving is an SQR harvest. Under full
+  // consistency neither the live plan nor its counterfactual uses SQR:
+  // the plans match, and the 20 tx are an estimate correction.
+  catalog::Catalog cat;
+  ASSERT_TRUE(cat.RegisterDataset(DatasetDef{"ALPHA", 1.0, 5}).ok());
+  TableDef alpha;
+  alpha.name = "Alpha";
+  alpha.dataset = "ALPHA";
+  alpha.columns = {ColumnDef::Free("Key", ValueType::kInt64,
+                                   AttrDomain::Numeric(1, 2000)),
+                   ColumnDef::Output("Val", ValueType::kDouble)};
+  alpha.cardinality = 2000;
+  ASSERT_TRUE(cat.RegisterTable(alpha).ok());
+  market::DataMarket market(&cat);
+  std::vector<Row> rows;
+  for (int64_t key = 1; key <= 1000; ++key) {
+    rows.push_back(Row{Value(key), Value(static_cast<double>(key))});
+  }
+  ASSERT_TRUE(market.HostTable("Alpha", std::move(rows)).ok());
+
+  for (const exec::ConsistencyLevel level :
+       {exec::ConsistencyLevel::kWeak, exec::ConsistencyLevel::kFull}) {
+    Observability obs;
+    PayLessConfig config;
+    config.observability = &obs;
+    config.consistency = level;
+    config.stats_kind = stats::StatsKind::kUniform;
+    PayLess client(&cat, &market, config);
+    const Result<QueryReport> r = client.QueryWithReport(
+        "SELECT Val FROM Alpha WHERE Key >= ? AND Key <= ?",
+        {Value(int64_t{901}), Value(int64_t{1100})});
+    ASSERT_TRUE(r.ok()) << r.status().message();
+    ASSERT_TRUE(r->error.ok()) << r->error.message();
+    EXPECT_EQ(r->transactions_spent, 20);
+    EXPECT_EQ(r->counterfactual_transactions, 40);
+    const SavingsCause expected = level == exec::ConsistencyLevel::kWeak
+                                      ? SavingsCause::kSqrHarvest
+                                      : SavingsCause::kEstimate;
+    EXPECT_EQ(obs.savings.total_by_cause(expected), 20)
+        << SavingsCauseName(expected);
+    EXPECT_EQ(obs.savings.total_by_cause(SavingsCause::kLearnedSwitch), 0);
+    EXPECT_TRUE(obs.savings.Reconciles());
+  }
 }
 
 TEST_F(SavingsAccountingTest, WhatIfPassNeitherBillsNorMutatesTheStore) {

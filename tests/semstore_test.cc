@@ -14,49 +14,6 @@
 
 namespace payless::semstore {
 
-/// White-box access to a table's published snapshot.
-struct SemanticStorePeer {
-  using List = SemanticStore::PostingList;
-  /// (dimension, code) -> posting list, of every list in the snapshot.
-  using Lists =
-      std::map<std::pair<size_t, int64_t>, std::shared_ptr<const List>>;
-
-  static std::shared_ptr<const SemanticStore::TableData> Snapshot(
-      const SemanticStore& store, const std::string& table) {
-    return store.cells_.Find(table)->data.Load();
-  }
-
-  static Lists PostingLists(const SemanticStore::TableData& data) {
-    Lists out;
-    for (size_t d = 0; d < data.postings.size(); ++d) {
-      const SemanticStore::PostingDim& dim = data.postings[d];
-      Walk(dim.root.get(), dim.levels - 1, 0, d, dim.lo, &out);
-    }
-    return out;
-  }
-
-  static const std::vector<std::shared_ptr<const SemanticStore::RowChunk>>&
-  RowChunks(const SemanticStore::TableData& data) {
-    return data.chunks;
-  }
-
-  static constexpr size_t kChunk = SemanticStore::kPostingChunk;
-
- private:
-  static void Walk(const SemanticStore::PostingNode* node, int level,
-                   uint64_t prefix, size_t d, int64_t lo, Lists* out) {
-    if (node == nullptr) return;
-    for (size_t slot = 0; slot < SemanticStore::kPostingFanout; ++slot) {
-      const uint64_t offset = (prefix << SemanticStore::kPostingBits) | slot;
-      if (level > 0) {
-        Walk(node->children[slot].get(), level - 1, offset, d, lo, out);
-      } else if (node->lists[slot] != nullptr) {
-        (*out)[{d, lo + static_cast<int64_t>(offset)}] = node->lists[slot];
-      }
-    }
-  }
-};
-
 namespace {
 
 using catalog::AttrDomain;
@@ -292,59 +249,6 @@ TEST_F(SemStoreTest, SnapshotStatsSummarizesCoverage) {
   EXPECT_NE(json.find("\"tables\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"T\""), std::string::npos) << json;
   EXPECT_NE(json.find("covered_fraction"), std::string::npos) << json;
-}
-
-TEST_F(SemStoreTest, StoreSharesThePreviousSnapshotsPostingChunks) {
-  // 600 distinct rows of country "x": its posting list spans two full
-  // chunks and an open tail; every date list holds six entries.
-  std::vector<Row> rows;
-  for (int64_t i = 0; i < 600; ++i) {
-    rows.push_back(MakeRow("x", i % 100, static_cast<double>(i)));
-  }
-  store_.Store(def(), Region(0, 0, 99), rows, 0);
-  const auto before = SemanticStorePeer::Snapshot(store_, "T");
-  const SemanticStorePeer::Lists lists_before =
-      SemanticStorePeer::PostingLists(*before);
-  ASSERT_EQ(lists_before.size(), 101u);  // "x" + 100 dates
-  const auto& x_before = lists_before.at({0, 0});
-  ASSERT_EQ(x_before->size, 600u);
-  ASSERT_EQ(x_before->chunks.size(), 3u);
-
-  // One new row appends to the "x" list and to date 3's list only.
-  store_.Store(def(), Region(0, 3, 3), {MakeRow("x", 3, 0.5)}, 1);
-  const auto after = SemanticStorePeer::Snapshot(store_, "T");
-  const SemanticStorePeer::Lists lists_after =
-      SemanticStorePeer::PostingLists(*after);
-  ASSERT_EQ(lists_after.size(), lists_before.size());
-  size_t shared_lists = 0;
-  size_t shared_full_chunks = 0;
-  for (const auto& [key, old_list] : lists_before) {
-    const auto& new_list = lists_after.at(key);
-    const bool appended = key == std::make_pair(size_t{0}, int64_t{0}) ||
-                          key == std::make_pair(size_t{1}, int64_t{3});
-    if (!appended) {
-      EXPECT_EQ(new_list, old_list) << key.first << "/" << key.second;
-      shared_lists += new_list == old_list;
-      continue;
-    }
-    EXPECT_NE(new_list, old_list);
-    EXPECT_EQ(new_list->size, old_list->size + 1);
-    for (size_t c = 0; c < old_list->chunks.size(); ++c) {
-      if (old_list->chunks[c]->size() < SemanticStorePeer::kChunk) continue;
-      EXPECT_EQ(new_list->chunks[c], old_list->chunks[c]) << "chunk " << c;
-      ++shared_full_chunks;
-    }
-  }
-  EXPECT_EQ(shared_lists, lists_before.size() - 2);
-  EXPECT_EQ(shared_full_chunks, 2u);
-  // Full row chunks are shared as well, and the old snapshot is untouched.
-  const auto& rows_before = SemanticStorePeer::RowChunks(*before);
-  const auto& rows_after = SemanticStorePeer::RowChunks(*after);
-  EXPECT_EQ(rows_after[0], rows_before[0]);
-  EXPECT_EQ(rows_after[1], rows_before[1]);
-  EXPECT_EQ(x_before->size, 600u);
-  EXPECT_EQ(x_before->chunks.back()->size(),
-            600u - 2 * SemanticStorePeer::kChunk);
 }
 
 TEST_F(SemStoreTest, UnpooledRowsSurviveExportInCallOrder) {

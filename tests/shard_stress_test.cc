@@ -1,15 +1,15 @@
-// Seeded 16-thread stress of the sharded lock-free read structures: the
-// semantic store's COW table cells and the stats registry's estimator
-// cells. Writers harvest disjoint slabs (and fire feedback) across enough
-// tables to land in every shard of the cell maps; readers hammer the
-// zero-lock probe paths concurrently. Invariants checked after the dust
+// Seeded 16-thread stress of the sharded read structures: the semantic
+// store's lock-guarded table cells and the stats registry's estimator
+// snapshot cells. Writers harvest disjoint slabs (and fire feedback)
+// across enough tables to land in every shard of the cell maps; readers
+// hammer the probe paths concurrently. Invariants checked after the dust
 // settles:
 //   - probe accounting balances exactly (hits + misses == probes);
 //   - no slab is lost: every Store call is a view, every unique row is
 //     pooled, every region stored is covered;
 //   - eviction (Clear) under way never corrupts a later quiescent state.
-// Run under the TSan preset, this is the data-race canary for the whole
-// snapshot-publication protocol.
+// Run under the TSan preset, this is the data-race canary for the store's
+// per-table reader-writer lock and the statistics' snapshot publication.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -114,14 +114,14 @@ TEST_F(ShardStressTest, ConcurrentStoreAndProbeAcrossShards) {
         rng = Mix(rng);
         const int t = static_cast<int>(rng % kNumTables);
         const int64_t s = static_cast<int64_t>((rng >> 8) % kSlabsPerTable);
-        // Mixed probe kinds on the lock-free paths; results depend on the
+        // Mixed probe kinds on the shared-lock paths; results depend on the
         // interleaving, only the accounting identity is asserted later.
         if (i % 2 == 0) {
           (void)store_.Covers(def(t), SlabRegion(s), kWeak);
         } else {
           const std::vector<Row> rows =
               store_.RowsInRegion(def(t), SlabRegion(s), kWeak);
-          // A slab is all-or-nothing: stores are atomic snapshot swaps.
+          // A slab is all-or-nothing: a Store holds the table's lock.
           EXPECT_TRUE(rows.empty() || rows.size() == 32u);
         }
       }
@@ -182,7 +182,7 @@ TEST_F(ShardStressTest, DuplicateHarvestsPoolOnce) {
 }
 
 TEST_F(ShardStressTest, EvictionUnderConcurrentHarvest) {
-  // Clear racing Store must neither crash, corrupt a snapshot, nor break
+  // Clear racing Store must neither crash, corrupt a table, nor break
   // the accounting identity; afterwards a quiescent re-harvest fully
   // restores coverage.
   std::atomic<bool> stop{false};
