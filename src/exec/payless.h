@@ -67,15 +67,14 @@ struct PayLessConfig {
   /// qerror_invalidation_threshold) over a region its plan was priced on.
   bool enable_plan_cache = true;
   /// Record (estimated, actual) pairs at the feedback point into per-table
-  /// q-error histograms. Also powers the plan cache's drift invalidation —
-  /// with tracking off, nothing ticks and cached templates live until the
-  /// consistency horizon shifts.
+  /// q-error histograms. Observability only: drift invalidation runs
+  /// either way.
   bool enable_accuracy_tracking = true;
-  /// A recorded q-error above this threshold ticks the drift epoch and
-  /// invalidates the cached plan templates that read the harvested table
-  /// over a region overlapping the box the feedback changed (they were
-  /// priced with estimates that have since been materially corrected).
-  /// <= 0 disables drift invalidation entirely.
+  /// A harvest whose estimate misses by a q-error above this threshold
+  /// ticks the drift epoch and invalidates the cached plan templates that
+  /// read the harvested table over a region overlapping the box the
+  /// feedback changed (they were priced with estimates that have since been
+  /// materially corrected). <= 0 disables drift invalidation entirely.
   double qerror_invalidation_threshold = 2.0;
   /// Resilience policy of the market connector: retries with capped
   /// exponential backoff + jitter, per-call timeout, per-dataset circuit
@@ -308,7 +307,8 @@ class PayLess {
   const semstore::SemanticStore& store() const { return store_; }
   const stats::StatsRegistry& stats() const { return stats_; }
   /// Estimator-accuracy telemetry (q-errors, drift epoch). Always present;
-  /// it only accumulates samples while enable_accuracy_tracking is on.
+  /// it only accumulates q-error samples while enable_accuracy_tracking is
+  /// on, and counts every drift tick.
   const obs::AccuracyTracker& accuracy() const { return accuracy_; }
   const core::PlanCache& plan_cache() const { return plan_cache_; }
   /// Durability manager; nullptr when durability is off. Non-const so

@@ -15,9 +15,8 @@ int64_t ToX100(double v) {
 
 }  // namespace
 
-AccuracyTracker::AccuracyTracker(MetricsRegistry* metrics,
-                                 double qerror_invalidation_threshold)
-    : metrics_(metrics), threshold_(qerror_invalidation_threshold) {
+AccuracyTracker::AccuracyTracker(MetricsRegistry* metrics)
+    : metrics_(metrics) {
   if (metrics_ != nullptr) {
     drift_ticks_ = metrics_->GetCounter("payless_stats_drift_ticks_total");
   }
@@ -53,28 +52,26 @@ void AccuracyTracker::PrepareTable(const std::string& table) {
   Entry(table);
 }
 
-bool AccuracyTracker::Record(const std::string& table, double estimated,
+void AccuracyTracker::Record(const std::string& table, double estimated,
                              double actual) {
   const double qerror = QError(estimated, actual);
   total_samples_.fetch_add(1, std::memory_order_relaxed);
 
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    PerTable& entry = Entry(table);
-    AccuracySnapshot& snap = entry.snapshot;
-    ++snap.samples;
-    snap.last_qerror = qerror;
-    snap.max_qerror = std::max(snap.max_qerror, qerror);
-    snap.sum_qerror += qerror;
-    if (entry.qerror_hist != nullptr) {
-      entry.qerror_hist->Record(ToX100(qerror));
-    }
+  std::lock_guard<std::mutex> lock(mutex_);
+  PerTable& entry = Entry(table);
+  AccuracySnapshot& snap = entry.snapshot;
+  ++snap.samples;
+  snap.last_qerror = qerror;
+  snap.max_qerror = std::max(snap.max_qerror, qerror);
+  snap.sum_qerror += qerror;
+  if (entry.qerror_hist != nullptr) {
+    entry.qerror_hist->Record(ToX100(qerror));
   }
+}
 
-  if (threshold_ <= 0.0 || qerror <= threshold_) return false;
+void AccuracyTracker::CountDriftTick() {
   drift_epoch_.fetch_add(1, std::memory_order_acq_rel);
   if (drift_ticks_ != nullptr) drift_ticks_->Add(1);
-  return true;
 }
 
 AccuracySnapshot AccuracyTracker::Snapshot(const std::string& table) const {

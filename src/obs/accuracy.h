@@ -10,16 +10,15 @@
 // perfect estimate; the paper's cold-start uniform assumption can be off
 // by orders of magnitude until feedback refines the histogram (§4.3).
 //
-// The tracker also owns the plan-template cache's staleness signal: when a
-// recorded q-error exceeds the configured invalidation threshold, the
-// estimate was materially wrong, Record says so, and the caller drops the
-// cached plans priced over the region that feedback changed (the paper's
-// uniform-to-learned plan switch, Fig. 3 step 5.4). The tracker only
-// decides THAT a harvest ticks; which plans it invalidates is the plan
-// cache's business. The drift epoch counts the ticks. It lives only in
-// memory: a restarted client starts at 0 and its durability replay ticks
-// it like any harvest, so payless_stats_drift_ticks_total counts every
-// tick.
+// The tracker only records. The drift test of the learning loop (Fig. 3
+// step 5.4) lives in the client's harvest path (PayLess::AbsorbHarvest):
+// when an estimate misses by more than the configured q-error threshold,
+// the client drops the cached plans priced over the region that feedback
+// changed and counts a drift tick here, whether or not q-errors are
+// recorded, so switching tracking off moves no bill. The drift epoch lives
+// only in memory: a restarted client starts at 0 and its durability replay
+// ticks it like any harvest, so payless_stats_drift_ticks_total counts
+// every tick.
 #ifndef PAYLESS_OBS_ACCURACY_H_
 #define PAYLESS_OBS_ACCURACY_H_
 
@@ -50,11 +49,7 @@ struct AccuracySnapshot {
 class AccuracyTracker {
  public:
   /// `metrics` may be null (tracking still works; nothing is exported).
-  /// A non-positive `qerror_invalidation_threshold` disables drift ticking
-  /// entirely — cached plans then live until their key's other components
-  /// change.
-  AccuracyTracker(MetricsRegistry* metrics,
-                  double qerror_invalidation_threshold);
+  explicit AccuracyTracker(MetricsRegistry* metrics);
 
   AccuracyTracker(const AccuracyTracker&) = delete;
   AccuracyTracker& operator=(const AccuracyTracker&) = delete;
@@ -64,10 +59,11 @@ class AccuracyTracker {
   /// divide by zero.
   static double QError(double estimated, double actual);
 
-  /// Records one pair for `table`. Updates the per-table q-error
-  /// histogram and ticks the drift epoch when the threshold is exceeded.
-  /// Returns whether it ticked.
-  bool Record(const std::string& table, double estimated, double actual);
+  /// Records one pair for `table` into its q-error histogram.
+  void Record(const std::string& table, double estimated, double actual);
+
+  /// Counts one drift tick.
+  void CountDriftTick();
 
   /// Resolves `table`'s metric handles now, off the query path. Callers
   /// that know their table set up front (PayLess registers every catalog
@@ -75,8 +71,7 @@ class AccuracyTracker {
   /// touch the metrics registry's name map.
   void PrepareTable(const std::string& table);
 
-  /// Monotonic drift tick count: ticks whenever a recorded q-error exceeds
-  /// the invalidation threshold, and only then.
+  /// Monotonic drift tick count (CountDriftTick calls).
   uint64_t drift_epoch() const {
     return drift_epoch_.load(std::memory_order_acquire);
   }
@@ -99,7 +94,6 @@ class AccuracyTracker {
   PerTable& Entry(const std::string& table);
 
   MetricsRegistry* metrics_;
-  const double threshold_;
   std::atomic<uint64_t> drift_epoch_{0};
   std::atomic<uint64_t> total_samples_{0};
   Counter* drift_ticks_ = nullptr;

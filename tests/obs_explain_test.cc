@@ -52,37 +52,33 @@ TEST(AccuracyTrackerTest, QErrorIsSymmetricAndAtLeastOne) {
   EXPECT_DOUBLE_EQ(AccuracyTracker::QError(8, 0), 8.0);
 }
 
-TEST(AccuracyTrackerTest, DriftEpochTicksOnlyAboveThreshold) {
-  AccuracyTracker tracker(nullptr, /*qerror_invalidation_threshold=*/2.0);
+TEST(AccuracyTrackerTest, RecordOnlyRecords) {
+  AccuracyTracker tracker(nullptr);
   tracker.Record("T", 100, 100);  // q-error 1
-  tracker.Record("T", 100, 199);  // q-error 1.99 <= 2
-  EXPECT_EQ(tracker.drift_epoch(), 0u);
-  tracker.Record("T", 100, 500);  // q-error 5 > 2
-  EXPECT_EQ(tracker.drift_epoch(), 1u);
+  tracker.Record("T", 100, 500);  // q-error 5
   tracker.Record("T", 1, 1000);
-  EXPECT_EQ(tracker.drift_epoch(), 2u);
+  // The drift rule is the client's (PayLess::AbsorbHarvest): recording a
+  // q-error, however large, never ticks the epoch.
+  EXPECT_EQ(tracker.drift_epoch(), 0u);
+  tracker.CountDriftTick();
+  EXPECT_EQ(tracker.drift_epoch(), 1u);
 
   const AccuracySnapshot snap = tracker.Snapshot("T");
-  EXPECT_EQ(snap.samples, 4u);
+  EXPECT_EQ(snap.samples, 3u);
   EXPECT_DOUBLE_EQ(snap.last_qerror, 1000.0);
   EXPECT_DOUBLE_EQ(snap.max_qerror, 1000.0);
   EXPECT_GT(snap.mean_qerror(), 1.0);
-  EXPECT_EQ(tracker.total_samples(), 4u);
+  EXPECT_EQ(tracker.total_samples(), 3u);
   // Unknown tables answer an empty snapshot, not a crash.
   EXPECT_EQ(tracker.Snapshot("nope").samples, 0u);
 }
 
-TEST(AccuracyTrackerTest, NonPositiveThresholdNeverTicks) {
-  AccuracyTracker tracker(nullptr, /*qerror_invalidation_threshold=*/0.0);
-  tracker.Record("T", 1, 1'000'000);
-  EXPECT_EQ(tracker.drift_epoch(), 0u);
-}
-
 TEST(AccuracyTrackerTest, ExportsMetricsUnderSanitizedNames) {
   MetricsRegistry metrics;
-  AccuracyTracker tracker(&metrics, 2.0);
-  tracker.Record("My-Table", 10, 40);  // q-error 4 -> drift
+  AccuracyTracker tracker(&metrics);
+  tracker.Record("My-Table", 10, 40);  // q-error 4
   tracker.Record("My-Table", 10, 10);  // q-error 1
+  tracker.CountDriftTick();
   const std::string text = metrics.ToPrometheusText();
   // One q-error summary per table, fixed-point x100: its count is the
   // tracker's sample count and its sum the q-errors' (400 + 100).
