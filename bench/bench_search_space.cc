@@ -59,11 +59,8 @@ std::string ChainQuery(int n) {
 
 size_t CountPlans(const catalog::Catalog& cat, const std::string& sql,
                   bool reduced) {
-  stats::StatsRegistry stats;
-  for (const std::string& name : cat.TableNames()) {
-    stats.RegisterTable(*cat.FindTable(name));
-  }
-  semstore::SemanticStore store;
+  stats::StatsRegistry stats(cat);
+  semstore::SemanticStore store(cat);
   core::OptimizerOptions options;
   options.use_sqr = false;
   options.use_search_reduction = reduced;

@@ -1,7 +1,10 @@
 #include "core/plan_cache.h"
 
 #include <algorithm>
+#include <functional>
 #include <mutex>
+#include <shared_mutex>
+#include <string_view>
 
 #include "core/optimizer.h"
 #include "semstore/remainder.h"
@@ -79,40 +82,40 @@ std::string PlanCache::MakeKey(const std::string& normalized_sql,
   return key;
 }
 
+size_t PlanCache::ShardOf(const std::string& key) {
+  return std::hash<std::string_view>{}(key) % kShards;
+}
+
 std::shared_ptr<const CachedPlan> PlanCache::Lookup(
     const std::string& key) const {
-  const Shard& shard = shards_[common::ShardOf(key, kShards)];
-  const std::shared_ptr<const ShardMap> entries = shard.entries.Load();
-  const auto it = entries->find(key);
-  if (it == entries->end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
+  const Shard& shard = shards_[ShardOf(key)];
+  std::shared_ptr<const CachedPlan> entry;
+  {
+    std::shared_lock<std::shared_mutex> lock(shard.mutex);
+    const auto it = shard.entries.find(key);
+    if (it != shard.entries.end()) entry = it->second;
   }
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  return it->second;
+  (entry != nullptr ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
+  return entry;
 }
 
 bool PlanCache::Insert(const std::string& key, CachedPlan entry,
                        uint64_t invalidations_seen) {
-  Shard& shard = shards_[common::ShardOf(key, kShards)];
+  Shard& shard = shards_[ShardOf(key)];
   // Per-shard slice of the global bound (hashing spreads keys evenly).
   const size_t shard_cap = std::max<size_t>(1, max_entries_ / kShards);
-  std::lock_guard<std::mutex> lock(shard.write_mutex);
+  auto cached = std::make_shared<const CachedPlan>(std::move(entry));
+  std::unique_lock<std::shared_mutex> lock(shard.mutex);
   // An invalidation that bumped the count before this check is either
   // seen here, or its scan of this shard runs after the insert and sees
   // the entry.
   if (invalidations() != invalidations_seen) return false;
-  const std::shared_ptr<const ShardMap> current = shard.entries.Load();
-  std::shared_ptr<ShardMap> next;
-  if (current->size() >= shard_cap && current->count(key) == 0) {
+  if (shard.entries.size() >= shard_cap && shard.entries.count(key) == 0) {
     // Full shard: drop it whole. Most of its entries are live plans, so a
     // policy that picks victims (e.g. CLOCK) would keep more of them.
-    next = std::make_shared<ShardMap>();
-  } else {
-    next = std::make_shared<ShardMap>(*current);
+    shard.entries.clear();
   }
-  (*next)[key] = std::make_shared<const CachedPlan>(std::move(entry));
-  shard.entries.Store(std::move(next));
+  shard.entries[key] = std::move(cached);
   return true;
 }
 
@@ -120,8 +123,8 @@ size_t PlanCache::Invalidate(const catalog::TableDef* table,
                              const Box& changed) {
   if (changed.empty()) return 0;
   invalidations_.fetch_add(1, std::memory_order_acq_rel);
-  const auto stale = [&](const CachedPlan& entry) {
-    for (const PricedRegion& priced : entry.priced) {
+  const auto stale = [&](const ShardMap::value_type& kv) {
+    for (const PricedRegion& priced : kv.second->priced) {
       if (priced.table == table && priced.region.Overlaps(changed)) {
         return true;
       }
@@ -130,31 +133,26 @@ size_t PlanCache::Invalidate(const catalog::TableDef* table,
   };
   size_t dropped = 0;
   for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.write_mutex);
-    const std::shared_ptr<const ShardMap> current = shard.entries.Load();
-    std::shared_ptr<ShardMap> next;
-    for (const auto& [key, entry] : *current) {
-      if (!stale(*entry)) continue;
-      if (next == nullptr) next = std::make_shared<ShardMap>(*current);
-      next->erase(key);
-      ++dropped;
-    }
-    if (next != nullptr) shard.entries.Store(std::move(next));
+    std::unique_lock<std::shared_mutex> lock(shard.mutex);
+    dropped += std::erase_if(shard.entries, stale);
   }
   return dropped;
 }
 
 PlanCacheStats PlanCache::Stats() const {
   size_t entries = 0;
-  for (const Shard& shard : shards_) entries += shard.entries.Load()->size();
+  for (const Shard& shard : shards_) {
+    std::shared_lock<std::shared_mutex> lock(shard.mutex);
+    entries += shard.entries.size();
+  }
   return PlanCacheStats{hits_.load(std::memory_order_relaxed),
                         misses_.load(std::memory_order_relaxed), entries};
 }
 
 void PlanCache::Clear() {
   for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.write_mutex);
-    shard.entries.Store(std::make_shared<const ShardMap>());
+    std::unique_lock<std::shared_mutex> lock(shard.mutex);
+    shard.entries.clear();
   }
 }
 

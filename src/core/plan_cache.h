@@ -20,10 +20,10 @@
 // ticks, so steady-state serving stays on the cached-plan fast path.
 //
 // No plan priced on pre-feedback statistics survives a tick that covers
-// it: the harvest publishes its feedback before it ticks and invalidates,
+// it: the harvest applies its feedback before it ticks and invalidates,
 // and an insert is refused when any invalidation ran since its
-// optimization started (checked under the shard's writer mutex, which the
-// invalidation scan also takes).
+// optimization started (checked under the shard's exclusive lock, which
+// the invalidation scan also takes).
 //
 // Cached plans can never be result-wrong, only cost-suboptimal: the
 // execution engine re-runs the SQR rewrite against the live semantic store,
@@ -32,12 +32,12 @@
 // is the one thing that shrinks it, so a placement pass that evicts clears
 // the cache before any query can probe it again.
 //
-// Thread-safe and lock-free on the hit path: entries live in hash-sharded
-// copy-on-write maps (one atomic snapshot load + a find per lookup), and a
-// hit hands back a shared_ptr to the immutable cached entry instead of a
-// deep copy of the plan. Inserts and invalidations copy-on-write one shard
-// under its writer mutex. Hit/miss tallies are atomics so concurrent
-// clients can read them cheaply.
+// Thread-safe: entries live in hash-sharded plain maps, each behind one
+// reader-writer lock. A lookup takes its shard's lock shared for one find,
+// and a hit hands back a shared_ptr to the immutable cached entry instead
+// of a deep copy of the plan. Inserts, invalidations and Clear take the
+// lock exclusively and change the map in place. Hit/miss tallies are
+// atomics so concurrent clients can read them cheaply.
 #ifndef PAYLESS_CORE_PLAN_CACHE_H_
 #define PAYLESS_CORE_PLAN_CACHE_H_
 
@@ -45,14 +45,13 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "catalog/catalog.h"
 #include "common/geometry.h"
-#include "common/snapshot.h"
 #include "common/value.h"
 #include "core/plan.h"
 #include "sql/bound_query.h"
@@ -104,9 +103,7 @@ class PlanCache {
  public:
   /// `max_entries` bounds memory; an insert into a full shard drops that
   /// shard's entries first.
-  explicit PlanCache(size_t max_entries = 1024) : max_entries_(max_entries) {
-    for (Shard& s : shards_) s.entries.Store(std::make_shared<const ShardMap>());
-  }
+  explicit PlanCache(size_t max_entries = 1024) : max_entries_(max_entries) {}
 
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
@@ -118,9 +115,9 @@ class PlanCache {
                              const std::vector<Value>& params,
                              int64_t min_epoch);
 
-  /// Lock-free: one shard-snapshot load plus a map find. The returned
-  /// entry is immutable and shared — callers copy the fields they need
-  /// instead of the whole plan. nullptr on miss.
+  /// One map find under the shard's shared lock. The returned entry is
+  /// immutable and shared — callers copy the fields they need instead of
+  /// the whole plan. nullptr on miss.
   std::shared_ptr<const CachedPlan> Lookup(const std::string& key) const;
 
   /// Invalidation count; read it before optimizing and pass it to Insert.
@@ -148,12 +145,15 @@ class PlanCache {
       std::unordered_map<std::string, std::shared_ptr<const CachedPlan>>;
 
   struct Shard {
-    std::mutex write_mutex;
-    common::SnapshotCell<ShardMap> entries;
+    mutable std::shared_mutex mutex;
+    ShardMap entries;  // guarded by `mutex`
   };
 
+  /// The shard of `key`, by its string hash.
+  static size_t ShardOf(const std::string& key);
+
   const size_t max_entries_;
-  mutable std::array<Shard, kShards> shards_;
+  std::array<Shard, kShards> shards_;
   std::atomic<uint64_t> invalidations_{0};
   mutable std::atomic<uint64_t> hits_{0};
   mutable std::atomic<uint64_t> misses_{0};

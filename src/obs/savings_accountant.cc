@@ -15,10 +15,10 @@ SavingsAccountant::SavingsAccountant(const catalog::Catalog* catalog,
 core::Counterfactual SavingsAccountant::PriceAgainst(
     const sql::BoundQuery& query, const catalog::Catalog* catalog,
     const core::OptimizerOptions& options) const {
-  // The store-less world, shared by every pricing pass: never written, so
-  // concurrent reads are free and nothing of the real store leaks in.
+  // The store-less world, shared by every pricing pass: built over no
+  // table, so every probe misses and nothing of the real store leaks in.
   static semstore::SemanticStore* const empty_store =
-      new semstore::SemanticStore();
+      new semstore::SemanticStore(catalog::Catalog());
 
   core::Counterfactual cf;
   const core::Optimizer optimizer(catalog, stats_, empty_store, options);

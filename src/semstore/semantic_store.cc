@@ -1,11 +1,13 @@
 #include "semstore/semantic_store.h"
 
 #include <algorithm>
+#include <cassert>
 #include <limits>
-#include <memory>
 #include <shared_mutex>
 #include <sstream>
 #include <unordered_set>
+
+#include "common/snapshot.h"
 
 namespace payless::semstore {
 
@@ -69,6 +71,14 @@ int64_t ApproxRowBytes(const Row& row) {
   return bytes;
 }
 
+/// The cell of `table` in a cell map built from the catalog; nullptr for a
+/// table outside it.
+template <typename Cells>
+auto* CellOf(Cells& cells, const std::string& table) {
+  const auto it = cells.find(table);
+  return it == cells.end() ? nullptr : &it->second;
+}
+
 /// Lattice size of the table's constrainable-attribute space, saturating
 /// on overflow (astronomically large domains just read as fraction ~0).
 int64_t DomainVolume(const catalog::TableDef& def) {
@@ -87,6 +97,12 @@ int64_t DomainVolume(const catalog::TableDef& def) {
 std::optional<std::vector<int64_t>> RowPoint(const catalog::TableDef& def,
                                              const Row& row) {
   return PointOf(def, def.ConstrainableColumns(), row);
+}
+
+SemanticStore::SemanticStore(const catalog::Catalog& catalog) {
+  for (const std::string& name : catalog.TableNames()) {
+    cells_.try_emplace(name);
+  }
 }
 
 void SemanticStore::AddCoverage(std::vector<Box>* coverage, Box region) {
@@ -116,13 +132,30 @@ void SemanticStore::AddCoverage(std::vector<Box>* coverage, Box region) {
 void SemanticStore::Store(const catalog::TableDef& def, Box region,
                           const std::vector<Row>& rows, int64_t epoch) {
   if (region.empty()) return;
-  const std::shared_ptr<TableCell> cell = cells_.GetOrCreate(def.name);
+  TableCell* cell = CellOf(cells_, def.name);
+  assert(cell != nullptr && "store write to a table outside the catalog");
+
+  // Everything a harvest can compute alone happens before the lock: each
+  // row's lattice point and its hash, and the retained bytes.
+  const std::vector<size_t> dims = def.ConstrainableColumns();
+  const size_t num_dims = dims.size();
+  std::vector<std::optional<std::vector<int64_t>>> points;
+  std::vector<uint64_t> hashes;
+  points.reserve(rows.size());
+  hashes.reserve(rows.size());
+  int64_t bytes = 0;
+  for (const Row& row : rows) {
+    bytes += ApproxRowBytes(row);
+    points.push_back(PointOf(def, dims, row));
+    hashes.push_back(points.back().has_value() ? PointHash(*points.back())
+                                               : 0);
+  }
+
   std::unique_lock<std::shared_mutex> lock(cell->mutex);
   TableData& data = cell->data;
-
   AddCoverage(&data.coverage, region);
   if (data.domain_volume == 0) data.domain_volume = DomainVolume(def);
-  for (const Row& row : rows) data.approx_bytes += ApproxRowBytes(row);
+  data.approx_bytes += bytes;
   if (data.views.empty()) {
     data.min_epoch = epoch;
     data.max_epoch = epoch;
@@ -130,9 +163,6 @@ void SemanticStore::Store(const catalog::TableDef& def, Box region,
     data.min_epoch = std::min(data.min_epoch, epoch);
     data.max_epoch = std::max(data.max_epoch, epoch);
   }
-
-  const std::vector<size_t> dims = def.ConstrainableColumns();
-  const size_t num_dims = dims.size();
   if (data.postings.empty()) {
     data.postings.resize(num_dims);
     for (size_t d = 0; d < num_dims; ++d) {
@@ -143,8 +173,9 @@ void SemanticStore::Store(const catalog::TableDef& def, Box region,
   View view;
   view.epoch = epoch;
   view.rows.reserve(rows.size());
-  for (const Row& row : rows) {
-    std::optional<std::vector<int64_t>> point = PointOf(def, dims, row);
+  for (size_t r = 0; r < rows.size(); ++r) {
+    const Row& row = rows[r];
+    std::optional<std::vector<int64_t>>& point = points[r];
     if (!point.has_value()) {  // outside domains: kept only for export
       view.rows.push_back(kUnpooled |
                           static_cast<uint32_t>(view.unpooled.size()));
@@ -153,9 +184,8 @@ void SemanticStore::Store(const catalog::TableDef& def, Box region,
     }
     // Identical rows share their point, so the point-hash index finds any
     // pooled copy; in-batch duplicates are indexed as they pool.
-    const uint64_t hash = PointHash(*point);
     uint32_t index = kUnpooled;
-    const auto [first, last] = data.pooled_by_point.equal_range(hash);
+    const auto [first, last] = data.pooled_by_point.equal_range(hashes[r]);
     for (auto it = first; it != last && index == kUnpooled; ++it) {
       if (data.points[it->second] == *point && data.pool[it->second] == row) {
         index = it->second;
@@ -164,7 +194,7 @@ void SemanticStore::Store(const catalog::TableDef& def, Box region,
     if (index == kUnpooled) {
       // Pool indices only grow, so every posting list stays ascending.
       index = static_cast<uint32_t>(data.pool.size());
-      data.pooled_by_point.emplace(hash, index);
+      data.pooled_by_point.emplace(hashes[r], index);
       data.pool.push_back(row);  // the row's one copy
       for (size_t d = 0; d < num_dims; ++d) {
         if (data.postings[d].posted) {
@@ -181,7 +211,7 @@ void SemanticStore::Store(const catalog::TableDef& def, Box region,
 
 std::vector<StoredView> SemanticStore::ViewsOf(
     const std::string& table) const {
-  const std::shared_ptr<TableCell> cell = cells_.Find(table);
+  const TableCell* cell = CellOf(cells_, table);
   if (cell == nullptr) return {};
   std::shared_lock<std::shared_mutex> lock(cell->mutex);
   const TableData& data = cell->data;
@@ -222,7 +252,7 @@ bool SemanticStore::IsCoveredUnder(const TableData& data, const Box& region,
 
 std::vector<Box> SemanticStore::CoveredRegions(const std::string& table,
                                                int64_t min_epoch) const {
-  const std::shared_ptr<TableCell> cell = cells_.Find(table);
+  const TableCell* cell = CellOf(cells_, table);
   if (cell == nullptr) return {};
   std::shared_lock<std::shared_mutex> lock(cell->mutex);
   return CoveredRegionsOf(cell->data, min_epoch);
@@ -247,7 +277,7 @@ bool SemanticStore::Covers(const catalog::TableDef& def, const Box& region,
     CountProbe(nullptr, /*hit=*/true);
     return true;
   }
-  const std::shared_ptr<TableCell> cell = cells_.Find(def.name);
+  const TableCell* cell = CellOf(cells_, def.name);
   if (cell == nullptr) {
     CountProbe(nullptr, /*hit=*/false);
     return false;
@@ -257,21 +287,21 @@ bool SemanticStore::Covers(const catalog::TableDef& def, const Box& region,
     std::shared_lock<std::shared_mutex> lock(cell->mutex);
     covered = IsCoveredUnder(cell->data, region, min_epoch);
   }
-  CountProbe(cell.get(), covered);
+  CountProbe(cell, covered);
   return covered;
 }
 
 std::vector<Row> SemanticStore::RowsInRegion(const catalog::TableDef& def,
                                              const Box& region,
                                              int64_t min_epoch) const {
-  const std::shared_ptr<TableCell> cell =
-      region.empty() ? nullptr : cells_.Find(def.name);
+  const TableCell* cell =
+      region.empty() ? nullptr : CellOf(cells_, def.name);
   std::vector<Row> out;
   if (cell != nullptr) {
     std::shared_lock<std::shared_mutex> lock(cell->mutex);
     out = RowsOf(cell->data, region, min_epoch);
   }
-  CountProbe(cell.get(), /*hit=*/!out.empty());
+  CountProbe(cell, /*hit=*/!out.empty());
   return out;
 }
 
@@ -355,7 +385,7 @@ std::vector<Row> SemanticStore::RowsOf(const TableData& data,
 }
 
 size_t SemanticStore::NumViews(const std::string& table) const {
-  const std::shared_ptr<TableCell> cell = cells_.Find(table);
+  const TableCell* cell = CellOf(cells_, table);
   if (cell == nullptr) return 0;
   std::shared_lock<std::shared_mutex> lock(cell->mutex);
   return cell->data.views.size();
@@ -363,33 +393,30 @@ size_t SemanticStore::NumViews(const std::string& table) const {
 
 size_t SemanticStore::TotalViews() const {
   size_t total = 0;
-  cells_.ForEach([&](const std::string&, const TableCell& cell) {
+  for (const auto& [name, cell] : cells_) {
     std::shared_lock<std::shared_mutex> lock(cell.mutex);
     total += cell.data.views.size();
-  });
+  }
   return total;
 }
 
 size_t SemanticStore::TotalStoredRows() const {
   size_t total = 0;
-  cells_.ForEach([&](const std::string&, const TableCell& cell) {
+  for (const auto& [name, cell] : cells_) {
     std::shared_lock<std::shared_mutex> lock(cell.mutex);
     for (const View& view : cell.data.views) total += view.rows.size();
-  });
+  }
   return total;
 }
 
 std::vector<std::string> SemanticStore::TableNames() const {
   std::vector<std::string> names;
-  cells_.ForEach([&](const std::string& name, const TableCell&) {
-    names.push_back(name);
-  });
-  std::sort(names.begin(), names.end());
+  for (const auto& [name, cell] : cells_) names.push_back(name);
   return names;
 }
 
 void SemanticStore::DropTable(const std::string& table) {
-  const std::shared_ptr<TableCell> cell = cells_.Find(table);
+  TableCell* cell = CellOf(cells_, table);
   if (cell == nullptr) return;
   int64_t dropped = 0;
   {
@@ -397,20 +424,6 @@ void SemanticStore::DropTable(const std::string& table) {
     dropped = static_cast<int64_t>(cell->data.views.size());
     cell->data = TableData();
   }
-  if (dropped > 0) {
-    evictions_.fetch_add(dropped, std::memory_order_relaxed);
-    obs::Counter* metric = evictions_metric_.load(std::memory_order_relaxed);
-    if (metric != nullptr) metric->Add(dropped);
-  }
-}
-
-void SemanticStore::Clear() {
-  int64_t dropped = 0;
-  cells_.ForEach([&](const std::string&, const TableCell& cell) {
-    std::shared_lock<std::shared_mutex> lock(cell.mutex);
-    dropped += static_cast<int64_t>(cell.data.views.size());
-  });
-  cells_.Clear();
   if (dropped > 0) {
     evictions_.fetch_add(dropped, std::memory_order_relaxed);
     obs::Counter* metric = evictions_metric_.load(std::memory_order_relaxed);
@@ -427,7 +440,7 @@ void SemanticStore::BindMetrics(obs::Counter* hits, obs::Counter* misses,
 
 std::vector<StoreTableStats> SemanticStore::SnapshotStats() const {
   std::vector<StoreTableStats> out;
-  cells_.ForEach([&](const std::string& table, const TableCell& cell) {
+  for (const auto& [table, cell] : cells_) {
     StoreTableStats stats;
     stats.table = table;
     stats.probes = cell.probes.load(std::memory_order_relaxed);
@@ -450,11 +463,7 @@ std::vector<StoreTableStats> SemanticStore::SnapshotStats() const {
           std::min(1.0, covered / static_cast<double>(data.domain_volume));
     }
     out.push_back(std::move(stats));
-  });
-  std::sort(out.begin(), out.end(),
-            [](const StoreTableStats& a, const StoreTableStats& b) {
-              return a.table < b.table;
-            });
+  }
   return out;
 }
 

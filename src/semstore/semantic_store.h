@@ -16,19 +16,23 @@
 //   - a normalized COVERAGE list (merged maximal boxes) keeps remainder
 //     generation fast as thousands of calls accumulate.
 //
-// Thread-safety: tables live in a hash-sharded cell map, and each table's
-// state is plain mutable data behind one reader-writer lock. Store and
-// DropTable take it exclusively and append or reset in place; every read
-// (Covers / RowsInRegion / CoveredRegions on the query hot path, and the
-// introspection and export calls) takes it shared and returns a copy, so
-// no reference into a table escapes its lock. Writes are one harvest's
-// pooling and coverage merge, and reads outnumber them by an order of
-// magnitude, so readers seldom wait.
+// Thread-safety: the store holds one cell per table of the catalog it was
+// built over, fixed at construction, so a lookup takes no lock.
+// Each table's state is plain mutable data behind one reader-writer lock.
+// Store and DropTable take it exclusively and append or reset in place;
+// Store encodes its rows before it takes the lock, so the exclusive
+// section only probes for duplicates, pools new rows, appends the view and
+// merges coverage. Every read (Covers / RowsInRegion / CoveredRegions on
+// the query hot path, and the introspection and export calls) takes it
+// shared and returns a copy, so no reference into a table escapes its
+// lock. Reads outnumber writes by an order of magnitude, so readers seldom
+// wait.
 #ifndef PAYLESS_SEMSTORE_SEMANTIC_STORE_H_
 #define PAYLESS_SEMSTORE_SEMANTIC_STORE_H_
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <shared_mutex>
 #include <string>
@@ -37,7 +41,6 @@
 
 #include "catalog/catalog.h"
 #include "common/geometry.h"
-#include "common/snapshot.h"
 #include "common/value.h"
 #include "obs/metrics.h"
 
@@ -59,8 +62,8 @@ std::optional<std::vector<int64_t>> RowPoint(const catalog::TableDef& def,
                                              const Row& row);
 
 /// Introspection summary of one table's stored state — the /store
-/// endpoint's row, also rendered into metrics. All counters are lifetime
-/// (they survive Clear; the cleared views count as evictions).
+/// endpoint's row. All counters are lifetime (they survive DropTable; the
+/// dropped views count as evictions).
 struct StoreTableStats {
   std::string table;
   size_t views = 0;           // raw stored calls
@@ -80,13 +83,15 @@ struct StoreTableStats {
 
 class SemanticStore {
  public:
-  SemanticStore() = default;
+  /// One cell per table of `catalog`. A store over an empty catalog holds
+  /// nothing, and every probe misses.
+  explicit SemanticStore(const catalog::Catalog& catalog);
   SemanticStore(const SemanticStore&) = delete;
   SemanticStore& operator=(const SemanticStore&) = delete;
 
-  /// Remembers a call's region and result rows. Rows not yet pooled are
-  /// copied into the pool; the view references them there. Holds the
-  /// table's lock exclusively.
+  /// Remembers a call's region and result rows; `def` must be a table of
+  /// the catalog. Rows not yet pooled are copied into the pool; the view
+  /// references them there.
   void Store(const catalog::TableDef& def, Box region,
              const std::vector<Row>& rows, int64_t epoch);
 
@@ -119,11 +124,9 @@ class SemanticStore {
   size_t TotalViews() const;
   size_t TotalStoredRows() const;
 
-  /// Names of every table with stored state, sorted. The durability
-  /// snapshot iterates them (ViewsOf per table is the export).
+  /// Names of every table, sorted. The durability snapshot iterates them
+  /// (ViewsOf per table is the export).
   std::vector<std::string> TableNames() const;
-
-  void Clear();
 
   /// Evicts one table's entire stored state (views, coverage, row pool)
   /// under the table's exclusive lock — the placement policy's lever for
@@ -151,8 +154,8 @@ class SemanticStore {
     return evictions_.load(std::memory_order_relaxed);
   }
 
-  /// Per-table coverage summaries, sorted by table name. Safe under
-  /// concurrent queries and stores.
+  /// Per-table coverage summaries of every table, stored state or not,
+  /// sorted by table name. Safe under concurrent queries and stores.
   std::vector<StoreTableStats> SnapshotStats() const;
 
   /// {"probes":N,"hits":N,"misses":N,"evictions":N,
@@ -231,7 +234,7 @@ class SemanticStore {
   /// (and the bound registry counters, when any).
   void CountProbe(const TableCell* cell, bool hit) const;
 
-  common::ShardedCellMap<TableCell> cells_;
+  std::map<std::string, TableCell> cells_;  // built once, never resized
 
   mutable std::atomic<int64_t> probes_{0};
   mutable std::atomic<int64_t> hits_{0};

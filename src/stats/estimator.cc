@@ -4,6 +4,7 @@
 #include <cassert>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 
 namespace payless::stats {
 
@@ -12,6 +13,14 @@ namespace {
 /// Volume as a double; boxes here are clipped to real attribute domains so
 /// saturation never triggers in practice, but stay safe anyway.
 double Vol(const Box& box) { return static_cast<double>(box.Volume()); }
+
+/// The cell of `table` in a cell map built from the catalog; nullptr for a
+/// table outside it.
+template <typename Cells>
+auto* CellOf(Cells& cells, const std::string& table) {
+  const auto it = cells.find(table);
+  return it == cells.end() ? nullptr : &it->second;
+}
 
 /// The Feedback result that changed no estimate.
 Box Unchanged(size_t dims) {
@@ -145,57 +154,47 @@ double FeedbackHistogram::total_count() const {
   return total;
 }
 
-void StatsRegistry::RegisterTable(const catalog::TableDef& def) {
-  const std::shared_ptr<EstimatorCell> cell = cells_.GetOrCreate(def.name);
-  std::lock_guard<std::mutex> lock(cell->write_mutex);
-  if (cell->current.Load() != nullptr) return;
-  const Box full = def.FullRegion();
-  std::shared_ptr<const Estimator> initial;
-  switch (kind_) {
-    case StatsKind::kUniform:
-      initial = std::make_shared<UniformEstimator>(full, def.cardinality);
-      break;
-    case StatsKind::kFeedbackHistogram:
-      initial = std::make_shared<FeedbackHistogram>(full, def.cardinality);
-      break;
+StatsRegistry::StatsRegistry(const catalog::Catalog& catalog, StatsKind kind)
+    : kind_(kind) {
+  for (const std::string& name : catalog.TableNames()) {
+    const catalog::TableDef& def = *catalog.FindTable(name);
+    const Box full = def.FullRegion();
+    std::unique_ptr<Estimator>& estimator = cells_[name].estimator;
+    switch (kind_) {
+      case StatsKind::kUniform:
+        estimator = std::make_unique<UniformEstimator>(full, def.cardinality);
+        break;
+      case StatsKind::kFeedbackHistogram:
+        estimator = std::make_unique<FeedbackHistogram>(full, def.cardinality);
+        break;
+    }
   }
-  cell->current.Store(std::move(initial));
-}
-
-bool StatsRegistry::HasTable(const std::string& table) const {
-  const std::shared_ptr<EstimatorCell> cell = cells_.Find(table);
-  return cell != nullptr && cell->current.Load() != nullptr;
 }
 
 double StatsRegistry::EstimateRows(const std::string& table,
                                    const Box& region) const {
-  const std::shared_ptr<EstimatorCell> cell = cells_.Find(table);
+  const auto* cell = CellOf(cells_, table);
   if (cell == nullptr) return 0.0;
-  const std::shared_ptr<const Estimator> est = cell->current.Load();
-  if (est == nullptr) return 0.0;
-  return est->EstimateRows(region);
+  std::shared_lock<std::shared_mutex> lock(cell->mutex);
+  return cell->estimator->EstimateRows(region);
 }
 
 Box StatsRegistry::Feedback(const std::string& table, const Box& region,
                             int64_t actual_rows) {
-  const std::shared_ptr<EstimatorCell> cell = cells_.Find(table);
-  if (cell == nullptr) return Unchanged(region.num_dims());
-  std::lock_guard<std::mutex> lock(cell->write_mutex);
-  const std::shared_ptr<const Estimator> current = cell->current.Load();
-  if (current == nullptr) return Unchanged(region.num_dims());
-  std::unique_ptr<Estimator> next = current->Clone();
-  Box changed = next->Feedback(region, actual_rows);
-  cell->current.Store(std::move(next));
-  return changed;
+  auto* cell = CellOf(cells_, table);
+  assert(cell != nullptr && "feedback for a table outside the catalog");
+  std::unique_lock<std::shared_mutex> lock(cell->mutex);
+  return cell->estimator->Feedback(region, actual_rows);
 }
 
 size_t StatsRegistry::TotalFeedbacks() const {
   size_t total = 0;
-  cells_.ForEach([&](const std::string&, const EstimatorCell& cell) {
-    const std::shared_ptr<const Estimator> est = cell.current.Load();
-    const auto* hist = dynamic_cast<const FeedbackHistogram*>(est.get());
+  for (const auto& [name, cell] : cells_) {
+    std::shared_lock<std::shared_mutex> lock(cell.mutex);
+    const auto* hist =
+        dynamic_cast<const FeedbackHistogram*>(cell.estimator.get());
     if (hist != nullptr) total += hist->num_feedbacks();
-  });
+  }
   return total;
 }
 
@@ -288,41 +287,36 @@ std::unique_ptr<Estimator> LoadEstimator(common::BinReader& r) {
 
 std::vector<std::string> StatsRegistry::TableNames() const {
   std::vector<std::string> names;
-  cells_.ForEach([&](const std::string& name, const EstimatorCell&) {
-    names.push_back(name);
-  });
-  std::sort(names.begin(), names.end());
+  for (const auto& [name, cell] : cells_) names.push_back(name);
   return names;
 }
 
 bool StatsRegistry::SaveTable(const std::string& table,
                               std::string* out) const {
-  const std::shared_ptr<EstimatorCell> cell = cells_.Find(table);
+  const auto* cell = CellOf(cells_, table);
   if (cell == nullptr) return false;
-  const std::shared_ptr<const Estimator> est = cell->current.Load();
-  if (est == nullptr) return false;
-  SaveEstimator(*est, out);
+  std::shared_lock<std::shared_mutex> lock(cell->mutex);
+  SaveEstimator(*cell->estimator, out);
   return true;
 }
 
 bool StatsRegistry::RestoreTable(const std::string& table,
                                  const std::string& blob) {
-  const std::shared_ptr<EstimatorCell> cell = cells_.Find(table);
+  auto* cell = CellOf(cells_, table);
   if (cell == nullptr) return false;
   common::BinReader r(blob);
   std::unique_ptr<Estimator> restored = LoadEstimator(r);
   if (restored == nullptr) return false;
-  std::lock_guard<std::mutex> lock(cell->write_mutex);
-  cell->current.Store(std::move(restored));
+  std::unique_lock<std::shared_mutex> lock(cell->mutex);
+  cell->estimator = std::move(restored);
   return true;
 }
 
 EstimatorInfo StatsRegistry::Info(const std::string& table) const {
-  const std::shared_ptr<EstimatorCell> cell = cells_.Find(table);
+  const auto* cell = CellOf(cells_, table);
   if (cell == nullptr) return EstimatorInfo{};
-  const std::shared_ptr<const Estimator> est = cell->current.Load();
-  if (est == nullptr) return EstimatorInfo{};
-  return est->Info();
+  std::shared_lock<std::shared_mutex> lock(cell->mutex);
+  return cell->estimator->Info();
 }
 
 }  // namespace payless::stats

@@ -13,15 +13,15 @@
 #define PAYLESS_STATS_ESTIMATOR_H_
 
 #include <cstdint>
+#include <map>
 #include <memory>
-#include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <vector>
 
 #include "catalog/catalog.h"
 #include "common/binio.h"
 #include "common/geometry.h"
-#include "common/snapshot.h"
 
 namespace payless::stats {
 
@@ -50,11 +50,6 @@ class Estimator {
   /// Structure snapshot for observability surfaces.
   virtual EstimatorInfo Info() const = 0;
 
-  /// Deep copy — the registry's copy-on-write Feedback path clones the
-  /// current estimator, mutates the clone, and republishes it so concurrent
-  /// EstimateRows reads never see a half-applied feedback.
-  virtual std::unique_ptr<Estimator> Clone() const = 0;
-
   /// Appends this estimator's full learned state (without a kind tag —
   /// SaveEstimator frames it) so a restart resumes learning exactly where
   /// the process died instead of falling back to the uniform cold start.
@@ -81,10 +76,6 @@ class UniformEstimator : public Estimator {
 
   EstimatorInfo Info() const override {
     return EstimatorInfo{1, num_feedbacks_, cardinality_};
-  }
-
-  std::unique_ptr<Estimator> Clone() const override {
-    return std::make_unique<UniformEstimator>(*this);
   }
 
   void SaveState(common::BinWriter& w) const override;
@@ -131,10 +122,6 @@ class FeedbackHistogram : public Estimator {
     return EstimatorInfo{buckets_.size(), num_feedbacks_, total_count()};
   }
 
-  std::unique_ptr<Estimator> Clone() const override {
-    return std::make_unique<FeedbackHistogram>(*this);
-  }
-
   void SaveState(common::BinWriter& w) const override;
   static std::unique_ptr<FeedbackHistogram> Load(common::BinReader& r);
 
@@ -162,36 +149,32 @@ enum class StatsKind {
   kFeedbackHistogram,  // multidimensional, the ISOMER role (default)
 };
 
-/// Per-table estimator registry: the statistics block of Fig. 3. Tables are
-/// seeded from catalog metadata (initial state == uniform assumption);
-/// learning can be disabled to study the cold-start optimizer.
+/// Per-table estimator registry: the statistics block of Fig. 3. Every
+/// catalog table is seeded from its published basic statistics (the
+/// uniform cold start of §4.3); learning can be disabled to study the
+/// cold-start optimizer.
 ///
-/// Thread-safe and lock-free on the read side: estimators live in a hash-
-/// sharded cell map (common::ShardedCellMap) and each table's estimator is
-/// an immutable published snapshot, so EstimateRows (the optimizer's hot
-/// read) is two atomic loads plus the estimation itself. Feedback clones
-/// the current estimator under a per-table writer mutex, applies the
-/// observation to the clone, and republishes — writers to different tables
-/// never contend.
+/// Thread-safe: the table set is fixed at construction, so a lookup takes
+/// no lock, and each table's estimator is plain mutable data behind one
+/// reader-writer lock. EstimateRows (the optimizer's hot read) and the
+/// other reads take it shared; Feedback and RestoreTable take it
+/// exclusively and change the estimator in place. Writers to different
+/// tables never contend.
 class StatsRegistry {
  public:
   /// kUniform never learns: it studies the cold-start optimizer.
-  explicit StatsRegistry(StatsKind kind = StatsKind::kFeedbackHistogram)
-      : kind_(kind) {}
+  explicit StatsRegistry(const catalog::Catalog& catalog,
+                         StatsKind kind = StatsKind::kFeedbackHistogram);
 
   StatsRegistry(const StatsRegistry&) = delete;
   StatsRegistry& operator=(const StatsRegistry&) = delete;
 
-  void RegisterTable(const catalog::TableDef& def);
-  bool HasTable(const std::string& table) const;
-
-  /// Estimate for an unknown table falls back to 0 (callers register every
-  /// catalog table up front).
+  /// 0 for a table outside the catalog.
   double EstimateRows(const std::string& table, const Box& region) const;
 
   /// Applies one observation to `table`'s estimator and returns the box
-  /// whose estimates it may have changed (Estimator::Feedback); an empty
-  /// box for an unknown table.
+  /// whose estimates it may have changed (Estimator::Feedback). `table`
+  /// must be in the catalog.
   Box Feedback(const std::string& table, const Box& region,
                int64_t actual_rows);
 
@@ -202,8 +185,7 @@ class StatsRegistry {
 
   StatsKind kind() const { return kind_; }
 
-  /// Names of every registered table, sorted (the durability snapshot
-  /// iterates them).
+  /// Names of every table, sorted (the durability snapshot iterates them).
   std::vector<std::string> TableNames() const;
 
   /// Serializes `table`'s current estimator (kind-tagged) into `out`.
@@ -211,21 +193,19 @@ class StatsRegistry {
   bool SaveTable(const std::string& table, std::string* out) const;
 
   /// Replaces `table`'s estimator with the deserialized `blob` state (the
-  /// recovery path — the table must already be registered, so a blob for a
-  /// table dropped from the catalog is skipped). False on unknown table or
-  /// decode failure.
+  /// recovery path; a blob for a table dropped from the catalog is
+  /// skipped). False on unknown table or decode failure.
   bool RestoreTable(const std::string& table, const std::string& blob);
 
  private:
-  /// One table's estimator: the published immutable snapshot plus the
-  /// writer mutex serializing Feedback on this table.
-  struct EstimatorCell {
-    std::mutex write_mutex;
-    common::SnapshotCell<Estimator> current;
+  /// One table's estimator and the lock that guards it.
+  struct Cell {
+    mutable std::shared_mutex mutex;
+    std::unique_ptr<Estimator> estimator;  // guarded by `mutex`
   };
 
   StatsKind kind_;
-  common::ShardedCellMap<EstimatorCell> cells_;
+  std::map<std::string, Cell> cells_;  // built once, never resized
 };
 
 }  // namespace payless::stats

@@ -233,22 +233,28 @@ TEST_F(WalTest, TornTailAtEveryByteOffsetDropsExactlyTheFinalRecord) {
 
 // ---- Full recovery over every torn-tail truncation.
 
+/// Dataset WHW with one table: Weather(StationID bound over 1..16,
+/// Temperature).
+catalog::Catalog WeatherCatalog() {
+  catalog::Catalog catalog;
+  EXPECT_TRUE(
+      catalog.RegisterDataset(catalog::DatasetDef{"WHW", 1.0, 5}).ok());
+  catalog::TableDef weather;
+  weather.name = "Weather";
+  weather.dataset = "WHW";
+  weather.columns = {
+      catalog::ColumnDef::Bound("StationID", ValueType::kInt64,
+                                catalog::AttrDomain::Numeric(1, 16)),
+      catalog::ColumnDef::Output("Temperature", ValueType::kDouble)};
+  weather.cardinality = 16;
+  EXPECT_TRUE(catalog.RegisterTable(weather).ok());
+  return catalog;
+}
+
 class RecoveryFixture {
  public:
-  explicit RecoveryFixture(const std::string& dir) {
-    EXPECT_TRUE(catalog_.RegisterDataset(catalog::DatasetDef{"WHW", 1.0, 5})
-                    .ok());
-    catalog::TableDef weather;
-    weather.name = "Weather";
-    weather.dataset = "WHW";
-    weather.columns = {
-        catalog::ColumnDef::Bound("StationID", ValueType::kInt64,
-                                  catalog::AttrDomain::Numeric(1, 16)),
-        catalog::ColumnDef::Output("Temperature", ValueType::kDouble)};
-    weather.cardinality = 16;
-    EXPECT_TRUE(catalog_.RegisterTable(weather).ok());
-    stats_.RegisterTable(weather);
-
+  explicit RecoveryFixture(const std::string& dir)
+      : catalog_(WeatherCatalog()), store_(catalog_), stats_(catalog_) {
     DurabilityOptions options;
     options.dir = dir;
     manager_ = std::make_unique<DurabilityManager>(

@@ -74,14 +74,13 @@ class ExecTest : public ::testing::Test {
     ASSERT_TRUE(db_.InsertRows("Names", name_rows).ok());
 
     router_ = std::make_unique<federation::EndpointRouter>(market_.get());
-    for (const std::string& name : cat_.TableNames()) {
-      stats_.RegisterTable(*cat_.FindTable(name));
-    }
+    store_ = std::make_unique<semstore::SemanticStore>(cat_);
+    stats_ = std::make_unique<stats::StatsRegistry>(cat_);
     router_->AddListener([this](const market::RestCall& call,
                                 const market::CallResult& result) {
       const TableDef* def = cat_.FindTable(call.table);
-      store_.Store(*def, market::CallRegion(*def, call), result.rows, 0);
-      stats_.Feedback(call.table, market::CallRegion(*def, call),
+      store_->Store(*def, market::CallRegion(*def, call), result.rows, 0);
+      stats_->Feedback(call.table, market::CallRegion(*def, call),
                       result.num_records);
     });
   }
@@ -96,10 +95,11 @@ class ExecTest : public ::testing::Test {
 
   Result<storage::Table> Run(const std::string& sql, ExecStats* stats = nullptr) {
     const sql::BoundQuery q = BindSql(sql);
-    const core::Optimizer optimizer(&cat_, &stats_, &store_, {});
+    const core::Optimizer optimizer(&cat_, stats_.get(), store_.get(), {});
     Result<core::OptimizeResult> plan = optimizer.Optimize(q);
     if (!plan.ok()) return plan.status();
-    ExecutionEngine engine(&cat_, &db_, router_.get(), &store_, &stats_);
+    ExecutionEngine engine(&cat_, &db_, router_.get(), store_.get(),
+                           stats_.get());
     return engine.Execute(q, plan->plan, ExecConfig{}, stats);
   }
 
@@ -117,8 +117,8 @@ class ExecTest : public ::testing::Test {
   std::unique_ptr<market::DataMarket> market_;
   std::unique_ptr<federation::EndpointRouter> router_;
   storage::Database db_;
-  semstore::SemanticStore store_;
-  stats::StatsRegistry stats_;
+  std::unique_ptr<semstore::SemanticStore> store_;
+  std::unique_ptr<stats::StatsRegistry> stats_;
 };
 
 TEST_F(ExecTest, PlainAccessSelectStar) {
@@ -234,7 +234,8 @@ TEST_F(ExecTest, ThreeWayJoinMatchesOracle) {
 
 TEST_F(ExecTest, PlanMustCoverAllRelations) {
   const sql::BoundQuery q = BindSql("SELECT * FROM Users");
-  ExecutionEngine engine(&cat_, &db_, router_.get(), &store_, &stats_);
+  ExecutionEngine engine(&cat_, &db_, router_.get(), store_.get(),
+                         stats_.get());
   core::Plan empty_plan;
   EXPECT_FALSE(engine.Execute(q, empty_plan, ExecConfig{}).ok());
 }
@@ -249,10 +250,11 @@ TEST_F(ExecTest, WithoutSqrEveryRunPaysAgain) {
       BindSql("SELECT * FROM Users WHERE Segment = 'gold'");
   core::OptimizerOptions opt;
   opt.use_sqr = false;
-  const core::Optimizer optimizer(&cat_, &stats_, &store_, opt);
+  const core::Optimizer optimizer(&cat_, stats_.get(), store_.get(), opt);
   Result<core::OptimizeResult> plan = optimizer.Optimize(q);
   ASSERT_TRUE(plan.ok());
-  ExecutionEngine engine(&cat_, &db_, router_.get(), &store_, &stats_);
+  ExecutionEngine engine(&cat_, &db_, router_.get(), store_.get(),
+                         stats_.get());
   ExecConfig config;
   config.use_sqr = false;
   ASSERT_TRUE(engine.Execute(q, plan->plan, config).ok());

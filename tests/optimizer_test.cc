@@ -83,9 +83,8 @@ class OptimizerTest : public ::testing::Test {
     island.cardinality = 500;
     ASSERT_TRUE(cat_.RegisterTable(island).ok());
 
-    for (const std::string& name : cat_.TableNames()) {
-      stats_.RegisterTable(*cat_.FindTable(name));
-    }
+    stats_ = std::make_unique<stats::StatsRegistry>(cat_);
+    store_ = std::make_unique<semstore::SemanticStore>(cat_);
   }
 
   sql::BoundQuery BindSql(const std::string& sql,
@@ -98,12 +97,12 @@ class OptimizerTest : public ::testing::Test {
   }
 
   Optimizer MakeOptimizer(OptimizerOptions options = {}) {
-    return Optimizer(&cat_, &stats_, &store_, options);
+    return Optimizer(&cat_, stats_.get(), store_.get(), options);
   }
 
   catalog::Catalog cat_;
-  stats::StatsRegistry stats_;
-  semstore::SemanticStore store_;
+  std::unique_ptr<stats::StatsRegistry> stats_;
+  std::unique_ptr<semstore::SemanticStore> store_;
 };
 
 TEST_F(OptimizerTest, SingleRelationPlainCall) {
@@ -204,7 +203,7 @@ TEST_F(OptimizerTest, CachedRelationIsZeroPrice) {
   const sql::BoundQuery q = BindSql(
       "SELECT * FROM Weather WHERE Country = 'US' AND Date >= 5 AND "
       "Date <= 10");
-  store_.Store(*cat_.FindTable("Weather"),
+  store_->Store(*cat_.FindTable("Weather"),
                q.relations[0].QueryRegion(), {}, 0);
   Result<OptimizeResult> r = MakeOptimizer().Optimize(q);
   ASSERT_TRUE(r.ok());
@@ -216,7 +215,7 @@ TEST_F(OptimizerTest, WithoutSqrCacheIsIgnored) {
   const sql::BoundQuery q = BindSql(
       "SELECT * FROM Weather WHERE Country = 'US' AND Date >= 5 AND "
       "Date <= 10");
-  store_.Store(*cat_.FindTable("Weather"), q.relations[0].QueryRegion(), {},
+  store_->Store(*cat_.FindTable("Weather"), q.relations[0].QueryRegion(), {},
                0);
   OptimizerOptions options;
   options.use_sqr = false;
@@ -235,7 +234,7 @@ TEST_F(OptimizerTest, PartialCoverageReducesPlainCost) {
   // Cache the first half of the month.
   Box half = q.relations[0].QueryRegion();
   half.dim(2) = Interval(1, 15);
-  store_.Store(*cat_.FindTable("Weather"), half, {}, 0);
+  store_->Store(*cat_.FindTable("Weather"), half, {}, 0);
   Result<OptimizeResult> warm = MakeOptimizer().Optimize(q);
   ASSERT_TRUE(warm.ok());
   EXPECT_LT(warm->plan.est_cost, cold->plan.est_cost);
@@ -325,7 +324,7 @@ TEST_F(OptimizerTest, SqrCountsBoundingBoxes) {
       "Date <= 30");
   Box half = q.relations[0].QueryRegion();
   half.dim(2) = Interval(10, 20);
-  store_.Store(*cat_.FindTable("Weather"), half, {}, 0);
+  store_->Store(*cat_.FindTable("Weather"), half, {}, 0);
   Result<OptimizeResult> r = MakeOptimizer().Optimize(q);
   ASSERT_TRUE(r.ok());
   EXPECT_GT(r->counters.enumerated_bboxes, 0u);
@@ -337,7 +336,7 @@ TEST_F(OptimizerTest, ConsistencyHorizonHidesOldViews) {
   const sql::BoundQuery q = BindSql(
       "SELECT * FROM Weather WHERE Country = 'US' AND Date >= 5 AND "
       "Date <= 10");
-  store_.Store(*cat_.FindTable("Weather"), q.relations[0].QueryRegion(), {},
+  store_->Store(*cat_.FindTable("Weather"), q.relations[0].QueryRegion(), {},
                /*epoch=*/1);
   OptimizerOptions options;
   options.min_epoch = 5;  // view from epoch 1 is too old

@@ -249,10 +249,9 @@ TEST_F(SavingsAccountingTest, FaultStormReconcilesAndCountsWaste) {
 }
 
 TEST_F(SavingsAccountingTest, CounterfactualIsDeterministicAcrossThreads) {
-  // Pricing runs against a pinned stats snapshot (nothing executes), so
-  // eight concurrent pricers must agree bit for bit.
-  stats::StatsRegistry stats(stats::StatsKind::kFeedbackHistogram);
-  stats.RegisterTable(*cat_.FindTable("Pollution"));
+  // Pricing only reads the statistics (nothing executes), so eight
+  // concurrent pricers must agree bit for bit.
+  stats::StatsRegistry stats(cat_);
   SavingsAccountant accountant(&cat_, &stats, {{"", &cat_}});
   const core::OptimizerOptions options;
 

@@ -25,8 +25,10 @@ constexpr int64_t kWeak = std::numeric_limits<int64_t>::min();
 
 class SemStoreTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    ASSERT_TRUE(cat_.RegisterDataset(DatasetDef{"D", 1.0, 100}).ok());
+  /// Table T(c in {x, y}, d in 0..99, v) of dataset D.
+  static catalog::Catalog OneTableCatalog() {
+    catalog::Catalog cat;
+    EXPECT_TRUE(cat.RegisterDataset(DatasetDef{"D", 1.0, 100}).ok());
     TableDef def;
     def.name = "T";
     def.dataset = "D";
@@ -36,7 +38,8 @@ class SemStoreTest : public ::testing::Test {
         ColumnDef::Free("d", ValueType::kInt64, AttrDomain::Numeric(0, 99)),
         ColumnDef::Output("v", ValueType::kDouble)};
     def.cardinality = 0;
-    ASSERT_TRUE(cat_.RegisterTable(def).ok());
+    EXPECT_TRUE(cat.RegisterTable(def).ok());
+    return cat;
   }
 
   const TableDef& def() const { return *cat_.FindTable("T"); }
@@ -49,8 +52,8 @@ class SemStoreTest : public ::testing::Test {
     return Box({Interval::Point(c), Interval(dlo, dhi)});
   }
 
-  catalog::Catalog cat_;
-  SemanticStore store_;
+  catalog::Catalog cat_ = OneTableCatalog();
+  SemanticStore store_{cat_};
 };
 
 TEST_F(SemStoreTest, RowPointEncodesConstrainableColumns) {
@@ -173,7 +176,7 @@ TEST_F(SemStoreTest, Counters) {
   store_.Store(def(), Region(1, 0, 9), {MakeRow("y", 1, 0.0)}, 0);
   EXPECT_EQ(store_.TotalViews(), 2u);
   EXPECT_EQ(store_.TotalStoredRows(), 2u);
-  store_.Clear();
+  store_.DropTable("T");
   EXPECT_EQ(store_.TotalViews(), 0u);
   EXPECT_TRUE(store_.CoveredRegions("T", kWeak).empty());
   EXPECT_TRUE(store_.RowsInRegion(def(), Region(0, 0, 9), kWeak).empty());
@@ -220,8 +223,8 @@ TEST_F(SemStoreTest, BoundMetricsMirrorProbeAndEvictionCounters) {
   EXPECT_EQ(misses.value(), 1);
   EXPECT_EQ(evictions.value(), 0);
 
-  // Clear() is the eviction point: one eviction per dropped view.
-  store_.Clear();
+  // DropTable is the eviction point: one eviction per dropped view.
+  store_.DropTable("T");
   EXPECT_EQ(evictions.value(), 2);
   EXPECT_EQ(store_.TotalEvictions(), 2);
 }
@@ -434,7 +437,7 @@ TEST(SemStoreReplayTest, RealColdHarvestsMatchNaiveReference) {
   const std::vector<Harvest> harvests = RealColdHarvests(*bundle, 320);
   ASSERT_GE(harvests.size(), 300u);
 
-  SemanticStore store;
+  SemanticStore store(bundle->catalog);
   NaiveStore naive;
   for (size_t i = 0; i < harvests.size(); ++i) {
     const Harvest& h = harvests[i];

@@ -1,15 +1,15 @@
-// Seeded 16-thread stress of the sharded read structures: the semantic
-// store's lock-guarded table cells and the stats registry's estimator
-// snapshot cells. Writers harvest disjoint slabs (and fire feedback)
-// across enough tables to land in every shard of the cell maps; readers
-// hammer the probe paths concurrently. Invariants checked after the dust
-// settles:
+// Seeded 16-thread stress of the per-table locks: the semantic store's
+// table cells and the stats registry's estimator cells, each plain data
+// under one reader-writer lock. Writers harvest disjoint slabs (and fire
+// feedback) across many tables; readers hammer the probe paths
+// concurrently. Invariants checked after the dust settles:
 //   - probe accounting balances exactly (hits + misses == probes);
 //   - no slab is lost: every Store call is a view, every unique row is
 //     pooled, every region stored is covered;
-//   - eviction (Clear) under way never corrupts a later quiescent state.
+//   - eviction (DropTable) under way never corrupts a later quiescent
+//     state.
 // Run under the TSan preset, this is the data-race canary for the store's
-// per-table reader-writer lock and the statistics' snapshot publication.
+// and the statistics' per-table reader-writer locks.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -32,7 +32,7 @@ using catalog::DatasetDef;
 using catalog::TableDef;
 
 constexpr int64_t kWeak = std::numeric_limits<int64_t>::min();
-constexpr int kNumTables = 64;   // spread across all cell-map shards
+constexpr int kNumTables = 64;
 constexpr int kNumThreads = 16;  // half writers, half readers
 constexpr int64_t kKeys = 256;   // K domain; each slab covers 4 keys
 
@@ -47,8 +47,13 @@ uint64_t Mix(uint64_t x) {
 
 class ShardStressTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    ASSERT_TRUE(cat_.RegisterDataset(DatasetDef{"D", 1.0, 100}).ok());
+  static std::string TableName(int t) {
+    return "T" + std::to_string(t);
+  }
+
+  static catalog::Catalog StressCatalog() {
+    catalog::Catalog cat;
+    EXPECT_TRUE(cat.RegisterDataset(DatasetDef{"D", 1.0, 100}).ok());
     for (int t = 0; t < kNumTables; ++t) {
       TableDef def;
       def.name = TableName(t);
@@ -59,12 +64,14 @@ class ShardStressTest : public ::testing::Test {
           ColumnDef::Free("D", ValueType::kInt64, AttrDomain::Numeric(1, 8)),
           ColumnDef::Output("V", ValueType::kDouble)};
       def.cardinality = kKeys * 8;
-      ASSERT_TRUE(cat_.RegisterTable(def).ok());
+      EXPECT_TRUE(cat.RegisterTable(def).ok());
     }
+    return cat;
   }
 
-  static std::string TableName(int t) {
-    return "T" + std::to_string(t);
+  /// Evicts every table, as a placement pass that drops them all would.
+  void DropAll() {
+    for (int t = 0; t < kNumTables; ++t) store_.DropTable(TableName(t));
   }
 
   const TableDef& def(int t) const { return *cat_.FindTable(TableName(t)); }
@@ -85,8 +92,8 @@ class ShardStressTest : public ::testing::Test {
     return rows;
   }
 
-  catalog::Catalog cat_;
-  SemanticStore store_;
+  catalog::Catalog cat_ = StressCatalog();
+  SemanticStore store_{cat_};
 };
 
 TEST_F(ShardStressTest, ConcurrentStoreAndProbeAcrossShards) {
@@ -182,7 +189,7 @@ TEST_F(ShardStressTest, DuplicateHarvestsPoolOnce) {
 }
 
 TEST_F(ShardStressTest, EvictionUnderConcurrentHarvest) {
-  // Clear racing Store must neither crash, corrupt a table, nor break
+  // Evictions racing Store must neither crash, corrupt a table, nor break
   // the accounting identity; afterwards a quiescent re-harvest fully
   // restores coverage.
   std::atomic<bool> stop{false};
@@ -201,7 +208,7 @@ TEST_F(ShardStressTest, EvictionUnderConcurrentHarvest) {
   }
   threads.emplace_back([&] {
     while (!stop.load(std::memory_order_acquire)) {
-      store_.Clear();
+      DropAll();
       std::this_thread::yield();
     }
   });
@@ -211,7 +218,7 @@ TEST_F(ShardStressTest, EvictionUnderConcurrentHarvest) {
 
   EXPECT_EQ(store_.TotalHits() + store_.TotalMisses(), store_.TotalProbes());
 
-  store_.Clear();
+  DropAll();
   EXPECT_EQ(store_.TotalViews(), 0u);
   for (int64_t s = 0; s < 16; ++s) {
     store_.Store(def(0), SlabRegion(s), SlabRows(s), /*epoch=*/0);
@@ -224,8 +231,7 @@ TEST_F(ShardStressTest, EvictionUnderConcurrentHarvest) {
 }
 
 TEST_F(ShardStressTest, ConcurrentFeedbackAndEstimates) {
-  stats::StatsRegistry stats(stats::StatsKind::kFeedbackHistogram);
-  for (int t = 0; t < kNumTables; ++t) stats.RegisterTable(def(t));
+  stats::StatsRegistry stats(cat_);
 
   std::atomic<int64_t> feedbacks{0};
   std::vector<std::thread> threads;

@@ -86,11 +86,8 @@ std::unique_ptr<Scenario> MakeScenario(uint64_t seed) {
 
 /// Optimizes and EXECUTES the query; returns measured transactions.
 int64_t MeasuredSpend(Scenario* s, core::OptimizerOptions options) {
-  stats::StatsRegistry stats;
-  for (const std::string& name : s->cat.TableNames()) {
-    stats.RegisterTable(*s->cat.FindTable(name));
-  }
-  semstore::SemanticStore store;
+  stats::StatsRegistry stats(s->cat);
+  semstore::SemanticStore store(s->cat);
   federation::EndpointRouter router(s->market.get());
   router.AddListener([&](const market::RestCall& call,
                          const market::CallResult& result) {
@@ -148,11 +145,8 @@ TEST_P(TheoremProperty, Theorem2CachedCoverageNeverIncreasesSpend) {
   // Same scenario, but a prior identical query warmed the store: the second
   // run must cost no more (in fact zero, everything needed is cached).
   auto warm = MakeScenario(GetParam());
-  stats::StatsRegistry stats;
-  for (const std::string& name : warm->cat.TableNames()) {
-    stats.RegisterTable(*warm->cat.FindTable(name));
-  }
-  semstore::SemanticStore store;
+  stats::StatsRegistry stats(warm->cat);
+  semstore::SemanticStore store(warm->cat);
   federation::EndpointRouter router(warm->market.get());
   router.AddListener([&](const market::RestCall& call,
                          const market::CallResult& result) {
@@ -205,11 +199,8 @@ TEST(Theorem3Test, DisconnectedQueriesCostTheSumOfParts) {
   ASSERT_TRUE(market.HostTable("Y", std::move(y_rows)).ok());
 
   const auto spend = [&cat, &market](const std::string& sql) {
-    stats::StatsRegistry stats;
-    for (const std::string& name : cat.TableNames()) {
-      stats.RegisterTable(*cat.FindTable(name));
-    }
-    semstore::SemanticStore store;
+    stats::StatsRegistry stats(cat);
+    semstore::SemanticStore store(cat);
     federation::EndpointRouter router(&market);
     Result<sql::SelectStmt> stmt = sql::Parse(sql);
     EXPECT_TRUE(stmt.ok());
