@@ -108,6 +108,25 @@ TEST_F(PayLessSystemTest, SubsetQueryIsFreeSupersetPaysRemainder) {
             spent + superset->transactions_spent);
 }
 
+// The seller evaluates and bills a call that finds no row: its dataset is
+// part of the query's spend at 0 transactions, and of the tenant's.
+TEST_F(PayLessSystemTest, EmptyCallNamesItsDatasetAtZero) {
+  auto client = NewClient();
+  Result<QueryReport> report = client->QueryWithReport(
+      "SELECT * FROM Pollution WHERE ZipCode = 10005 AND Rank >= 1 AND "
+      "Rank <= 3");
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_TRUE(report->ok());
+  EXPECT_EQ(report->result.num_rows(), 0u);
+  EXPECT_EQ(report->exec.calls, 1);
+  EXPECT_EQ(report->transactions_spent, 0);
+  EXPECT_EQ(report->transactions_by_dataset,
+            (std::map<std::string, int64_t>{{"EHR", 0}}));
+  const std::string ledger = client->observability()->ledger.ToJson();
+  EXPECT_NE(ledger.find("\"datasets\":{\"EHR\":0}"), std::string::npos)
+      << ledger;
+}
+
 TEST_F(PayLessSystemTest, StatisticsLearnFromFeedback) {
   auto client = NewClient();
   ASSERT_TRUE(client->Query(
