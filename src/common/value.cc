@@ -1,8 +1,8 @@
 #include "common/value.h"
 
 #include <cassert>
+#include <charconv>
 #include <cmath>
-#include <sstream>
 
 namespace payless {
 
@@ -75,9 +75,13 @@ std::string Value::ToString() const {
   if (is_null()) return "NULL";
   if (is_int64()) return std::to_string(AsInt64());
   if (is_double()) {
-    std::ostringstream os;
-    os << AsDouble();
-    return os.str();
+    // printf's %g, as a default-formatted stream writes it: six
+    // significant digits, without the stream.
+    char buf[32];
+    const std::to_chars_result end =
+        std::to_chars(buf, buf + sizeof(buf), AsDouble(),
+                      std::chars_format::general, 6);
+    return std::string(buf, end.ptr);
   }
   return "'" + AsString() + "'";
 }

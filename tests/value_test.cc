@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <sstream>
+#include <vector>
+
 #include "common/compare.h"
 
 namespace payless {
@@ -81,6 +88,36 @@ TEST(ValueTest, ToStringFormats) {
   EXPECT_EQ(Value(int64_t{3}).ToString(), "3");
   EXPECT_EQ(Value("hi").ToString(), "'hi'");
   EXPECT_EQ(Value::Null().ToString(), "NULL");
+}
+
+// A double prints as a default-formatted stream prints it (six significant
+// digits), over special values, random magnitudes and random bit patterns.
+TEST(ValueTest, DoubleToStringMatchesTheDefaultStream) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> values = {0.0,     -0.0,    1e300,   -1e300, 5e-324,
+                                -5e-324, kInf,    -kInf,   kNan,   -kNan,
+                                0.1,     1234567, 123456.5, 1e-5,  9.999995};
+  std::mt19937_64 rng(7);
+  std::uniform_real_distribution<double> mantissa(-10.0, 10.0);
+  std::uniform_int_distribution<int> exponent(-320, 308);
+  for (int i = 0; i < 100'000; ++i) {
+    values.push_back(mantissa(rng) * std::pow(10.0, exponent(rng)));
+    const uint64_t bits = rng();
+    double pattern;
+    std::memcpy(&pattern, &bits, sizeof(pattern));
+    values.push_back(pattern);
+  }
+  size_t mismatches = 0;
+  for (const double d : values) {
+    std::ostringstream os;
+    os << d;
+    if (Value(d).ToString() != os.str() && ++mismatches <= 5) {
+      ADD_FAILURE() << "ToString " << Value(d).ToString() << ", stream "
+                    << os.str();
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(RowTest, HashRowDistinguishesOrder) {
