@@ -175,7 +175,6 @@ AccessSpec Optimizer::PlanPlainAccess(const sql::BoundQuery& query, size_t rel,
       counters->kept_bboxes += rem.counters.kept_boxes;
     }
     spec.used_sqr = true;
-    spec.sqr_counters = rem.counters;
     spec.est_rows = region_rows;
     if (rem.fully_covered) {
       spec.kind = AccessSpec::Kind::kCached;

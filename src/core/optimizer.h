@@ -32,6 +32,7 @@
 #include "catalog/catalog.h"
 #include "core/federation.h"
 #include "core/plan.h"
+#include "semstore/remainder.h"
 #include "semstore/semantic_store.h"
 #include "sql/bound_query.h"
 #include "stats/estimator.h"
@@ -80,16 +81,6 @@ class Optimizer {
 
   const OptimizerOptions& options() const { return options_; }
 
-  /// Prices a single-relation access with semantic rewriting — exposed for
-  /// the executor (which re-runs the rewrite against the live store) and
-  /// for tests. `left_rows`/`edges` empty means plain access.
-  AccessSpec PlanPlainAccess(const sql::BoundQuery& query, size_t rel,
-                             PlanningCounters* counters) const;
-  AccessSpec PlanBindAccess(const sql::BoundQuery& query, size_t rel,
-                            const std::vector<sql::JoinEdge>& edges,
-                            double left_rows,
-                            PlanningCounters* counters) const;
-
   /// Per-dimension remainder specs for a table (numeric vs categorical).
   static std::vector<semstore::DimSpec> DimSpecsFor(
       const catalog::TableDef& def);
@@ -99,6 +90,16 @@ class Optimizer {
       std::numeric_limits<int64_t>::max() / 4;
 
   int64_t AccessCost(const AccessSpec& access) const;
+
+  /// Prices a single-relation access with semantic rewriting: a plain
+  /// access shaped by the relation's own conditions, or a bind access fed
+  /// by `edges` from `left_rows` estimated rows of the relations before it.
+  AccessSpec PlanPlainAccess(const sql::BoundQuery& query, size_t rel,
+                             PlanningCounters* counters) const;
+  AccessSpec PlanBindAccess(const sql::BoundQuery& query, size_t rel,
+                            const std::vector<sql::JoinEdge>& edges,
+                            double left_rows,
+                            PlanningCounters* counters) const;
 
   /// Federation: annotates a priced access with the cheapest live buy-site
   /// from the per-endpoint menu and rewrites its transaction estimate to

@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "semstore/remainder.h"
 #include "sql/bound_query.h"
 
 namespace payless::core {
@@ -50,7 +49,6 @@ struct AccessSpec {
   /// attribution replays the repricing under the counterfactual
   /// endpoint's menu to isolate the routing edge from estimate noise.
   int64_t est_base_transactions = 0;
-  semstore::RemainderCounters sqr_counters;
 
   bool IsZeroPrice() const {
     return kind == Kind::kLocal || kind == Kind::kEmpty ||

@@ -146,15 +146,15 @@ Status IssueWithFailover(federation::EndpointRouter* router,
 Result<storage::Table> ExecutionEngine::FetchRelation(
     const sql::BoundQuery& query, const core::AccessSpec& access,
     size_t access_index, const JoinedRows& joined, const ExecConfig& config,
-    ExecStats* exec_stats) {
+    ExecStats* exec_stats, obs::AccessActuals* actuals) {
   const sql::BoundRelation& rel = query.relations[access.rel];
   const catalog::TableDef& def = *rel.def;
 
   // Per-operator span: every access of the plan gets one; the market-call
-  // spans the connector opens underneath are its children. The estimate
-  // attrs mirror the AccessSpec so EXPLAIN ANALYZE can join estimated vs.
-  // actual per access; the actual deltas are attached below, after the
-  // access ran.
+  // and harvest spans the connector opens underneath are its children. The
+  // estimate attrs mirror the AccessSpec, so a trace consumer can compare
+  // estimated vs. actual per access; the actual deltas are attached below,
+  // after the access ran.
   obs::ScopedSpan access_span(config.obs.trace, "access:" + def.name,
                               config.obs.parent_span);
   access_span.AddAttr("kind", std::string(core::AccessKindName(access.kind)));
@@ -167,6 +167,8 @@ Result<storage::Table> ExecutionEngine::FetchRelation(
   }
   market::CallObs call_obs = config.obs;
   if (access_span.id() != 0) call_obs.parent_span = access_span.id();
+  actuals->present = true;
+  call_obs.spend = &actuals->spend;
 
   // Buy-site routing: this access's calls start at the connector of the
   // endpoint the optimizer chose (`buy_site`; "" for a single market).
@@ -175,7 +177,7 @@ Result<storage::Table> ExecutionEngine::FetchRelation(
     access_span.AddAttr("buy_site", access.buy_site);
   }
 
-  const ExecStats before = exec_stats != nullptr ? *exec_stats : ExecStats{};
+  const ExecStats before = *exec_stats;
   const auto fetch = [&]() -> Result<storage::Table> {
     storage::Table table(storage::SchemaFromTableDef(def));
 
@@ -187,9 +189,7 @@ Result<storage::Table> ExecutionEngine::FetchRelation(
     const auto hold = [&](const Box& box) {
       const std::vector<Row> held =
           store_->RowsInRegion(def, box, config.min_epoch);
-      if (exec_stats != nullptr) {
-        exec_stats->rows_from_cache += static_cast<int64_t>(held.size());
-      }
+      exec_stats->rows_from_cache += static_cast<int64_t>(held.size());
       rows.AddAll(held);
     };
     // Holds the stored rows on `slabs` and adds the calls that buy the rest
@@ -246,9 +246,7 @@ Result<storage::Table> ExecutionEngine::FetchRelation(
       case core::AccessSpec::Kind::kCached: {
         const std::vector<Row> cached =
             store_->RowsInRegion(def, rel.QueryRegion(), config.min_epoch);
-        if (exec_stats != nullptr) {
-          exec_stats->rows_from_cache += static_cast<int64_t>(cached.size());
-        }
+        exec_stats->rows_from_cache += static_cast<int64_t>(cached.size());
         access_span.AddAttr("rows_cached",
                             static_cast<int64_t>(cached.size()));
         for (const Row& row : cached) table.Append(row);
@@ -387,19 +385,21 @@ Result<storage::Table> ExecutionEngine::FetchRelation(
   };
 
   Result<storage::Table> fetched = fetch();
-  // Actuals, attached whether the access succeeded or died mid-flight:
-  // what EXPLAIN ANALYZE (and any trace consumer) compares the estimates
+  // Actuals, kept whether the access succeeded or died mid-flight: what
+  // EXPLAIN ANALYZE (and any trace consumer) compares the estimates
   // against. `transactions` here is the spend billed to delivered calls;
-  // retries and waste live on the market.get child spans.
-  if (exec_stats != nullptr) {
-    access_span.AddAttr("calls", exec_stats->calls - before.calls);
-    access_span.AddAttr("transactions",
-                        exec_stats->transactions - before.transactions);
-    access_span.AddAttr("rows_from_market",
-                        exec_stats->rows_from_market - before.rows_from_market);
-  }
+  // retries and waste are in the access's spend record (and on the
+  // market.get child spans).
+  actuals->calls = exec_stats->calls - before.calls;
+  actuals->transactions = exec_stats->transactions - before.transactions;
+  actuals->rows_from_market =
+      exec_stats->rows_from_market - before.rows_from_market;
+  access_span.AddAttr("calls", actuals->calls);
+  access_span.AddAttr("transactions", actuals->transactions);
+  access_span.AddAttr("rows_from_market", actuals->rows_from_market);
   if (fetched.ok()) {
-    access_span.AddAttr("rows", static_cast<int64_t>(fetched->num_rows()));
+    actuals->rows = static_cast<int64_t>(fetched->num_rows());
+    access_span.AddAttr("rows", actuals->rows);
   }
   return fetched;
 }
@@ -413,10 +413,10 @@ Status ExecutionEngine::Buy(const catalog::TableDef& def,
                            /*rows=*/nullptr, exec_stats);
 }
 
-Result<storage::Table> ExecutionEngine::Execute(const sql::BoundQuery& query,
-                                                const core::Plan& plan,
-                                                const ExecConfig& config,
-                                                ExecStats* exec_stats) {
+Result<storage::Table> ExecutionEngine::Execute(
+    const sql::BoundQuery& query, const core::Plan& plan,
+    const ExecConfig& config, ExecStats* exec_stats,
+    std::vector<obs::AccessActuals>* actuals) {
   const size_t n = query.relations.size();
   if (plan.accesses.size() != n) {
     return Status::InvalidArgument("plan covers " +
@@ -430,6 +430,11 @@ Result<storage::Table> ExecutionEngine::Execute(const sql::BoundQuery& query,
     }
     seen[access.rel] = true;
   }
+  ExecStats unread_stats;
+  if (exec_stats == nullptr) exec_stats = &unread_stats;
+  std::vector<obs::AccessActuals> unread_actuals;
+  if (actuals == nullptr) actuals = &unread_actuals;
+  actuals->assign(plan.accesses.size(), {});
 
   // Every fetched relation stays alive for the whole query: `joined`
   // indexes into these tables instead of copying their values.
@@ -445,8 +450,8 @@ Result<storage::Table> ExecutionEngine::Execute(const sql::BoundQuery& query,
   for (size_t a = 0; a < plan.accesses.size(); ++a) {
     const core::AccessSpec& access = plan.accesses[a];
     const auto fetch_start = std::chrono::steady_clock::now();
-    Result<storage::Table> table =
-        FetchRelation(query, access, a, joined, config, exec_stats);
+    Result<storage::Table> table = FetchRelation(
+        query, access, a, joined, config, exec_stats, &(*actuals)[a]);
     if (stages != nullptr) {
       stages->Add(obs::kStageFetch, StageMicros(fetch_start));
     }

@@ -15,6 +15,8 @@
 #include "core/plan.h"
 #include "exec/local_eval.h"
 #include "market/data_market.h"
+#include "obs/explain.h"
+#include "semstore/remainder.h"
 #include "semstore/semantic_store.h"
 #include "sql/bound_query.h"
 #include "stats/estimator.h"
@@ -43,10 +45,12 @@ struct ExecConfig {
   /// Absolute per-query deadline forwarded to every market call. Calls
   /// past it fail with kDeadlineExceeded instead of retrying.
   market::Clock::time_point deadline = market::kNoDeadline;
-  /// Observability context: (tenant, query_id) ledger attribution for every
-  /// billed transaction, plus the trace the per-access and per-call spans
-  /// land in (`obs.parent_span` is the caller's enclosing span — PayLess
-  /// sets it to its "execute" span). Default-constructed = inert.
+  /// Observability context: tenant ledger attribution for every billed
+  /// transaction, plus the trace the per-access and per-call spans land in
+  /// (`obs.parent_span` is the caller's enclosing span — PayLess sets it to
+  /// its "execute" span). Execute points each access's copy at that
+  /// access's spend record; Buy records into `obs.spend` as given.
+  /// Default-constructed = inert.
   market::CallObs obs;
 };
 
@@ -80,11 +84,13 @@ class ExecutionEngine {
 
   /// Executes `plan` for `query`; returns the final result table. Market
   /// spend accrues on the endpoints' billing meters; `exec_stats`
-  /// (optional) receives per-query counters.
-  Result<storage::Table> Execute(const sql::BoundQuery& query,
-                                 const core::Plan& plan,
-                                 const ExecConfig& config,
-                                 ExecStats* exec_stats = nullptr);
+  /// (optional) receives per-query counters, and `actuals` (optional) one
+  /// entry per plan access: its counts and its purchase's spend record,
+  /// kept also when the query fails mid-flight.
+  Result<storage::Table> Execute(
+      const sql::BoundQuery& query, const core::Plan& plan,
+      const ExecConfig& config, ExecStats* exec_stats = nullptr,
+      std::vector<obs::AccessActuals>* actuals = nullptr);
 
   /// Buys `calls` on `def`'s dataset through the same path every access
   /// takes: one scheduler batch starting at `buy_site`, cancelling unissued
@@ -100,14 +106,16 @@ class ExecutionEngine {
   /// Retrieves the rows for one access, spending money as needed. A bind
   /// access reads its binding values from `joined`, the running join of
   /// the accesses before it. `access_index` is the access's position in the
-  /// plan; it tags the access span so EXPLAIN ANALYZE can join actuals back
-  /// onto the plan.
+  /// plan; it tags the access span. `actuals` receives the access's counts,
+  /// and its spend record the access's calls; neither it nor `exec_stats`
+  /// is null.
   Result<storage::Table> FetchRelation(const sql::BoundQuery& query,
                                        const core::AccessSpec& access,
                                        size_t access_index,
                                        const JoinedRows& joined,
                                        const ExecConfig& config,
-                                       ExecStats* exec_stats);
+                                       ExecStats* exec_stats,
+                                       obs::AccessActuals* actuals);
 
   const catalog::Catalog* catalog_;
   storage::Database* local_db_;

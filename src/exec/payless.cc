@@ -365,16 +365,6 @@ Result<QueryReport> PayLess::QueryWithReportImpl(
   core::FederationPricing federation_pricing;
   const core::OptimizerOptions opt_options =
       QueryOptimizerOptions(&federation_pricing);
-  // EXPLAIN ANALYZE joins the actuals from the trace spans, so the trace
-  // must exist even when tracing is off; parse/bind spans were skipped in
-  // that case, which the span join does not care about.
-  const bool analyze = bound->explain == sql::ExplainMode::kAnalyze;
-  if (analyze && trace == nullptr) {
-    trace = &trace_storage;
-    root = trace->StartSpan("query");
-    trace->AddAttr(root, "tenant", config_.tenant);
-    trace->AddAttr(root, "query_id", static_cast<int64_t>(query_id));
-  }
 
   // Plan-template cache: repeated identical parameterized queries reuse
   // the optimizer's plan until a drift tick on a region the plan was
@@ -471,7 +461,6 @@ Result<QueryReport> PayLess::QueryWithReportImpl(
         std::chrono::microseconds(config_.query_deadline_micros);
   }
   exec_config.obs.tenant = config_.tenant;
-  exec_config.obs.query_id = query_id;
   exec_config.obs.ledger = &obs_->ledger;
   exec_config.obs.trace = trace;
   exec_config.obs.stages = &stages;
@@ -486,8 +475,9 @@ Result<QueryReport> PayLess::QueryWithReportImpl(
   // untimed gap before execution starts.
   stages.Add(obs::kStagePlanCacheProbe, probe_micros);
   stages.Add(obs::kStageParsePlan, MicrosSince(impl_start) - probe_micros);
-  Result<storage::Table> result =
-      engine.Execute(*bound, report.plan, exec_config, &report.exec);
+  std::vector<obs::AccessActuals> actuals;
+  Result<storage::Table> result = engine.Execute(
+      *bound, report.plan, exec_config, &report.exec, &actuals);
   if (placement_lock.owns_lock()) placement_lock.unlock();
 
   // Everything a delivered OR failed-mid-flight report carries: spend
@@ -504,12 +494,19 @@ Result<QueryReport> PayLess::QueryWithReportImpl(
         metric_.stage[i]->Record(report.stage_micros[i]);
       }
     }
-    // The spend is read from this query's own ledger cells, not a meter
-    // delta, so it is exact while other client threads spend concurrently,
-    // and it counts billed-but-lost responses, which ExecStats (delivered
-    // calls only) does not. On a mid-flight failure it is the spend-so-far.
-    const std::map<std::string, obs::CostCell> cells =
-        obs_->ledger.QueryCells(config_.tenant, query_id);
+    // The spend is read from this query's own purchase records, not a
+    // meter delta, so it is exact while other client threads spend
+    // concurrently, and it counts billed-but-lost responses, which
+    // ExecStats (delivered calls only) does not. A dataset appears once any
+    // of its calls was evaluated, even at 0 transactions. On a mid-flight
+    // failure it is the spend-so-far.
+    std::map<std::string, obs::CostCell> cells;
+    for (size_t i = 0; i < actuals.size(); ++i) {
+      const obs::CostCell& cost = actuals[i].spend.cost;
+      if (cost.calls == 0) continue;
+      cells[bound->relations[report.plan.accesses[i].rel].def->dataset] +=
+          cost;
+    }
     for (const auto& [dataset, cell] : cells) {
       report.transactions_by_dataset[dataset] = cell.transactions;
       report.transactions_spent += cell.transactions;
@@ -560,16 +557,14 @@ Result<QueryReport> PayLess::QueryWithReportImpl(
     }
   };
 
-  // EXPLAIN ANALYZE: join the measured per-access actuals (rows, calls,
-  // transactions, retries, waste) from the trace back onto the plan and
-  // make the rendering the query's result. Runs after finish_report so
-  // report.trace is final; also on mid-flight errors — a partial ANALYZE
+  // EXPLAIN ANALYZE: render the measured per-access actuals (rows, calls,
+  // transactions, retries, waste) next to the plan's estimates and make the
+  // rendering the query's result. Runs after finish_report so the spend
+  // and savings are final; also on mid-flight errors — a partial ANALYZE
   // that shows where the money went before the failure is exactly what an
   // operator wants.
   const auto attach_analyze = [&] {
-    if (!analyze) return;
-    const std::vector<obs::AccessActuals> actuals =
-        obs::JoinAccessActuals(report.trace, report.plan.accesses.size());
+    if (bound->explain != sql::ExplainMode::kAnalyze) return;
     obs::ExplainContext context;
     context.counters = &report.counters;
     context.stats = &stats_;
@@ -662,7 +657,6 @@ Result<std::string> PayLess::ExplainText(const std::string& sql,
 
 Result<BatchReport> PayLess::QueryBatch(const std::vector<BatchQuery>& batch) {
   BatchReport report;
-  const int64_t before = router_->TotalMeteredTransactions();
 
   // ---- Phase 1: collect the market footprints of every query.
   struct Footprint {
@@ -691,15 +685,17 @@ Result<BatchReport> PayLess::QueryBatch(const std::vector<BatchQuery>& batch) {
                    config_.consistency != ConsistencyLevel::kFull;
   if (sqr) {
     // Prefetch buys through the executor's one buy path. Its spend is
-    // shared across the batch's queries, so it is attributed to the tenant
-    // under the reserved query_id 0 — the ledger-total == meter-total
-    // invariant still holds globally.
+    // shared across the batch's queries, so it is the tenant's spend and no
+    // query's: each group's calls are recorded in `group_spend`, which is
+    // cleared before every group.
     ExecutionEngine engine(catalog_, &local_db_, router_.get(), &store_,
                            &stats_);
+    obs::SpendRecord group_spend;
     ExecConfig prefetch_config;
     prefetch_config.max_parallel_calls = config_.max_parallel_calls;
     prefetch_config.obs.tenant = config_.tenant;
     prefetch_config.obs.ledger = &obs_->ledger;
+    prefetch_config.obs.spend = &group_spend;
     std::map<const catalog::TableDef*, std::vector<Box>> by_table;
     for (Footprint& fp : footprints) {
       by_table[fp.def].push_back(std::move(fp.region));
@@ -789,17 +785,15 @@ Result<BatchReport> PayLess::QueryBatch(const std::vector<BatchQuery>& batch) {
         }
         // The group's calls go out as one scheduler batch: a failure
         // cancels the unissued siblings, and the undelivered calls fail
-        // over to the next-cheapest live endpoint.
-        // The group's spend is the meters' delta (exact: QueryBatch is
-        // single-caller), so a billed but lost response counts too.
+        // over to the next-cheapest live endpoint. Its spend record counts
+        // every call the market evaluated, lost responses included.
         const size_t group_calls = calls.size();
-        const int64_t billed_before = router_->TotalMeteredTransactions();
+        group_spend = obs::SpendRecord{};
         ExecStats bought;
         const Status status =
             engine.Buy(*def, buy_site, std::move(calls), prefetch_config,
                        &bought);
-        const int64_t billed =
-            router_->TotalMeteredTransactions() - billed_before;
+        const int64_t billed = group_spend.cost.transactions;
         obs_->governor.RecordSpend(config_.tenant, billed);
         report.prefetch_transactions += billed;
         if (bought.calls > 0) ++report.merged_groups;
@@ -832,7 +826,10 @@ Result<BatchReport> PayLess::QueryBatch(const std::vector<BatchQuery>& batch) {
   }
   if (placement_ != nullptr) TickPlacement();
   PAYLESS_RETURN_IF_ERROR(status);
-  report.transactions_spent = router_->TotalMeteredTransactions() - before;
+  report.transactions_spent = report.prefetch_transactions;
+  for (const QueryReport& one : report.reports) {
+    report.transactions_spent += one.transactions_spent;
+  }
   return report;
 }
 

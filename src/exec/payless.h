@@ -161,11 +161,13 @@ struct QueryReport {
   /// This query's own billed transactions, lost responses included (so it
   /// can exceed `exec.transactions`, which counts delivered calls).
   int64_t transactions_spent = 0;
-  /// Per-dataset breakdown of `transactions_spent`, straight from the cost
-  /// ledger — callers stop re-deriving spend from meter deltas.
+  /// Per-dataset breakdown of `transactions_spent`, from the query's own
+  /// purchase records (one per plan access): a dataset appears once any of
+  /// its calls was evaluated, even at 0 transactions.
   std::map<std::string, int64_t> transactions_by_dataset;
-  /// Ledger/trace id of this query, unique within its Observability
-  /// context (clients sharing one context never share an id).
+  /// Id of this query in its trace, the trace sink and the flight
+  /// recorder, unique within its Observability context (clients sharing
+  /// one context never share an id).
   uint64_t query_id = 0;
   /// The query's spend crossed the tenant's soft budget threshold (the
   /// query still ran; only a hard cap rejects).
@@ -213,7 +215,9 @@ struct BatchReport {
   /// Number of cross-query region groups whose market data was prefetched
   /// with merged calls (0 = batching found nothing to share).
   size_t merged_groups = 0;
-  /// Transactions billed for the prefetch groups, lost responses included.
+  /// Transactions billed for the prefetch groups, lost responses included,
+  /// read from each group's spend record. `transactions_spent` is this
+  /// plus every report's own spend.
   int64_t prefetch_transactions = 0;
   /// Prefetch calls skipped because the merged region is not expressible as
   /// one REST call (kBindingViolation / kNotSupported — e.g. a bound

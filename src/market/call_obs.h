@@ -4,9 +4,10 @@
 //
 // The connector is the ONLY place transactions accrue, so it is also the
 // only place attribution can be exact: every meter Record — delivered
-// results AND billed-but-lost responses — is mirrored into the ledger under
-// this context's (tenant, query_id), which is what keeps the
-// ledger-total == meter-total invariant true under retries and faults.
+// results AND billed-but-lost responses — is mirrored into the ledger's
+// rollups under this context's tenant and into the spend record of the
+// purchase that issued the call, which is what keeps the ledger-total ==
+// meter-total invariant true under retries and faults.
 #ifndef PAYLESS_MARKET_CALL_OBS_H_
 #define PAYLESS_MARKET_CALL_OBS_H_
 
@@ -21,10 +22,12 @@ namespace payless::market {
 
 struct CallObs {
   std::string tenant = "default";
-  /// 0 = spend outside any single query (batch prefetch, download-all).
-  uint64_t query_id = 0;
-  /// Attribution target; nullptr = no attribution.
+  /// Tenant and dataset rollups; nullptr = no ledger attribution.
   obs::CostLedger* ledger = nullptr;
+  /// The issuing purchase's record (one plan access, one batch prefetch
+  /// group): every evaluated call's cost, and each finished call's
+  /// retries. nullptr = not recorded.
+  obs::SpendRecord* spend = nullptr;
   /// Span collector; nullptr = no call spans.
   obs::Trace* trace = nullptr;
   /// Parent span id for the call spans the connector opens (0 = root).

@@ -304,9 +304,12 @@ void MarketConnector::Finish(CallTask* t, Result<CallResult> outcome,
   t->outcome_label = label;
   t->outcome = std::move(outcome);
   t->done = true;
+  if (t->call_obs != nullptr && t->call_obs->spend != nullptr) {
+    t->call_obs->spend->retries += t->retries;
+  }
   if (t->trace != nullptr) {
     t->trace->AddAttr(t->span_id, "attempts", t->span_attempts);
-    t->trace->AddAttr(t->span_id, "retries", t->span_retries);
+    t->trace->AddAttr(t->span_id, "retries", t->retries);
     t->trace->AddAttr(t->span_id, "transactions", t->billed_transactions);
     t->trace->AddAttr(t->span_id, "wasted_transactions",
                       t->wasted_transactions);
@@ -373,7 +376,7 @@ int64_t MarketConnector::BeginAttempt(CallTask* t) {
     if (t->attempt > 1) ++retry_stats_.retries;
   }
   ++t->span_attempts;
-  if (t->attempt > 1) ++t->span_retries;
+  if (t->attempt > 1) ++t->retries;
   const Clock::time_point now = Clock::now();
   t->attempt_start = now;  // RTT clock: BeginAttempt -> CompleteAttempt
   if (now >= t->effective) {
@@ -452,22 +455,24 @@ int64_t MarketConnector::CompleteAttempt(CallTask* t) {
         return 0;
       }
       // The market evaluated the call, so the seller bills it (Eq. 1) —
-      // whether or not the response makes it back to us. The ledger
-      // mirrors the meter HERE, at the single billing point, so per-tenant
-      // attribution stays exact under retries and lost responses.
+      // whether or not the response makes it back to us. The ledger and
+      // the issuing purchase's spend record mirror the meter HERE, at the
+      // single billing point, so attribution stays exact under retries and
+      // lost responses. Lost responses are flagged as waste in the same
+      // add, so the savings ledger can carve billed-but-undelivered
+      // transactions out as negative savings with per-dataset exactness.
       meter_.Record(t->dataset, result->transactions, result->price);
-      obs::CostLedger* ledger =
-          t->call_obs != nullptr ? t->call_obs->ledger : nullptr;
-      if (ledger != nullptr) {
-        // Lost responses are flagged as waste in the same Record, so the
-        // savings ledger can carve billed-but-undelivered transactions
-        // out as negative savings with per-cell exactness.
-        const int64_t wasted = t->fault.kind == FaultKind::kLostResponse
-                                   ? result->transactions
-                                   : 0;
-        ledger->Record(t->call_obs->tenant, t->call_obs->query_id,
-                       t->dataset, result->transactions, result->price,
-                       wasted, market_label_);
+      const int64_t wasted = t->fault.kind == FaultKind::kLostResponse
+                                 ? result->transactions
+                                 : 0;
+      if (t->call_obs != nullptr && t->call_obs->ledger != nullptr) {
+        t->call_obs->ledger->Record(t->call_obs->tenant, t->dataset,
+                                    result->transactions, result->price,
+                                    wasted, market_label_);
+      }
+      if (t->call_obs != nullptr && t->call_obs->spend != nullptr) {
+        t->call_obs->spend->cost.AddCall(result->transactions, result->price,
+                                         wasted, market_label_);
       }
       t->billed_transactions += result->transactions;
       if (t->fault.kind == FaultKind::kLostResponse) {
@@ -484,13 +489,17 @@ int64_t MarketConnector::CompleteAttempt(CallTask* t) {
         break;
       }
       breakers_.RecordSuccess(t->dataset);
-      {
-        std::shared_lock<std::shared_mutex> lock(listeners_mutex_);
-        for (const Listener& listener : listeners_) {
-          listener(*t->call, *result);
-        }
-      }
       Finish(t, std::move(result), "ok");
+      // The harvest (store write, statistics feedback, log append) is
+      // buyer work: it runs after market.get closed, in its own span under
+      // the same parent.
+      obs::ScopedSpan harvest(t->trace, "harvest",
+                              t->trace != nullptr ? t->call_obs->parent_span
+                                                  : 0);
+      std::shared_lock<std::shared_mutex> lock(listeners_mutex_);
+      for (const Listener& listener : listeners_) {
+        listener(*t->call, *t->outcome);
+      }
       return 0;
     }
   }

@@ -267,9 +267,10 @@ class MarketConnector {
   /// `deadline` (absolute) is the caller's budget — typically the
   /// enclosing query's; kNoDeadline means unbounded.
   /// `call_obs` (optional) attributes every billed transaction of this call
-  /// — delivered or lost in transit — to its (tenant, query_id) in the
-  /// ledger, and records one span per Get (attempts, retries, waste,
-  /// billed transactions, outcome) under its parent span.
+  /// — delivered or lost in transit — to its tenant in the ledger and to
+  /// its purchase's spend record, and records one span per Get (attempts,
+  /// retries, waste, billed transactions, outcome) under its parent span,
+  /// and a `harvest` span beside it around the listeners.
   Result<CallResult> Get(const RestCall& call,
                          Clock::time_point deadline = kNoDeadline,
                          const CallObs* call_obs = nullptr);
@@ -369,7 +370,7 @@ class MarketConnector {
     obs::Trace* trace = nullptr;
     uint64_t span_id = 0;
     int64_t span_attempts = 0;
-    int64_t span_retries = 0;
+    int64_t retries = 0;  // attempts beyond the first
     int64_t billed_transactions = 0;
     int64_t wasted_transactions = 0;
     const char* outcome_label = "ok";
@@ -397,7 +398,8 @@ class MarketConnector {
   int64_t NextDelayMicros(int64_t* backoff, int64_t retry_after_micros,
                           uint64_t* jitter_state);
 
-  /// Finishes a task: records the outcome, flushes and closes its span.
+  /// Finishes a task: records the outcome, adds its retries to the spend
+  /// record, flushes and closes its span.
   static void Finish(CallTask* task, Result<CallResult> outcome,
                      const char* label);
 

@@ -2,15 +2,17 @@
 //
 // The BillingMeter answers "how much did this connector spend in total";
 // the CostLedger answers "where did each dollar go" — every billed
-// transaction is attributed to a (tenant, query_id, dataset) key at the
-// moment the connector records it on the meter, INCLUDING post-evaluation
-// lost responses (the seller billed them, so the tenant owns that waste).
-// The invariant the tests enforce: for a connector wired to one ledger,
+// transaction is added to the deployment total, to its tenant's rollup and
+// to its (tenant, dataset) rollup at the moment the connector records it on
+// the meter, INCLUDING post-evaluation lost responses (the seller billed
+// them, so the tenant owns that waste). The invariant the tests enforce:
+// for a connector wired to one ledger,
 //     ledger.total_transactions() == meter.total_transactions()
 // under serial, concurrent and fault-storm execution alike.
 //
-// query_id 0 is reserved for spend outside any single query (batch
-// prefetching, download-all warm-up).
+// One query's spend is not kept here: the connector adds each billed call
+// to the SpendRecord of the purchase that issued it (one per plan access,
+// one per batch prefetch group), and the query report reads its own.
 #ifndef PAYLESS_OBS_COST_LEDGER_H_
 #define PAYLESS_OBS_COST_LEDGER_H_
 
@@ -21,7 +23,7 @@
 
 namespace payless::obs {
 
-/// Aggregated spend of one (tenant, query, dataset) cell.
+/// Aggregated spend of evaluated market calls.
 struct CostCell {
   int64_t transactions = 0;
   double price = 0.0;
@@ -33,23 +35,38 @@ struct CostCell {
   /// them. Values sum to `transactions`; single-market deployments put
   /// everything under the "" key.
   std::map<std::string, int64_t> by_market;
+
+  /// Adds one evaluated call: `wasted_transactions` of its `transactions`
+  /// bought a response the client could not use, and `market` is the
+  /// federation endpoint that billed it ("" for a single market).
+  void AddCall(int64_t transactions, double price, int64_t wasted_transactions,
+               const std::string& market);
+  CostCell& operator+=(const CostCell& other);
+};
+
+/// One purchase's spend: every call one plan access (or one batch prefetch
+/// group) got evaluated, lost responses included, and the retries they
+/// took. The connector adds to it at the billing point; the scheduler
+/// drives all of a purchase's calls on the issuing thread, so it takes no
+/// lock.
+struct SpendRecord {
+  CostCell cost;
+  /// Attempts beyond each call's first.
+  int64_t retries = 0;
 };
 
 /// Thread-safe attribution ledger. Every member serializes on one internal
-/// mutex; Record is one map walk, cheap next to the market round trip it
-/// accounts for.
+/// mutex; Record adds to three cells, cheap next to the market round trip
+/// it accounts for.
 class CostLedger {
  public:
   CostLedger() = default;
   CostLedger(const CostLedger&) = delete;
   CostLedger& operator=(const CostLedger&) = delete;
 
-  /// `wasted_transactions` marks how many of `transactions` bought a
-  /// response the client could not use (lost after the seller billed it).
-  /// `market` is the federation endpoint that billed the call ("" in
-  /// single-market deployments).
-  void Record(const std::string& tenant, uint64_t query_id,
-              const std::string& dataset, int64_t transactions, double price,
+  /// Adds one evaluated call, as CostCell::AddCall.
+  void Record(const std::string& tenant, const std::string& dataset,
+              int64_t transactions, double price,
               int64_t wasted_transactions = 0, const std::string& market = "");
 
   int64_t total_transactions() const;
@@ -58,12 +75,6 @@ class CostLedger {
 
   /// Lifetime spend of one tenant (all queries, all datasets).
   int64_t TenantTransactions(const std::string& tenant) const;
-
-  /// Full per-dataset cells of one query (transactions, price, calls,
-  /// waste): the QueryReport's spend and breakdown, and the savings
-  /// accountant's reconciliation input.
-  std::map<std::string, CostCell> QueryCells(const std::string& tenant,
-                                             uint64_t query_id) const;
 
   /// Per-dataset lifetime spend of one tenant.
   std::map<std::string, CostCell> TenantByDataset(
@@ -79,8 +90,7 @@ class CostLedger {
  private:
   struct TenantEntry {
     CostCell rollup;  // O(1) tenant totals for the admission hot path
-    // query -> dataset -> cell; map keeps exposition deterministic.
-    std::map<uint64_t, std::map<std::string, CostCell>> queries;
+    std::map<std::string, CostCell> datasets;  // ordered for exposition
   };
 
   mutable std::mutex mutex_;

@@ -1,7 +1,6 @@
 #include "obs/explain.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "obs/accuracy.h"
@@ -9,20 +8,6 @@
 namespace payless::obs {
 
 namespace {
-
-/// Looks up an attr by key; returns nullptr when absent.
-const std::string* FindAttr(const SpanRecord& span, const char* key) {
-  for (const auto& [k, v] : span.attrs) {
-    if (k == key) return &v;
-  }
-  return nullptr;
-}
-
-int64_t AttrInt(const SpanRecord& span, const char* key, int64_t fallback) {
-  const std::string* raw = FindAttr(span, key);
-  if (raw == nullptr) return fallback;
-  return std::strtoll(raw->c_str(), nullptr, 10);
-}
 
 std::string FormatQError(double qerror) {
   char buf[32];
@@ -61,38 +46,6 @@ void AppendAccessLine(std::ostringstream& os, const core::AccessSpec& access,
 
 }  // namespace
 
-std::vector<AccessActuals> JoinAccessActuals(
-    const std::vector<SpanRecord>& spans, size_t num_accesses) {
-  std::vector<AccessActuals> actuals(num_accesses);
-  // Access-span id -> plan position, for attributing each market-call
-  // child span. Trace span ids are 1-based and bounded by the span count.
-  std::vector<int64_t> position_of_span(spans.size() + 1, -1);
-
-  for (const SpanRecord& span : spans) {
-    if (span.name.rfind("access:", 0) != 0) continue;
-    const int64_t index = AttrInt(span, "access_index", -1);
-    if (index < 0 || static_cast<size_t>(index) >= num_accesses) continue;
-    AccessActuals& a = actuals[static_cast<size_t>(index)];
-    a.present = true;
-    a.rows = AttrInt(span, "rows", 0);
-    a.calls = AttrInt(span, "calls", 0);
-    a.transactions = AttrInt(span, "transactions", 0);
-    a.rows_from_market = AttrInt(span, "rows_from_market", 0);
-    if (span.id < position_of_span.size()) {
-      position_of_span[span.id] = index;
-    }
-  }
-  for (const SpanRecord& span : spans) {
-    if (span.parent == 0 || span.parent >= position_of_span.size()) continue;
-    const int64_t index = position_of_span[span.parent];
-    if (index < 0) continue;
-    AccessActuals& a = actuals[static_cast<size_t>(index)];
-    a.retries += AttrInt(span, "retries", 0);
-    a.wasted_transactions += AttrInt(span, "wasted_transactions", 0);
-  }
-  return actuals;
-}
-
 std::string RenderPlan(const core::Plan& plan, const sql::BoundQuery& query) {
   return RenderExplain(plan, query, ExplainContext{});
 }
@@ -113,8 +66,9 @@ std::string RenderExplain(const core::Plan& plan, const sql::BoundQuery& query,
       }
       os << "    actual: " << a.transactions << " txn, " << a.calls
          << " calls, " << a.rows << " rows";
-      if (a.retries > 0 || a.wasted_transactions > 0) {
-        os << ", " << a.retries << " retries, " << a.wasted_transactions
+      const int64_t wasted = a.spend.cost.wasted_transactions;
+      if (a.spend.retries > 0 || wasted > 0) {
+        os << ", " << a.spend.retries << " retries, " << wasted
            << " wasted txn";
       }
       if (!access.IsZeroPrice()) {

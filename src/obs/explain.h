@@ -3,11 +3,12 @@
 // The optimizer's left-deep plan (core::Plan) already carries every
 // estimate the cost model used: per-access kind, bind edges, SQR usage,
 // est_rows / est_bind_values / est_transactions / est_calls. EXPLAIN
-// renders exactly that; EXPLAIN ANALYZE executes the query first and joins
-// the measured actuals — rows, calls, transactions, retries, waste — back
-// onto each access from the query's trace spans, then reports the
-// per-access transaction q-error so an operator can see precisely where
-// (and by how much) the statistics mispriced the plan.
+// renders exactly that; EXPLAIN ANALYZE executes the query first and shows
+// each access's measured actuals next to its estimates — rows, calls and
+// transactions from the executor's per-access counts, retries and waste
+// from the access's spend record — then reports the per-access transaction
+// q-error so an operator can see precisely where (and by how much) the
+// statistics mispriced the plan. None of it needs a trace.
 //
 // This lives in its own obs sub-target (payless_obs_explain) because it
 // depends on core/sql/stats, which sit ABOVE the base obs library in the
@@ -21,31 +22,25 @@
 #include <vector>
 
 #include "core/plan.h"
+#include "obs/cost_ledger.h"
 #include "obs/latency.h"
-#include "obs/trace.h"
 #include "sql/bound_query.h"
 #include "stats/estimator.h"
 
 namespace payless::obs {
 
-/// Measured execution facts for one plan access, joined from trace spans.
+/// Measured execution facts for one plan access, filled by the executor.
+/// An access never reached after a mid-flight error has present == false.
 struct AccessActuals {
-  bool present = false;          // the access ran (its span was found)
+  bool present = false;          // the access ran
   int64_t rows = 0;              // rows the access handed to the join
   int64_t calls = 0;             // delivered market calls
   int64_t transactions = 0;      // transactions billed to delivered calls
   int64_t rows_from_market = 0;  // summed true result sizes (num_records)
-  int64_t retries = 0;           // summed over the market.get child spans
-  int64_t wasted_transactions = 0;  // billed to attempts that then failed
+  /// The access's purchase: every call it got evaluated (lost responses
+  /// included, so waste lives here) and their retries.
+  SpendRecord spend;
 };
-
-/// Joins `spans` back onto plan access positions via the access spans'
-/// `access_index` attribute; retries and waste are summed from each access
-/// span's market-call children. Always returns `num_accesses` entries
-/// (absent ones — zero-price accesses the engine skipped, or accesses
-/// never reached after a mid-flight error — have present == false).
-std::vector<AccessActuals> JoinAccessActuals(
-    const std::vector<SpanRecord>& spans, size_t num_accesses);
 
 /// Renders the bare plan (header + one line per access with its estimates).
 std::string RenderPlan(const core::Plan& plan, const sql::BoundQuery& query);
@@ -57,8 +52,8 @@ struct ExplainContext {
   /// Adds per-market-table statistics-maturity lines (buckets, feedbacks,
   /// believed cardinality).
   const stats::StatsRegistry* stats = nullptr;
-  /// ANALYZE: per-access actuals, one entry per plan access (from
-  /// JoinAccessActuals). Enables the "actual:" lines and q-errors.
+  /// ANALYZE: per-access actuals, one entry per plan access. Enables the
+  /// "actual:" lines and q-errors.
   const std::vector<AccessActuals>* actuals = nullptr;
   /// ANALYZE: the query's total billed transactions (< 0 omits the line).
   int64_t transactions_spent = -1;

@@ -33,8 +33,9 @@ struct Observability {
   /// Optional: finished query traces are mirrored here (owned by the
   /// caller; must outlive every client using this context).
   TraceSink* trace_sink = nullptr;
-  /// Last query id handed out. Ids key the cost ledger's per-query cells,
-  /// so every client sharing this context draws from one counter.
+  /// Last query id handed out. Ids name traces, trace-sink records,
+  /// flight-recorder entries and reports, so every client sharing this
+  /// context draws from one counter.
   std::atomic<uint64_t> last_query_id{0};
 };
 

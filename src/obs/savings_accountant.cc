@@ -3,8 +3,6 @@
 #include <set>
 #include <sstream>
 
-#include "semstore/semantic_store.h"
-
 namespace payless::obs {
 
 SavingsAccountant::SavingsAccountant(const catalog::Catalog* catalog,
@@ -15,13 +13,8 @@ SavingsAccountant::SavingsAccountant(const catalog::Catalog* catalog,
 core::Counterfactual SavingsAccountant::PriceAgainst(
     const sql::BoundQuery& query, const catalog::Catalog* catalog,
     const core::OptimizerOptions& options) const {
-  // The store-less world, shared by every pricing pass: built over no
-  // table, so every probe misses and nothing of the real store leaks in.
-  static semstore::SemanticStore* const empty_store =
-      new semstore::SemanticStore(catalog::Catalog());
-
   core::Counterfactual cf;
-  const core::Optimizer optimizer(catalog, stats_, empty_store, options);
+  const core::Optimizer optimizer(catalog, stats_, &empty_store_, options);
   const Result<core::OptimizeResult> result = optimizer.Optimize(query);
   if (!result.ok()) return cf;  // unpriceable: excluded, not guessed
 

@@ -27,7 +27,7 @@ using exec::PayLessConfig;
 TEST(BudgetGovernorTest, TenantsWithoutBudgetAreAlwaysAdmitted) {
   CostLedger ledger;
   BudgetGovernor governor(&ledger);
-  ledger.Record("acme", 1, "WHW", 1'000'000, 1e6);
+  ledger.Record("acme", "WHW", 1'000'000, 1e6);
   const Admission admission = governor.Admit("acme", 1'000'000);
   EXPECT_TRUE(admission.status.ok());
   EXPECT_FALSE(admission.soft_warning);
@@ -40,12 +40,12 @@ TEST(BudgetGovernorTest, HardCapRejectsOnLedgerPlusEstimate) {
   budget.hard_cap_transactions = 10;
   governor.SetBudget("acme", budget);
 
-  ledger.Record("acme", 1, "WHW", 8, 8.0);
+  ledger.Record("acme", "WHW", 8, 8.0);
   EXPECT_TRUE(governor.Admit("acme", 2).status.ok());  // 8 + 2 == cap: admit
   const Admission over = governor.Admit("acme", 3);    // 8 + 3 > cap: reject
   EXPECT_EQ(over.status.code(), Status::Code::kBudgetExceeded);
 
-  ledger.Record("acme", 2, "WHW", 2, 2.0);  // now exactly at the cap
+  ledger.Record("acme", "WHW", 2, 2.0);  // now exactly at the cap
   EXPECT_TRUE(governor.Admit("acme", 0).status.ok());  // free query still ok
   EXPECT_EQ(governor.Admit("acme", 1).status.code(),
             Status::Code::kBudgetExceeded);
@@ -61,7 +61,7 @@ TEST(BudgetGovernorTest, SoftThresholdWarnsWithoutRejecting) {
   budget.soft_warn_transactions = 5;
   governor.SetBudget("acme", budget);
 
-  ledger.Record("acme", 1, "WHW", 4, 4.0);
+  ledger.Record("acme", "WHW", 4, 4.0);
   const Admission below = governor.Admit("acme", 1);  // 4 + 1 == threshold
   EXPECT_TRUE(below.status.ok());
   EXPECT_FALSE(below.soft_warning);
@@ -98,7 +98,7 @@ TEST(BudgetGovernorTest, SlidingWindowCapsRateNotLifetime) {
   EXPECT_EQ(governor.WindowSpend("acme", 1'100), 4);
   EXPECT_TRUE(governor.Admit("acme", 6, /*now_micros=*/1'100).status.ok());
   // Lifetime spend was never the issue — no hard cap is configured.
-  ledger.Record("acme", 1, "WHW", 1'000, 1e3);
+  ledger.Record("acme", "WHW", 1'000, 1e3);
   EXPECT_TRUE(governor.Admit("acme", 1, /*now_micros=*/2'500).status.ok());
 }
 
@@ -206,7 +206,7 @@ TEST_F(BudgetQueryTest, ExhaustedTenantFailsAtGateOne) {
 
   // Burn the rest of the budget, then expect rejection with no new spend.
   while (shared.ledger.TenantTransactions("capped") < 8) {
-    shared.ledger.Record("capped", 99, "WHW", 1, 1.0);
+    shared.ledger.Record("capped", "WHW", 1, 1.0);
   }
   const int64_t billed_before = client->meter().total_transactions();
   const auto rejected = client->Query(kBindSql, {Value(int64_t{3}),

@@ -28,10 +28,10 @@ using exec::PayLessConfig;
 
 TEST(CostLedgerTest, RecordsAndAggregates) {
   CostLedger ledger;
-  ledger.Record("acme", 1, "WHW", 3, 3.0);
-  ledger.Record("acme", 1, "GEO", 2, 4.0);
-  ledger.Record("acme", 2, "WHW", 5, 5.0);
-  ledger.Record("initech", 7, "WHW", 1, 1.0);
+  ledger.Record("acme", "WHW", 3, 3.0);
+  ledger.Record("acme", "GEO", 2, 4.0);
+  ledger.Record("acme", "WHW", 5, 5.0);
+  ledger.Record("initech", "WHW", 1, 1.0);
 
   EXPECT_EQ(ledger.total_transactions(), 11);
   EXPECT_DOUBLE_EQ(ledger.total_price(), 13.0);
@@ -40,12 +40,6 @@ TEST(CostLedgerTest, RecordsAndAggregates) {
   EXPECT_EQ(ledger.TenantTransactions("initech"), 1);
   EXPECT_EQ(ledger.TenantTransactions("ghost"), 0);
 
-  const auto q1 = ledger.QueryCells("acme", 1);
-  ASSERT_EQ(q1.size(), 2u);
-  EXPECT_EQ(q1.at("WHW").transactions, 3);
-  EXPECT_EQ(q1.at("GEO").transactions, 2);
-  EXPECT_TRUE(ledger.QueryCells("acme", 99).empty());
-
   const auto by_dataset = ledger.TenantByDataset("acme");
   ASSERT_EQ(by_dataset.size(), 2u);
   double acme_price = 0.0;
@@ -53,6 +47,7 @@ TEST(CostLedgerTest, RecordsAndAggregates) {
   EXPECT_DOUBLE_EQ(acme_price, 12.0);
   EXPECT_EQ(by_dataset.at("WHW").transactions, 8);
   EXPECT_EQ(by_dataset.at("WHW").calls, 2);
+  EXPECT_TRUE(ledger.TenantByDataset("ghost").empty());
 
   const std::string json = ledger.ToJson();
   EXPECT_NE(json.find("\"acme\""), std::string::npos) << json;
@@ -150,9 +145,9 @@ TEST_F(LedgerInvariantTest, SerialQueriesMatchMeterExactly) {
   EXPECT_EQ(ledger.TenantTransactions("default"), reported);
 }
 
-// Two clients of one tenant report into one context. Query ids key the
-// ledger's per-query cells, so each report must hold only its own query's
-// purchases.
+// Two clients of one tenant report into one context and one ledger. Each
+// report reads its own purchase records, so it must hold only its own
+// query's purchases.
 TEST_F(LedgerInvariantTest, ClientsSharingAContextKeepTheirQueriesApart) {
   Observability shared;
   PayLessConfig config;

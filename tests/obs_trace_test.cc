@@ -1,11 +1,13 @@
 // Trace spans: exactly-once close semantics, RAII inertness, JSONL sink
-// output, and the end-to-end shape of a real query's trace — including one
+// output, the end-to-end shape of a real query's trace — including one
 // executed with parallel bind-join dispatch, where pool workers append
-// call spans to the query's trace concurrently.
+// call spans to the query's trace concurrently — and the harvest's own
+// span beside a market call's.
 #include "obs/trace.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <map>
 #include <memory>
 #include <set>
@@ -225,6 +227,46 @@ TEST_F(TraceQueryTest, DisablingTracingYieldsEmptyTrace) {
   EXPECT_TRUE(report->trace.empty());
   // Attribution is not tied to tracing: the breakdown is still there.
   EXPECT_FALSE(report->transactions_by_dataset.empty());
+}
+
+// The harvest (store write, statistics feedback) is buyer work: a delivered
+// call's market.get span closes before the listeners run, and a harvest
+// span under the same parent covers them.
+TEST_F(TraceQueryTest, HarvestRunsInItsOwnSpanAfterTheMarketCall) {
+  static constexpr int64_t kListenerMicros = 20'000;
+  market::MarketConnector connector(market_.get());
+  connector.AddListener([](const market::RestCall&,
+                           const market::CallResult&) {
+    std::this_thread::sleep_for(std::chrono::microseconds(kListenerMicros));
+  });
+  Trace trace;
+  const uint64_t access = trace.StartSpan("access:Weather");
+  market::CallObs call_obs;
+  call_obs.trace = &trace;
+  call_obs.parent_span = access;
+  market::RestCall call;
+  call.table = "Weather";
+  call.conditions = {market::AttrCondition::Point(Value("US")),
+                     market::AttrCondition::Point(Value(int64_t{3})),
+                     market::AttrCondition::None(),
+                     market::AttrCondition::None()};
+  ASSERT_TRUE(connector.Get(call, market::kNoDeadline, &call_obs).ok());
+  trace.EndSpan(access);
+
+  const std::vector<SpanRecord> spans = trace.TakeSpans();
+  ExpectWellFormed(spans);
+  const SpanRecord* get = nullptr;
+  const SpanRecord* harvest = nullptr;
+  for (const SpanRecord& span : spans) {
+    if (span.name == "market.get") get = &span;
+    if (span.name == "harvest") harvest = &span;
+  }
+  ASSERT_NE(get, nullptr);
+  ASSERT_NE(harvest, nullptr) << "no harvest span";
+  EXPECT_EQ(get->parent, access);
+  EXPECT_EQ(harvest->parent, access);
+  EXPECT_LE(get->start_micros + get->duration_micros, harvest->start_micros);
+  EXPECT_GE(harvest->duration_micros, kListenerMicros);
 }
 
 // Pool workers of a parallel bind join append their call spans to the
