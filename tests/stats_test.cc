@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -255,6 +257,31 @@ TEST(FeedbackHistogramTest, ConvergesToTrueCountsUnderRepeatedFeedback) {
                                 // and ~500 inside the hot range
 }
 
+TEST(FeedbackHistogramTest, ZeroDimensionalRegion) {
+  // A table with no constrainable attribute has the unit region: no
+  // dimensions, volume 1, so every estimate is the whole table.
+  const Box unit;
+  FeedbackHistogram hist(unit, 40);
+  EXPECT_DOUBLE_EQ(hist.EstimateRows(unit), 40.0);
+
+  EXPECT_EQ(hist.Feedback(unit, 25), unit);
+  EXPECT_DOUBLE_EQ(hist.EstimateRows(unit), 25.0);
+  EXPECT_EQ(hist.num_buckets(), 1u);
+  EXPECT_EQ(hist.num_feedbacks(), 1u);
+
+  std::string blob;
+  SaveEstimator(hist, &blob);
+  common::BinReader r(blob);
+  const std::unique_ptr<Estimator> loaded = LoadEstimator(r);
+  ASSERT_NE(loaded, nullptr);
+  EXPECT_DOUBLE_EQ(loaded->EstimateRows(unit), 25.0);
+  EXPECT_EQ(loaded->Info().buckets, 1u);
+  EXPECT_EQ(loaded->Info().feedbacks, 1u);
+  std::string again;
+  SaveEstimator(*loaded, &again);
+  EXPECT_EQ(again, blob);
+}
+
 TEST(StatsRegistryTest, RegisterAndEstimate) {
   StatsRegistry registry(OneColumnCatalog(99, 1000));
   EXPECT_EQ(registry.TableNames(), std::vector<std::string>{"T"});
@@ -341,57 +368,182 @@ TEST_P(FeedbackIdempotence, RepeatedFeedbackStable) {
 INSTANTIATE_TEST_SUITE_P(Offsets, FeedbackIdempotence,
                          ::testing::Range<int64_t>(0, 10));
 
-// The estimator pinned bit for bit: the feedback sequence a fresh client
-// gives its statistics on the real workload's instance list (the real_cold
-// shape, on a small instance of the data), replayed into a fresh registry.
-// The hash covers the bit pattern of each region's estimate just before its
-// feedback, then every table's final saved state. Any change to how the
-// histogram estimates, splits or rescales moves it.
-TEST(StatsReplayTest, RealColdFeedbackReplaysBitForBit) {
+// ---- The estimator pinned bit for bit on recorded feedback sequences.
+
+/// One REST call's observation, as the statistics are fed it.
+struct Observation {
+  std::string table;
+  Box region;
+  int64_t num_records = 0;
+};
+
+/// The feedback sequence a fresh PayLessFullConfig client gives its
+/// statistics over `bundle`'s instance list, in call order.
+std::vector<Observation> RecordFeedbacks(const workload::Bundle& bundle) {
+  std::mutex mutex;
+  std::vector<Observation> observations;
+  auto client =
+      workload::NewPayLessClient(bundle, workload::PayLessFullConfig());
+  client->connector()->AddListener(
+      [&](const market::RestCall& call, const market::CallResult& result) {
+        const catalog::TableDef* def = bundle.catalog.FindTable(call.table);
+        std::lock_guard<std::mutex> lock(mutex);
+        observations.push_back({call.table, market::CallRegion(*def, call),
+                                result.num_records});
+      });
+  for (const workload::QueryInstance& q : bundle.queries) {
+    EXPECT_TRUE(client->QueryWithReport(q.sql, q.params).ok()) << q.sql;
+  }
+  return observations;
+}
+
+/// The real_cold shape (the Fig. 10a instance list) on a small instance of
+/// the data.
+std::vector<Observation> RealColdFeedbacks(catalog::Catalog* catalog) {
   workload::RealDataOptions options;
   options.scale = 0.02;
   options.days = 730;
   const std::unique_ptr<workload::Bundle> bundle =
       workload::MakeRealBundle(options, 200, /*query_seed=*/1);
-  struct Observation {
-    std::string table;
-    Box region;
-    int64_t num_records = 0;
+  *catalog = bundle->catalog;
+  return RecordFeedbacks(*bundle);
+}
+
+std::vector<Observation> TpchSkewColdFeedbacks(catalog::Catalog* catalog) {
+  const std::unique_ptr<workload::Bundle> bundle =
+      digest::TpchSkewColdBundle();
+  *catalog = bundle->catalog;
+  return RecordFeedbacks(*bundle);
+}
+
+/// Seeded probe boxes over `full`: the full region itself, then boxes
+/// inside it, boxes straddling one of its faces, single points and boxes
+/// wholly outside the domain along one dimension.
+std::vector<Box> ProbeBoxes(const Box& full, uint64_t seed) {
+  std::vector<Box> probes = {full};
+  if (full.num_dims() == 0 || full.empty()) return probes;
+  Rng rng(seed);
+  const auto inside = [&] {
+    std::vector<Interval> dims;
+    for (const Interval& iv : full.dims()) {
+      int64_t a = rng.Uniform(iv.lo, iv.hi);
+      int64_t b = rng.Uniform(iv.lo, iv.hi);
+      if (a > b) std::swap(a, b);
+      dims.emplace_back(a, b);
+    }
+    return dims;
   };
-  std::mutex mutex;
-  std::vector<Observation> observations;
-  {
-    auto client =
-        workload::NewPayLessClient(*bundle, workload::PayLessFullConfig());
-    client->connector()->AddListener(
-        [&](const market::RestCall& call, const market::CallResult& result) {
-          const catalog::TableDef* def = bundle->catalog.FindTable(call.table);
-          std::lock_guard<std::mutex> lock(mutex);
-          observations.push_back({call.table, market::CallRegion(*def, call),
-                                  result.num_records});
-        });
-    for (const workload::QueryInstance& q : bundle->queries) {
-      ASSERT_TRUE(client->QueryWithReport(q.sql, q.params).ok());
+  for (int i = 0; i < 3; ++i) {
+    probes.emplace_back(inside());
+
+    std::vector<Interval> straddle = inside();
+    const size_t d = rng.Index(full.num_dims());
+    const Interval& face = full.dim(d);
+    const int64_t reach = rng.Uniform(0, face.hi - face.lo);
+    straddle[d] = rng.Uniform(0, 1) == 0
+                      ? Interval(face.lo - 1 - rng.Uniform(0, 9),
+                                 face.lo + reach)
+                      : Interval(face.hi - reach,
+                                 face.hi + 1 + rng.Uniform(0, 9));
+    probes.emplace_back(std::move(straddle));
+
+    std::vector<Interval> point;
+    for (const Interval& iv : full.dims()) {
+      point.push_back(Interval::Point(rng.Uniform(iv.lo, iv.hi)));
+    }
+    probes.emplace_back(std::move(point));
+
+    std::vector<Interval> outside = inside();
+    const size_t o = rng.Index(full.num_dims());
+    const Interval& edge = full.dim(o);
+    const int64_t width = rng.Uniform(0, 9);
+    outside[o] = rng.Uniform(0, 1) == 0
+                     ? Interval(edge.lo - 1 - width, edge.lo - 1)
+                     : Interval(edge.hi + 1, edge.hi + 1 + width);
+    probes.emplace_back(std::move(outside));
+  }
+  return probes;
+}
+
+/// Each table's probe boxes, seeded by the table's position in `catalog`.
+std::map<std::string, std::vector<Box>> TableProbes(
+    const catalog::Catalog& catalog) {
+  std::map<std::string, std::vector<Box>> probes;
+  uint64_t seed = 11;
+  for (const std::string& name : catalog.TableNames()) {
+    probes[name] = ProbeBoxes(catalog.FindTable(name)->FullRegion(), seed++);
+  }
+  return probes;
+}
+
+uint64_t HashEstimate(double estimate, uint64_t hash) {
+  char bits[sizeof(estimate)];
+  std::memcpy(bits, &estimate, sizeof(estimate));
+  return digest::Fnv1a(std::string_view(bits, sizeof(bits)), hash);
+}
+
+std::string BoxBytes(const Box& box) {
+  std::string bytes;
+  common::BinWriter w(&bytes);
+  common::WriteBox(w, box);
+  return bytes;
+}
+
+/// Two FNV-1a hashes of one replay through a fresh registry.
+struct ReplayHashes {
+  /// The bits of each region's estimate just before its feedback, then
+  /// every table's final saved state.
+  uint64_t estimates = digest::kFnvOffset;
+  /// After each feedback, the box it returned and the bits of the fed
+  /// table's probe estimates.
+  uint64_t learning = digest::kFnvOffset;
+};
+
+ReplayHashes Replay(const catalog::Catalog& catalog,
+                    const std::vector<Observation>& observations) {
+  const std::map<std::string, std::vector<Box>> probes = TableProbes(catalog);
+  StatsRegistry registry(catalog);
+  ReplayHashes hashes;
+  for (const Observation& o : observations) {
+    hashes.estimates =
+        HashEstimate(registry.EstimateRows(o.table, o.region),
+                     hashes.estimates);
+    const Box changed = registry.Feedback(o.table, o.region, o.num_records);
+    hashes.learning = digest::Fnv1a(BoxBytes(changed), hashes.learning);
+    for (const Box& probe : probes.at(o.table)) {
+      hashes.learning =
+          HashEstimate(registry.EstimateRows(o.table, probe), hashes.learning);
     }
   }
-  ASSERT_GT(observations.size(), 500u);
-
-  StatsRegistry registry(bundle->catalog);
-  uint64_t hash = digest::kFnvOffset;
-  for (const Observation& o : observations) {
-    const double estimate = registry.EstimateRows(o.table, o.region);
-    char bits[sizeof(estimate)];
-    std::memcpy(bits, &estimate, sizeof(estimate));
-    hash = digest::Fnv1a(std::string_view(bits, sizeof(bits)), hash);
-    registry.Feedback(o.table, o.region, o.num_records);
-  }
-  for (const std::string& name : bundle->catalog.TableNames()) {
+  for (const std::string& name : catalog.TableNames()) {
     std::string blob;
-    ASSERT_TRUE(registry.SaveTable(name, &blob));
-    hash = digest::Fnv1a(blob, hash);
+    EXPECT_TRUE(registry.SaveTable(name, &blob));
+    hashes.estimates = digest::Fnv1a(blob, hashes.estimates);
   }
   EXPECT_EQ(registry.TotalFeedbacks(), observations.size());
-  EXPECT_EQ(hash, 0xc22788305892d31aULL) << std::hex << hash;
+  return hashes;
+}
+
+// Any change to how the histogram estimates, splits or rescales moves these
+// hashes.
+TEST(StatsReplayTest, RealColdFeedbackReplaysBitForBit) {
+  catalog::Catalog catalog;
+  const std::vector<Observation> observations = RealColdFeedbacks(&catalog);
+  ASSERT_GT(observations.size(), 500u);
+  const ReplayHashes hashes = Replay(catalog, observations);
+  EXPECT_EQ(hashes.estimates, 0xc22788305892d31aULL)
+      << std::hex << hashes.estimates;
+  EXPECT_EQ(hashes.learning, 0xdfaf1e975970c9dfULL) << std::hex << hashes.learning;
+}
+
+TEST(StatsReplayTest, TpchSkewColdFeedbackReplaysBitForBit) {
+  catalog::Catalog catalog;
+  const std::vector<Observation> observations =
+      TpchSkewColdFeedbacks(&catalog);
+  ASSERT_GT(observations.size(), 100u);
+  const ReplayHashes hashes = Replay(catalog, observations);
+  EXPECT_EQ(hashes.estimates, 0x00bd4165b96c7e1fULL) << std::hex << hashes.estimates;
+  EXPECT_EQ(hashes.learning, 0x99f995874828d332ULL) << std::hex << hashes.learning;
 }
 
 }  // namespace
