@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -15,6 +16,7 @@
 #include "common/binio.h"
 #include "common/rng.h"
 #include "market/rest_call.h"
+#include "naive_histogram.h"
 #include "workload/bundle.h"
 
 namespace payless::stats {
@@ -544,6 +546,93 @@ TEST(StatsReplayTest, TpchSkewColdFeedbackReplaysBitForBit) {
   const ReplayHashes hashes = Replay(catalog, observations);
   EXPECT_EQ(hashes.estimates, 0x00bd4165b96c7e1fULL) << std::hex << hashes.estimates;
   EXPECT_EQ(hashes.learning, 0x99f995874828d332ULL) << std::hex << hashes.learning;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(a)) == 0;
+}
+
+std::string SavedState(const auto& hist) {
+  std::string blob;
+  common::BinWriter w(&blob);
+  hist.SaveState(w);
+  return blob;
+}
+
+/// Replays `observations` through a reference histogram and a
+/// FeedbackHistogram per table, both capped at `max_buckets`. Returns the
+/// first estimate, changed box or saved state that differs, described;
+/// empty when none does.
+std::string FirstDivergence(const catalog::Catalog& catalog,
+                            const std::vector<Observation>& observations,
+                            size_t max_buckets) {
+  struct Pair {
+    naive::FeedbackHistogram reference;
+    FeedbackHistogram flat;
+  };
+  std::map<std::string, Pair> tables;
+  for (const std::string& name : catalog.TableNames()) {
+    const catalog::TableDef& def = *catalog.FindTable(name);
+    tables.emplace(
+        name, Pair{naive::FeedbackHistogram(def.FullRegion(), def.cardinality,
+                                            max_buckets),
+                   FeedbackHistogram(def.FullRegion(), def.cardinality,
+                                     max_buckets)});
+  }
+  const std::map<std::string, std::vector<Box>> probes = TableProbes(catalog);
+  char what[512];
+  const auto differs = [&](size_t k, const Observation& o, const Box& box,
+                           double want, double got) {
+    if (SameBits(want, got)) return false;
+    std::snprintf(what, sizeof(what),
+                  "feedback %zu on %s: estimate of %s is %.17g, reference "
+                  "%.17g",
+                  k, o.table.c_str(), box.ToString().c_str(), got, want);
+    return true;
+  };
+  for (size_t k = 0; k < observations.size(); ++k) {
+    const Observation& o = observations[k];
+    Pair& pair = tables.at(o.table);
+    if (differs(k, o, o.region, pair.reference.EstimateRows(o.region),
+                pair.flat.EstimateRows(o.region))) {
+      return what;
+    }
+    const Box want = pair.reference.Feedback(o.region, o.num_records);
+    const Box got = pair.flat.Feedback(o.region, o.num_records);
+    if (BoxBytes(want) != BoxBytes(got)) {
+      return "feedback " + std::to_string(k) + " on " + o.table +
+             " changed " + got.ToString() + ", reference " + want.ToString();
+    }
+    for (const Box& probe : probes.at(o.table)) {
+      if (differs(k, o, probe, pair.reference.EstimateRows(probe),
+                  pair.flat.EstimateRows(probe))) {
+        return what;
+      }
+    }
+    if (SavedState(pair.reference) != SavedState(pair.flat)) {
+      return "feedback " + std::to_string(k) + " on " + o.table +
+             ": saved states differ (" +
+             std::to_string(pair.flat.num_buckets()) + " buckets, reference " +
+             std::to_string(pair.reference.num_buckets()) + ")";
+    }
+  }
+  return "";
+}
+
+// The histogram against the naive reference on both recorded sequences:
+// at the registry's cap, and at a cap of 64 that the sequences pass, so
+// feedback at capacity and skipped splits are compared too.
+TEST(StatsReplayTest, FeedbackMatchesTheNaiveHistogram) {
+  catalog::Catalog real;
+  const std::vector<Observation> real_cold = RealColdFeedbacks(&real);
+  catalog::Catalog tpch;
+  const std::vector<Observation> tpch_skew_cold = TpchSkewColdFeedbacks(&tpch);
+  for (const size_t max_buckets : {size_t{4096}, size_t{64}}) {
+    EXPECT_EQ(FirstDivergence(real, real_cold, max_buckets), "")
+        << "real_cold, max_buckets " << max_buckets;
+    EXPECT_EQ(FirstDivergence(tpch, tpch_skew_cold, max_buckets), "")
+        << "tpch_skew_cold, max_buckets " << max_buckets;
+  }
 }
 
 }  // namespace
