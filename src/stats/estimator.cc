@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -26,6 +27,28 @@ auto* CellOf(Cells& cells, const std::string& table) {
 Box Unchanged(size_t dims) {
   return Box(std::vector<Interval>(std::max<size_t>(dims, 1),
                                    Interval::Empty()));
+}
+
+/// Box::Volume of the intersection of `region` with the box whose intervals
+/// start at `dims`, without building it: 0 when they are disjoint, else the
+/// product of the widths, saturating at INT64_MAX.
+int64_t OverlapVolume(const Interval* dims, const Box& region) {
+  constexpr unsigned __int128 kMax = std::numeric_limits<int64_t>::max();
+  unsigned __int128 volume = 1;
+  for (size_t d = 0; d < region.num_dims(); ++d) {
+    const int64_t width = dims[d].Intersect(region.dim(d)).Width();
+    if (width == 0) return 0;
+    volume = std::min(volume * static_cast<unsigned __int128>(width), kMax);
+  }
+  return static_cast<int64_t>(volume);
+}
+
+/// True when `region` contains every interval starting at `dims`.
+bool ContainsBounds(const Box& region, const Interval* dims) {
+  for (size_t d = 0; d < region.num_dims(); ++d) {
+    if (!region.dim(d).Contains(dims[d])) return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -53,25 +76,36 @@ FeedbackHistogram::FeedbackHistogram(Box full_region,
                                      int64_t initial_cardinality,
                                      size_t max_buckets)
     : full_region_(std::move(full_region)), max_buckets_(max_buckets) {
-  buckets_.push_back(
-      Bucket{full_region_, static_cast<double>(initial_cardinality)});
+  buckets_.Add(full_region_.dims().data(), full_region_.num_dims(),
+               static_cast<double>(initial_cardinality), Vol(full_region_));
 }
 
-double FeedbackHistogram::OverlapCount(const Bucket& bucket,
-                                       const Box& region) {
-  const Box overlap = bucket.box.Intersect(region);
-  if (overlap.empty()) return 0.0;
-  const double bucket_volume = Vol(bucket.box);
-  if (bucket_volume <= 0.0) return 0.0;
-  return bucket.count * (Vol(overlap) / bucket_volume);
+void FeedbackHistogram::Buckets::Add(const Interval* dims, size_t num_dims,
+                                     double count, double volume) {
+  bounds.insert(bounds.end(), dims, dims + num_dims);
+  counts.push_back(count);
+  volumes.push_back(volume);
+}
+
+Box FeedbackHistogram::BucketBox(size_t bucket) const {
+  const Interval* dims = BoundsOf(bucket);
+  return Box(std::vector<Interval>(dims, dims + full_region_.num_dims()));
+}
+
+double FeedbackHistogram::OverlapCount(size_t bucket,
+                                       const Box& region) const {
+  const int64_t overlap = OverlapVolume(BoundsOf(bucket), region);
+  if (overlap == 0) return 0.0;
+  return buckets_.counts[bucket] *
+         (static_cast<double>(overlap) / buckets_.volumes[bucket]);
 }
 
 double FeedbackHistogram::EstimateRows(const Box& region) const {
   const Box clipped = full_region_.Intersect(region);
   if (clipped.empty()) return 0.0;
   double total = 0.0;
-  for (const Bucket& bucket : buckets_) {
-    total += OverlapCount(bucket, clipped);
+  for (size_t i = 0; i < num_buckets(); ++i) {
+    total += OverlapCount(i, clipped);
   }
   return total;
 }
@@ -80,37 +114,45 @@ Box FeedbackHistogram::Feedback(const Box& region, int64_t actual_rows) {
   const Box target = full_region_.Intersect(region);
   if (target.empty()) return target;
   ++num_feedbacks_;
+  const size_t dims = full_region_.num_dims();
 
   // Phase 1: split buckets that straddle the target so that afterwards every
   // bucket is either inside or outside it (skipped at capacity). A split
   // that would leave more than 2 * max_buckets_ buckets, counting the ones
   // not visited yet, is skipped: that bucket and every later one stay whole.
-  bool all_split = buckets_.size() < max_buckets_;
+  // Only a split bucket is built as a Box; the others copy their intervals.
+  bool all_split = num_buckets() < max_buckets_;
   if (all_split) {
-    std::vector<Bucket> next;
-    next.reserve(buckets_.size() + 4);
-    for (size_t i = 0; i < buckets_.size(); ++i) {
-      const Bucket& bucket = buckets_[i];
-      const Box inside = bucket.box.Intersect(target);
-      if (!all_split || inside.empty() || inside == bucket.box) {
-        next.push_back(bucket);
+    Buckets next;
+    next.bounds.reserve(buckets_.bounds.size() + 4 * dims);
+    next.counts.reserve(num_buckets() + 4);
+    next.volumes.reserve(num_buckets() + 4);
+    for (size_t i = 0; i < num_buckets(); ++i) {
+      const Interval* bounds = BoundsOf(i);
+      const double count = buckets_.counts[i];
+      const double volume = buckets_.volumes[i];
+      if (!all_split || OverlapVolume(bounds, target) == 0 ||
+          ContainsBounds(target, bounds)) {
+        next.Add(bounds, dims, count, volume);
         continue;
       }
-      std::vector<Box> outside = SubtractBox(bucket.box, target);
-      const size_t unvisited = buckets_.size() - i - 1;
-      if (next.size() + 1 + outside.size() + unvisited > max_buckets_ * 2) {
+      const Box bucket = BucketBox(i);
+      std::vector<Box> outside = SubtractBox(bucket, target);
+      const size_t unvisited = num_buckets() - i - 1;
+      if (next.counts.size() + 1 + outside.size() + unvisited >
+          max_buckets_ * 2) {
         all_split = false;
-        next.push_back(bucket);
+        next.Add(bounds, dims, count, volume);
         continue;
       }
-      const double volume = Vol(bucket.box);
       // Distribute the bucket's count over the fragments by volume share
       // (uniformity within the bucket).
-      Bucket in_piece{inside, bucket.count * (Vol(inside) / volume)};
-      next.push_back(std::move(in_piece));
-      for (Box& piece : outside) {
-        const double share = bucket.count * (Vol(piece) / volume);
-        next.push_back(Bucket{std::move(piece), share});
+      const Box inside = bucket.Intersect(target);
+      next.Add(inside.dims().data(), dims, count * (Vol(inside) / volume),
+               Vol(inside));
+      for (const Box& piece : outside) {
+        next.Add(piece.dims().data(), dims, count * (Vol(piece) / volume),
+                 Vol(piece));
       }
     }
     buckets_ = std::move(next);
@@ -121,36 +163,37 @@ Box FeedbackHistogram::Feedback(const Box& region, int64_t actual_rows) {
   // max-entropy scaling). Buckets partially overlapping (possible only at
   // capacity) move only their inside share.
   double inside_mass = 0.0;
-  for (const Bucket& bucket : buckets_) {
-    inside_mass += OverlapCount(bucket, target);
+  for (size_t i = 0; i < num_buckets(); ++i) {
+    inside_mass += OverlapCount(i, target);
   }
   // A bucket left straddling the target spreads its new count past it.
   const Box& changed = all_split ? target : full_region_;
   const double actual = static_cast<double>(actual_rows);
+  std::vector<double>& counts = buckets_.counts;
   if (inside_mass <= 1e-9) {
     if (actual <= 0.0) return changed;
     // Nothing to scale: spread the observed rows over the inside volume.
     const double target_volume = Vol(target);
-    for (Bucket& bucket : buckets_) {
-      const Box overlap = bucket.box.Intersect(target);
-      if (overlap.empty()) continue;
-      bucket.count += actual * (Vol(overlap) / target_volume);
+    for (size_t i = 0; i < num_buckets(); ++i) {
+      const int64_t overlap = OverlapVolume(BoundsOf(i), target);
+      if (overlap == 0) continue;
+      counts[i] += actual * (static_cast<double>(overlap) / target_volume);
     }
     return changed;
   }
   const double scale = actual / inside_mass;
-  for (Bucket& bucket : buckets_) {
-    const double inside = OverlapCount(bucket, target);
+  for (size_t i = 0; i < num_buckets(); ++i) {
+    const double inside = OverlapCount(i, target);
     if (inside <= 0.0) continue;
-    bucket.count += inside * (scale - 1.0);
-    if (bucket.count < 0.0) bucket.count = 0.0;
+    counts[i] += inside * (scale - 1.0);
+    if (counts[i] < 0.0) counts[i] = 0.0;
   }
   return changed;
 }
 
 double FeedbackHistogram::total_count() const {
   double total = 0.0;
-  for (const Bucket& bucket : buckets_) total += bucket.count;
+  for (const double count : buckets_.counts) total += count;
   return total;
 }
 
@@ -232,10 +275,10 @@ void FeedbackHistogram::SaveState(common::BinWriter& w) const {
   common::WriteBox(w, full_region_);
   w.U64(max_buckets_);
   w.U64(num_feedbacks_);
-  w.U32(static_cast<uint32_t>(buckets_.size()));
-  for (const Bucket& bucket : buckets_) {
-    common::WriteBox(w, bucket.box);
-    w.F64(bucket.count);
+  w.U32(static_cast<uint32_t>(num_buckets()));
+  for (size_t i = 0; i < num_buckets(); ++i) {
+    common::WriteBox(w, BucketBox(i));
+    w.F64(buckets_.counts[i]);
   }
 }
 
@@ -250,13 +293,15 @@ std::unique_ptr<FeedbackHistogram> FeedbackHistogram::Load(
   }
   est->max_buckets_ = static_cast<size_t>(max_buckets);
   est->num_feedbacks_ = static_cast<size_t>(feedbacks);
-  est->buckets_.reserve(num_buckets);
+  const size_t dims = est->full_region_.num_dims();
   for (uint32_t i = 0; i < num_buckets; ++i) {
-    Bucket bucket;
-    if (!common::ReadBox(r, &bucket.box) || !r.F64(&bucket.count)) {
+    Box box;
+    double count = 0.0;
+    if (!common::ReadBox(r, &box) || box.num_dims() != dims ||
+        !r.F64(&count)) {
       return nullptr;
     }
-    est->buckets_.push_back(std::move(bucket));
+    est->buckets_.Add(box.dims().data(), dims, count, Vol(box));
   }
   return est;
 }

@@ -114,12 +114,12 @@ class FeedbackHistogram : public Estimator {
   /// region, and the full region is returned.
   Box Feedback(const Box& region, int64_t actual_rows) override;
 
-  size_t num_buckets() const { return buckets_.size(); }
+  size_t num_buckets() const { return buckets_.counts.size(); }
   size_t num_feedbacks() const { return num_feedbacks_; }
   double total_count() const;
 
   EstimatorInfo Info() const override {
-    return EstimatorInfo{buckets_.size(), num_feedbacks_, total_count()};
+    return EstimatorInfo{num_buckets(), num_feedbacks_, total_count()};
   }
 
   void SaveState(common::BinWriter& w) const override;
@@ -128,18 +128,31 @@ class FeedbackHistogram : public Estimator {
  private:
   FeedbackHistogram() = default;  // Load fills every field
 
-  struct Bucket {
-    Box box;
-    double count = 0.0;
+  /// The buckets in flat arrays, so an estimate scans them without building
+  /// a Box each: bucket i's intervals are bounds[i * d, (i + 1) * d) for the
+  /// region's d dimensions, its expected rows counts[i] and its lattice
+  /// point count (as a double) volumes[i].
+  struct Buckets {
+    std::vector<Interval> bounds;
+    std::vector<double> counts;
+    std::vector<double> volumes;
+
+    void Add(const Interval* dims, size_t num_dims, double count,
+             double volume);
   };
 
-  /// Expected rows of `bucket` falling inside `region` under intra-bucket
-  /// uniformity.
-  static double OverlapCount(const Bucket& bucket, const Box& region);
+  const Interval* BoundsOf(size_t bucket) const {
+    return buckets_.bounds.data() + bucket * full_region_.num_dims();
+  }
+  Box BucketBox(size_t bucket) const;
+
+  /// Expected rows of `bucket` falling inside `region` (clipped to the full
+  /// region) under intra-bucket uniformity.
+  double OverlapCount(size_t bucket, const Box& region) const;
 
   Box full_region_;
   size_t max_buckets_ = 0;
-  std::vector<Bucket> buckets_;
+  Buckets buckets_;
   size_t num_feedbacks_ = 0;
 };
 
