@@ -202,7 +202,9 @@ StatsRegistry::StatsRegistry(const catalog::Catalog& catalog, StatsKind kind)
   for (const std::string& name : catalog.TableNames()) {
     const catalog::TableDef& def = *catalog.FindTable(name);
     const Box full = def.FullRegion();
-    std::unique_ptr<Estimator>& estimator = cells_[name].estimator;
+    Cell& cell = cells_[name];
+    cell.dims = full.num_dims();
+    std::unique_ptr<Estimator>& estimator = cell.estimator;
     switch (kind_) {
       case StatsKind::kUniform:
         estimator = std::make_unique<UniformEstimator>(full, def.cardinality);
@@ -259,11 +261,12 @@ void UniformEstimator::SaveState(common::BinWriter& w) const {
   w.U64(num_feedbacks_);
 }
 
-std::unique_ptr<UniformEstimator> UniformEstimator::Load(
-    common::BinReader& r) {
+std::unique_ptr<UniformEstimator> UniformEstimator::Load(common::BinReader& r,
+                                                         size_t dims) {
   std::unique_ptr<UniformEstimator> est(new UniformEstimator());
   uint64_t feedbacks = 0;
-  if (!common::ReadBox(r, &est->full_region_) || !r.F64(&est->cardinality_) ||
+  if (!common::ReadBox(r, &est->full_region_) ||
+      est->full_region_.num_dims() != dims || !r.F64(&est->cardinality_) ||
       !r.U64(&feedbacks)) {
     return nullptr;
   }
@@ -283,17 +286,17 @@ void FeedbackHistogram::SaveState(common::BinWriter& w) const {
 }
 
 std::unique_ptr<FeedbackHistogram> FeedbackHistogram::Load(
-    common::BinReader& r) {
+    common::BinReader& r, size_t dims) {
   std::unique_ptr<FeedbackHistogram> est(new FeedbackHistogram());
   uint64_t max_buckets = 0, feedbacks = 0;
   uint32_t num_buckets = 0;
-  if (!common::ReadBox(r, &est->full_region_) || !r.U64(&max_buckets) ||
+  if (!common::ReadBox(r, &est->full_region_) ||
+      est->full_region_.num_dims() != dims || !r.U64(&max_buckets) ||
       !r.U64(&feedbacks) || !r.U32(&num_buckets)) {
     return nullptr;
   }
   est->max_buckets_ = static_cast<size_t>(max_buckets);
   est->num_feedbacks_ = static_cast<size_t>(feedbacks);
-  const size_t dims = est->full_region_.num_dims();
   for (uint32_t i = 0; i < num_buckets; ++i) {
     Box box;
     double count = 0.0;
@@ -317,14 +320,14 @@ void SaveEstimator(const Estimator& estimator, std::string* out) {
   estimator.SaveState(w);
 }
 
-std::unique_ptr<Estimator> LoadEstimator(common::BinReader& r) {
+std::unique_ptr<Estimator> LoadEstimator(common::BinReader& r, size_t dims) {
   uint8_t tag = 0;
   if (!r.U8(&tag)) return nullptr;
   switch (tag) {
     case kUniformTag:
-      return UniformEstimator::Load(r);
+      return UniformEstimator::Load(r, dims);
     case kFeedbackHistogramTag:
-      return FeedbackHistogram::Load(r);
+      return FeedbackHistogram::Load(r, dims);
     default:
       return nullptr;
   }
@@ -350,7 +353,7 @@ bool StatsRegistry::RestoreTable(const std::string& table,
   auto* cell = CellOf(cells_, table);
   if (cell == nullptr) return false;
   common::BinReader r(blob);
-  std::unique_ptr<Estimator> restored = LoadEstimator(r);
+  std::unique_ptr<Estimator> restored = LoadEstimator(r, cell->dims);
   if (restored == nullptr) return false;
   std::unique_lock<std::shared_mutex> lock(cell->mutex);
   cell->estimator = std::move(restored);

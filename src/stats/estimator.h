@@ -58,9 +58,10 @@ class Estimator {
 
 /// Kind-tagged estimator state: one byte identifying the concrete class,
 /// then its SaveState bytes. LoadEstimator returns nullptr on any decode
-/// failure (unknown tag, truncated state).
+/// failure (unknown tag, truncated state) and for state whose region, or
+/// any of whose buckets, does not have `dims` dimensions.
 void SaveEstimator(const Estimator& estimator, std::string* out);
-std::unique_ptr<Estimator> LoadEstimator(common::BinReader& r);
+std::unique_ptr<Estimator> LoadEstimator(common::BinReader& r, size_t dims);
 
 /// The cold-start estimator: published cardinality spread uniformly over the
 /// domain (the paper's "basic textbook methods", §4.3).
@@ -79,7 +80,8 @@ class UniformEstimator : public Estimator {
   }
 
   void SaveState(common::BinWriter& w) const override;
-  static std::unique_ptr<UniformEstimator> Load(common::BinReader& r);
+  static std::unique_ptr<UniformEstimator> Load(common::BinReader& r,
+                                                size_t dims);
 
  private:
   UniformEstimator() = default;  // Load fills every field
@@ -123,7 +125,8 @@ class FeedbackHistogram : public Estimator {
   }
 
   void SaveState(common::BinWriter& w) const override;
-  static std::unique_ptr<FeedbackHistogram> Load(common::BinReader& r);
+  static std::unique_ptr<FeedbackHistogram> Load(common::BinReader& r,
+                                                 size_t dims);
 
  private:
   FeedbackHistogram() = default;  // Load fills every field
@@ -207,12 +210,15 @@ class StatsRegistry {
 
   /// Replaces `table`'s estimator with the deserialized `blob` state (the
   /// recovery path; a blob for a table dropped from the catalog is
-  /// skipped). False on unknown table or decode failure.
+  /// skipped). False on unknown table or decode failure, which includes a
+  /// blob over another number of dimensions than the table's region (the
+  /// catalog changed between runs): the table keeps its estimator.
   bool RestoreTable(const std::string& table, const std::string& blob);
 
  private:
   /// One table's estimator and the lock that guards it.
   struct Cell {
+    size_t dims = 0;  // of the table's full region
     mutable std::shared_mutex mutex;
     std::unique_ptr<Estimator> estimator;  // guarded by `mutex`
   };

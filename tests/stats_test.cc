@@ -274,7 +274,7 @@ TEST(FeedbackHistogramTest, ZeroDimensionalRegion) {
   std::string blob;
   SaveEstimator(hist, &blob);
   common::BinReader r(blob);
-  const std::unique_ptr<Estimator> loaded = LoadEstimator(r);
+  const std::unique_ptr<Estimator> loaded = LoadEstimator(r, 0);
   ASSERT_NE(loaded, nullptr);
   EXPECT_DOUBLE_EQ(loaded->EstimateRows(unit), 25.0);
   EXPECT_EQ(loaded->Info().buckets, 1u);
@@ -336,6 +336,42 @@ TEST(StatsRegistryTest, RetiredKindTagFailsToRestore) {
   // The table keeps its catalog-seeded estimator.
   EXPECT_DOUBLE_EQ(registry.EstimateRows("T", full), 1000.0);
   EXPECT_EQ(registry.Info("T").feedbacks, 0u);
+}
+
+TEST(StatsRegistryTest, MismatchedDimensionsFailToRestore) {
+  // The catalog changed between runs: table T is 1-d now, but the snapshot
+  // holds state over other dimension counts.
+  StatsRegistry registry(OneColumnCatalog(99, 1000));
+  const Box full({Interval(0, 99)});
+  const Box cube({Interval(0, 9), Interval(0, 9), Interval(0, 9)});
+  std::vector<std::string> blobs(4);
+  FeedbackHistogram hist(cube, 500);
+  hist.Feedback(Box({Interval(0, 4), Interval(0, 9), Interval(0, 9)}), 100);
+  SaveEstimator(hist, &blobs[0]);
+  SaveEstimator(UniformEstimator(cube, 500), &blobs[1]);
+  SaveEstimator(FeedbackHistogram(Box(), 500), &blobs[2]);
+  // A 1-d region whose one bucket is 2-d: [u8 2][box][u64 max buckets]
+  // [u64 feedbacks][u32 buckets = 1][box][f64 count].
+  common::BinWriter w(&blobs[3]);
+  w.U8(2);
+  common::WriteBox(w, full);
+  w.U64(4096);
+  w.U64(1);
+  w.U32(1);
+  common::WriteBox(w, Box({Interval(0, 99), Interval(0, 9)}));
+  w.F64(400.0);
+  for (const std::string& blob : blobs) {
+    EXPECT_FALSE(registry.RestoreTable("T", blob));
+    // The table keeps its catalog-seeded estimator.
+    EXPECT_DOUBLE_EQ(registry.EstimateRows("T", full), 1000.0);
+    EXPECT_EQ(registry.Info("T").feedbacks, 0u);
+  }
+
+  // State over the table's own dimensions restores.
+  std::string matching;
+  SaveEstimator(FeedbackHistogram(full, 400), &matching);
+  EXPECT_TRUE(registry.RestoreTable("T", matching));
+  EXPECT_DOUBLE_EQ(registry.EstimateRows("T", full), 400.0);
 }
 
 TEST(StatsRegistryKindTest, InstantiatesSelectedBackend) {
