@@ -571,7 +571,8 @@ TEST(StatsReplayTest, RealColdFeedbackReplaysBitForBit) {
   const ReplayHashes hashes = Replay(catalog, observations);
   EXPECT_EQ(hashes.estimates, 0xc22788305892d31aULL)
       << std::hex << hashes.estimates;
-  EXPECT_EQ(hashes.learning, 0xdfaf1e975970c9dfULL) << std::hex << hashes.learning;
+  EXPECT_EQ(hashes.learning, 0xdfaf1e975970c9dfULL)
+      << std::hex << hashes.learning;
 }
 
 TEST(StatsReplayTest, TpchSkewColdFeedbackReplaysBitForBit) {
@@ -580,8 +581,10 @@ TEST(StatsReplayTest, TpchSkewColdFeedbackReplaysBitForBit) {
       TpchSkewColdFeedbacks(&catalog);
   ASSERT_GT(observations.size(), 100u);
   const ReplayHashes hashes = Replay(catalog, observations);
-  EXPECT_EQ(hashes.estimates, 0x00bd4165b96c7e1fULL) << std::hex << hashes.estimates;
-  EXPECT_EQ(hashes.learning, 0x99f995874828d332ULL) << std::hex << hashes.learning;
+  EXPECT_EQ(hashes.estimates, 0x00bd4165b96c7e1fULL)
+      << std::hex << hashes.estimates;
+  EXPECT_EQ(hashes.learning, 0x99f995874828d332ULL)
+      << std::hex << hashes.learning;
 }
 
 bool SameBits(double a, double b) {
