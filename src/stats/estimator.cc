@@ -30,23 +30,23 @@ Box Unchanged(size_t dims) {
 }
 
 /// Box::Volume of the intersection of `region` with the box whose intervals
-/// start at `dims`, without building it: 0 when they are disjoint, else the
-/// product of the widths, saturating at INT64_MAX.
-int64_t OverlapVolume(const Interval* dims, const Box& region) {
+/// start at `bounds`, without building it: 0 when they are disjoint, else
+/// the product of the widths, saturating at INT64_MAX.
+int64_t OverlapVolume(const Interval* bounds, const Box& region) {
   constexpr unsigned __int128 kMax = std::numeric_limits<int64_t>::max();
   unsigned __int128 volume = 1;
   for (size_t d = 0; d < region.num_dims(); ++d) {
-    const int64_t width = dims[d].Intersect(region.dim(d)).Width();
+    const int64_t width = bounds[d].Intersect(region.dim(d)).Width();
     if (width == 0) return 0;
     volume = std::min(volume * static_cast<unsigned __int128>(width), kMax);
   }
   return static_cast<int64_t>(volume);
 }
 
-/// True when `region` contains every interval starting at `dims`.
-bool ContainsBounds(const Box& region, const Interval* dims) {
+/// True when `region` contains every interval starting at `bounds`.
+bool ContainsBounds(const Box& region, const Interval* bounds) {
   for (size_t d = 0; d < region.num_dims(); ++d) {
-    if (!region.dim(d).Contains(dims[d])) return false;
+    if (!region.dim(d).Contains(bounds[d])) return false;
   }
   return true;
 }
@@ -80,16 +80,17 @@ FeedbackHistogram::FeedbackHistogram(Box full_region,
                static_cast<double>(initial_cardinality), Vol(full_region_));
 }
 
-void FeedbackHistogram::Buckets::Add(const Interval* dims, size_t num_dims,
-                                     double count, double volume) {
-  bounds.insert(bounds.end(), dims, dims + num_dims);
+void FeedbackHistogram::Buckets::Add(const Interval* intervals,
+                                     size_t num_dims, double count,
+                                     double volume) {
+  bounds.insert(bounds.end(), intervals, intervals + num_dims);
   counts.push_back(count);
   volumes.push_back(volume);
 }
 
 Box FeedbackHistogram::BucketBox(size_t bucket) const {
-  const Interval* dims = BoundsOf(bucket);
-  return Box(std::vector<Interval>(dims, dims + full_region_.num_dims()));
+  const Interval* first = BoundsOf(bucket);
+  return Box(std::vector<Interval>(first, first + full_region_.num_dims()));
 }
 
 double FeedbackHistogram::OverlapCount(size_t bucket,

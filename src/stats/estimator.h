@@ -140,7 +140,7 @@ class FeedbackHistogram : public Estimator {
     std::vector<double> counts;
     std::vector<double> volumes;
 
-    void Add(const Interval* dims, size_t num_dims, double count,
+    void Add(const Interval* intervals, size_t num_dims, double count,
              double volume);
   };
 
